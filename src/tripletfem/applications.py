@@ -20,22 +20,9 @@ from .errors import (RegionNotContained, SingularJacobian, TopologyChange,
 from .geometry import (Annulus, Box, Composite, KelvinShell, MetricField,
                        PiecewiseRadial)
 from .mesh import Mesh, generate_structured, map_mesh, write_vtk
-from .triplet import (MaterialField, Triplet, material_matrix,
+from .triplet import (MaterialField, Triplet, eval_entry, material_matrix,
                       metric_for_motion, transform_material,
                       transform_material_euclidean)
-
-
-def _eval_entry(entry, pts, dim):
-    """Material entry at points, mirroring the field's own broadcasting."""
-    if callable(entry):
-        out = np.asarray(entry(pts), dtype=float)
-    else:
-        out = np.asarray(entry, dtype=float)
-    out = material_matrix(out, dim)
-    want = pts.shape[:-1] + (dim, dim)
-    if out.shape != want:
-        out = np.broadcast_to(out, want)
-    return out
 
 
 # ----------------------------------------------------------- open boundary
@@ -133,11 +120,11 @@ def open_boundary_triplet(base, ob):
             out = np.empty((flat.shape[0], dim, dim))
             inside = R <= inner_cut
             if inside.any():
-                out[inside] = _eval_entry(_entry, flat[inside], dim)
+                out[inside] = eval_entry(_entry, flat[inside], dim)
             if (~inside).any():
                 physical = shell.inverse(flat[~inside])
                 J = shell.jacobian(physical)
-                eps_f = _eval_entry(_entry, physical, dim)
+                eps_f = eval_entry(_entry, physical, dim)
                 out[~inside] = transform_material_euclidean(eps_f, J)
             return out.reshape(lead + (dim, dim))
         return fn
@@ -208,7 +195,7 @@ def reparameterize_fixed_metric(spec, g):
             p = np.asarray(points, dtype=float)
             x = g.inverse(p)
             J = g.jacobian(x)
-            eps = _eval_entry(_entry, x, dim)
+            eps = eval_entry(_entry, x, dim)
             S = t.metric.eval(x, _tag)
             return transform_material(eps, S, eye, J)
         return fn
@@ -320,7 +307,7 @@ def _step_triplet(base_triplet, moving_tag, step_map, mode, dim, anchor):
         def entry(points, _e=base_entry):
             p = np.asarray(points, dtype=float)
             J = _inverted_jacobian(step_map, p)
-            return transform_material_euclidean(_eval_entry(_e, p, dim), J)
+            return transform_material_euclidean(eval_entry(_e, p, dim), J)
     regions = dict(base_triplet.material.regions)
     regions[moving_tag] = entry
     material = MaterialField(dim, regions=regions,

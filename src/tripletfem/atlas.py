@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InterfaceMismatch, NoSuchInterface
-from .mesh import DEDUP_RTOL
+from .mesh import DEDUP_RTOL, number_components
 
 
 @dataclass(frozen=True)
@@ -142,42 +142,18 @@ def build_global_index(atlas):
     a node glued to an already-numbered partner adopts that dof.
     """
     tol = atlas.dedup_tolerance()
-
-    parent = {}
-
-    def find(key):
-        while parent.get(key, key) != key:
-            parent[key] = parent.get(parent[key], parent[key])
-            key = parent[key]
-        return key
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    order = {r.region_id: i for i, r in enumerate(atlas.regions)}
+    # region-local node n of region i is node offsets[i] + n of one graph
+    offsets = np.cumsum([0] + [r.mesh.n_nodes for r in atlas.regions])
+    start = {r.region_id: offsets[i] for i, r in enumerate(atlas.regions)}
+    pairs = [np.empty((0, 2), dtype=np.int64)]
     for pair, tags in atlas.interfaces:
         ia, ib = _match_interface(atlas, pair, tags, tol)
-        for na, nb in zip(ia, ib):
-            union((order[pair[0]], int(na)), (order[pair[1]], int(nb)))
-
-    maps = {}
-    dof_of_root = {}
-    count = 0
-    for i, r in enumerate(atlas.regions):
-        arr = np.empty(r.mesh.n_nodes, dtype=np.int64)
-        for n in range(r.mesh.n_nodes):
-            root = find((i, n))
-            if root in dof_of_root:
-                arr[n] = dof_of_root[root]
-            else:
-                dof_of_root[root] = count
-                arr[n] = count
-                count += 1
-        arr.flags.writeable = False
-        maps[r.region_id] = arr
-    return GlobalIndex(maps=maps, n_dofs=count)
+        pairs.append(np.column_stack([ia + start[pair[0]], ib + start[pair[1]]]))
+    dofs, lowest = number_components(offsets[-1], np.concatenate(pairs))
+    dofs.flags.writeable = False
+    maps = {r.region_id: dofs[offsets[i]:offsets[i + 1]]
+            for i, r in enumerate(atlas.regions)}
+    return GlobalIndex(maps=maps, n_dofs=len(lowest))
 
 
 def map_interface_nodes(atlas, from_region, to_region):

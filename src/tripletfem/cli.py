@@ -15,6 +15,7 @@ reruns of the same scenario are byte-comparable.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -44,7 +45,6 @@ scenario commands (the scenario's "mode" must match the command):
   mesh-tools         scenario.json [key=value ...] [flags]
 
 flags: --tol X  --quadrature {auto,one_point,interior}  --seed N
-       --threads N  --sequential
 key=value overrides use dotted paths into the scenario, values parsed
 as JSON when possible: solver.tol=1e-8  quadrature=interior
 
@@ -124,13 +124,30 @@ def validate_scenario(scn):
 # ------------------------------------------------ scenario loading
 
 
+def _finite_json(text, field=None):
+    """json.loads that rejects NaN and infinities, which the schema's
+    numeric bounds would let through."""
+
+    def reject(token):
+        raise ScenarioError(f"non-finite number {token}; numbers must be "
+                            "finite", field=field)
+
+    def number(token):
+        value = float(token)
+        if not math.isfinite(value):
+            reject(token)
+        return value
+
+    return json.loads(text, parse_constant=reject, parse_float=number)
+
+
 def _load_scenario(path):
     if not os.path.isfile(path):
         raise ScenarioError(f"scenario file not found: {path}")
     with open(path, encoding="utf-8") as f:
         text = f.read()
     try:
-        scn = json.loads(text)
+        scn = _finite_json(text)
     except json.JSONDecodeError as err:
         raise ScenarioError(f"scenario is not valid JSON: {err.msg}",
                             line=err.lineno) from err
@@ -142,7 +159,7 @@ def _load_scenario(path):
 def _apply_override(scn, key, raw):
     """Dotted-path assignment; the value is JSON if it parses, else text."""
     try:
-        value = json.loads(raw)
+        value = _finite_json(raw, field=key)
     except json.JSONDecodeError:
         value = raw
     parts = key.split(".")
@@ -161,14 +178,13 @@ def _apply_override(scn, key, raw):
 
 
 def _parse_scenario_args(cmd, args):
-    opts = {"seed": None, "quadrature": None, "tol": None,
-            "threads": 1, "sequential": False}
+    opts = {"seed": None, "quadrature": None, "tol": None}
     scenario_path = None
     overrides = []
     i = 0
     while i < len(args):
         a = args[i]
-        if a in ("--seed", "--quadrature", "--tol", "--threads"):
+        if a in ("--seed", "--quadrature", "--tol"):
             if i + 1 >= len(args):
                 raise ScenarioError(f"flag {a} needs a value", field=a)
             raw = args[i + 1]
@@ -180,10 +196,6 @@ def _parse_scenario_args(cmd, args):
                     opts["tol"] = float(raw)
                     if not 0.0 < opts["tol"] < 1.0:
                         raise ValueError
-                elif a == "--threads":
-                    opts["threads"] = int(raw)
-                    if opts["threads"] < 1:
-                        raise ValueError
                 else:
                     if raw not in _QUADRATURES:
                         raise ValueError
@@ -191,9 +203,6 @@ def _parse_scenario_args(cmd, args):
             except ValueError:
                 raise ScenarioError(f"bad value {raw!r} for {a}",
                                     field=a) from None
-        elif a == "--sequential":
-            opts["sequential"] = True
-            i += 1
         elif a.startswith("--"):
             raise ScenarioError(f"unknown flag {a!r}", field=a)
         elif scenario_path is None:
@@ -223,11 +232,8 @@ def _apply_flags(scn, opts):
 
 
 class RunContext:
-    def __init__(self, base_dir, opts):
+    def __init__(self, base_dir):
         self.base_dir = base_dir
-        self.opts = opts
-        seed = opts.get("seed")
-        self.rng = np.random.default_rng(seed if seed is not None else 0)
 
     def path(self, rel):
         return rel if os.path.isabs(rel) else os.path.join(self.base_dir,
@@ -710,38 +716,25 @@ def run_scenario(cmd, args):
             raise ScenarioError(
                 f"scenario mode {scn['mode']!r} does not match "
                 f"subcommand {cmd!r}", field="mode")
-        ctx = RunContext(os.path.dirname(os.path.abspath(scenario_path)),
-                         opts)
+        ctx = RunContext(os.path.dirname(os.path.abspath(scenario_path)))
         declared = scn.get("outputs", {}).get("report")
         if declared:
             report_path = ctx.path(declared)
         payload = _RUNNERS[cmd](scn, ctx)
-    except ScenarioError as err:
+    except (TripletFemError, OSError) as err:
+        # declarations, tags (even when noticed mid-run) and files exit 2;
+        # other library failures are numerical and exit 3
+        numerical = (isinstance(err, TripletFemError)
+                     and not isinstance(err, (ScenarioError, UnknownTag)))
+        code = 3 if numerical else 2
         _print_error(err)
         _write_report(report_path, {
-            "status": "error", "exit_code": 2, "error": _error_info(err),
+            "status": "error", "exit_code": code, "error": _error_info(err),
             "scenario": scenario_path})
-        return 2
-    except UnknownTag as err:
-        # a tag is a declaration problem even when noticed mid-run
-        _print_error(err)
-        _write_report(report_path, {
-            "status": "error", "exit_code": 2, "error": _error_info(err),
-            "scenario": scenario_path})
-        return 2
-    except TripletFemError as err:
-        _print_error(err)
-        _write_report(report_path, {
-            "status": "error", "exit_code": 3, "error": _error_info(err),
-            "scenario": scenario_path})
-        return 3
-    except OSError as err:
-        _print_error(ScenarioError(str(err)))
-        return 2
+        return code
     payload.update({
         "status": "ok", "mode": cmd, "name": scn["name"],
         "scenario": scenario_path, "seed": scn.get("seed"),
-        "threads": opts["threads"],
         "wall_time": time.time() - started})
     _write_report(report_path, payload)
     return 0

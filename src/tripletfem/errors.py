@@ -48,6 +48,11 @@ class DegenerateElement(TripletFemError):
     """An element has zero or negative volume, or a region collapsed."""
 
 
+class InvalidFacet(TripletFemError, ValueError):
+    """A declared boundary facet is not a face of exactly one element, or is
+    declared twice."""
+
+
 class MalformedFile(TripletFemError):
     """A mesh file could not be parsed; the message carries the line number."""
 

@@ -619,21 +619,6 @@ class Composite(ChartMap):
 # --------------------------------------------------------------- operations
 
 
-def eval_forward(chart, x):
-    """Image of x under the chart."""
-    return chart.forward(x)
-
-
-def eval_inverse(chart, y):
-    """Preimage of y under the chart."""
-    return chart.inverse(y)
-
-
-def jacobian(chart, x):
-    """Analytic Jacobian of the chart at x."""
-    return chart.jacobian(x)
-
-
 def push_forward(J, v):
     """Transport a coordinate increment: dr_out = J dr_in."""
     J = np.asarray(J, dtype=float)
@@ -670,6 +655,18 @@ def check_isometry(chart, samples):
 # ------------------------------------------------------------ metric fields
 
 
+def region_entry(table, default, region):
+    """A field's entry for a region tag: the region's own, else the
+    default, else the only entry when no region is named; None otherwise."""
+    if region in table:
+        return table[region]
+    if default is not None:
+        return default
+    if region is None and len(table) == 1:
+        return next(iter(table.values()))
+    return None
+
+
 class MetricField:
     """Symmetric positive definite tensor field S(x) on a chart codomain.
 
@@ -688,7 +685,7 @@ class MetricField:
         self._fn = fn
         self._constant = None
         self._regions = None
-        self._default = default
+        self._default = None
         if constant is not None:
             S = np.asarray(constant, dtype=float)
             if S.shape != (self.dim, self.dim):
@@ -707,6 +704,9 @@ class MetricField:
                     entry = MetricField(self.dim, constant=entry)
                 table[tag] = entry
             self._regions = table
+            if default is not None and not isinstance(default, MetricField):
+                default = MetricField(self.dim, constant=default)
+            self._default = default
 
     @classmethod
     def euclidean(cls, dim):
@@ -725,18 +725,9 @@ class MetricField:
         if self._constant is not None:
             return self._constant
         if self._regions is not None:
-            entry = self._lookup(region)
+            entry = region_entry(self._regions, self._default, region)
             if entry is not None:
                 return entry.constant_matrix()
-        return None
-
-    def _lookup(self, region):
-        if region in self._regions:
-            return self._regions[region]
-        if self._default is not None:
-            return self._default
-        if region is None and len(self._regions) == 1:
-            return next(iter(self._regions.values()))
         return None
 
     def eval(self, points, region=None):
@@ -745,7 +736,7 @@ class MetricField:
         if self._constant is not None:
             return np.broadcast_to(self._constant, p.shape[:-1] + (self.dim, self.dim))
         if self._regions is not None:
-            entry = self._lookup(region)
+            entry = region_entry(self._regions, self._default, region)
             if entry is None:
                 raise ValueError(f"metric field has no entry for region {region!r}")
             return entry.eval(p)

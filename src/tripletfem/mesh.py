@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from . import geometry
@@ -19,6 +21,7 @@ from .errors import (
     DegenerateElement,
     DegenerateShape,
     DimensionMismatch,
+    InvalidFacet,
     LengthMismatch,
     MalformedFile,
     UnsupportedVersion,
@@ -48,6 +51,36 @@ def _sorted_faces(elements):
     return np.sort(np.concatenate(blocks, axis=0), axis=1)
 
 
+def _face_groups(*face_arrays):
+    """Integer group ids for faces: rows holding the same node ids, in any
+    order and across all the given arrays, share an id. Ids follow the
+    lexicographic order of the sorted rows. Returns (ids per array, number
+    of groups)."""
+    rows = np.concatenate([np.sort(f, axis=1) for f in face_arrays], axis=0)
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(starts) - 1
+    splits = np.cumsum([len(f) for f in face_arrays])[:-1]
+    return np.split(ids, splits), int(starts.sum())
+
+
+def number_components(n, pairs):
+    """Glue n nodes along the given index pairs. Returns each node's
+    component number and each component's lowest node; components are
+    numbered in order of their lowest node."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    _, lowest, inverse = np.unique(labels, return_index=True,
+                                   return_inverse=True)
+    lowest, number = np.unique(lowest[inverse], return_inverse=True)
+    return number, lowest
+
+
 def _tag_array(tags, count, what):
     out = np.empty(count, dtype=object)
     tags = list(tags)
@@ -62,7 +95,7 @@ class Mesh:
 
     nodes: (N, dim) float; elements: (E, dim+1) int with one region tag
     each; boundary_facets: (F, dim) int with one tag each. Every declared
-    facet must be a facet of exactly one element.
+    facet must be a facet of exactly one element, and declared once.
     """
 
     def __init__(self, nodes, elements, element_regions,
@@ -117,16 +150,24 @@ class Mesh:
     def _check_facets(self):
         if not len(self.boundary_facets):
             return
-        faces = _sorted_faces(self.elements)
-        uniq, counts = np.unique(faces, axis=0, return_counts=True)
-        table = {tuple(f): int(c) for f, c in zip(uniq, counts)}
-        for i, f in enumerate(np.sort(self.boundary_facets, axis=1)):
-            c = table.get(tuple(f), 0)
-            if c != 1:
-                raise ValueError(
-                    f"boundary facet {i} {self.boundary_facets[i].tolist()} "
-                    f"belongs to {c} elements; boundary facets must belong "
-                    "to exactly one")
+        (faces, declared), n = _face_groups(_sorted_faces(self.elements),
+                                            self.boundary_facets)
+        counts = np.bincount(faces, minlength=n)[declared]
+        _, first, inverse = np.unique(declared, return_index=True,
+                                      return_inverse=True)
+        first = first[inverse]
+        bad = np.flatnonzero((counts != 1) | (first != np.arange(len(first))))
+        if not bad.size:
+            return
+        i = int(bad[0])
+        nodes = self.boundary_facets[i].tolist()
+        if counts[i] != 1:
+            raise InvalidFacet(
+                f"boundary facet {i} {nodes} belongs to {counts[i]} elements; "
+                "boundary facets must belong to exactly one")
+        raise InvalidFacet(
+            f"boundary facet {i} {nodes} repeats boundary facet {first[i]}; "
+            "each boundary facet is declared once")
 
     # ------------------------------------------------------------ accessors
 
@@ -146,9 +187,6 @@ class Mesh:
 
     def centroids(self):
         return self.nodes[self.elements].mean(axis=1)
-
-    def bbox(self):
-        return self.nodes.min(axis=0), self.nodes.max(axis=0)
 
     def regions(self):
         """Region tags in first-appearance order."""
@@ -259,21 +297,22 @@ def _box_3d(divisions, lo, hi, region, region_bands):
     cell_tags = _assign_bands(centers, axes, region, region_bands)
     regions = np.repeat(cell_tags, 6)
 
-    mesh = Mesh(nodes, tets, regions)
-    facets, tags = _boundary_by_planes(mesh, lo, hi)
-    return Mesh(mesh.nodes, mesh.elements, mesh.element_regions, facets, tags)
+    facets, tags = _boundary_by_planes(nodes, tets, lo, hi)
+    return Mesh(nodes, tets, regions, facets, tags)
 
 
-def _boundary_by_planes(mesh, lo, hi):
+def _boundary_by_planes(nodes, tets, lo, hi):
     """Tag faces that lie on the box sides; used for 3D generation where
-    enumerating side quads by hand is error-prone."""
-    faces = _sorted_faces(mesh.elements)
-    uniq, counts = np.unique(faces, axis=0, return_counts=True)
-    bound = uniq[counts == 1]
-    coords = mesh.nodes[bound]
+    enumerating side quads by hand is error-prone. Faces come out in
+    lexicographic order of their sorted node ids within each side."""
+    faces = _sorted_faces(tets)
+    (ids,), n = _face_groups(faces)
+    single = np.flatnonzero(np.bincount(ids, minlength=n)[ids] == 1)
+    bound = faces[single[np.argsort(ids[single])]]
+    coords = nodes[bound]
     tol = 1e-12 * max(np.abs(np.concatenate([lo, hi])).max(), 1.0)
     facets, tags = [], []
-    for axis in range(mesh.dim):
+    for axis in range(nodes.shape[1]):
         low_tag, high_tag = _SIDE_TAGS[axis]
         on_lo = np.all(np.abs(coords[..., axis] - lo[axis]) <= tol, axis=1)
         on_hi = np.all(np.abs(coords[..., axis] - hi[axis]) <= tol, axis=1)
@@ -790,53 +829,25 @@ def merge_meshes(meshes, tol=None):
         lo, hi = all_nodes.min(axis=0), all_nodes.max(axis=0)
         tol = DEDUP_RTOL * max(float(np.linalg.norm(hi - lo)), 1.0)
 
-    parent = np.arange(len(all_nodes))
+    global_map, lowest = number_components(
+        len(all_nodes),
+        cKDTree(all_nodes).query_pairs(tol, output_type="ndarray"))
+    merged_nodes = all_nodes[lowest]
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    elements = np.concatenate(
+        [global_map[m.elements + off] for m, off in zip(meshes, offsets)])
+    regions = np.concatenate([m.element_regions for m in meshes])
+    facets = np.concatenate(
+        [global_map[m.boundary_facets + off] for m, off in zip(meshes, offsets)])
+    ftags = np.concatenate([m.facet_tags for m in meshes])
 
-    tree = cKDTree(all_nodes)
-    for i, j in sorted(tree.query_pairs(tol)):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    roots = np.array([find(i) for i in range(len(all_nodes))])
-    new_id = {}
-    order = []
-    for r in roots:
-        if r not in new_id:
-            new_id[r] = len(order)
-            order.append(r)
-    global_map = np.array([new_id[r] for r in roots])
-    merged_nodes = all_nodes[order]
-
-    elements = []
-    regions = []
-    facet_seen = {}
-    facets, ftags = [], []
-    for m, off in zip(meshes, offsets):
-        elements.append(global_map[m.elements + off])
-        regions.extend(m.element_regions.tolist())
-        for f, t in zip(global_map[m.boundary_facets + off], m.facet_tags):
-            key = tuple(sorted(f.tolist()))
-            if key not in facet_seen:
-                facet_seen[key] = len(facets)
-                facets.append(f)
-                ftags.append(t)
-    elements = np.concatenate(elements, axis=0)
-
-    # interface facets now sit between two elements; drop them
-    faces = _sorted_faces(elements)
-    uniq, counts = np.unique(faces, axis=0, return_counts=True)
-    shared = {tuple(f) for f, c in zip(uniq, counts) if c != 1}
-    keep = [i for i, f in enumerate(facets)
-            if tuple(sorted(f.tolist())) not in shared]
-    facets = np.array([facets[i] for i in keep], dtype=np.int64)
-    ftags = [ftags[i] for i in keep]
+    # the first declaration of a face wins; faces now between two
+    # elements are glued interfaces and are dropped
+    (declared, faces), n_groups = _face_groups(facets, _sorted_faces(elements))
+    _, first = np.unique(declared, return_index=True)
+    first = np.sort(first)
+    keep = first[np.bincount(faces, minlength=n_groups)[declared[first]] < 2]
+    facets, ftags = facets[keep], ftags[keep]
 
     merged = Mesh(merged_nodes, elements, regions,
                   facets if len(facets) else None,

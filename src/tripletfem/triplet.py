@@ -42,6 +42,20 @@ def material_matrix(eps, dim):
     return eps[..., None, None] * np.eye(dim)
 
 
+def eval_entry(entry, points, dim):
+    """A material entry (scalar, matrix, or pointwise evaluator returning
+    either) as full matrices at the points, shape (..., n, n)."""
+    if callable(entry):
+        out = np.asarray(entry(points), dtype=float)
+    else:
+        out = np.asarray(entry, dtype=float)
+    out = material_matrix(out, dim)
+    want = points.shape[:-1] + (dim, dim)
+    if out.shape != want:
+        out = np.broadcast_to(out, want)
+    return out
+
+
 def _abs_det(J):
     det = np.abs(np.linalg.det(J))
     if np.any(det <= DET_FLOOR):
@@ -163,13 +177,11 @@ class MaterialField:
         return cls(dim, default=eps, label=label)
 
     def entry(self, region=None):
-        if region in self.regions:
-            return self.regions[region]
-        if self.default is not None:
-            return self.default
-        if region is None and len(self.regions) == 1:
-            return next(iter(self.regions.values()))
-        raise ValueError(f"material field has no entry for region {region!r}")
+        entry = geometry.region_entry(self.regions, self.default, region)
+        if entry is None:
+            raise ValueError(
+                f"material field has no entry for region {region!r}")
+        return entry
 
     def is_constant(self, region=None):
         """The region's constant matrix, or None when it varies pointwise."""
@@ -184,16 +196,7 @@ class MaterialField:
         if p.shape[-1] != self.dim:
             raise DimensionMismatch(
                 f"points have {p.shape[-1]} coordinates, field has {self.dim}")
-        entry = self.entry(region)
-        if callable(entry):
-            out = np.asarray(entry(p), dtype=float)
-        else:
-            out = np.asarray(entry, dtype=float)
-        out = material_matrix(out, self.dim)
-        want = p.shape[:-1] + (self.dim, self.dim)
-        if out.shape != want:
-            out = np.broadcast_to(out, want)
-        return out
+        return eval_entry(self.entry(region), p, self.dim)
 
     def __repr__(self):
         tags = sorted(map(repr, self.regions))

@@ -133,3 +133,43 @@ def test_duplicate_region_ids_rejected():
     m = msh.generate_structured("box", (1, 1))
     with pytest.raises(ValueError):
         atl.Atlas([("A", geo.Identity(2), m), ("A", geo.Identity(2), m)])
+
+
+def test_four_region_numbering_matches_union_find_reference():
+    # four unit squares around (1, 1), declared out of geometric order, so
+    # the corner node is glued through a chain of four interfaces
+    boxes = {"NE": ([1, 1], [2, 2]), "SW": ([0, 0], [1, 1]),
+             "NW": ([0, 1], [1, 2]), "SE": ([1, 0], [2, 1])}
+    regions = [(rid, geo.Identity(2),
+                msh.generate_structured("box", (3, 2), bounds=b, region=rid))
+               for rid, b in boxes.items()]
+    interfaces = [(("SE", "NE"), ("top", "bottom")),
+                  (("NW", "NE"), ("right", "left")),
+                  (("SW", "NW"), ("top", "bottom")),
+                  (("SE", "SW"), ("left", "right"))]
+    atlas = atl.Atlas(regions, interfaces)
+    index = atl.build_global_index(atlas)
+
+    # reference: union-find on (region position, node) keys, dofs handed
+    # out in region order then node order
+    parent = {}
+
+    def find(key):
+        while parent.get(key, key) != key:
+            key = parent[key]
+        return key
+
+    order = {r.region_id: i for i, r in enumerate(atlas.regions)}
+    for pair, tags in interfaces:
+        ia, ib = atl._match_interface(atlas, pair, tags,
+                                      atlas.dedup_tolerance())
+        for na, nb in zip(ia, ib):
+            ra = find((order[pair[0]], int(na)))
+            rb = find((order[pair[1]], int(nb)))
+            parent[max(ra, rb)] = min(ra, rb)
+    dof_of_root = {}
+    for i, r in enumerate(atlas.regions):
+        want = [dof_of_root.setdefault(find((i, n)), len(dof_of_root))
+                for n in range(r.mesh.n_nodes)]
+        assert index.dofs(r.region_id).tolist() == want
+    assert index.n_dofs == len(dof_of_root) == 7 * 5

@@ -10,8 +10,6 @@ import pytest
 
 from tripletfem import cli, mesh
 
-REPO_DOCS = Path(__file__).resolve().parents[1] / "docs"
-
 
 def write_scenario(tmp_path, scn, name="scenario.json"):
     path = tmp_path / name
@@ -206,6 +204,58 @@ def test_override_is_revalidated(tmp_path):
     assert report_of(path)["error"]["field"] == "quadrature"
 
 
+def test_non_finite_override_names_the_field(tmp_path):
+    path = write_scenario(tmp_path, square_solve_scenario())
+    assert cli.main(["solve", path, "solver.tol=NaN"]) == 2
+    rep = report_of(path)
+    assert rep["exit_code"] == 2
+    assert rep["error"]["field"] == "solver.tol"
+
+
+def test_non_finite_number_in_scenario_file_is_validation(tmp_path):
+    scn = square_solve_scenario()
+    scn["solver"] = {"tol": float("nan")}
+    path = write_scenario(tmp_path, scn)  # json.dumps writes a bare NaN
+    assert "NaN" in Path(path).read_text()
+    assert cli.main(["solve", path]) == 2
+    assert report_of(path)["exit_code"] == 2
+
+
+def test_unwritable_output_writes_report(tmp_path):
+    scn = square_solve_scenario(outputs={"vtk": "missing/u.vtk"})
+    path = write_scenario(tmp_path, scn)
+    assert cli.main(["solve", path]) == 2
+    rep = report_of(path)
+    assert rep["status"] == "error"
+    assert rep["exit_code"] == 2
+
+
+def write_msh_with_interior_facet(path):
+    """A 2x2 box whose file also declares the interior edge between
+    nodes 2 and 5 (1-based: bottom middle and centre) as a boundary."""
+    mesh.write_msh(mesh.generate_structured("box", (2, 2)), path)
+    lines = Path(path).read_text().splitlines()
+    at = lines.index("$Elements")
+    lines[at + 1] = str(int(lines[at + 1]) + 1)
+    lines.insert(at + 2, "99 1 2 1 1 2 5")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def test_interior_facet_in_mesh_file_is_validation(tmp_path, capsys):
+    write_msh_with_interior_facet(tmp_path / "bad.msh")
+    scn = square_solve_scenario()
+    scn["mesh"] = {"file": "bad.msh"}
+    path = write_scenario(tmp_path, scn)
+    assert cli.main(["solve", path]) == 2
+    rep = report_of(path)
+    assert rep["error"]["field"] == "mesh.file"
+    assert "exactly one" in rep["error"]["message"]
+    bad = str(tmp_path / "bad.msh")
+    assert cli.main(["mesh", "quality", bad]) == 2
+    assert cli.main(["mesh", "convert", bad, str(tmp_path / "b.vtk")]) == 2
+    assert "exactly one" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------- solve
 
 
@@ -244,14 +294,23 @@ def test_solver_overrides_reach_the_run(tmp_path):
     assert rep["error"]["type"] == "MaxIterExceeded"
 
 
-def test_seed_and_threads_recorded_in_report(tmp_path):
+def test_seed_recorded_in_report(tmp_path):
     path = write_scenario(tmp_path, square_solve_scenario())
-    rc = cli.main(["solve", path, "--seed", "7", "--threads", "2",
-                   "--sequential"])
+    rc = cli.main(["solve", path, "--seed", "7"])
     assert rc == 0
     rep = report_of(path)
     assert rep["seed"] == 7
-    assert rep["threads"] == 2
+
+
+def test_by_region_metric_with_default_solves(tmp_path):
+    scn = square_solve_scenario()
+    scn["mesh"]["generator"]["region_bands"] = [["slab", 1, 0.25, 0.5]]
+    scn["triplet"] = {"metric": {"kind": "by-region",
+                                 "regions": {"slab": [[1, 0], [0, 1]]},
+                                 "default": [[1, 0], [0, 1]]}}
+    path = write_scenario(tmp_path, scn)
+    assert cli.main(["solve", path]) == 0
+    assert report_of(path)["energy"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_report_path_can_be_declared(tmp_path):
@@ -433,11 +492,3 @@ def test_mesh_tools_scenario_reports_quality(tmp_path, capsys):
     assert lines[0] == "element,quality"
     assert len(lines) == 33
 
-
-# -------------------------------------------------------------- schema
-
-
-def test_published_schema_copy_matches_packaged_one():
-    packaged = cli.load_schema()
-    published = json.loads((REPO_DOCS / "scenario.schema.json").read_text())
-    assert packaged == published

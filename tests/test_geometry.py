@@ -341,6 +341,14 @@ def test_metric_field_region_dispatch():
     assert S.constant_matrix() is None or S.constant_matrix().shape == (2, 2)
 
 
+def test_metric_field_region_default_given_as_matrix():
+    S = geo.MetricField.by_region(2, {"slab": np.diag([4.0, 0.25])},
+                                  default=2.0 * np.eye(2))
+    pts = np.zeros((3, 2))
+    assert np.allclose(S.eval(pts, region="air"), 2.0 * np.eye(2))
+    assert np.allclose(S.constant_matrix(region="air"), 2.0 * np.eye(2))
+
+
 def test_metric_field_pointwise_function():
     def fn(p):
         r2 = np.sum(p * p, axis=-1)

@@ -3,12 +3,14 @@ and the MSH/VTK/CSV interchange paths."""
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from tripletfem import geometry as geo
 from tripletfem import mesh as msh
 from tripletfem.errors import (
     DegenerateElement,
     DegenerateShape,
+    InvalidFacet,
     LengthMismatch,
     MalformedFile,
     UnknownTag,
@@ -388,3 +390,154 @@ def test_merge_respects_tolerance():
     b = msh.Mesh([[0, eps], [1, eps], [0, 1 + eps]], [[0, 1, 2]], ["b"])
     merged, _ = msh.merge_meshes([a, b])
     assert merged.n_nodes == 6
+
+
+# ---------------------------------------------------------- face grouping
+# The references below use the row-unique algorithm that the group-id
+# helper replaced; generation and merging must reproduce it exactly.
+
+
+def reference_boundary_faces(elements):
+    """Faces of exactly one element: sorted rows, lexicographic order."""
+    uniq, counts = np.unique(msh._sorted_faces(elements), axis=0,
+                             return_counts=True)
+    return uniq[counts == 1]
+
+
+def reference_facet_counts(m):
+    """Elements each declared facet belongs to, via a row -> count dict."""
+    uniq, counts = np.unique(msh._sorted_faces(m.elements), axis=0,
+                             return_counts=True)
+    table = {tuple(f): int(c) for f, c in zip(uniq, counts)}
+    return [table.get(tuple(f), 0) for f in np.sort(m.boundary_facets, axis=1)]
+
+
+def reference_side_facets(nodes, elements, lo, hi):
+    bound = reference_boundary_faces(elements)
+    coords = nodes[bound]
+    tol = 1e-12 * max(np.abs(np.concatenate([lo, hi])).max(), 1.0)
+    sides = [("left", "right"), ("bottom", "top"), ("back", "front")]
+    facets, tags = [], []
+    for axis, names in enumerate(sides[:nodes.shape[1]]):
+        for value, tag in zip((lo[axis], hi[axis]), names):
+            on = np.all(np.abs(coords[..., axis] - value) <= tol, axis=1)
+            facets.extend(bound[on])
+            tags.extend([tag] * int(on.sum()))
+    return np.array(facets, dtype=np.int64), tags
+
+
+GENERATED = [
+    dict(shape="box", divisions=(7, 5), bounds=([0.0, -1.0], [2.0, 1.0]),
+         region_bands=[("slab", 1, -0.2, 0.6), ("wall", 0, 0.5, 0.9)]),
+    dict(shape="box", divisions=(4, 3, 5), bounds=([-1.0, 0.0, 2.0],
+                                                   [1.0, 3.0, 4.0]),
+         region_bands=[("slab", 2, 2.4, 3.2), ("wall", 0, -0.5, 0.0)]),
+    dict(shape="annulus", divisions=(17, 6), radii=(1.0, 2.5),
+         center=(0.3, -0.2), grading=2.0),
+]
+
+
+@pytest.mark.parametrize("kwargs", GENERATED, ids=["box2d", "box3d", "annulus"])
+def test_generation_matches_row_unique_reference(kwargs):
+    m = msh.generate_structured(**kwargs)
+    assert reference_facet_counts(m) == [1] * len(m.boundary_facets)
+    declared = np.unique(np.sort(m.boundary_facets, axis=1), axis=0)
+    assert np.array_equal(declared, reference_boundary_faces(m.elements))
+    # the former path built the mesh without facets, then again with them
+    first = msh.Mesh(m.nodes, m.elements, m.element_regions)
+    if m.dim == 3:
+        facets, tags = reference_side_facets(first.nodes, first.elements,
+                                             *kwargs["bounds"])
+    else:
+        facets, tags = m.boundary_facets, m.facet_tags
+    ref = msh.Mesh(first.nodes, first.elements, first.element_regions,
+                   facets, tags)
+    assert np.array_equal(m.elements, ref.elements)
+    assert np.array_equal(m.boundary_facets, ref.boundary_facets)
+    assert m.boundary_facets.dtype == ref.boundary_facets.dtype
+    assert np.array_equal(m.facet_tags, ref.facet_tags)
+    assert np.array_equal(m.element_regions, ref.element_regions)
+
+
+def reference_merge(meshes, tol):
+    """Union-find node gluing with first-declaration facet dedup."""
+    all_nodes = np.concatenate([m.nodes for m in meshes])
+    offsets = np.cumsum([0] + [m.n_nodes for m in meshes])
+    parent = list(range(len(all_nodes)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in sorted(cKDTree(all_nodes).query_pairs(tol)):
+        ri, rj = find(i), find(j)
+        parent[max(ri, rj)] = min(ri, rj)
+    roots = [find(i) for i in range(len(all_nodes))]
+    order = sorted(set(roots))
+    global_map = np.array([order.index(r) for r in roots])
+    elements = np.concatenate([global_map[m.elements + off]
+                               for m, off in zip(meshes, offsets)])
+    seen, facets, tags = set(), [], []
+    for m, off in zip(meshes, offsets):
+        for f, t in zip(global_map[m.boundary_facets + off], m.facet_tags):
+            if tuple(sorted(f)) not in seen:
+                seen.add(tuple(sorted(f)))
+                facets.append(f)
+                tags.append(t)
+    uniq, counts = np.unique(msh._sorted_faces(elements), axis=0,
+                             return_counts=True)
+    shared = {tuple(f) for f, c in zip(uniq, counts) if c > 1}
+    keep = [k for k, f in enumerate(facets) if tuple(sorted(f)) not in shared]
+    maps = [global_map[offsets[k]:offsets[k + 1]] for k in range(len(meshes))]
+    return (all_nodes[order], elements, np.array([facets[k] for k in keep]),
+            [tags[k] for k in keep], maps)
+
+
+def test_three_way_merge_matches_union_find_reference():
+    # the node at (1, 1) belongs to all three inputs
+    a = msh.generate_structured("box", (3, 2), region="a")
+    b = msh.generate_structured("box", (2, 2), bounds=([1, 0], [2, 1]),
+                                region="b")
+    c = msh.generate_structured("box", (3, 4), bounds=([0, 1], [1, 2]),
+                                region="c")
+    merged, maps = msh.merge_meshes([b, c, a])
+    nodes, elements, facets, tags, ref_maps = reference_merge(
+        [b, c, a], msh.DEDUP_RTOL * np.sqrt(8.0))
+    assert np.array_equal(merged.nodes, nodes)
+    assert np.array_equal(merged.elements, elements)
+    assert np.array_equal(merged.boundary_facets, facets)
+    assert merged.facet_tags.tolist() == tags
+    for got, want in zip(maps, ref_maps):
+        assert np.array_equal(got, want)
+    corner = [int(np.flatnonzero(np.all(m.nodes == [1.0, 1.0], axis=1))[0])
+              for m in (b, c, a)]
+    assert len({int(m[k]) for m, k in zip(maps, corner)}) == 1
+
+
+def test_face_groups_are_exact_for_huge_node_ids():
+    # ids beyond 2**21 overflow a base-n_nodes int64 key for 3-node faces
+    big = 2**40
+    (ids,), n = msh._face_groups(np.array([[big, 1, 5], [5, big, 1],
+                                           [3, big, 1], [big + 1, 1, 5]]))
+    assert n == 3
+    assert ids.tolist() == [1, 1, 0, 2]
+
+
+def box_with_extra_facet(extra):
+    m = msh.generate_structured("box", (2, 2))
+    return msh.Mesh(m.nodes, m.elements, m.element_regions,
+                    np.vstack([m.boundary_facets, [extra]]),
+                    m.facet_tags.tolist() + ["extra"])
+
+
+@pytest.mark.parametrize("extra, why", [
+    ([1, 4], "belongs to 2 elements"),    # interior edge
+    ([0, 8], "belongs to 0 elements"),    # orphan: no element has it
+    ([1, 0], "repeats boundary facet"),   # bottom edge declared again
+])
+def test_bad_declared_facets_are_named(extra, why):
+    with pytest.raises(InvalidFacet) as err:
+        box_with_extra_facet(extra)
+    assert str(err.value).startswith("boundary facet 8 ")
+    assert why in str(err.value)
