@@ -31,8 +31,8 @@ from . import mesh as mesh_mod
 from . import solver as solver_mod
 from . import triplet as tp
 from .atlas import Atlas, AtlasRegion
-from .errors import (DegenerateElement, ScenarioError, TripletFemError,
-                     UnknownTag)
+from .errors import (DegenerateElement, MaxIterExceeded, ScenarioError,
+                     TripletFemError, UnknownTag)
 
 USAGE = """\
 usage: tripletfem <command> ...
@@ -430,7 +430,8 @@ def _solver_config(scn):
 
 
 def _solve_and_export(spec, scn, ctx):
-    sol = fem.solve_bvp(spec, _solver_config(scn))
+    config = _solver_config(scn)
+    sol = fem.solve_bvp(spec, config)
     outputs = scn.get("outputs", {})
     written = {}
     single_mesh = isinstance(spec.domain, mesh_mod.Mesh)
@@ -456,13 +457,19 @@ def _solve_and_export(spec, scn, ctx):
     info = sol.solve_info
     iterations = info.iterations if info is not None else 0
     residual = float(info.residual) if info is not None else 0.0
+    prec = info.preconditioner if info is not None else None
     print(f"energy {_fmt(sol.energy)}")
     print(f"cg iterations {iterations}, residual {_fmt(residual)}")
     for path in written.values():
         print(f"wrote {path}")
     return sol, {"energy": float(sol.energy), "iterations": int(iterations),
                  "residual": residual, "dofs": int(sol.u.size),
-                 "outputs": written}
+                 "outputs": written,
+                 "preconditioner": {
+                     "requested": config.preconditioner,
+                     "built": prec.kind if prec is not None else None,
+                     "fallback": prec is not None and prec.fallback,
+                     "note": prec.note if prec is not None else ""}}
 
 
 def _run_solve(scn, ctx):
@@ -677,6 +684,9 @@ def _write_report(path, payload):
 
 def _error_info(err):
     info = {"type": type(err).__name__, "message": str(err)}
+    if isinstance(err, MaxIterExceeded):
+        info["iterations"] = int(err.iterations)
+        info["residual"] = float(err.residual)
     if isinstance(err, ScenarioError):
         if err.field is not None:
             info["field"] = err.field

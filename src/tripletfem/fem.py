@@ -13,6 +13,7 @@ results to a full reassembly with the same inputs.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -466,16 +467,25 @@ def local_stiffness(nodes, K, quadrature="one_point"):
 
 @dataclass(frozen=True)
 class Solution:
-    """Nodal potential, per-element fields, and the stored energy."""
+    """Nodal potential, the stored energy, and per-element fields.
+
+    triplet is the one the system held when it was solved; a motion
+    sweep goes on changing system.triplet afterwards, so the fields,
+    computed on first read, take the metric from here.
+    """
 
     u: np.ndarray
-    fields: np.ndarray
     energy: float
     system: AssembledSystem
+    triplet: Triplet
     solve_info: object = None
 
+    @cached_property
+    def fields(self):
+        return _all_element_fields(self.u, self.system, self.triplet)
 
-def _all_element_fields(u, system):
+
+def _all_element_fields(u, system, triplet):
     """Constant field per element, E = -S^-1 grad(u), S at the centroid."""
     grad = np.einsum("ea,ead->ed", u[system.element_dofs], system.grads)
     centroids = system.coords.mean(axis=1)
@@ -483,7 +493,7 @@ def _all_element_fields(u, system):
     all_ids = np.arange(system.n_elements)
     for patch, tag, _, ids in system._groups(all_ids):
         metric = patch.metric if patch.metric is not None \
-            else system.triplet.metric
+            else triplet.metric
         S = metric.eval(centroids[ids], tag)
         out[ids] = -np.linalg.solve(S, grad[ids][..., None])[..., 0]
     return out
@@ -505,9 +515,8 @@ def solve_bvp(spec, config=None, *, system=None, preconditioner=None,
     else:
         result = None
         u = sys_.expand(np.zeros(0))
-    fields = _all_element_fields(u, sys_)
-    return Solution(u=u, fields=fields, energy=sys_.energy_of(u),
-                    system=sys_, solve_info=result)
+    return Solution(u=u, energy=sys_.energy_of(u), system=sys_,
+                    triplet=sys_.triplet, solve_info=result)
 
 
 def energy(sol, spec=None):

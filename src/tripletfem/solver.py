@@ -9,7 +9,8 @@ step and keeps applying it while the matrix drifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,6 +20,7 @@ from .errors import (
     BreakdownIC,
     MaxIterExceeded,
     NotPositiveDefinite,
+    TripletFemError,
     ZeroDiagonal,
 )
 
@@ -76,57 +78,58 @@ class Preconditioner:
 def ic0_factor(A):
     """Zero-fill incomplete Cholesky: L with the lower-triangle pattern of
     A and A ~ L L^T on that pattern. Raises BreakdownIC on a nonpositive
-    pivot, which happens for some SPD matrices; callers fall back."""
-    A = sp.csr_matrix(A)
-    A.sort_indices()
-    n = A.shape[0]
-    indptr, indices, data = A.indptr, A.indices, A.data
-    rows = []                      # per-row dict: col -> L value
-    diag = np.zeros(n)
+    pivot, which happens for some SPD matrices; callers fall back.
+
+    Runs over the CSR arrays of tril(A) as Python lists: vals holds A's
+    lower triangle and is overwritten row by row with L, and slots[i]
+    maps each off-diagonal column of row i to its position in vals.
+    Entry (i, c) is a_ic minus l_ij * l_cj over the columns j the two
+    rows share, taken in ascending j, divided by l_cc; the diagonal is
+    sqrt(a_ii - sum of l_ij^2), summed in ascending j.
+    """
+    T = sp.tril(sp.csr_matrix(A), format="csr")
+    T.sort_indices()
+    n = T.shape[0]
+    indptr = T.indptr.tolist()
+    indices = T.indices.tolist()
+    vals = T.data.tolist()
+    slots = []
     for i in range(n):
-        sl = slice(indptr[i], indptr[i + 1])
-        cols = indices[sl]
-        vals = data[sl]
-        a_ii = None
-        row_i = {}
-        for c, a in zip(cols, vals):
-            if c > i:
-                continue
-            if c == i:
-                a_ii = a
-                continue
-            s = a
-            row_c = rows[c]
-            for j, lij in row_i.items():
-                lcj = row_c.get(j)
-                if lcj is not None:
-                    s -= lij * lcj
-            row_i[c] = s / diag[c]
-        if a_ii is None:
+        lo, last = indptr[i], indptr[i + 1] - 1
+        if last < lo or indices[last] != i:
             raise ZeroDiagonal(f"row {i} has no diagonal entry")
-        d = a_ii - sum(v * v for v in row_i.values())
+        row_i = {}
+        sq = 0
+        for k in range(lo, last):
+            c = indices[k]
+            s = vals[k]
+            row_c = slots[c]
+            for j, kij in row_i.items():
+                kcj = row_c.get(j)
+                if kcj is not None:
+                    s -= vals[kij] * vals[kcj]
+            lic = s / vals[indptr[c + 1] - 1]
+            vals[k] = lic
+            sq += lic * lic
+            row_i[c] = k
+        d = vals[last] - sq
         if d <= 0.0:
             raise BreakdownIC(
                 f"incomplete Cholesky pivot {d:.3e} at row {i}; the factor "
                 "does not exist on this sparsity pattern")
-        diag[i] = np.sqrt(d)
-        rows.append(row_i)
-
-    cols_out, rows_out, vals_out = [], [], []
-    for i, row_i in enumerate(rows):
-        for j, v in row_i.items():
-            rows_out.append(i)
-            cols_out.append(j)
-            vals_out.append(v)
-        rows_out.append(i)
-        cols_out.append(i)
-        vals_out.append(diag[i])
-    return sp.csc_matrix((vals_out, (rows_out, cols_out)), shape=(n, n))
+        vals[last] = math.sqrt(d)
+        slots.append(row_i)
+    return sp.csr_matrix((vals, T.indices, T.indptr), shape=(n, n)).tocsc()
 
 
 def build_preconditioner(A, kind="jacobi"):
     """none (identity), jacobi (inverse diagonal), or ic0. An ic0 that
-    breaks down degrades to jacobi and flags itself."""
+    breaks down degrades to jacobi and flags itself.
+
+    ic0 applies z = (L L^T)^-1 r with the IC(0) factor L as two
+    triangular solves, forward with L and backward with L^T, each on L's
+    own pattern; no product L L^T is formed or factored.
+    """
     if kind == "none":
         return Preconditioner("none", lambda r: r)
     if kind == "jacobi":
@@ -143,8 +146,17 @@ def build_preconditioner(A, kind="jacobi"):
             repl = build_preconditioner(A, "jacobi")
             return Preconditioner("jacobi", repl._apply, fallback=True,
                                   note=str(e))
-        lu = splu((L @ L.T).tocsc())
-        return Preconditioner("ic0", lu.solve)
+        # natural column order and the diagonal as pivot: SuperLU keeps
+        # L as it is, which the permutations confirm once
+        lu = splu(L, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        order = np.arange(L.shape[0])
+        if not (np.array_equal(lu.perm_r, order)
+                and np.array_equal(lu.perm_c, order)):
+            raise TripletFemError(
+                "SuperLU reordered the IC(0) factor; the triangular solves "
+                "would not be those of L")
+        return Preconditioner(
+            "ic0", lambda r: lu.solve(lu.solve(r), trans="T"))
     raise ValueError(f"unknown preconditioner kind {kind!r}")
 
 
@@ -164,14 +176,14 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
         x0 = config.warm_start
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
 
-    norm_b = float(np.linalg.norm(b))
+    norm_b = math.sqrt(b @ b)
     if norm_b == 0.0:
         return SolveResult(x=np.zeros(n), iterations=0, residual=0.0,
                            converged=True, preconditioner=prec)
     target = config.tol * norm_b
 
     r = b - A @ x
-    res = float(np.linalg.norm(r))
+    res = math.sqrt(r @ r)
     if res <= target:
         return SolveResult(x=x, iterations=0, residual=res,
                            converged=True, preconditioner=prec)
@@ -179,6 +191,7 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
     z = prec.apply(r)
     p = z.copy()
     rz = float(np.dot(r, z))
+    step = np.empty(n)
     for it in range(1, max_iter + 1):
         Ap = A @ p
         pAp = float(np.dot(p, Ap))
@@ -187,12 +200,12 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
                 f"p^T A p = {pAp:.3e} at iteration {it}; the reduced system "
                 "is not positive definite")
         alpha = rz / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
-        res = float(np.linalg.norm(r))
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, Ap, out=step)
+        res = math.sqrt(r @ r)
         if res <= target:
             true_r = b - A @ x
-            true_res = float(np.linalg.norm(true_r))
+            true_res = math.sqrt(true_r @ true_r)
             if true_res <= target:
                 return SolveResult(x=x, iterations=it, residual=true_res,
                                    converged=True, preconditioner=prec)
@@ -206,7 +219,8 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
         z = prec.apply(r)
         rz_new = float(np.dot(r, z))
         beta = rz_new / rz
-        p = z + beta * p
+        p *= beta
+        p += z
         rz = rz_new
     raise MaxIterExceeded(
         f"no convergence within {max_iter} iterations "

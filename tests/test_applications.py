@@ -352,6 +352,22 @@ def test_singular_step_names_the_step():
         app.motion_sweep(ms)
 
 
+def test_sweep_fields_use_the_metric_of_their_own_step():
+    spec = capacitor_spec(8)
+    steps = [gap_stretch(s) for s in (1.5, 2.0, 3.0)]
+    results = app.motion_sweep(app.MotionSweep(
+        base=spec, moving_region="gap", steps=steps))
+    first = app.motion_sweep(app.MotionSweep(
+        base=spec, moving_region="gap", steps=steps[:1]))[0].solution
+    at_step_0 = first.fields  # read before any later step runs
+    sol = results[0].solution
+    assert np.array_equal(sol.u, first.u)
+    assert np.array_equal(sol.fields, at_step_0)
+    # the shared system has moved on to the last step's metric
+    stale = fem._all_element_fields(sol.u, sol.system, sol.system.triplet)
+    assert not np.array_equal(stale, at_step_0)
+
+
 def test_warm_start_saves_iterations():
     # incomplete Cholesky matters here: the step-to-step increment is a
     # smooth low-mode vector, the direction Jacobi-CG converges on worst

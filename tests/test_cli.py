@@ -294,6 +294,41 @@ def test_solver_overrides_reach_the_run(tmp_path):
     assert rep["error"]["type"] == "MaxIterExceeded"
 
 
+def test_max_iter_failure_report_carries_solver_state(tmp_path):
+    path = write_scenario(tmp_path, square_solve_scenario())
+    assert cli.main(["solve", path, "solver.max_iter=1"]) == 3
+    err = report_of(path)["error"]
+    assert err["type"] == "MaxIterExceeded"
+    assert err["iterations"] == 1
+    assert np.isfinite(err["residual"]) and err["residual"] > 0
+
+
+def test_report_names_the_preconditioner_built(tmp_path):
+    path = write_scenario(tmp_path, square_solve_scenario())
+    assert cli.main(["solve", path, "solver.preconditioner=ic0"]) == 0
+    assert report_of(path)["preconditioner"] == {
+        "requested": "ic0", "built": "ic0", "fallback": False, "note": ""}
+    assert cli.main(["solve", path]) == 0
+    assert report_of(path)["preconditioner"]["built"] == "jacobi"
+
+
+def test_report_shows_an_ic0_fallback(tmp_path, monkeypatch):
+    from tripletfem import solver
+    from tripletfem.errors import BreakdownIC
+
+    def breaks_down(A):
+        raise BreakdownIC("incomplete Cholesky pivot -1.000e+00 at row 0")
+
+    monkeypatch.setattr(solver, "ic0_factor", breaks_down)
+    path = write_scenario(tmp_path, square_solve_scenario())
+    assert cli.main(["solve", path, "solver.preconditioner=ic0"]) == 0
+    rep = report_of(path)
+    assert rep["preconditioner"] == {
+        "requested": "ic0", "built": "jacobi", "fallback": True,
+        "note": "incomplete Cholesky pivot -1.000e+00 at row 0"}
+    assert rep["energy"] == pytest.approx(1.0, rel=1e-12)
+
+
 def test_seed_recorded_in_report(tmp_path):
     path = write_scenario(tmp_path, square_solve_scenario())
     rc = cli.main(["solve", path, "--seed", "7"])

@@ -153,8 +153,8 @@ def test_energy_scales_linearly_with_material():
 
 def test_energy_checks_dimensions():
     sol = fem.solve_bvp(unit_square_spec(4))
-    bad = fem.Solution(u=np.zeros(3), fields=sol.fields, energy=0.0,
-                       system=sol.system)
+    bad = fem.Solution(u=np.zeros(3), energy=0.0, system=sol.system,
+                       triplet=sol.triplet)
     with pytest.raises(DimensionMismatch):
         fem.energy(bad)
 

@@ -10,6 +10,7 @@ from tripletfem.errors import (
     BreakdownIC,
     MaxIterExceeded,
     NotPositiveDefinite,
+    TripletFemError,
     ZeroDiagonal,
 )
 
@@ -111,6 +112,7 @@ def test_ic0_breakdown_falls_back_to_jacobi():
     prec = slv.build_preconditioner(As, "ic0")
     assert prec.fallback
     assert prec.kind == "jacobi"
+    assert "pivot" in prec.note and "row 3" in prec.note
     res = slv.solve(As, np.ones(4), preconditioner=prec)
     assert res.converged
 
@@ -161,3 +163,187 @@ def test_config_validation():
         slv.SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         slv.SolverConfig(preconditioner="amg")
+
+
+# ------------------------------------------------ same numbers as before
+#
+# Small reference implementations, kept here as test oracles only: the
+# per-row dict IC(0) and the allocate-per-step PCG loop the package used
+# before its factor loop and PCG loop were rewritten. The package must
+# reproduce their bits.
+
+
+def _ic0_reference(A):
+    A = sp.csr_matrix(A)
+    A.sort_indices()
+    n = A.shape[0]
+    indptr, indices, data = A.indptr, A.indices, A.data
+    rows = []
+    diag = np.zeros(n)
+    for i in range(n):
+        sl = slice(indptr[i], indptr[i + 1])
+        a_ii = None
+        row_i = {}
+        for c, a in zip(indices[sl], data[sl]):
+            if c > i:
+                continue
+            if c == i:
+                a_ii = a
+                continue
+            s = a
+            row_c = rows[c]
+            for j, lij in row_i.items():
+                lcj = row_c.get(j)
+                if lcj is not None:
+                    s -= lij * lcj
+            row_i[c] = s / diag[c]
+        if a_ii is None:
+            raise ZeroDiagonal(f"row {i} has no diagonal entry")
+        d = a_ii - sum(v * v for v in row_i.values())
+        if d <= 0.0:
+            raise BreakdownIC(
+                f"incomplete Cholesky pivot {d:.3e} at row {i}; the factor "
+                "does not exist on this sparsity pattern")
+        diag[i] = np.sqrt(d)
+        rows.append(row_i)
+    r_out, c_out, v_out = [], [], []
+    for i, row_i in enumerate(rows):
+        for j, v in row_i.items():
+            r_out.append(i)
+            c_out.append(j)
+            v_out.append(v)
+        r_out.append(i)
+        c_out.append(i)
+        v_out.append(diag[i])
+    return sp.csc_matrix((v_out, (r_out, c_out)), shape=(n, n))
+
+
+def _pcg_reference(A, b, tol, prec):
+    """Returns (x, iterations, residual) of the reference loop."""
+    b = np.asarray(b, dtype=float)
+    x = np.zeros(b.shape[0])
+    target = tol * float(np.linalg.norm(b))
+    r = b - A @ x
+    z = prec.apply(r)
+    p = z.copy()
+    rz = float(np.dot(r, z))
+    for it in range(1, 10 * b.shape[0] + 1):
+        Ap = A @ p
+        alpha = rz / float(np.dot(p, Ap))
+        x = x + alpha * p
+        r = r - alpha * Ap
+        res = float(np.linalg.norm(r))
+        if res <= target:
+            true_r = b - A @ x
+            true_res = float(np.linalg.norm(true_r))
+            if true_res <= target:
+                return x, it, true_res
+            r = true_r
+            z = prec.apply(r)
+            p = z.copy()
+            rz = float(np.dot(r, z))
+            continue
+        z = prec.apply(r)
+        rz_new = float(np.dot(r, z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError("reference PCG did not converge")
+
+
+def five_point_2d(m):
+    T = laplace_1d(m)
+    eye = sp.identity(m)
+    return (sp.kron(T, eye) + sp.kron(eye, T)).tocsr()
+
+
+def annulus_p1(divisions=(32, 12)):
+    """Reduced P1 matrix and rhs of the folded open-boundary dipole."""
+    from tripletfem import applications as app
+    from tripletfem import fem, geometry as geo, triplet as tp
+
+    base = tp.Triplet(chart=geo.Identity(2),
+                      metric=geo.MetricField.euclidean(2),
+                      material=tp.MaterialField.uniform(1.0, 2))
+    ob = app.OpenBoundarySpec(interior=geo.Annulus((0.0, 0.0), 0.0, 1.0),
+                              a=1.0, b=2.0)
+    spec = app.open_boundary_bvp(
+        ob, base, lambda x: np.cos(np.arctan2(x[1], x[0])),
+        divisions=divisions)
+    system = fem.assemble(spec)
+    return system.matrix, system.rhs
+
+
+REFERENCE_MATRICES = {
+    "laplace_1d": lambda: laplace_1d(60),
+    "five_point_2d": lambda: five_point_2d(15),
+    "annulus_p1": lambda: annulus_p1()[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MATRICES))
+def test_ic0_factor_bits_match_reference(name):
+    A = REFERENCE_MATRICES[name]()
+    L = slv.ic0_factor(A)
+    ref = _ic0_reference(A)
+    assert L.format == "csc"
+    assert L.nnz == ref.nnz == sp.tril(A).nnz
+    assert np.array_equal(L.toarray(), ref.toarray())
+
+
+@pytest.mark.parametrize("kind", ["none", "jacobi", "ic0"])
+@pytest.mark.parametrize("name", ["five_point_2d", "annulus_p1"])
+def test_pcg_bits_match_reference_loop(name, kind):
+    A = REFERENCE_MATRICES[name]()
+    b = np.random.default_rng(3).standard_normal(A.shape[0])
+    prec = slv.build_preconditioner(A, kind)
+    tol = 1e-10
+    res = slv.solve(A, b, slv.SolverConfig(tol=tol), preconditioner=prec)
+    x_ref, it_ref, res_ref = _pcg_reference(A, b, tol, prec)
+    assert res.converged
+    assert np.array_equal(res.x, x_ref)
+    assert res.iterations == it_ref
+    assert res.residual == res_ref
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MATRICES))
+def test_ic0_apply_is_the_inverse_of_l_lt(name):
+    from scipy.sparse.linalg import spsolve
+
+    A = REFERENCE_MATRICES[name]()
+    L = slv.ic0_factor(A)
+    prec = slv.build_preconditioner(A, "ic0")
+    assert prec.kind == "ic0" and not prec.fallback
+    r = np.random.default_rng(7).standard_normal(A.shape[0])
+    z = prec.apply(r)
+    ref = spsolve((L @ L.T).tocsc(), r)
+    assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_ic0_rejects_a_reordered_factor(monkeypatch):
+    class Reordered:
+        perm_r = np.array([1, 0, 2])
+        perm_c = np.arange(3)
+
+    monkeypatch.setattr(slv, "splu", lambda *a, **k: Reordered())
+    with pytest.raises(TripletFemError, match="reordered"):
+        slv.build_preconditioner(laplace_1d(3), "ic0")
+
+
+def test_ic0_errors_name_the_same_row():
+    no_diag = sp.csr_matrix(np.array([[4.0, 1.0, 0.0],
+                                      [1.0, 4.0, 1.0],
+                                      [0.0, 1.0, 0.0]]))
+    no_diag.eliminate_zeros()
+    kershaw = sp.csr_matrix(np.array([[3.0, -2.0, 0.0, 2.0],
+                                      [-2.0, 3.0, -2.0, 0.0],
+                                      [0.0, -2.0, 3.0, -2.0],
+                                      [2.0, 0.0, -2.0, 3.0]]))
+    cases = ((no_diag, ZeroDiagonal, "row 2 has no diagonal entry"),
+             (kershaw, BreakdownIC, "at row 3;"))
+    for A, kind, where in cases:
+        with pytest.raises(kind) as want:
+            _ic0_reference(A)
+        with pytest.raises(kind) as got:
+            slv.ic0_factor(A)
+        assert str(got.value) == str(want.value)
+        assert where in str(got.value)
