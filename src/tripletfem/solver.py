@@ -146,15 +146,18 @@ def build_preconditioner(A, kind="jacobi"):
             repl = build_preconditioner(A, "jacobi")
             return Preconditioner("jacobi", repl._apply, fallback=True,
                                   note=str(e))
-        # natural column order and the diagonal as pivot: SuperLU keeps
-        # L as it is, which the permutations confirm once
+        # natural column order and the diagonal as pivot: SuperLU may
+        # renumber rows and columns alike along L's elimination tree, which
+        # keeps L lower triangular and adds no fill; the permutations
+        # confirm that once
         lu = splu(L, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-        order = np.arange(L.shape[0])
-        if not (np.array_equal(lu.perm_r, order)
-                and np.array_equal(lu.perm_c, order)):
+        q = lu.perm_c
+        C = L.tocoo()
+        if not (np.array_equal(lu.perm_r, q)
+                and np.all(q[C.row] >= q[C.col])):
             raise TripletFemError(
-                "SuperLU reordered the IC(0) factor; the triangular solves "
-                "would not be those of L")
+                "SuperLU reordered the IC(0) factor out of lower-triangular "
+                "form; the triangular solves would not be those of L")
         return Preconditioner(
             "ic0", lambda r: lu.solve(lu.solve(r), trans="T"))
     raise ValueError(f"unknown preconditioner kind {kind!r}")

@@ -4,6 +4,7 @@ fallback, warm starts, and preconditioner reuse."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from tripletfem import solver as slv
 from tripletfem.errors import (
@@ -305,13 +306,36 @@ def test_pcg_bits_match_reference_loop(name, kind):
     assert res.residual == res_ref
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCE_MATRICES))
-def test_ic0_apply_is_the_inverse_of_l_lt(name):
+def path_laplacian(order):
+    """Tridiagonal-like Laplacian of a path that visits the nodes in
+    `order`, so the node numbering is not the path order."""
+    n = len(order)
+    A = sp.lil_matrix((n, n))
+    A.setdiag(2.0)
+    for a, b in zip(order, order[1:]):
+        A[a, b] = A[b, a] = -1.0
+    return A.tocsr()
+
+
+def permuted(A, seed):
+    P = np.random.default_rng(seed).permutation(A.shape[0])
+    return A[P][:, P].tocsr()
+
+
+APPLY_MATRICES = {
+    **REFERENCE_MATRICES,
+    # node orders other than lexicographic, as from .msh files and
+    # merged meshes: L's column elimination tree is not a chain
+    "path_0_2_4_3_1": lambda: path_laplacian([0, 2, 4, 3, 1]),
+    "five_point_2d_permuted": lambda: permuted(five_point_2d(15), 11),
+    "annulus_p1_permuted": lambda: permuted(annulus_p1()[0], 12),
+}
+
+
+def _assert_applies_l_lt_inverse(A, prec):
     from scipy.sparse.linalg import spsolve
 
-    A = REFERENCE_MATRICES[name]()
     L = slv.ic0_factor(A)
-    prec = slv.build_preconditioner(A, "ic0")
     assert prec.kind == "ic0" and not prec.fallback
     r = np.random.default_rng(7).standard_normal(A.shape[0])
     z = prec.apply(r)
@@ -319,12 +343,41 @@ def test_ic0_apply_is_the_inverse_of_l_lt(name):
     assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_ic0_rejects_a_reordered_factor(monkeypatch):
-    class Reordered:
-        perm_r = np.array([1, 0, 2])
-        perm_c = np.arange(3)
+@pytest.mark.parametrize("name", sorted(APPLY_MATRICES))
+def test_ic0_apply_is_the_inverse_of_l_lt(name):
+    A = APPLY_MATRICES[name]()
+    _assert_applies_l_lt_inverse(A, slv.build_preconditioner(A, "ic0"))
 
-    monkeypatch.setattr(slv, "splu", lambda *a, **k: Reordered())
+
+class _FakeLU:
+    """SuperLU handle with the permutations set by the test; solves are
+    delegated to a real natural-order factor."""
+
+    def __init__(self, L, perm_r, perm_c):
+        self._lu = splu(L, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        self.perm_r = np.array(perm_r)
+        self.perm_c = np.array(perm_c)
+
+    def solve(self, r, trans="N"):
+        return self._lu.solve(r, trans=trans)
+
+
+def test_ic0_accepts_an_elimination_tree_renumbering(monkeypatch):
+    # L's columns for the path 0-2-4-3-1 are {0,2},{1,3},{2,4},{3,4},{4};
+    # the postorder of its column elimination tree swaps 0 and 1 and keeps
+    # L lower triangular
+    post = [1, 0, 2, 3, 4]
+    monkeypatch.setattr(slv, "splu", lambda L, **k: _FakeLU(L, post, post))
+    A = path_laplacian([0, 2, 4, 3, 1])
+    _assert_applies_l_lt_inverse(A, slv.build_preconditioner(A, "ic0"))
+
+
+@pytest.mark.parametrize("perm_r, perm_c", [
+    ([1, 0, 2], [0, 1, 2]),   # a row pivot off the diagonal
+    ([2, 1, 0], [2, 1, 0]),   # symmetric, but L turns upper triangular
+])
+def test_ic0_rejects_a_reordered_factor(monkeypatch, perm_r, perm_c):
+    monkeypatch.setattr(slv, "splu", lambda L, **k: _FakeLU(L, perm_r, perm_c))
     with pytest.raises(TripletFemError, match="reordered"):
         slv.build_preconditioner(laplace_1d(3), "ic0")
 
