@@ -6,14 +6,17 @@ the always-written JSON run report land next to the scenario file unless
 given as absolute paths. Quick mesh utilities (gen, convert, quality)
 work without a scenario.
 
-Exit codes: 0 success, 2 scenario/argument validation failure (the
-diagnostic names the offending field or line), 3 numerical failure,
-64 unknown subcommand. Every scenario run, successful or not, writes a
-machine-readable report; numbers print with 17 significant digits so
-reruns of the same scenario are byte-comparable.
+Exit codes: 0 success, 64 unknown subcommand, and otherwise one rule
+(_exit_code) for scenario commands and mesh utilities alike: a
+ScenarioError (a bad declaration or argument; the diagnostic names the
+field or line), an UnknownTag or an OSError exits 2, and any other
+library error is numerical and exits 3. Every scenario run, successful
+or not, writes a machine-readable report; numbers print with 17
+significant digits so reruns of the same scenario are byte-comparable.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -144,10 +147,11 @@ def _finite_json(text, field=None):
 def _load_scenario(path):
     if not os.path.isfile(path):
         raise ScenarioError(f"scenario file not found: {path}")
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
     try:
-        scn = _finite_json(text)
+        with open(path, encoding="utf-8") as f:
+            scn = _finite_json(f.read())
+    except UnicodeDecodeError as err:
+        raise ScenarioError(f"scenario is not UTF-8 text: {err}") from None
     except json.JSONDecodeError as err:
         raise ScenarioError(f"scenario is not valid JSON: {err.msg}",
                             line=err.lineno) from err
@@ -232,6 +236,8 @@ def _apply_flags(scn, opts):
 
 
 class RunContext:
+    """Resolves relative paths against base_dir ("" leaves them as given)."""
+
     def __init__(self, base_dir):
         self.base_dir = base_dir
 
@@ -240,9 +246,24 @@ class RunContext:
                                                            rel)
 
 
+@contextlib.contextmanager
+def _declared(field, prefix=""):
+    """Build one declared section. A library, value or type error raised
+    inside is the declaration's fault and becomes a ScenarioError naming
+    the field. A ScenarioError passes through untouched, and so does a
+    collapsed element: the declared geometry really fails, which is
+    numerical, not a typo."""
+    try:
+        yield
+    except (ScenarioError, DegenerateElement):
+        raise
+    except (TripletFemError, ValueError, TypeError) as err:
+        raise ScenarioError(f"{prefix}{err}", field=field) from err
+
+
 def build_chart(cfg, dim):
     kind = cfg["kind"]
-    try:
+    with _declared("chart", f"bad {kind} chart: "):
         if kind == "identity":
             return geo.Identity(dim)
         if kind == "axis-scaling":
@@ -270,18 +291,13 @@ def build_chart(cfg, dim):
         if kind == "composite":
             return geo.Composite([build_chart(c, dim)
                                   for c in cfg["members"]])
-    except ScenarioError:
-        raise
-    except (TripletFemError, ValueError) as err:
-        raise ScenarioError(f"bad {kind} chart: {err}",
-                            field="chart") from err
     raise ScenarioError(f"unknown chart kind {kind!r}", field="chart")
 
 
 def build_metric(cfg, dim):
     if cfg is None or cfg["kind"] == "euclidean":
         return geo.MetricField.euclidean(dim)
-    try:
+    with _declared("metric", "bad metric: "):
         if cfg["kind"] == "constant":
             return geo.MetricField(
                 dim, constant=np.asarray(cfg["matrix"], dtype=float))
@@ -290,8 +306,6 @@ def build_metric(cfg, dim):
         default = np.asarray(cfg["default"], dtype=float) \
             if "default" in cfg else None
         return geo.MetricField.by_region(dim, mapping, default=default)
-    except (TripletFemError, ValueError) as err:
-        raise ScenarioError(f"bad metric: {err}", field="metric") from err
 
 
 def _pullback_entry(base_value, chart, dim):
@@ -322,16 +336,13 @@ def _material_entry(entry, dim, chart):
 def build_material(cfg, dim, chart):
     if cfg is None:
         return tp.MaterialField.uniform(1.0, dim)
-    try:
+    with _declared("material", "bad material: "):
         regions = {tag: _material_entry(e, dim, chart)
                    for tag, e in cfg.get("regions", {}).items()}
         default = _material_entry(cfg["default"], dim, chart) \
             if "default" in cfg else None
         return tp.MaterialField(dim, regions=regions or None,
                                 default=default)
-    except (TripletFemError, ValueError) as err:
-        raise ScenarioError(f"bad material: {err}",
-                            field="material") from err
 
 
 def build_triplet(cfg, dim):
@@ -343,6 +354,9 @@ def build_triplet(cfg, dim):
 
 
 def build_mesh(cfg, ctx):
+    """A mesh read from cfg["file"] (any fault in the file's content is a
+    mesh.file declaration error) or made by cfg["generator"], whose keys
+    are generate_structured's keyword arguments."""
     if "file" in cfg:
         path = ctx.path(cfg["file"])
         if not os.path.isfile(path):
@@ -352,29 +366,12 @@ def build_mesh(cfg, ctx):
             return mesh_mod.read_msh(path)
         except TripletFemError as err:
             raise ScenarioError(str(err), field="mesh.file") from err
-    gen = cfg["generator"]
-    kwargs = {}
-    if "bounds" in gen:
-        kwargs["bounds"] = tuple(tuple(b) for b in gen["bounds"])
-    if "radii" in gen:
-        kwargs["radii"] = tuple(gen["radii"])
-    if "center" in gen:
-        kwargs["center"] = tuple(gen["center"])
-    if "region" in gen:
-        kwargs["region"] = gen["region"]
-    if "region_bands" in gen:
-        kwargs["region_bands"] = [
-            (str(t), int(ax), float(lo), float(hi))
-            for t, ax, lo, hi in gen["region_bands"]]
-    if "grading" in gen:
-        kwargs["grading"] = float(gen["grading"])
-    try:
-        return mesh_mod.generate_structured(
-            shape=gen["shape"], divisions=tuple(gen["divisions"]), **kwargs)
-    except DegenerateElement:
-        raise  # geometry genuinely fails; numerical, not a typo
-    except (TripletFemError, ValueError) as err:
-        raise ScenarioError(str(err), field="mesh.generator") from err
+    gen = dict(cfg["generator"])
+    with _declared("mesh.generator"):
+        if "region_bands" in gen:
+            gen["region_bands"] = [(str(t), int(ax), float(lo), float(hi))
+                                   for t, ax, lo, hi in gen["region_bands"]]
+        return mesh_mod.generate_structured(**gen)
 
 
 def build_atlas(cfg, ctx, dim):
@@ -384,10 +381,8 @@ def build_atlas(cfg, ctx, dim):
     interfaces = [((ic["regions"][0], ic["regions"][1]),
                    (ic["tags"][0], ic["tags"][1]))
                   for ic in cfg.get("interfaces", ())]
-    try:
+    with _declared("atlas", "atlas: "):
         return Atlas(regions, interfaces)
-    except (TripletFemError, ValueError) as err:
-        raise ScenarioError(f"atlas: {err}", field="atlas") from err
 
 
 def _dirichlet(scn):
@@ -396,12 +391,10 @@ def _dirichlet(scn):
 
 
 def _make_spec(domain, triplet, scn):
-    try:
+    with _declared("boundary"):
         return fem.BVPSpec(domain=domain, triplet=triplet,
                            dirichlet=_dirichlet(scn),
                            quadrature=scn.get("quadrature", "auto"))
-    except (UnknownTag, ValueError, TypeError) as err:
-        raise ScenarioError(str(err), field="boundary") from err
 
 
 def build_bvp(scn, ctx):
@@ -537,12 +530,6 @@ def _run_open_boundary(scn, ctx):
         raise ScenarioError("open-boundary scenarios are two dimensional",
                             field="dimension")
     cfg = scn["open_boundary"]
-    try:
-        interior = _build_interior(cfg["interior"])
-        ob = app.OpenBoundarySpec(interior=interior, a=cfg["a"], b=cfg["b"],
-                                  center=cfg.get("center"))
-    except (TripletFemError, ValueError) as err:
-        raise ScenarioError(str(err), field="open_boundary") from err
     base = build_triplet(scn.get("triplet"), dim)
 
     inner = cfg["inner_value"]
@@ -557,13 +544,14 @@ def _run_open_boundary(scn, ctx):
     else:
         value = float(inner)
 
-    try:
+    with _declared("open_boundary"):
+        ob = app.OpenBoundarySpec(interior=_build_interior(cfg["interior"]),
+                                  a=cfg["a"], b=cfg["b"],
+                                  center=cfg.get("center"))
         spec = app.open_boundary_bvp(
             ob, base, value,
             divisions=tuple(cfg.get("divisions", (64, 40))),
             grading=float(cfg.get("grading", 2.0)))
-    except (ValueError, TypeError) as err:
-        raise ScenarioError(str(err), field="open_boundary") from err
     _, payload = _solve_and_export(spec, scn, ctx)
     payload["shell"] = {"a": ob.a, "b": ob.b,
                         "center": ob.center.tolist()}
@@ -575,12 +563,10 @@ def _run_motion(scn, ctx):
     cfg = scn["motion"]
     dim = scn["dimension"]
     steps = tuple(build_chart(c, dim) for c in cfg["steps"])
-    try:
+    with _declared("motion"):
         ms = app.MotionSweep(base=spec, moving_region=cfg["moving_region"],
                              steps=steps,
                              mode=cfg.get("mode", "metric-change"))
-    except (TripletFemError, ValueError, TypeError) as err:
-        raise ScenarioError(str(err), field="motion") from err
 
     outputs = scn.get("outputs", {})
     if "matrix_market" in outputs:
@@ -695,6 +681,12 @@ def _error_info(err):
     return info
 
 
+def _exit_code(err):
+    """The one exit-code rule: a declaration, a tag or a file exits 2;
+    any other library error is numerical and exits 3."""
+    return 2 if isinstance(err, (ScenarioError, UnknownTag, OSError)) else 3
+
+
 def _print_error(err):
     loc = ""
     if isinstance(err, ScenarioError):
@@ -711,7 +703,7 @@ def run_scenario(cmd, args):
         scenario_path, overrides, opts = _parse_scenario_args(cmd, args)
     except ScenarioError as err:
         _print_error(err)
-        return 2
+        return _exit_code(err)
     report_path = scenario_path + ".report.json"
     started = time.time()
     scn = None
@@ -732,11 +724,7 @@ def run_scenario(cmd, args):
             report_path = ctx.path(declared)
         payload = _RUNNERS[cmd](scn, ctx)
     except (TripletFemError, OSError) as err:
-        # declarations, tags (even when noticed mid-run) and files exit 2;
-        # other library failures are numerical and exit 3
-        numerical = (isinstance(err, TripletFemError)
-                     and not isinstance(err, (ScenarioError, UnknownTag)))
-        code = 3 if numerical else 2
+        code = _exit_code(err)
         _print_error(err)
         _write_report(report_path, {
             "status": "error", "exit_code": code, "error": _error_info(err),
@@ -757,7 +745,8 @@ def _mesh_gen(args):
     parser = argparse.ArgumentParser(prog="tripletfem mesh gen")
     parser.add_argument("--shape", required=True,
                         choices=("box", "annulus"))
-    parser.add_argument("--div", required=True, type=int, nargs="+")
+    parser.add_argument("--div", dest="divisions", metavar="N",
+                        required=True, type=int, nargs="+")
     parser.add_argument("--out", required=True)
     parser.add_argument("--bounds", type=float, nargs="+",
                         help="lo per axis then hi per axis")
@@ -765,44 +754,21 @@ def _mesh_gen(args):
     parser.add_argument("--center", type=float, nargs="+")
     parser.add_argument("--region", type=str)
     parser.add_argument("--grading", type=float)
-    parser.add_argument("--band", nargs=4, action="append",
-                        metavar=("TAG", "AXIS", "LO", "HI"))
-    ns = parser.parse_args(args)
-
-    kwargs = {}
-    if ns.bounds is not None:
-        ndim = len(ns.div)
-        if len(ns.bounds) != 2 * ndim:
-            print(f"error: --bounds needs {2 * ndim} numbers "
-                  f"(lo per axis, then hi per axis)", file=sys.stderr)
-            return 2
-        kwargs["bounds"] = (tuple(ns.bounds[:ndim]),
-                            tuple(ns.bounds[ndim:]))
-    if ns.radii is not None:
-        kwargs["radii"] = tuple(ns.radii)
-    if ns.center is not None:
-        kwargs["center"] = tuple(ns.center)
-    if ns.region is not None:
-        kwargs["region"] = ns.region
-    if ns.grading is not None:
-        kwargs["grading"] = ns.grading
-    if ns.band:
-        try:
-            kwargs["region_bands"] = [(t, int(ax), float(lo), float(hi))
-                                      for t, ax, lo, hi in ns.band]
-        except ValueError:
-            print("error: --band expects TAG AXIS LO HI", file=sys.stderr)
-            return 2
-    try:
-        m = mesh_mod.generate_structured(shape=ns.shape,
-                                         divisions=tuple(ns.div), **kwargs)
-    except DegenerateElement as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except (TripletFemError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    return _write_mesh_by_extension(m, ns.out)
+    parser.add_argument("--band", dest="region_bands", nargs=4,
+                        action="append", metavar=("TAG", "AXIS", "LO", "HI"))
+    # the flags' destinations are the scenario's generator keys
+    gen = {key: value for key, value in vars(parser.parse_args(args)).items()
+           if value is not None}
+    out = gen.pop("out")
+    if "bounds" in gen:
+        ndim = len(gen["divisions"])
+        if len(gen["bounds"]) != 2 * ndim:
+            raise ScenarioError(f"--bounds needs {2 * ndim} numbers "
+                                "(lo per axis, then hi per axis)",
+                                field="--bounds")
+        gen["bounds"] = [gen["bounds"][:ndim], gen["bounds"][ndim:]]
+    _write_mesh_by_extension(build_mesh({"generator": gen}, RunContext("")),
+                             out)
 
 
 def _write_mesh_by_extension(m, out):
@@ -811,26 +777,9 @@ def _write_mesh_by_extension(m, out):
     elif out.endswith(".vtk"):
         mesh_mod.write_vtk(m, out)
     else:
-        print(f"error: unsupported output extension on {out!r} "
-              f"(use .msh or .vtk)", file=sys.stderr)
-        return 2
+        raise ScenarioError(f"unsupported output extension on {out!r} "
+                            "(use .msh or .vtk)")
     print(f"wrote {out}: {m.n_nodes} nodes, {m.n_elements} elements")
-    return 0
-
-
-def _read_mesh_file(path):
-    if not os.path.isfile(path):
-        print(f"error: mesh file not found: {path}", file=sys.stderr)
-        return None
-    if not path.endswith(".msh"):
-        print(f"error: can only read .msh files, got {path!r}",
-              file=sys.stderr)
-        return None
-    try:
-        return mesh_mod.read_msh(path)
-    except TripletFemError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return None
 
 
 def _mesh_convert(args):
@@ -838,26 +787,21 @@ def _mesh_convert(args):
     parser.add_argument("input")
     parser.add_argument("output")
     ns = parser.parse_args(args)
-    m = _read_mesh_file(ns.input)
-    if m is None:
-        return 2
-    return _write_mesh_by_extension(m, ns.output)
+    _write_mesh_by_extension(build_mesh({"file": ns.input}, RunContext("")),
+                             ns.output)
 
 
 def _mesh_quality(args):
     parser = argparse.ArgumentParser(prog="tripletfem mesh quality")
     parser.add_argument("input")
     ns = parser.parse_args(args)
-    m = _read_mesh_file(ns.input)
-    if m is None:
-        return 2
+    m = build_mesh({"file": ns.input}, RunContext(""))
     q = mesh_mod.quality(m)
     print(f"elements {m.n_elements}")
     print(f"min {_fmt(q.min)}")
     print(f"max {_fmt(q.max)}")
     print(f"mean {_fmt(q.mean)}")
     print(f"worst_element {q.worst_element}")
-    return 0
 
 
 def _mesh_command(args):
@@ -867,9 +811,13 @@ def _mesh_command(args):
         print(USAGE, file=sys.stderr)
         return 64
     try:
-        return tools[args[0]](args[1:])
+        tools[args[0]](args[1:])
     except SystemExit as err:  # argparse's own exits: 0 for -h, 2 for bad args
         return int(err.code or 0)
+    except (TripletFemError, OSError) as err:
+        _print_error(err)
+        return _exit_code(err)
+    return 0
 
 
 # ------------------------------------------------------------- main

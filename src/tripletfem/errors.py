@@ -65,8 +65,9 @@ class LengthMismatch(TripletFemError):
     """Attached data does not match the node or element count."""
 
 
-class UnknownTag(TripletFemError):
-    """A region or boundary tag is not present in the mesh or atlas."""
+class UnknownTag(TripletFemError, ValueError):
+    """A region or boundary tag is not present in the mesh or atlas, or a
+    field has no entry for a region."""
 
 
 # ------------------------------------------------------------------- atlas

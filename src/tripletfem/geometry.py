@@ -16,6 +16,7 @@ from .errors import (
     NotInvertible,
     PointOutsideDomain,
     PointOutsideImage,
+    UnknownTag,
 )
 
 # Membership tests use a tolerance band relative to the descriptor's scale,
@@ -738,7 +739,8 @@ class MetricField:
         if self._regions is not None:
             entry = region_entry(self._regions, self._default, region)
             if entry is None:
-                raise ValueError(f"metric field has no entry for region {region!r}")
+                raise UnknownTag(
+                    f"metric field has no entry for region {region!r}")
             return entry.eval(p)
         out = np.asarray(self._fn(p), dtype=float)
         want = p.shape[:-1] + (self.dim, self.dim)

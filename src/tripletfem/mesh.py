@@ -331,6 +331,10 @@ def _assign_bands(centers, gridlines, region, region_bands):
     tags[:] = str(region)
     for band in (region_bands or []):
         tag, axis, lo_band, hi_band = band
+        if not 0 <= axis < len(gridlines):
+            raise DimensionMismatch(
+                f"region band {tag!r} names axis {axis}; a "
+                f"{len(gridlines)}-D box has axes 0 to {len(gridlines) - 1}")
         grid = gridlines[axis]
         if hi_band <= lo_band:
             raise DegenerateShape(f"region band {tag!r} has nonpositive extent")
@@ -520,19 +524,19 @@ def write_msh(m, path):
     lines.append("$EndPhysicalNames")
     lines.append("$Nodes")
     lines.append(str(m.n_nodes))
-    for i, p in enumerate(m.nodes):
+    for i, p in enumerate(m.nodes.tolist()):
         z = p[2] if m.dim == 3 else 0.0
         lines.append(f"{i + 1} {p[0]:.17g} {p[1]:.17g} {z:.17g}")
     lines.append("$EndNodes")
     lines.append("$Elements")
     lines.append(str(len(m.boundary_facets) + m.n_elements))
     eid = 1
-    for f, t in zip(m.boundary_facets, m.facet_tags):
+    for f, t in zip(m.boundary_facets.tolist(), m.facet_tags.tolist()):
         code = _MSH_TYPE[m.dim]
         nodes = " ".join(str(n + 1) for n in f)
         lines.append(f"{eid} {code} 2 {phys_id[t]} {phys_id[t]} {nodes}")
         eid += 1
-    for e, t in zip(m.elements, m.element_regions):
+    for e, t in zip(m.elements.tolist(), m.element_regions.tolist()):
         code = _MSH_TYPE[m.dim + 1]
         nodes = " ".join(str(n + 1) for n in e)
         lines.append(f"{eid} {code} 2 {phys_id[t]} {phys_id[t]} {nodes}")
@@ -545,8 +549,11 @@ def write_msh(m, path):
 def read_msh(path):
     """Parse the subset written by write_msh: MSH 2.2 ASCII with 2/3/4-node
     simplices. Malformed content is reported with its line number."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as err:
+        raise MalformedFile(f"{path}: not UTF-8 text: {err}") from None
 
     def fail(ln, msg):
         raise MalformedFile(f"{path}: line {ln}: {msg}")
@@ -726,12 +733,12 @@ def write_vtk(m, path, point_data=None, cell_data=None, title="tripletfem"):
 
     out = [f"# vtk DataFile Version 3.0", title, "ASCII",
            "DATASET UNSTRUCTURED_GRID", f"POINTS {m.n_nodes} double"]
-    for p in m.nodes:
+    for p in m.nodes.tolist():
         z = p[2] if m.dim == 3 else 0.0
         out.append(f"{p[0]:.17g} {p[1]:.17g} {z:.17g}")
     k = m.dim + 1
     out.append(f"CELLS {m.n_elements} {m.n_elements * (k + 1)}")
-    for e in m.elements:
+    for e in m.elements.tolist():
         out.append(f"{k} " + " ".join(str(n) for n in e))
     out.append(f"CELL_TYPES {m.n_elements}")
     out.extend([str(_VTK_CELL[m.dim])] * m.n_elements)
@@ -744,10 +751,10 @@ def write_vtk(m, path, point_data=None, cell_data=None, title="tripletfem"):
             if arr.ndim == 1:
                 out.append(f"SCALARS {name} double 1")
                 out.append("LOOKUP_TABLE default")
-                out.extend(f"{v:.17g}" for v in arr)
+                out.extend(f"{v:.17g}" for v in arr.tolist())
             else:
                 out.append(f"VECTORS {name} double")
-                for row in arr:
+                for row in arr.tolist():
                     z = row[2] if arr.shape[1] == 3 else 0.0
                     out.append(f"{row[0]:.17g} {row[1]:.17g} {z:.17g}")
 
@@ -802,7 +809,7 @@ def write_probe_csv(path, points, values, value_name="value"):
         raise LengthMismatch("one value per probe point required")
     cols = ["x", "y", "z"][: points.shape[1]] + [value_name]
     rows = [",".join(cols)]
-    for p, v in zip(points, values):
+    for p, v in zip(points.tolist(), values.tolist()):
         rows.append(",".join(f"{c:.17g}" for c in p) + f",{v:.17g}")
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import AsymmetricCoefficient, DimensionMismatch, SingularJacobian
+from .errors import (AsymmetricCoefficient, DimensionMismatch,
+                     SingularJacobian, UnknownTag)
 
 # |det J| at or below this floor counts as singular.
 DET_FLOOR = 1e-300
@@ -179,7 +180,7 @@ class MaterialField:
     def entry(self, region=None):
         entry = geometry.region_entry(self.regions, self.default, region)
         if entry is None:
-            raise ValueError(
+            raise UnknownTag(
                 f"material field has no entry for region {region!r}")
         return entry
 

@@ -527,3 +527,100 @@ def test_mesh_tools_scenario_reports_quality(tmp_path, capsys):
     assert lines[0] == "element,quality"
     assert len(lines) == 33
 
+
+
+# ------------------------------------------------- one exit-code rule
+
+
+def write_exit_code_inputs(d):
+    """The files the exit-code table refers to, written into d."""
+    mesh.write_msh(mesh.generate_structured("box", (2, 2)), d / "box.msh")
+    lines = (d / "box.msh").read_text().splitlines()
+    first = lines.index("$Elements") + 2
+    while lines[first].split()[1] != "2":  # skip to the first triangle
+        first += 1
+    parts = lines[first].split()
+    parts[-1] = parts[-2]  # a triangle with a repeated node has no area
+    zero = lines[:first] + [" ".join(parts)] + lines[first + 1:]
+    (d / "zero.msh").write_text("\n".join(zero) + "\n")
+    latin1 = (d / "box.msh").read_text().replace('"domain"', '"caf\xe9"')
+    (d / "latin1.msh").write_bytes(latin1.encode("latin-1"))
+
+    def scenario(name, **changes):
+        write_scenario(d, {**square_solve_scenario(), **changes}, name)
+
+    box = {"shape": "box", "divisions": [8, 8]}
+    scenario("square.json")
+    scenario("band_collapse.json", mesh={"generator": dict(
+        box, region_bands=[["thin", 1, 0.5, 0.52]])})
+    scenario("band_axis.json", mesh={"generator": dict(
+        box, region_bands=[["far", 7, 0.0, 1.0]])})
+    scenario("zero_mesh.json", mesh={"file": "zero.msh"})
+    scenario("latin1_mesh.json", mesh={"file": "latin1.msh"})
+    scenario("unknown_tag.json", boundary=[{"tag": "north", "value": 1.0}])
+    scenario("material_miss.json",
+             triplet={"material": {"regions": {"nowhere": 2.0}}})
+    scenario("metric_miss.json", triplet={"metric": {
+        "kind": "by-region", "regions": {"nowhere": [[1, 0], [0, 1]]}}})
+    write_scenario(d, {
+        "name": "ob", "dimension": 2, "mode": "open-boundary",
+        "open_boundary": {"a": 1.0, "b": 2.0, "divisions": [16, 8, 2],
+                          "interior": {"kind": "disc", "radius": 1.0},
+                          "inner_value": 1.0}}, "ob_divisions.json")
+    text = (d / "square.json").read_text().replace('"square"', '"caf\xe9"')
+    (d / "latin1.json").write_bytes(text.encode("latin-1"))
+
+
+# argv with {d} for the inputs' directory, exit code, and the field the
+# error names (a scenario command's report carries it as error.field)
+EXIT_CODE_TABLE = {
+    "band-collapse-solve": (["solve", "{d}/band_collapse.json"], 3, None),
+    "band-collapse-gen": (["mesh", "gen", "--shape", "box", "--div", "8", "8",
+                           "--band", "thin", "1", "0.5", "0.52",
+                           "--out", "{d}/x.msh"], 3, None),
+    "zero-volume-solve": (["solve", "{d}/zero_mesh.json"], 2, "mesh.file"),
+    "zero-volume-quality": (["mesh", "quality", "{d}/zero.msh"], 2,
+                            "mesh.file"),
+    "unknown-dirichlet-tag": (["solve", "{d}/unknown_tag.json"], 2,
+                              "boundary"),
+    "max-iter": (["solve", "{d}/square.json", "solver.max_iter=1"], 3, None),
+    # exited 3 while the open-boundary builder caught only ValueError
+    "open-boundary-divisions": (["open-boundary", "{d}/ob_divisions.json"],
+                                2, "open_boundary"),
+    # each of these once ended in a traceback with exit code 1
+    "gen-out-missing-dir": (["mesh", "gen", "--shape", "box", "--div", "2",
+                             "2", "--out", "{d}/missing/x.msh"], 2, None),
+    "convert-out-missing-dir": (["mesh", "convert", "{d}/box.msh",
+                                 "{d}/missing/b.vtk"], 2, None),
+    "band-axis-solve": (["solve", "{d}/band_axis.json"], 2,
+                        "mesh.generator"),
+    "band-axis-gen": (["mesh", "gen", "--shape", "box", "--div", "4", "4",
+                       "--band", "far", "7", "0", "1",
+                       "--out", "{d}/x.msh"], 2, "mesh.generator"),
+    "material-region-miss": (["solve", "{d}/material_miss.json"], 2, None),
+    "metric-region-miss": (["solve", "{d}/metric_miss.json"], 2, None),
+    "non-utf8-msh-solve": (["solve", "{d}/latin1_mesh.json"], 2,
+                           "mesh.file"),
+    "non-utf8-msh-quality": (["mesh", "quality", "{d}/latin1.msh"], 2,
+                             "mesh.file"),
+    "non-utf8-msh-convert": (["mesh", "convert", "{d}/latin1.msh",
+                              "{d}/b.vtk"], 2, "mesh.file"),
+    "non-utf8-scenario": (["solve", "{d}/latin1.json"], 2, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CODE_TABLE))
+def test_exit_code_table(tmp_path, capsys, case):
+    argv, code, field = EXIT_CODE_TABLE[case]
+    write_exit_code_inputs(tmp_path)
+    argv = [a.format(d=tmp_path) for a in argv]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert (f"(field {field})" in err) == (field is not None)
+    if argv[0] != "mesh":
+        rep = report_of(argv[1])
+        assert rep["status"] == "error"
+        assert rep["exit_code"] == code
+        assert rep["error"].get("field") == field
+

@@ -15,6 +15,7 @@ from tripletfem.errors import (
     AsymmetricCoefficient,
     DimensionMismatch,
     SingularJacobian,
+    UnknownTag,
 )
 
 
@@ -210,6 +211,17 @@ def test_material_field_requires_an_entry():
     field = tp.MaterialField(2, regions={"air": 1.0})
     with pytest.raises(ValueError):
         field.entry("vacuum")
+
+
+def test_region_miss_is_an_unknown_tag_and_a_value_error():
+    material = tp.MaterialField(2, regions={"air": 1.0})
+    metric = geo.MetricField.by_region(2, {"air": np.eye(2)})
+    for lookup in (lambda: material.entry("vacuum"),
+                   lambda: metric.eval(np.zeros((1, 2)), region="vacuum")):
+        with pytest.raises(UnknownTag, match="no entry for region 'vacuum'"):
+            lookup()
+        with pytest.raises(ValueError):
+            lookup()
 
 
 def test_material_field_pointwise_entry():
