@@ -21,7 +21,7 @@ from .geometry import (Annulus, Box, Composite, KelvinShell, MetricField,
                        PiecewiseRadial)
 from .mesh import Mesh, generate_structured, map_mesh, write_vtk
 from .triplet import (MaterialField, Triplet, eval_entry, material_matrix,
-                      metric_for_motion, transform_material,
+                      motion_metric_field, pull_back,
                       transform_material_euclidean)
 
 
@@ -96,8 +96,8 @@ def open_boundary_triplet(base, ob):
 
     The chart composes the base chart with a shell map that leaves the
     disc of radius a untouched and compresses the exterior into
-    a <= R < b. The material outside a is replaced pointwise by its
-    pull-through, so the solve on the shell is the exterior problem.
+    a <= R < b. The material is pulled back through that fold, so it is
+    unchanged inside a and the solve on the shell is the exterior problem.
     Points at R = b itself (infinity's image) are not evaluable; interior
     quadrature never lands there.
     """
@@ -109,31 +109,11 @@ def open_boundary_triplet(base, ob):
     chart = folded if base.chart.is_identity() \
         else Composite([base.chart, folded])
 
-    inner_cut = ob.a * (1.0 + 1e-12)
-
-    def shellify(entry):
-        def fn(points, _entry=entry):
-            p = np.asarray(points, dtype=float)
-            lead = p.shape[:-1]
-            flat = p.reshape(-1, dim)
-            R = np.linalg.norm(flat - center, axis=-1)
-            out = np.empty((flat.shape[0], dim, dim))
-            inside = R <= inner_cut
-            if inside.any():
-                out[inside] = eval_entry(_entry, flat[inside], dim)
-            if (~inside).any():
-                physical = shell.inverse(flat[~inside])
-                J = shell.jacobian(physical)
-                eps_f = eval_entry(_entry, physical, dim)
-                out[~inside] = transform_material_euclidean(eps_f, J)
-            return out.reshape(lead + (dim, dim))
-        return fn
-
-    regions = {tag: shellify(entry)
-               for tag, entry in base.material.regions.items()}
-    default = None if base.material.default is None \
-        else shellify(base.material.default)
-    material = MaterialField(dim, regions=regions or None, default=default)
+    # the exterior metric is Euclidean (checked above) and inside radius a
+    # the fold is the identity, so the material is pulled back as Euclidean
+    euclidean = MetricField.euclidean(dim)
+    material = base.material.map_entries(
+        lambda entry, tag: pull_back(entry, folded, euclidean, euclidean))
     return Triplet(chart=chart, metric=base.metric, material=material)
 
 
@@ -153,11 +133,7 @@ def open_boundary_bvp(ob, base, boundary_value, divisions=(64, 40),
     tri = open_boundary_triplet(base, ob)
     m = generate_structured("annulus", divisions, radii=(ob.a, ob.b),
                             center=tuple(center), region="exterior",
-                            grading=grading)
-    tags = m.facet_tags.copy()
-    tags[tags == "outer"] = "infinity"
-    m = Mesh(m.nodes, m.elements, m.element_regions,
-             boundary_facets=m.boundary_facets, facet_tags=tags)
+                            grading=grading, _outer_tag="infinity")
     return fem.BVPSpec(domain=m, triplet=tri,
                        dirichlet=(("inner", boundary_value),
                                   ("infinity", 0.0)))
@@ -181,34 +157,20 @@ def reparameterize_fixed_metric(spec, g):
     mapped = map_mesh(m, g)
     t = spec.triplet
     dim = m.nodes.shape[1]
-    eye = np.eye(dim)
-    anchor = m.nodes.mean(axis=0)
+    euclidean = MetricField.euclidean(dim)
 
     def transformed(entry, tag):
-        const = None if callable(entry) else material_matrix(entry, dim)
-        S_const = t.metric.constant_matrix(tag)
-        if g.is_affine and const is not None and S_const is not None:
-            J = g.jacobian(anchor)
-            return transform_material(const, S_const, eye, J)
-
-        def fn(points, _entry=entry, _tag=tag):
-            p = np.asarray(points, dtype=float)
-            x = g.inverse(p)
-            J = g.jacobian(x)
-            eps = eval_entry(_entry, x, dim)
-            S = t.metric.eval(x, _tag)
-            return transform_material(eps, S, eye, J)
+        fn = pull_back(entry, g, t.metric, euclidean, tag)
+        if (g.is_affine and not callable(entry)
+                and t.metric.constant_matrix(tag) is not None):
+            # constant J, material and metric: one matrix for every point
+            return fn(mapped.nodes[0])
         return fn
 
-    regions = {tag: transformed(entry, tag)
-               for tag, entry in t.material.regions.items()}
-    default = None if t.material.default is None \
-        else transformed(t.material.default, None)
-    material = MaterialField(dim, regions=regions or None, default=default)
+    material = t.material.map_entries(transformed)
 
     chart = g if t.chart.is_identity() else Composite([t.chart, g])
-    triplet = Triplet(chart=chart, metric=MetricField.euclidean(dim),
-                      material=material)
+    triplet = Triplet(chart=chart, metric=euclidean, material=material)
 
     dirichlet = []
     for tag, value in spec.dirichlet:
@@ -287,11 +249,8 @@ def _step_triplet(base_triplet, moving_tag, step_map, mode, dim, anchor):
     if step_map.is_identity():
         return base_triplet
     if mode == "metric-change":
-        if step_map.is_affine:
-            entry = metric_for_motion(_inverted_jacobian(step_map, anchor))
-        else:
-            entry = MetricField(dim, fn=lambda p: metric_for_motion(
-                _inverted_jacobian(step_map, p)))
+        field = motion_metric_field(step_map, dim)
+        entry = field.eval(anchor) if step_map.is_affine else field
         metric = MetricField.by_region(dim, {moving_tag: entry},
                                        default=base_triplet.metric)
         return Triplet(base_triplet.chart, metric, base_triplet.material)

@@ -308,26 +308,13 @@ def build_metric(cfg, dim):
         return geo.MetricField.by_region(dim, mapping, default=default)
 
 
-def _pullback_entry(base_value, chart, dim):
-    """Material given in standard coordinates, re-expressed in the chart."""
-    base = tp.material_matrix(np.asarray(base_value, dtype=float), dim)
-
-    def fn(points):
-        p = np.asarray(points, dtype=float)
-        lead = p.shape[:-1]
-        flat = p.reshape(-1, dim)
-        x = chart.inverse(flat)
-        J = chart.jacobian(x)
-        eps = np.broadcast_to(base, (flat.shape[0], dim, dim))
-        out = tp.transform_material_euclidean(eps, J)
-        return out.reshape(lead + (dim, dim))
-
-    return fn
-
-
 def _material_entry(entry, dim, chart):
     if isinstance(entry, dict):
-        return _pullback_entry(entry["pullback"], chart, dim)
+        # given in standard coordinates, re-expressed in the chart
+        euclidean = geo.MetricField.euclidean(dim)
+        base = tp.material_matrix(np.asarray(entry["pullback"], dtype=float),
+                                  dim)
+        return tp.pull_back(base, chart, euclidean, euclidean)
     if isinstance(entry, list):
         return np.asarray(entry, dtype=float)
     return float(entry)
@@ -337,12 +324,10 @@ def build_material(cfg, dim, chart):
     if cfg is None:
         return tp.MaterialField.uniform(1.0, dim)
     with _declared("material", "bad material: "):
-        regions = {tag: _material_entry(e, dim, chart)
-                   for tag, e in cfg.get("regions", {}).items()}
-        default = _material_entry(cfg["default"], dim, chart) \
-            if "default" in cfg else None
-        return tp.MaterialField(dim, regions=regions or None,
-                                default=default)
+        declared = tp.MaterialField(dim, regions=cfg.get("regions"),
+                                    default=cfg.get("default"))
+        return declared.map_entries(
+            lambda entry, tag: _material_entry(entry, dim, chart))
 
 
 def build_triplet(cfg, dim):
@@ -374,9 +359,20 @@ def build_mesh(cfg, ctx):
         return mesh_mod.generate_structured(**gen)
 
 
+def _scenario_mesh(cfg, ctx, dim):
+    """build_mesh for a scenario, whose declared dimension the mesh must
+    have."""
+    m = build_mesh(cfg, ctx)
+    if m.dim != dim:
+        raise ScenarioError(f"the scenario declares dimension {dim}, but "
+                            f"its mesh is {m.dim}-dimensional",
+                            field="dimension")
+    return m
+
+
 def build_atlas(cfg, ctx, dim):
     regions = [AtlasRegion(rc["id"], build_chart(rc["chart"], dim),
-                           build_mesh(rc["mesh"], ctx))
+                           _scenario_mesh(rc["mesh"], ctx, dim))
                for rc in cfg["regions"]]
     interfaces = [((ic["regions"][0], ic["regions"][1]),
                    (ic["tags"][0], ic["tags"][1]))
@@ -403,7 +399,7 @@ def build_bvp(scn, ctx):
     if "atlas" in scn:
         domain = build_atlas(scn["atlas"], ctx, dim)
     else:
-        domain = build_mesh(scn["mesh"], ctx)
+        domain = _scenario_mesh(scn["mesh"], ctx, dim)
     return _make_spec(domain, triplet, scn)
 
 
@@ -473,7 +469,7 @@ def _run_solve(scn, ctx):
 
 def _run_equivalence(scn, ctx):
     dim = scn["dimension"]
-    base = build_mesh(scn["mesh"], ctx)  # standard parameterization
+    base = _scenario_mesh(scn["mesh"], ctx, dim)  # standard parameterization
     triplets = [build_triplet(c, dim) for c in scn["triplets"]]
     systems = []
     for t in triplets:
@@ -608,7 +604,7 @@ def _run_motion(scn, ctx):
 
 
 def _run_mesh_tools(scn, ctx):
-    m = build_mesh(scn["mesh"], ctx)
+    m = _scenario_mesh(scn["mesh"], ctx, scn["dimension"])
     q = mesh_mod.quality(m)
     outputs = scn.get("outputs", {})
     written = {}

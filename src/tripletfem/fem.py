@@ -25,7 +25,7 @@ from .errors import (DegenerateElement, DimensionMismatch, TripletFemError,
 from .geometry import MetricField
 from .mesh import Mesh
 from .triplet import (FieldVector, Triplet, effective_coefficient,
-                      material_matrix, transform_material)
+                      material_matrix, pull_back)
 
 # Relative Frobenius bound the assembled matrix must meet against its
 # own transpose. Blocks are symmetrized, so in practice this is exact.
@@ -203,18 +203,14 @@ def _coefficient_at(triplet, patch, tag, points):
 
     Plain mesh: K straight from the triplet. Atlas patch: the triplet's
     material and metric live in universal coordinates, so pull the
-    points back, transform the material into the patch, and pair it
-    with the patch's own metric.
+    material back through the patch chart and pair it with the patch's
+    own metric.
     """
     if patch.chart is None:
         return triplet.effective_at(points, tag)
-    universal = patch.chart.inverse(points)
-    J = patch.chart.jacobian(universal)
-    eps_u = triplet.material.eval(universal, tag)
-    S_u = triplet.metric.eval(universal, tag)
-    S_p = patch.metric.eval(points, tag)
-    eps_p = transform_material(eps_u, S_u, S_p, J)
-    return effective_coefficient(eps_p, S_p)
+    eps_p = pull_back(triplet.material.entry(tag), patch.chart,
+                      triplet.metric, patch.metric, tag)(points)
+    return effective_coefficient(eps_p, patch.metric.eval(points, tag))
 
 
 def _element_blocks(triplet, patch, tag, ids, coords, grads, vols, rule):

@@ -352,7 +352,7 @@ def _assign_bands(centers, gridlines, region, region_bands):
     return tags
 
 
-def _annulus_2d(divisions, radii, center, region, grading=1.0):
+def _annulus_2d(divisions, radii, center, region, grading, outer_tag):
     n_theta, n_r = divisions
     a, b = radii
     if a <= 0.0 or b <= a:
@@ -381,8 +381,9 @@ def _annulus_2d(divisions, radii, center, region, grading=1.0):
     r = nid(kk + 1, tvals + 1)
     s = nid(kk + 1, tvals)
     tris = np.empty((2 * len(p), 3), dtype=np.int64)
-    tris[0::2] = np.column_stack([p, q, r])
-    tris[1::2] = np.column_stack([p, r, s])
+    # counterclockwise, so Mesh has no orientation to normalize
+    tris[0::2] = np.column_stack([p, r, q])
+    tris[1::2] = np.column_stack([p, s, r])
     regions = [str(region)] * len(tris)
 
     facets, tags = [], []
@@ -390,13 +391,13 @@ def _annulus_2d(divisions, radii, center, region, grading=1.0):
         facets.append([nid(0, t), nid(0, t + 1)])
         tags.append("inner")
         facets.append([nid(n_r, t), nid(n_r, t + 1)])
-        tags.append("outer")
+        tags.append(outer_tag)
     return Mesh(nodes, tris, regions, np.array(facets), tags)
 
 
 def generate_structured(shape="box", divisions=(1, 1), *, bounds=None,
                         radii=None, center=(0.0, 0.0), region="domain",
-                        region_bands=None, grading=1.0):
+                        region_bands=None, grading=1.0, _outer_tag="outer"):
     """Structured simplicial mesh of a box (2D/3D) or a 2D annulus.
 
     Boxes split each cell into 2 triangles / 6 tetrahedra; sides are tagged
@@ -404,7 +405,8 @@ def generate_structured(shape="box", divisions=(1, 1), *, bounds=None,
     polar cells with inner/outer boundary tags; grading > 1 packs the rings
     toward the outer radius. region_bands paints cells between two grid
     lines of one axis with their own tag; see _assign_bands for the
-    snapping rule.
+    snapping rule. _outer_tag renames the annulus' outer circle, for the
+    open-boundary driver, where that circle is infinity's image.
     """
     divisions = tuple(int(d) for d in divisions)
     if any(d < 1 for d in divisions):
@@ -431,7 +433,8 @@ def generate_structured(shape="box", divisions=(1, 1), *, bounds=None,
             raise ValueError("annulus needs radii=(inner, outer)")
         if region_bands:
             raise ValueError("region bands apply to box meshes only")
-        return _annulus_2d(divisions, radii, center, region, grading)
+        return _annulus_2d(divisions, radii, center, region, grading,
+                           _outer_tag)
     raise ValueError(f"unknown shape {shape!r}; use 'box' or 'annulus'")
 
 

@@ -28,13 +28,11 @@ from .errors import (
 @dataclass(frozen=True)
 class SolverConfig:
     """tol is the relative residual target ||b - Ax|| <= tol * ||b||.
-    max_iter defaults to 10 * dof count. warm_start is a full-length
-    initial guess (a previous step's solution)."""
+    max_iter defaults to 10 * dof count. A warm start is solve's x0."""
 
     tol: float = 1e-10
     max_iter: int | None = None
     preconditioner: str = "jacobi"
-    warm_start: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
@@ -175,8 +173,6 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
     if prec is None:
         prec = build_preconditioner(A, config.preconditioner)
 
-    if x0 is None:
-        x0 = config.warm_start
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
 
     norm_b = math.sqrt(b @ b)

@@ -110,6 +110,35 @@ def metric_for_motion(J):
     return S * det[..., None, None]
 
 
+def pull_back(entry, chart, source, target, region=None):
+    """A material entry re-expressed on the chart's image.
+
+    The entry lives on the chart's domain with the metric field source;
+    the result is a pointwise evaluator for the image, whose metric field
+    is target. At points p it takes x = chart.inverse(p) and
+    J = chart.jacobian(x), evaluates the entry and source at x and target
+    at p, and returns transform_material of them. When both metrics are
+    the identity for the region the Euclidean form is used; the two give
+    the same bits.
+    """
+    dim = target.dim
+    eye = np.eye(dim)
+    euclidean = all(np.array_equal(m.constant_matrix(region), eye)
+                    for m in (source, target))
+
+    def fn(points):
+        p = np.asarray(points, dtype=float)
+        x = chart.inverse(p)
+        J = chart.jacobian(x)
+        eps = eval_entry(entry, x, dim)
+        if euclidean:
+            return transform_material_euclidean(eps, J)
+        return transform_material(eps, source.eval(x, region),
+                                  target.eval(p, region), J)
+
+    return fn
+
+
 def transform_field(E_j, S_i, S_j, J):
     """Field components in chart i recovered from chart j:
     E_i = S_i^-1 J^T S_j E_j, with J the transition Jacobian i -> j."""
@@ -191,6 +220,13 @@ class MaterialField:
             return None
         return material_matrix(entry, self.dim)
 
+    def map_entries(self, fn):
+        """A field holding fn(entry, tag) in place of every entry; the
+        default's tag is None."""
+        regions = {tag: fn(e, tag) for tag, e in self.regions.items()}
+        default = None if self.default is None else fn(self.default, None)
+        return MaterialField(self.dim, regions=regions, default=default)
+
     def eval(self, points, region=None):
         """Material matrices at the given points, shape (..., n, n)."""
         p = np.asarray(points, dtype=float)
@@ -238,8 +274,13 @@ def motion_metric_field(deformation, dim):
     to physical configuration) without moving any node."""
 
     def fn(points):
-        Jm = deformation.jacobian(points)
-        return metric_for_motion(np.linalg.inv(Jm))
+        try:
+            Jinv = np.linalg.inv(deformation.jacobian(points))
+        except np.linalg.LinAlgError:
+            raise SingularJacobian(
+                "deformation Jacobian is singular on the moving region"
+            ) from None
+        return metric_for_motion(Jinv)
 
     return geometry.MetricField(dim, fn=fn, label="motion")
 

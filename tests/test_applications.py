@@ -101,6 +101,19 @@ def test_outer_circle_is_tagged_infinity():
     assert "infinity" in tags and "inner" in tags and "outer" not in tags
 
 
+def test_open_boundary_mesh_is_built_once(monkeypatch):
+    built = []
+    init = mesh.Mesh.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(mesh.Mesh, "__init__", counting)
+    dipole_bvp((12, 4))
+    assert len(built) == 1
+
+
 def test_dipole_matches_analytic_solution():
     spec = dipole_bvp((80, 32))
     sol = fem.solve_bvp(spec)

@@ -557,6 +557,9 @@ def write_exit_code_inputs(d):
         box, region_bands=[["far", 7, 0.0, 1.0]])})
     scenario("zero_mesh.json", mesh={"file": "zero.msh"})
     scenario("latin1_mesh.json", mesh={"file": "latin1.msh"})
+    scenario("dim2_box3.json", mesh={"generator": {
+        "shape": "box", "divisions": [2, 2, 2]}})
+    scenario("dim3_box2.json", dimension=3)
     scenario("unknown_tag.json", boundary=[{"tag": "north", "value": 1.0}])
     scenario("material_miss.json",
              triplet={"material": {"regions": {"nowhere": 2.0}}})
@@ -584,6 +587,9 @@ EXIT_CODE_TABLE = {
     "unknown-dirichlet-tag": (["solve", "{d}/unknown_tag.json"], 2,
                               "boundary"),
     "max-iter": (["solve", "{d}/square.json", "solver.max_iter=1"], 3, None),
+    # exited 3 with DimensionMismatch from assembly
+    "dimension-2-mesh-3": (["solve", "{d}/dim2_box3.json"], 2, "dimension"),
+    "dimension-3-mesh-2": (["solve", "{d}/dim3_box2.json"], 2, "dimension"),
     # exited 3 while the open-boundary builder caught only ValueError
     "open-boundary-divisions": (["open-boundary", "{d}/ob_divisions.json"],
                                 2, "open_boundary"),

@@ -71,6 +71,18 @@ def test_annulus_generation():
     assert np.allclose(r[m.boundary_nodes("outer")], 2.0)
 
 
+def test_annulus_is_generated_counterclockwise():
+    """No element is flipped on construction, so the stored volumes are
+    those of the stored orientation and a rebuilt mesh has the same."""
+    m = msh.generate_structured("annulus", (64, 24), radii=(1.0, 2.0),
+                                grading=2.0)
+    assert np.array_equal(m.volumes(),
+                          msh.signed_volumes(m.nodes, m.elements))
+    again = msh.Mesh(m.nodes, m.elements, m.element_regions,
+                     m.boundary_facets, m.facet_tags)
+    assert np.array_equal(again.volumes(), m.volumes())
+
+
 def test_degenerate_extents_rejected():
     with pytest.raises(DegenerateShape):
         msh.generate_structured("box", (2, 2), bounds=([0, 0], [0, 1]))

@@ -248,6 +248,22 @@ def test_motion_metric_field_for_axis_stretch():
     assert np.allclose(got, np.diag([0.5, 2.0]), atol=1e-14)
 
 
+class _FlattenY(geo.ChartMap):
+    """Collapses the y axis; only its Jacobian is ever evaluated."""
+
+    dim = 2
+
+    def _jacobian(self, p):
+        out = np.zeros(p.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 1.0
+        return out
+
+
+def test_motion_metric_field_rejects_a_singular_deformation():
+    with pytest.raises(SingularJacobian, match="singular"):
+        tp.motion_metric_field(_FlattenY(), 2).eval(np.array([[0.3, 0.4]]))
+
+
 # ------------------------------------------------------------ verification
 
 
