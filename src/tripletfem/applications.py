@@ -18,10 +18,10 @@ from . import solver as _solver
 from .errors import (RegionNotContained, SingularJacobian, TopologyChange,
                      UnknownTag)
 from .geometry import (Annulus, Box, Composite, KelvinShell, MetricField,
-                       PiecewiseRadial)
+                       PiecewiseRadial, det)
 from .mesh import Mesh, generate_structured, map_mesh, write_vtk
-from .triplet import (MaterialField, Triplet, eval_entry, material_matrix,
-                      motion_metric_field, pull_back,
+from .triplet import (MaterialField, Triplet, eval_entry, inverse_jacobian,
+                      material_matrix, motion_metric_field, pull_back,
                       transform_material_euclidean)
 
 
@@ -217,9 +217,7 @@ class MotionSweep:
             raise UnknownTag(
                 f"no region {self.moving_region!r} in the mesh; have "
                 f"{self.base.domain.regions()}")
-        S = self.base.triplet.metric.constant_matrix(self.moving_region)
-        dim = self.base.domain.nodes.shape[1]
-        if S is None or np.abs(S - np.eye(dim)).max() > 1e-12:
+        if not self.base.triplet.metric.is_euclidean(self.moving_region):
             raise ValueError("the moving region must carry a Euclidean "
                              "metric in the base problem")
 
@@ -237,14 +235,6 @@ class SweepStep:
     cold_iterations: int = -1  # -1 when the cold solve was not measured
 
 
-def _inverted_jacobian(step_map, points):
-    try:
-        return np.linalg.inv(step_map.jacobian(points))
-    except np.linalg.LinAlgError:
-        raise SingularJacobian(
-            "step map Jacobian is singular on the moving region") from None
-
-
 def _step_triplet(base_triplet, moving_tag, step_map, mode, dim, anchor):
     if step_map.is_identity():
         return base_triplet
@@ -259,13 +249,13 @@ def _step_triplet(base_triplet, moving_tag, step_map, mode, dim, anchor):
     # base chart; the material is carried by the matter it describes
     base_entry = base_triplet.material.entry(moving_tag)
     if step_map.is_affine and not callable(base_entry):
-        J = _inverted_jacobian(step_map, anchor)
+        J = inverse_jacobian(step_map, anchor)
         entry = transform_material_euclidean(
             material_matrix(base_entry, dim), J)
     else:
         def entry(points, _e=base_entry):
             p = np.asarray(points, dtype=float)
-            J = _inverted_jacobian(step_map, p)
+            J = inverse_jacobian(step_map, p)
             return transform_material_euclidean(eval_entry(_e, p, dim), J)
     regions = dict(base_triplet.material.regions)
     regions[moving_tag] = entry
@@ -278,7 +268,7 @@ def _check_topology(step_map, coords, k):
     mapped = step_map.forward(coords.reshape(-1, coords.shape[2]))
     mapped = mapped.reshape(coords.shape)
     edges = mapped[:, 1:, :] - mapped[:, :1, :]
-    dets = np.linalg.det(edges)
+    dets = det(edges)
     bad = int(np.count_nonzero(dets <= 0.0))
     if bad:
         raise TopologyChange(

@@ -308,33 +308,40 @@ def build_metric(cfg, dim):
         return geo.MetricField.by_region(dim, mapping, default=default)
 
 
-def _material_entry(entry, dim, chart):
+def _material_entry(entry, dim, chart, metric, tag):
     if isinstance(entry, dict):
-        # given in standard coordinates, re-expressed in the chart
-        euclidean = geo.MetricField.euclidean(dim)
+        # given in the standard parameterization under a Euclidean metric,
+        # re-expressed in the chart under the triplet's metric
         base = tp.material_matrix(np.asarray(entry["pullback"], dtype=float),
                                   dim)
-        return tp.pull_back(base, chart, euclidean, euclidean)
+        return tp.pull_back(base, chart, geo.MetricField.euclidean(dim),
+                            metric, tag)
     if isinstance(entry, list):
         return np.asarray(entry, dtype=float)
     return float(entry)
 
 
-def build_material(cfg, dim, chart):
+def build_material(cfg, dim, chart, metric):
     if cfg is None:
         return tp.MaterialField.uniform(1.0, dim)
     with _declared("material", "bad material: "):
-        declared = tp.MaterialField(dim, regions=cfg.get("regions"),
+        regions = dict(cfg.get("regions") or {})
+        if isinstance(cfg.get("default"), dict):
+            # a pulled-back default meets each metric region's own matrix
+            for tag in metric.region_tags():
+                regions.setdefault(tag, cfg["default"])
+        declared = tp.MaterialField(dim, regions=regions,
                                     default=cfg.get("default"))
         return declared.map_entries(
-            lambda entry, tag: _material_entry(entry, dim, chart))
+            lambda entry, tag: _material_entry(entry, dim, chart, metric,
+                                               tag))
 
 
 def build_triplet(cfg, dim):
     cfg = cfg or {}
     chart = build_chart(cfg.get("chart", {"kind": "identity"}), dim)
     metric = build_metric(cfg.get("metric"), dim)
-    material = build_material(cfg.get("material"), dim, chart)
+    material = build_material(cfg.get("material"), dim, chart, metric)
     return tp.Triplet(chart=chart, metric=metric, material=material)
 
 

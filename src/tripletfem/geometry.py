@@ -45,6 +45,52 @@ def _eye_like(points):
     return out
 
 
+# ----------------------------------------------------------- small matrices
+
+
+def det(M):
+    """Determinants of a stack of square matrices, shape (..., n, n).
+
+    2x2 and 3x3 stacks use the cofactor expansion, so each matrix costs a
+    few flops instead of one LAPACK call; other sizes go through LAPACK.
+    """
+    M = np.asarray(M, dtype=float)
+    n = M.shape[-1]
+    if n == 2:
+        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    if n == 3:
+        c0 = np.cross(M[..., 1, :], M[..., 2, :])
+        return np.sum(M[..., 0, :] * c0, axis=-1)
+    return np.linalg.det(M)
+
+
+def inv(M):
+    """Inverses of a stack of square matrices, shape (..., n, n).
+
+    2x2 and 3x3 stacks use the adjugate over the determinant; other sizes
+    go through LAPACK. Raises np.linalg.LinAlgError when a determinant is
+    exactly zero, as LAPACK does on a zero pivot.
+    """
+    M = np.asarray(M, dtype=float)
+    n = M.shape[-1]
+    if n == 2:
+        a, b = M[..., 0, 0], M[..., 0, 1]
+        c, d = M[..., 1, 0], M[..., 1, 1]
+        adj = np.stack([d, -b, -c, a], axis=-1).reshape(M.shape)
+        dets = a * d - b * c
+    elif n == 3:
+        r0, r1, r2 = M[..., 0, :], M[..., 1, :], M[..., 2, :]
+        # the adjugate's columns are the cross products of row pairs
+        adj = np.stack([np.cross(r1, r2), np.cross(r2, r0),
+                        np.cross(r0, r1)], axis=-1)
+        dets = np.sum(r0 * adj[..., 0], axis=-1)
+    else:
+        return np.linalg.inv(M)
+    if np.any(dets == 0.0):
+        raise np.linalg.LinAlgError("Singular matrix")
+    return adj / dets[..., None, None]
+
+
 # ------------------------------------------------------------------ domains
 
 
@@ -492,26 +538,25 @@ class PiecewiseRadial(ChartMap):
         r = np.linalg.norm(p - self.center, axis=-1)
         return r >= self.split_radius
 
-    def _forward(self, p):
-        out = p.copy()
+    def _branches(self, p, inner, outer):
+        """inner(p) with outer's values at the points on or past the split;
+        when every point lies on one side, only that side is evaluated."""
         mask = self._split(p)
-        if np.any(mask):
-            out[mask] = self.outer.forward(p[mask])
+        if mask.all():
+            return outer(p)
+        out = inner(p)
+        if mask.any():
+            out[mask] = outer(p[mask])
         return out
+
+    def _forward(self, p):
+        return self._branches(p, np.copy, self.outer.forward)
 
     def _inverse(self, q):
-        out = q.copy()
-        mask = self._split(q)
-        if np.any(mask):
-            out[mask] = self.outer.inverse(q[mask])
-        return out
+        return self._branches(q, np.copy, self.outer.inverse)
 
     def _jacobian(self, p):
-        J = _eye_like(p)
-        mask = self._split(p)
-        if np.any(mask):
-            J[mask] = self.outer.jacobian(p[mask])
-        return J
+        return self._branches(p, _eye_like, self.outer.jacobian)
 
     def __repr__(self):
         return (f"PiecewiseRadial({self.split_radius}, {self.outer!r}, "
@@ -717,9 +762,15 @@ class MetricField:
     def by_region(cls, dim, mapping, default=None, label=""):
         return cls(dim, regions=mapping, default=default, label=label)
 
-    def is_euclidean(self):
-        S = self.constant_matrix()
+    def is_euclidean(self, region=None):
+        """True when the field is constant and within 1e-12 of I for the
+        region."""
+        S = self.constant_matrix(region)
         return S is not None and np.abs(S - np.eye(self.dim)).max() <= 1e-12
+
+    def region_tags(self):
+        """Tags with an entry of their own; empty unless built by region."""
+        return tuple(self._regions or ())
 
     def constant_matrix(self, region=None):
         """The field's constant value, or None when it varies."""

@@ -58,7 +58,7 @@ def eval_entry(entry, points, dim):
 
 
 def _abs_det(J):
-    det = np.abs(np.linalg.det(J))
+    det = np.abs(geometry.det(J))
     if np.any(det <= DET_FLOOR):
         raise SingularJacobian(
             f"|det J| = {float(np.min(det)):.3e} is at or below {DET_FLOOR:.0e}"
@@ -80,7 +80,7 @@ def transform_material(eps_i, S_i, S_j, J):
     S_i = _as_square(S_i, "S_i")
     S_j = _as_square(S_j, "S_j")
     Jt = np.swapaxes(J, -1, -2)
-    out = J @ eps_i @ np.linalg.inv(S_i) @ Jt @ S_j
+    out = J @ eps_i @ geometry.inv(S_i) @ Jt @ S_j
     return out / det[..., None, None]
 
 
@@ -105,7 +105,7 @@ def metric_for_motion(J):
     """
     J = _as_square(J, "J")
     det = _abs_det(J)
-    Jinv = np.linalg.inv(J)
+    Jinv = geometry.inv(J)
     S = np.swapaxes(Jinv, -1, -2) @ Jinv
     return S * det[..., None, None]
 
@@ -169,7 +169,7 @@ def effective_coefficient(eps, S):
     S = _as_square(S, "S")
     n = S.shape[-1]
     eps = material_matrix(eps, n)
-    K = eps @ np.linalg.inv(S)
+    K = eps @ geometry.inv(S)
     Kt = np.swapaxes(K, -1, -2)
     asym = np.sqrt(np.sum((K - Kt) ** 2, axis=(-2, -1)))
     norm = np.sqrt(np.sum(K * K, axis=(-2, -1)))
@@ -269,18 +269,23 @@ class FieldVector:
     chart_label: str = ""
 
 
+def inverse_jacobian(deformation, points):
+    """The inverse of a deformation's Jacobian at the points, raising
+    SingularJacobian where the Jacobian is singular."""
+    try:
+        return geometry.inv(deformation.jacobian(points))
+    except np.linalg.LinAlgError:
+        raise SingularJacobian(
+            "deformation Jacobian is singular on the moving region"
+        ) from None
+
+
 def motion_metric_field(deformation, dim):
     """Metric field modeling a region deformed by `deformation` (fixed chart
     to physical configuration) without moving any node."""
 
     def fn(points):
-        try:
-            Jinv = np.linalg.inv(deformation.jacobian(points))
-        except np.linalg.LinAlgError:
-            raise SingularJacobian(
-                "deformation Jacobian is singular on the moving region"
-            ) from None
-        return metric_for_motion(Jinv)
+        return metric_for_motion(inverse_jacobian(deformation, points))
 
     return geometry.MetricField(dim, fn=fn, label="motion")
 
@@ -308,7 +313,7 @@ def verify_material_equivalence(t_i, t_j, samples, region=None):
     samples = np.asarray(samples, dtype=float)
     x_i = t_i.chart.forward(samples)
     x_j = t_j.chart.forward(samples)
-    J = t_j.chart.jacobian(samples) @ np.linalg.inv(t_i.chart.jacobian(samples))
+    J = t_j.chart.jacobian(samples) @ geometry.inv(t_i.chart.jacobian(samples))
     expected = transform_material(
         t_i.material.eval(x_i, region),
         t_i.metric.eval(x_i, region),

@@ -1,5 +1,7 @@
 """Open-boundary shells, chart reparameterization, and motion sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.interpolate import LinearNDInterpolator
@@ -355,6 +357,21 @@ class _FlattenY:
         out = np.zeros(p.shape[:-1] + (2, 2))
         out[..., 0, 0] = 1.0
         return out
+
+
+def test_moving_region_needs_a_euclidean_metric():
+    spec = capacitor_spec(8)
+    bent = replace(spec, triplet=replace(spec.triplet, metric=(
+        geo.MetricField.by_region(2, {"gap": np.diag([2.0, 1.0])},
+                                  default=np.eye(2)))))
+    with pytest.raises(ValueError, match="must carry a Euclidean metric"):
+        app.MotionSweep(base=bent, moving_region="gap",
+                        steps=[geo.Identity(2)])
+    # only the moving region's entry is read
+    other = replace(spec, triplet=replace(spec.triplet, metric=(
+        geo.MetricField.by_region(2, {"gap": np.eye(2)},
+                                  default=np.diag([2.0, 1.0])))))
+    app.MotionSweep(base=other, moving_region="gap", steps=[geo.Identity(2)])
 
 
 def test_singular_step_names_the_step():

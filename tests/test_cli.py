@@ -427,6 +427,38 @@ def test_equivalence_check_across_a_distorting_chart(tmp_path):
                       "material_max_deviation")
 
 
+@pytest.mark.parametrize("metric", [
+    {"kind": "constant", "matrix": [[2.0, 0.0], [0.0, 1.0]]},
+    {"kind": "by-region", "regions": {"band": [[2.0, 0.0], [0.0, 1.0]]},
+     "default": [[1.0, 0.5], [0.5, 3.0]]},
+    {"kind": "by-region", "regions": {"band": [[2.0, 0.0], [0.0, 1.0]],
+                                      "domain": [[1.0, 0.0], [0.0, 1.0]]}},
+], ids=["constant", "by-region", "by-region-no-default"])
+def test_pullback_material_honours_the_declared_metric(tmp_path, metric):
+    # the pullback entry is given in the standard parameterization under a
+    # Euclidean metric, so any declared metric leaves the operator alone
+    scn = {
+        "name": "pullback-metric",
+        "dimension": 2,
+        "mode": "equivalence-check",
+        "mesh": {"generator": {"shape": "box", "divisions": [8, 8],
+                               "region_bands": [["band", 0, 0.25, 0.5]]}},
+        "boundary": [{"tag": "left", "value": 0.0},
+                     {"tag": "right", "value": 1.0}],
+        "triplets": [
+            {},
+            {"chart": {"kind": "rotation", "angle": 0.7},
+             "metric": metric,
+             "material": {"default": {"pullback": 1.0}}},
+        ],
+    }
+    path = write_scenario(tmp_path, scn)
+    assert cli.main(["equivalence-check", path]) == 0
+    rep = report_of(path)
+    assert rep["matrix_rel_frobenius"] <= 1e-12
+    assert rep["material_max_deviation"] <= 1e-12
+
+
 # ------------------------------------------------------ open boundary
 
 

@@ -7,7 +7,9 @@ differences on these maps are accurate to well below the 1e-6 gate.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tripletfem import fem, mesh
 from tripletfem import geometry as geo
 from tripletfem.errors import (
     DimensionMismatch,
@@ -361,3 +363,122 @@ def test_metric_field_pointwise_function():
     assert S.constant_matrix() is None
     got = S.eval(np.array([[1.0, 0.0], [0.0, 2.0]]))
     assert np.allclose(got[:, 0, 0], [2.0, 5.0])
+
+
+def test_is_euclidean_reads_the_region_entry():
+    S = geo.MetricField.by_region(2, {"slab": np.diag([4.0, 0.25]),
+                                      "air": np.eye(2)})
+    assert S.is_euclidean("air")
+    assert not S.is_euclidean("slab")
+    assert not S.is_euclidean()  # two entries, no default: no constant
+    near = geo.MetricField(2, constant=np.eye(2) + 1e-13)
+    assert near.is_euclidean("anything")
+    assert not geo.MetricField(2, constant=np.eye(2) + 1e-11).is_euclidean()
+
+
+# ----------------------------------------------------- small-matrix kernel
+
+
+def well_conditioned(rng, shape, n):
+    return rng.standard_normal(shape + (n, n)) + 3.0 * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("shape", [(), (40,), (7, 6)])
+def test_closed_forms_match_lapack(n, shape):
+    rng = np.random.default_rng(10 * n + len(shape))
+    M = well_conditioned(rng, shape, n)
+    ref_inv = np.linalg.inv(M)
+    ref_det = np.linalg.det(M)
+    got_inv = geo.inv(M)
+    got_det = geo.det(M)
+    assert got_inv.shape == ref_inv.shape
+    assert np.shape(got_det) == np.shape(ref_det)
+    scale = np.abs(ref_inv).max(axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(got_inv - ref_inv) <= 1e-13 * scale)
+    assert np.all(np.abs(got_det - ref_det) <= 1e-13 * np.abs(ref_det))
+
+
+def test_larger_matrices_go_through_lapack():
+    M = well_conditioned(np.random.default_rng(4), (5, 3), 4)
+    assert np.array_equal(geo.inv(M), np.linalg.inv(M))
+    assert np.array_equal(geo.det(M), np.linalg.det(M))
+
+
+def test_closed_forms_are_exact_on_diagonal_and_permutation_matrices():
+    # np.linalg.det exponentiates a sum of logs: 0.0010000000000000002
+    assert geo.det(np.diag([1e-3, 1.0])) == 1e-3
+    assert geo.det(np.diag([1e-3, 1.0, 1.0])) == 1e-3
+    for d in ([1e-3, 1.0], [2.0, -0.25], [1e-3, 1.0, 1.0], [4.0, -0.5, 8.0]):
+        d = np.array(d)
+        assert np.array_equal(geo.inv(np.diag(d)), np.diag(1.0 / d))
+    for perm in ([1, 0], [2, 0, 1], [0, 2, 1], [1, 0, 2]):
+        P = np.eye(len(perm))[perm]
+        assert np.array_equal(geo.inv(P), P.T)
+        assert geo.det(P) == np.linalg.det(P)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_singular_matrix_in_the_stack_raises(n):
+    M = well_conditioned(np.random.default_rng(n), (5,), n)
+    M[3, -1] = M[3, 0]  # two equal rows
+    assert geo.det(M)[3] == 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        geo.inv(M)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]),
+       log_cond=st.floats(0.0, np.log(1e3)),
+       inner=st.floats(0.0, 1.0), scale=st.integers(-20, 20),
+       flip=st.booleans())
+def test_inverse_times_matrix_is_the_identity(seed, n, log_cond, inner,
+                                              scale, flip):
+    # M = U diag(s) V^T with singular values spanning [1, cond], cond <= 1e3
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.exp(log_cond * np.array([0.0, 1.0, inner][:n]))
+    if flip:
+        s[0] = -s[0]
+    M = 2.0 ** scale * (U * s) @ V.T
+    cond = np.linalg.cond(M)
+    dev = np.abs(geo.inv(M) @ M - np.eye(n)).max()
+    # each adjugate entry is a product of n - 1 entries, so the residual
+    # grows like cond**(n - 1); for n = 2 this bound is below 1e-12
+    assert dev <= 4.0 * cond ** (n - 1) * np.finfo(float).eps
+
+
+# ------------------------------------------------ piecewise radial branches
+
+
+def masked_reference(chart, p, method):
+    """The split evaluated with a mask whatever the sides: inner values are
+    the points themselves (identity Jacobians), outer values the outer map's."""
+    mask = np.linalg.norm(p - chart.center, axis=-1) >= chart.split_radius
+    n = p.shape[-1]
+    if method == "jacobian":
+        out = np.broadcast_to(np.eye(n), p.shape + (n,)).copy()
+    else:
+        out = p.copy()
+    if np.any(mask):
+        out[mask] = getattr(chart.outer, method)(p[mask])
+    return out
+
+
+@pytest.mark.parametrize("split, sides", [(1.0, "outer"), (1.5, "both"),
+                                          (2.5, "inner")])
+def test_piecewise_radial_one_side_fast_path_keeps_the_bits(split, sides):
+    m = mesh.generate_structured("annulus", (48, 12), radii=(1.0, 2.0),
+                                 grading=2.0)
+    bary, _ = fem.quadrature_rule("interior", 2)
+    points = np.einsum("qa,ead->eqd", bary, m.nodes[m.elements])
+    chart = geo.PiecewiseRadial(split, geo.KelvinShell(split, 2.0 * split))
+    outside = np.linalg.norm(points, axis=-1) >= split
+    assert {"outer": outside.all(), "inner": not outside.any(),
+            "both": 0 < outside.sum() < outside.size}[sides]
+    for method in ("forward", "inverse", "jacobian"):
+        got = getattr(chart, method)(points)
+        assert got.shape == points.shape[:-1] + (
+            (2, 2) if method == "jacobian" else (2,))
+        assert np.array_equal(got, masked_reference(chart, points, method))

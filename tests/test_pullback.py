@@ -138,7 +138,8 @@ def test_pullback_entry_matches_on_the_distorted_equivalence_chart():
     m = mesh.map_mesh(cli.build_mesh(scn["mesh"], cli.RunContext("")), chart)
     points = interior_points(m)
     ref = pullback_entry_reference(1.0, chart, 2)(points)
-    material = cli.build_material(scn["triplets"][1]["material"], 2, chart)
+    material = cli.build_material(scn["triplets"][1]["material"], 2, chart,
+                                  euclidean(2))
     assert callable(material.entry())  # affine chart, still pointwise
     assert np.array_equal(material.eval(points), ref)
     assert np.array_equal(
