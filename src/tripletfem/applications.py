@@ -298,6 +298,7 @@ def motion_sweep(ms, *, config=None, reuse_preconditioner=True,
     anchor = coords.mean(axis=(0, 1)) if moving.size else \
         spec.domain.nodes.mean(axis=0)
     dim = system.dim
+    moving_set = fem.ElementSet(system, moving)
 
     results = []
     precond = None
@@ -309,7 +310,7 @@ def motion_sweep(ms, *, config=None, reuse_preconditioner=True,
                 _check_topology(step_map, coords, k)
             tri = _step_triplet(spec.triplet, ms.moving_region, step_map,
                                 ms.mode, dim, anchor)
-            changed = fem.update_elements(system, tri, moving)
+            changed = fem.update_elements(system, tri, moving_set)
         except SingularJacobian as err:
             raise SingularJacobian(f"step {k}: {err}") from None
         if precond is None or not reuse_preconditioner:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InterfaceMismatch, NoSuchInterface
 from .mesh import DEDUP_RTOL, number_components
@@ -116,6 +115,8 @@ def _match_interface(atlas, pair, tags, tol):
         raise InterfaceMismatch(
             f"interface {pair}: side {pair[0]} has {len(ia)} boundary nodes "
             f"({tags[0]!r}), side {pair[1]} has {len(ib)} ({tags[1]!r})")
+
+    from scipy.spatial import cKDTree  # loaded only where meshes are glued
 
     dist, j = cKDTree(ub).query(ua)
     bad = np.flatnonzero(dist > tol)

@@ -7,9 +7,11 @@ makes solves under exchanged {chart, metric, material} triplets land on
 the same matrix entries.
 
 Assembly writes every element block into a fixed slice of one flat
-buffer (element index order, row-major within the block), so replacing
-the blocks of a subset of elements and rebuilding gives bit-identical
-results to a full reassembly with the same inputs.
+buffer (element index order, row-major within the block) and sums the
+buffer into CSR with scipy's COO to CSR conversion. A partial update
+replaces the blocks of a subset of elements and replays that sum,
+recorded and checked once per system (_CsrSum), so it gives
+bit-identical results to a full reassembly with the same inputs.
 """
 
 from dataclasses import dataclass
@@ -213,29 +215,102 @@ def _coefficient_at(triplet, patch, tag, points):
     return effective_coefficient(eps_p, patch.metric.eval(points, tag))
 
 
-def _element_blocks(triplet, patch, tag, ids, coords, grads, vols, rule):
-    """Symmetrized stiffness blocks for one (patch, region) group."""
-    dim = coords.shape[2]
-    bary, weights = quadrature_rule(rule, dim)
-    xq = np.einsum("qa,ead->eqd", bary, coords)
+def _coefficients(triplet, group):
+    """K at the group's quadrature points, shape (E, Q, d, d); a failing
+    evaluation is localized to the first element it fails on."""
+    patch, xq = group.patch, group.xq
     try:
-        K = _coefficient_at(triplet, patch, tag, xq)
+        return _coefficient_at(triplet, patch, group.tag, xq)
     except TripletFemError:
-        K = None  # localized below
-    if K is None:
-        for i in range(coords.shape[0]):
-            try:
-                _coefficient_at(triplet, patch, tag, xq[i])
-            except TripletFemError as err:
-                where = int(ids[i]) if patch.region_id is None else \
-                    f"{int(ids[i] - patch.elem_offset)} of region " \
-                    f"{patch.region_id!r}"
-                raise type(err)(f"element {where}: {err}") from None
-        # batch failed but every element passed alone; re-run to surface it
-        K = _coefficient_at(triplet, patch, tag, xq)
-    blocks = np.einsum("q,eak,eqkl,ebl->eab", weights, grads, K, grads)
-    blocks *= vols[:, None, None]
-    return 0.5 * (blocks + np.swapaxes(blocks, 1, 2))
+        pass  # localized below
+    for i in range(xq.shape[0]):
+        try:
+            _coefficient_at(triplet, patch, group.tag, xq[i])
+        except TripletFemError as err:
+            e = int(group.ids[i])
+            where = e if patch.region_id is None else \
+                f"{e - patch.elem_offset} of region {patch.region_id!r}"
+            raise type(err)(f"element {where}: {err}") from None
+    # batch failed but every element passed alone; re-run to surface it
+    return _coefficient_at(triplet, patch, group.tag, xq)
+
+
+# Elements per pass of the block kernel: its (d+1, d+1, chunk) work
+# arrays stay in cache, and its memory does not grow with the mesh.
+_BLOCK_CHUNK = 4096
+
+
+def _element_blocks(weights, grads, K, vols):
+    """Symmetrized stiffness blocks, yielded as (slice, blocks (c, d+1, d+1))
+    over chunks of the elements.
+
+    Inside a chunk the element index is the last, contiguous axis. The
+    sum over quadrature points q and gradient components (k, l) runs in
+    lexicographic order, each term formed as ((w_q g_ak) K_qkl) g_bl:
+    that is the order and association np.einsum("q,eak,eqkl,ebl->eab")
+    takes on these operands, so the blocks carry its exact bits.
+    """
+    n, k, dim = grads.shape
+    for lo in range(0, n, _BLOCK_CHUNK):
+        c = slice(lo, min(lo + _BLOCK_CHUNK, n))
+        g = np.ascontiguousarray(grads[c].transpose(1, 2, 0))
+        Kc = np.ascontiguousarray(K[c].transpose(1, 2, 3, 0))
+        out = np.zeros((k, k, g.shape[2]))
+        term = np.empty_like(out)
+        for q, w in enumerate(weights):
+            for a in range(dim):
+                wg = w * g[:, a, :]
+                for b in range(dim):
+                    np.multiply((wg * Kc[q, a, b])[:, None, :],
+                                g[None, :, b, :], out=term)
+                    out += term
+        out *= vols[c]
+        yield c, (0.5 * (out + out.transpose(1, 0, 2))).transpose(2, 0, 1)
+
+
+@dataclass(frozen=True)
+class _Group:
+    """Elements of one (patch, region tag) with what their blocks need
+    besides the coefficient: gradients, volumes, quadrature points."""
+
+    patch: _Patch
+    tag: str
+    rule: str
+    ids: np.ndarray
+    grads: np.ndarray
+    vols: np.ndarray
+    xq: np.ndarray
+
+
+class ElementSet:
+    """Element ids of one system, prepared for repeated block updates.
+
+    The (patch, region) split, the gathered gradients and volumes, the
+    quadrature points and the buffer positions depend on the ids only,
+    so a motion sweep takes them once and passes the set to every
+    update_elements call.
+    """
+
+    def __init__(self, system, element_ids):
+        ids = np.unique(np.asarray(element_ids, dtype=int))
+        if ids.size and (ids[0] < 0 or ids[-1] >= system.n_elements):
+            raise IndexError(
+                f"element ids must lie in [0, {system.n_elements})")
+        self.system = system
+        self.ids = ids
+        self.groups = []
+        for patch, tag, rule, gids in system._groups(ids):
+            bary, _ = quadrature_rule(rule, system.dim)
+            xq = np.einsum("qa,ead->eqd", bary, system.coords[gids])
+            self.groups.append(_Group(patch, tag, rule, gids,
+                                      system.grads[gids], system.vols[gids],
+                                      xq))
+
+    @cached_property
+    def flat(self):
+        """Positions of the set's blocks in the system's block buffer."""
+        k2 = self.system._k ** 2
+        return (self.ids[:, None] * k2 + np.arange(k2)).ravel()
 
 
 class AssembledSystem:
@@ -270,9 +345,6 @@ class AssembledSystem:
 
         k = self.dim + 1
         self._k = k
-        shape = (self.n_elements, k, k)
-        self.rows = np.broadcast_to(dofs[:, :, None], shape).ravel()
-        self.cols = np.broadcast_to(dofs[:, None, :], shape).ravel()
         self.data = np.zeros(self.n_elements * k * k)
 
         # The rule for each (patch, region tag) group is decided once,
@@ -283,9 +355,10 @@ class AssembledSystem:
             for tag in p.mesh.regions():
                 self.group_rules[(i, tag)] = _decide_rule(spec, p, tag)
 
-        self._fill(spec.triplet, np.arange(self.n_elements))
+        self._fill(spec.triplet, ElementSet(self, np.arange(self.n_elements)))
         self._collect_dirichlet()
         self._rebuild()
+        self._csr_sum = None  # recorded by the first partial update
 
     # -- element blocks
 
@@ -300,14 +373,20 @@ class AssembledSystem:
                 out.append((self.patches[i], tag, rule, ids))
         return out
 
-    def _fill(self, triplet, element_ids):
-        k2 = self._k * self._k
-        for patch, tag, rule, ids in self._groups(element_ids):
-            blocks = _element_blocks(triplet, patch, tag, ids,
-                                     self.coords[ids], self.grads[ids],
-                                     self.vols[ids], rule)
-            flat = (ids[:, None] * k2 + np.arange(k2)[None, :]).ravel()
-            self.data[flat] = blocks.reshape(ids.size * k2)
+    def _fill(self, triplet, elements):
+        blocks = self.data.reshape(self.n_elements, self._k, self._k)
+        for group in elements.groups:
+            K = _coefficients(triplet, group)
+            _, weights = quadrature_rule(group.rule, self.dim)
+            for c, b in _element_blocks(weights, group.grads, K, group.vols):
+                blocks[group.ids[c]] = b
+
+    def _buffer_coords(self):
+        """Row and column dof of every buffer entry."""
+        shape = (self.n_elements, self._k, self._k)
+        dofs = self.element_dofs
+        return (np.broadcast_to(dofs[:, :, None], shape).ravel(),
+                np.broadcast_to(dofs[:, None, :], shape).ravel())
 
     # -- boundary conditions
 
@@ -340,15 +419,11 @@ class AssembledSystem:
     # -- matrices
 
     def _rebuild(self):
-        A = sp.coo_matrix((self.data, (self.rows, self.cols)),
+        rows, cols = self._buffer_coords()
+        A = sp.coo_matrix((self.data, (rows, cols)),
                           shape=(self.n_dofs, self.n_dofs)).tocsr()
-        norm = np.sqrt(np.sum(A.data * A.data))
-        skew = A - A.T
-        drift = np.sqrt(np.sum(skew.data * skew.data))
-        if drift > ASSEMBLY_SYMMETRY_RTOL * max(norm, 1e-300):
-            raise TripletFemError(
-                f"assembled matrix asymmetry {drift / norm:.3e} exceeds "
-                f"{ASSEMBLY_SYMMETRY_RTOL:.0e}")
+        del rows, cols
+        _require_symmetric(A.data, (A - A.T).data)
         self.full_matrix = A
         free, fixed = self.free, self.dirichlet_dofs
         if free.size:
@@ -358,6 +433,14 @@ class AssembledSystem:
         else:
             self.matrix = sp.csr_matrix((0, 0))
             self.rhs = np.zeros(0)
+
+    def _replay(self):
+        """Rebuild the matrices through the recorded CSR sum."""
+        csr_sum = self._csr_sum
+        vals = csr_sum.sum(self.data)
+        _require_symmetric(vals, vals - vals[csr_sum.transposed])
+        self.full_matrix, self.matrix, self.rhs = csr_sum.matrices(
+            vals, self.dirichlet_values)
 
     def expand(self, x_free):
         """Free-dof vector -> full nodal vector with boundary values set."""
@@ -379,6 +462,126 @@ class AssembledSystem:
                 f"free={self.free.size})")
 
 
+def _require_symmetric(data, skew):
+    """Raise unless the skew part's entries skew are small against the
+    matrix entries data, in Frobenius norm."""
+    norm = np.sqrt(np.sum(data * data))
+    drift = np.sqrt(np.sum(skew * skew))
+    if drift > ASSEMBLY_SYMMETRY_RTOL * max(norm, 1e-300):
+        raise TripletFemError(
+            f"assembled matrix asymmetry {drift / norm:.3e} exceeds "
+            f"{ASSEMBLY_SYMMETRY_RTOL:.0e}")
+
+
+class _CsrSum:
+    """The sum coo_matrix(...).tocsr() forms over a system's block
+    buffer, recorded once so partial updates can replay it.
+
+    tocsr lays the buffer out by row, stably (coo_tocsr), sorts each
+    row's columns (csr_sort_indices) and adds each run of equal columns
+    left to right (csr_sum_duplicates). The sort compares columns only,
+    so running scipy's own sort_indices with buffer positions as the
+    data applies the permutation it applies to values. Every CSR slot
+    then has its buffer positions in summation order; a replay gathers
+    each slot's first term and adds one vectorized pass per further
+    rank, the same additions in the same order. The reduced matrix, the
+    lift block and the transpose are fixed sets of slots.
+    """
+
+    def __init__(self, system):
+        n = system.n_dofs
+        rows, cols = system._buffer_coords()
+        size = rows.size
+        idx = np.int32 if size < 2 ** 31 else np.int64
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        laid = sp.csr_matrix((order.astype(float), cols[order], indptr),
+                             shape=(n, n))
+        del rows, cols, order
+        laid.sort_indices()
+        pos = laid.data.astype(idx)  # buffer positions in summation order
+        col = laid.indices
+        opens = np.ones(size, dtype=bool)  # entry opens a new slot
+        np.not_equal(col[1:], col[:-1], out=opens[1:])
+        heads = laid.indptr[:-1]
+        opens[heads[heads < size]] = True
+        first = np.flatnonzero(opens)
+        count = np.diff(first, append=size)
+        opened = np.concatenate(([0], np.cumsum(opens)))
+        del opens
+        self.shape = (n, n)
+        self.indices = col[first].astype(idx)
+        self.indptr = opened[laid.indptr].astype(idx)
+        self.slot_of = np.empty(size, dtype=idx)
+        self.slot_of[pos] = opened[1:] - 1
+        del laid, col, opened
+        # slots by falling term count, so rank r's slots are a prefix
+        self.order = np.argsort(-count, kind="stable").astype(idx)
+        self.ranks = [pos[first[self.order[:np.count_nonzero(count > r)]] + r]
+                      for r in range(count.max(initial=0))]
+        nnz = first.size
+        del pos, first, count
+
+        slot_ids = sp.csr_matrix((np.arange(1.0, nnz + 1), self.indices,
+                                  self.indptr), shape=self.shape)
+        self.transposed = slot_ids.T.tocsr().data.astype(idx) - 1
+        free, fixed = system.free, system.dirichlet_dofs
+        self.reduced = None
+        if free.size:
+            rows_free = slot_ids[free]
+            self.reduced = tuple((M.data.astype(idx) - 1, M.indices, M.indptr,
+                                  M.shape)
+                                 for M in (rows_free[:, free].tocsr(),
+                                           rows_free[:, fixed]))
+
+    def check(self, system):
+        """Raise unless replaying the system's block buffer gives the
+        matrices and right-hand side it holds, bit for bit, and the
+        transpose slots give scipy's transpose."""
+        full, matrix, rhs = self.matrices(self.sum(system.data),
+                                          system.dirichlet_values)
+        A = system.full_matrix
+        flipped = sp.csr_matrix((full.data[self.transposed], full.indices,
+                                 full.indptr), shape=self.shape)
+        same = all(np.array_equal(a.indices, b.indices)
+                   and np.array_equal(a.indptr, b.indptr)
+                   and np.array_equal(a.data, b.data)
+                   for a, b in ((full, A), (matrix, system.matrix),
+                                (flipped, A.T.tocsr())))
+        if not (same and np.array_equal(rhs, system.rhs)):
+            raise TripletFemError(
+                "the recorded CSR sum does not reproduce the assembled "
+                "matrices; partial updates would not match a reassembly")
+
+    def sum(self, data):
+        """The CSR data tocsr makes of the block buffer data."""
+        acc = data[self.ranks[0]]
+        for terms in self.ranks[1:]:
+            acc[:terms.size] += data[terms]
+        out = np.empty_like(acc)
+        out[self.order] = acc
+        return out
+
+    def count(self, positions):
+        """Number of slots the given buffer positions add into."""
+        hit = np.zeros(self.indices.size, dtype=bool)
+        hit[self.slot_of[positions]] = True
+        return int(np.count_nonzero(hit))
+
+    def matrices(self, vals, values):
+        """Full matrix, reduced matrix and right-hand side from the full
+        matrix's CSR data vals and the Dirichlet values."""
+        full = sp.csr_matrix((vals, self.indices, self.indptr),
+                             shape=self.shape)
+        if self.reduced is None:
+            return full, sp.csr_matrix((0, 0)), np.zeros(0)
+        matrix, lift = (sp.csr_matrix((vals[slots], indices, indptr),
+                                      shape=shape)
+                        for slots, indices, indptr, shape in self.reduced)
+        return full, matrix, -(lift @ values)
+
+
 def assemble(spec):
     """Assemble the stiffness system for a problem specification.
 
@@ -394,29 +597,30 @@ def assemble(spec):
 def update_elements(system, triplet, element_ids):
     """Recompute the blocks of the given elements under a new triplet.
 
-    Quadrature rules stay as frozen at assembly. All other element
-    blocks keep their exact bits, and the rebuilt matrices are
-    entrywise identical to a full reassembly under the new triplet.
-    Returns the number of matrix entries whose value actually changed.
+    element_ids is an array of element ids, or an ElementSet of this
+    system when the same elements are updated again and again. Quadrature
+    rules stay as frozen at assembly. All other element blocks keep
+    their exact bits, and the rebuilt matrices are entrywise identical
+    to a full reassembly under the new triplet: the first update records
+    how assembly's COO to CSR conversion sums the block buffer, checks
+    the record against the matrices it holds, and every update replays
+    it. Returns the number of matrix entries that one or more changed
+    blocks contribute to.
     """
-    ids = np.unique(np.asarray(element_ids, dtype=int))
-    if ids.size and (ids[0] < 0 or ids[-1] >= system.n_elements):
-        raise IndexError(
-            f"element ids must lie in [0, {system.n_elements})")
-    k2 = system._k * system._k
-    flat = (ids[:, None] * k2 + np.arange(k2)[None, :]).ravel()
-    before = system.data[flat].copy()
-    system._fill(triplet, ids)
+    elements = element_ids if isinstance(element_ids, ElementSet) \
+        else ElementSet(system, element_ids)
+    if elements.system is not system:
+        raise ValueError("the element set was made for another system")
+    if system._csr_sum is None:
+        csr_sum = _CsrSum(system)
+        csr_sum.check(system)
+        system._csr_sum = csr_sum
+    flat = elements.flat
+    before = system.data[flat]
+    system._fill(triplet, elements)
     system.triplet = triplet
-    moved = flat[system.data[flat] != before]
-    if moved.size:
-        pattern = sp.coo_matrix(
-            (np.ones(moved.size), (system.rows[moved], system.cols[moved])),
-            shape=(system.n_dofs, system.n_dofs)).tocsr()
-        changed = pattern.nnz
-    else:
-        changed = 0
-    system._rebuild()
+    changed = system._csr_sum.count(flat[system.data[flat] != before])
+    system._replay()
     return changed
 
 
@@ -527,7 +731,7 @@ def energy(sol, spec=None):
     return system.energy_of(sol.u)
 
 
-def element_field(sol, spec, element_id):
+def element_field(sol, element_id):
     """Field vector of one element, metric taken at its centroid."""
     e = int(element_id)
     if not 0 <= e < sol.system.n_elements:

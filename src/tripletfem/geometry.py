@@ -155,7 +155,10 @@ class Annulus(Domain):
 
     def contains(self, points):
         p = _as_points(points, self.dim)
-        r = np.linalg.norm(p - self.center, axis=-1)
+        return self.contains_radius(np.linalg.norm(p - self.center, axis=-1))
+
+    def contains_radius(self, r):
+        """Membership of points at distances r from the center."""
         t = self.tol
         ok = r >= self.rmin - t
         if np.isfinite(self.rmax):
@@ -534,29 +537,68 @@ class PiecewiseRadial(ChartMap):
                 f"{gap:.3e} at radius {a}"
             )
 
-    def _split(self, p):
-        r = np.linalg.norm(p - self.center, axis=-1)
-        return r >= self.split_radius
+    # The public methods take the radius about the center once: it gives
+    # this map's own domain or image check, the split, and the outer map's
+    # check when that map's set is an annulus about the same center. The
+    # outer map is then called through its private evaluators.
 
-    def _branches(self, p, inner, outer):
-        """inner(p) with outer's values at the points on or past the split;
-        when every point lies on one side, only that side is evaluated."""
-        mask = self._split(p)
-        if mask.all():
-            return outer(p)
-        out = inner(p)
-        if mask.any():
-            out[mask] = outer(p[mask])
-        return out
+    def forward(self, points):
+        return self._checked(points, "domain", np.copy, "_forward")
+
+    def inverse(self, points):
+        return self._checked(points, "image", np.copy, "_inverse")
+
+    def jacobian(self, points):
+        return self._checked(points, "domain", _eye_like, "_jacobian")
 
     def _forward(self, p):
-        return self._branches(p, np.copy, self.outer.forward)
+        return self._branches(p, self._radius(p), "domain", np.copy,
+                              "_forward")
 
     def _inverse(self, q):
-        return self._branches(q, np.copy, self.outer.inverse)
+        return self._branches(q, self._radius(q), "image", np.copy,
+                              "_inverse")
 
     def _jacobian(self, p):
-        return self._branches(p, _eye_like, self.outer.jacobian)
+        return self._branches(p, self._radius(p), "domain", _eye_like,
+                              "_jacobian")
+
+    def _radius(self, p):
+        return np.linalg.norm(p - self.center, axis=-1)
+
+    def _checked(self, points, where, inner, evaluator):
+        p = _as_points(points, self.dim)
+        r = self._radius(p)
+        self._check(self, where, p, r)
+        return self._branches(p, r, where, inner, evaluator)
+
+    def _check(self, chart, where, p, r):
+        """chart's domain or image check (where) on points p at radii r."""
+        region = getattr(chart, where)
+        if isinstance(region, Annulus) \
+                and np.array_equal(region.center, self.center):
+            ok = region.contains_radius(r)
+        else:
+            ok = region.contains(p)
+        exc = PointOutsideImage if where == "image" else PointOutsideDomain
+        self._require(ok, p, exc, f"outside the {where} of {chart!r}")
+
+    def _branches(self, p, r, where, inner, evaluator):
+        """inner(p) with the outer map's values at the points on or past
+        the split, checked first; when every point lies on one side, only
+        that side is evaluated."""
+        mask = r >= self.split_radius
+        if not mask.any():
+            return inner(p)
+        outer = getattr(self.outer, evaluator)
+        if mask.all():
+            self._check(self.outer, where, p, r)
+            return outer(p)
+        out = inner(p)
+        p_out = p[mask]
+        self._check(self.outer, where, p_out, r[mask])
+        out[mask] = outer(p_out)
+        return out
 
     def __repr__(self):
         return (f"PiecewiseRadial({self.split_radius}, {self.outer!r}, "

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from . import geometry
 from .errors import (
@@ -838,6 +837,8 @@ def merge_meshes(meshes, tol=None):
     if tol is None:
         lo, hi = all_nodes.min(axis=0), all_nodes.max(axis=0)
         tol = DEDUP_RTOL * max(float(np.linalg.norm(hi - lo)), 1.0)
+
+    from scipy.spatial import cKDTree  # loaded only where meshes are glued
 
     global_map, lowest = number_components(
         len(all_nodes),

@@ -82,6 +82,15 @@ def test_module_is_runnable_as_script(tmp_path):
     assert "usage" in out.stdout
 
 
+def test_cli_import_leaves_scipy_spatial_out():
+    # only mesh gluing uses scipy.spatial; a solve should not pay its import
+    code = "import sys, tripletfem.cli; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 # ------------------------------------------------------- mesh utilities
 
 

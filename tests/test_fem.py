@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from tripletfem import fem, geometry as geo, mesh, triplet as tp
 from tripletfem.atlas import Atlas, AtlasRegion
 from tripletfem.errors import (AsymmetricCoefficient, DegenerateElement,
-                               DimensionMismatch, UnknownTag)
+                               DimensionMismatch, TripletFemError, UnknownTag)
 
 
 def euclidean_triplet(dim, eps=1.0, chart=None):
@@ -292,7 +292,7 @@ def test_anisotropic_metric_material_pair_rejected_at_offending_element():
 def test_element_field_is_negative_gradient_for_euclidean_metric():
     sol = fem.solve_bvp(unit_square_spec(4))
     assert np.abs(sol.fields - np.array([-1.0, 0.0])).max() <= 1e-12
-    fv = fem.element_field(sol, sol.system.spec, 0)
+    fv = fem.element_field(sol, 0)
     assert np.abs(fv.components - np.array([-1.0, 0.0])).max() <= 1e-12
 
 
@@ -324,7 +324,7 @@ def test_recovered_fields_transform_between_charts():
 def test_element_field_range_check():
     sol = fem.solve_bvp(unit_square_spec(2))
     with pytest.raises(IndexError):
-        fem.element_field(sol, sol.system.spec, 10_000)
+        fem.element_field(sol, 10_000)
 
 
 # -------------------------------------------------------- partial reassembly
@@ -372,6 +372,113 @@ def test_update_of_one_region_leaves_other_blocks_untouched():
     assert np.array_equal(system.data[keep], before)
     fresh = fem.assemble(fem.BVPSpec(m, t2, spec.dirichlet))
     assert np.array_equal(system.full_matrix.data, fresh.full_matrix.data)
+
+
+def einsum_blocks(weights, grads, K, vols):
+    """The symmetrized block formula as one np.einsum, the reference the
+    element-first kernel must reproduce bit for bit."""
+    blocks = np.einsum("q,eak,eqkl,ebl->eab", weights, grads, K, grads)
+    blocks *= vols[:, None, None]
+    return 0.5 * (blocks + np.swapaxes(blocks, 1, 2))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("rule", ["one_point", "interior"])
+def test_block_kernel_keeps_the_einsum_bits(dim, rule):
+    rng = np.random.default_rng(7 * dim + len(rule))
+    n = 2 * fem._BLOCK_CHUNK + 37  # a last, partial chunk
+    _, weights = fem.quadrature_rule(rule, dim)
+    grads = rng.standard_normal((n, dim + 1, dim))
+    A = rng.standard_normal((n, weights.size, dim, dim))
+    K = (A + np.swapaxes(A, -1, -2)) \
+        * np.exp(rng.uniform(-5.0, 5.0, (n, weights.size, 1, 1)))
+    vols = rng.uniform(0.01, 1.0, n)
+    got = np.full((n, dim + 1, dim + 1), np.nan)
+    for c, blocks in fem._element_blocks(weights, grads, K, vols):
+        got[c] = blocks
+    assert np.array_equal(got, einsum_blocks(weights, grads, K, vols))
+
+
+def box_2d_spec():
+    return unit_square_spec(7)
+
+
+def box_3d_spec():
+    m = mesh.generate_structured("box", (3, 4, 2))
+    return fem.BVPSpec(m, euclidean_triplet(3), (("left", 0.0),
+                                                 ("right", 1.0)))
+
+
+def two_patch_atlas_spec():
+    half = mesh.generate_structured("box", (5, 4))
+    atlas = Atlas([AtlasRegion("a", geo.Identity(2), half),
+                   AtlasRegion("b", geo.translation([-1.0, 0.0]), half)],
+                  interfaces=[(("a", "b"), ("right", "left"))])
+    return fem.BVPSpec(atlas, euclidean_triplet(2),
+                       (("left", 0.0), ("right", 1.0)))
+
+
+@pytest.mark.parametrize("make_spec",
+                         [box_2d_spec, box_3d_spec, two_patch_atlas_spec])
+def test_csr_replay_matches_coo_to_csr(make_spec):
+    system = fem.assemble(make_spec())
+    csr_sum = fem._CsrSum(system)
+    csr_sum.check(system)
+    rng = np.random.default_rng(3)
+    size = system.data.size
+    data = rng.standard_normal(size) * np.exp(rng.uniform(-20.0, 20.0, size))
+    rows, cols = system._buffer_coords()
+    A = sp.coo_matrix((data, (rows, cols)),
+                      shape=(system.n_dofs, system.n_dofs)).tocsr()
+    free, fixed = system.free, system.dirichlet_dofs
+    values = rng.standard_normal(fixed.size)
+    full, matrix, rhs = csr_sum.matrices(csr_sum.sum(data), values)
+    want = A[free][:, free].tocsr()
+    for got, ref in ((full, A), (matrix, want)):
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.data, ref.data)
+    assert np.array_equal(rhs, -(A[free][:, fixed] @ values))
+
+
+def test_changed_entries_match_the_pattern_count():
+    m = mesh.generate_structured("box", (8, 8), region="air",
+                                 region_bands=[("slab", 1, 0.25, 0.75)])
+    t = tp.Triplet(geo.Identity(2), geo.MetricField.euclidean(2),
+                   tp.MaterialField(2, regions={"air": 1.0, "slab": 2.0}))
+    system = fem.assemble(fem.BVPSpec(m, t, (("bottom", 0.0), ("top", 1.0))))
+    before = system.data.copy()
+    t2 = tp.Triplet(geo.Identity(2), geo.MetricField.euclidean(2),
+                    tp.MaterialField(2, regions={"air": 1.0, "slab": 6.0}))
+    # every element is recomputed, only the slab's blocks move
+    changed = fem.update_elements(system, t2, np.arange(m.n_elements))
+    moved = np.flatnonzero(system.data != before)
+    rows, cols = system._buffer_coords()
+    pattern = sp.coo_matrix((np.ones(moved.size), (rows[moved], cols[moved])),
+                            shape=(system.n_dofs, system.n_dofs)).tocsr()
+    assert 0 < changed == pattern.nnz < system.full_matrix.nnz
+
+
+def test_a_corrupted_csr_sum_is_refused(monkeypatch):
+    class Corrupted(fem._CsrSum):
+        def __init__(self, system):
+            super().__init__(system)
+            self.order = self.order[::-1].copy()
+
+    spec = unit_square_spec(5)
+    system = fem.assemble(spec)
+    monkeypatch.setattr(fem, "_CsrSum", Corrupted)
+    with pytest.raises(TripletFemError, match="CSR sum"):
+        fem.update_elements(system, spec.triplet, [0, 1])
+
+
+def test_element_set_belongs_to_its_system():
+    spec = unit_square_spec(3)
+    one, other = fem.assemble(spec), fem.assemble(spec)
+    with pytest.raises(ValueError):
+        fem.update_elements(one, spec.triplet, fem.ElementSet(other, [0]))
+    with pytest.raises(IndexError):
+        fem.ElementSet(one, [one.n_elements])
 
 
 # ------------------------------------------------------------------- atlas

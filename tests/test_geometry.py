@@ -469,7 +469,8 @@ def masked_reference(chart, p, method):
 @pytest.mark.parametrize("split, sides", [(1.0, "outer"), (1.5, "both"),
                                           (2.5, "inner")])
 def test_piecewise_radial_one_side_fast_path_keeps_the_bits(split, sides):
-    m = mesh.generate_structured("annulus", (48, 12), radii=(1.0, 2.0),
+    # the open-boundary annulus: 147,456 interior quadrature points
+    m = mesh.generate_structured("annulus", (256, 96), radii=(1.0, 2.0),
                                  grading=2.0)
     bary, _ = fem.quadrature_rule("interior", 2)
     points = np.einsum("qa,ead->eqd", bary, m.nodes[m.elements])
@@ -482,3 +483,19 @@ def test_piecewise_radial_one_side_fast_path_keeps_the_bits(split, sides):
         assert got.shape == points.shape[:-1] + (
             (2, 2) if method == "jacobian" else (2,))
         assert np.array_equal(got, masked_reference(chart, points, method))
+
+
+@pytest.mark.parametrize("points", [[[2.5, 0.0]], [[1.5, 0.0], [0.0, -2.5]],
+                                    [[0.5, 0.0], [2.5, 0.0]]],
+                         ids=["outside", "outside-both", "mixed"])
+def test_piecewise_radial_keeps_its_image_check(points):
+    chart = geo.PiecewiseRadial(1.0, geo.KelvinShell(1.0, 2.0))
+    with pytest.raises(PointOutsideImage, match="PiecewiseRadial"):
+        chart.inverse(points)
+
+
+def test_piecewise_radial_outer_evaluator_refuses_infinity():
+    chart = geo.PiecewiseRadial(1.0, geo.KelvinShell(1.0, 2.0))
+    # the outer radius passes both image checks; no finite preimage exists
+    with pytest.raises(PointOutsideImage, match="KelvinShell"):
+        chart.inverse([[0.5, 0.0], [2.0, 0.0]])
