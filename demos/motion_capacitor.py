@@ -8,8 +8,9 @@
 # To widen the gap we never touch the mesh. The upper half of the
 # square is tagged "gap", each sweep step is a map stretching that
 # band, and the deformation is absorbed into the metric tensor of the
-# gap region. Only the gap's element blocks are reassembled per step
-# and each solve warm-starts from the previous one.
+# gap region. Only the gap's element blocks are reassembled per step,
+# and from step 1 on each solve starts from the Galerkin projection of
+# the new system onto the last four solutions.
 
 import numpy as np
 
@@ -51,13 +52,16 @@ for d, r in zip(separations, results):
 worst_law = max(abs(r.energy * d - 1.0) for d, r in zip(separations, results))
 print(f"\nworst relative deviation from W = 1/d: {worst_law:.2e}")
 
-# The closer the steps, the better the previous solution predicts the
-# next one; at this coarse spacing the saving is modest, at ten times
-# finer it roughly halves the iteration count.
+# In this one-dimensional field P1 gives u = A + B/d exactly, so two
+# earlier solutions span the next one and, from step 2 on, the projected
+# start is all but the answer: a step takes 0 to 2 iterations. Where the
+# solutions span more than a few dimensions (a slab under a non-uniform
+# plate, say) the projection saves less, yet never starts worse than the
+# previous solution in the energy norm.
 warm = sum(r.iterations for r in results[1:])
 cold = sum(r.cold_iterations for r in results[1:])
-print(f"warm-started iterations after step 0: {warm} vs cold {cold} "
-      f"({warm / cold:.0%})")
+print(f"iterations after step 0 from projected starts: {warm} vs cold "
+      f"{cold} ({warm / cold:.0%})")
 
 # Step 0 is the identity, so the partial reassembly touches nothing.
 print(f"entries rewritten at the identity step: {results[0].changed_entries}")

@@ -9,6 +9,7 @@ matrix entries of the moving region.
 
 import itertools
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -264,6 +265,10 @@ def _step_triplet(base_triplet, moving_tag, step_map, mode, dim, anchor):
     return Triplet(base_triplet.chart, base_triplet.metric, material)
 
 
+# converged solutions a sweep projects each new system onto
+GUESS_WINDOW = 4
+
+
 def _check_topology(step_map, coords, k):
     mapped = step_map.forward(coords.reshape(-1, coords.shape[2]))
     mapped = mapped.reshape(coords.shape)
@@ -280,12 +285,16 @@ def motion_sweep(ms, *, config=None, reuse_preconditioner=True,
                  measure_cold=False, vtk_pattern=None):
     """Solve every configuration of the sweep on one shared system.
 
-    Per step only the moving region's element blocks are recomputed;
-    the solver is warm-started from the previous step and, by default,
-    keeps the first step's preconditioner. measure_cold additionally
-    runs each step cold (no warm start, fresh preconditioner) to expose
-    the iteration counts the reuse avoids; the extra solve is excluded
-    from the reported wall time.
+    Per step only the moving region's element blocks are recomputed.
+    From step 1 on, the solver starts from the Galerkin projection of
+    the new system onto the solutions of the last GUESS_WINDOW steps
+    (solver.projected_guess): the point of their span closest to the new
+    solution in the energy norm, so never worse there than the previous
+    solution or an extrapolation of the last few. By default the first
+    step's preconditioner is kept. measure_cold additionally runs each
+    step cold (zero start, fresh preconditioner) to expose the
+    iteration counts the guess and the reuse avoid; the extra solve is
+    excluded from the reported wall time.
     """
     spec = ms.base
     if spec.quadrature == "auto" and any(not s.is_affine for s in ms.steps):
@@ -302,7 +311,7 @@ def motion_sweep(ms, *, config=None, reuse_preconditioner=True,
 
     results = []
     precond = None
-    prev = None
+    window = deque(maxlen=GUESS_WINDOW)
     for k, step_map in enumerate(ms.steps):
         t0 = time.perf_counter()
         try:
@@ -316,9 +325,11 @@ def motion_sweep(ms, *, config=None, reuse_preconditioner=True,
         if precond is None or not reuse_preconditioner:
             precond = _solver.build_preconditioner(system.matrix,
                                                    cfg.preconditioner)
+        x0 = _solver.projected_guess(system.matrix, system.rhs, window)
         sol = fem.solve_bvp(spec, cfg, system=system, preconditioner=precond,
-                            x0=prev)
-        prev = sol.solve_info.x if sol.solve_info is not None else None
+                            x0=x0)
+        if sol.solve_info is not None:
+            window.append(sol.solve_info.x)
         wall = time.perf_counter() - t0
 
         cold_iters = -1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InterfaceMismatch, NoSuchInterface
+from .errors import InterfaceMismatch
 from .mesh import DEDUP_RTOL, number_components
 
 
@@ -156,26 +156,3 @@ def build_global_index(atlas):
             for i, r in enumerate(atlas.regions)}
     return GlobalIndex(maps=maps, n_dofs=len(lowest))
 
-
-def map_interface_nodes(atlas, from_region, to_region):
-    """Interface nodes of `from_region` expressed in `to_region`'s chart.
-
-    Returns a list of (node index in the from-mesh, point in to-chart
-    coordinates), routed through the universal chart.
-    """
-    for pair, tags in atlas.interfaces:
-        if pair == (from_region, to_region):
-            from_tag = tags[0]
-            break
-        if pair == (to_region, from_region):
-            from_tag = tags[1]
-            break
-    else:
-        raise NoSuchInterface(
-            f"no declared interface between {from_region!r} and {to_region!r}")
-    src = atlas.region(from_region)
-    dst = atlas.region(to_region)
-    nodes = src.mesh.boundary_nodes(from_tag)
-    universal = src.chart.inverse(src.mesh.nodes[nodes])
-    points = dst.chart.forward(universal)
-    return [(int(n), p) for n, p in zip(nodes, points)]

@@ -453,13 +453,15 @@ def _solve_and_export(spec, scn, ctx):
     info = sol.solve_info
     iterations = info.iterations if info is not None else 0
     residual = float(info.residual) if info is not None else 0.0
+    history = info.residuals if info is not None else [0.0]
     prec = info.preconditioner if info is not None else None
     print(f"energy {_fmt(sol.energy)}")
     print(f"cg iterations {iterations}, residual {_fmt(residual)}")
     for path in written.values():
         print(f"wrote {path}")
     return sol, {"energy": float(sol.energy), "iterations": int(iterations),
-                 "residual": residual, "dofs": int(sol.u.size),
+                 "residual": residual, "residual_history": history,
+                 "dofs": int(sol.u.size),
                  "outputs": written,
                  "preconditioner": {
                      "requested": config.preconditioner,
@@ -601,8 +603,11 @@ def _run_motion(scn, ctx):
         app.write_sweep_csv(path, results, zero_wall_time=True)
         written["csv"] = path
         print(f"wrote {path}")
+    # a step's guess_residual is ||b - A x0|| of its starting vector
     return {"steps": [{"step": r.step, "energy": float(r.energy),
                        "iterations": int(r.iterations),
+                       "guess_residual": r.solution.solve_info.residuals[0]
+                       if r.solution.solve_info is not None else 0.0,
                        "changed_entries": int(r.changed_entries),
                        "cold_iterations": int(r.cold_iterations),
                        "wall_time": float(r.wall_time)}

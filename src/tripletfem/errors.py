@@ -76,10 +76,6 @@ class InterfaceMismatch(TripletFemError):
     """Interface nodes of two regions do not coincide in the universal chart."""
 
 
-class NoSuchInterface(TripletFemError):
-    """No interface is declared between the two regions."""
-
-
 # ------------------------------------------------------------------ solver
 
 class MaxIterExceeded(TripletFemError):

@@ -23,9 +23,6 @@ from .errors import (
 # so points sitting exactly on a boundary count as inside.
 MEMBERSHIP_RTOL = 1e-12
 
-# ||J^T J - I||_F threshold below which a map counts as an isometry.
-ISOMETRY_TOL = 1e-10
-
 
 def _as_points(x, dim=None):
     pts = np.asarray(x, dtype=float)
@@ -729,15 +726,6 @@ def inner_product(S, v, w):
     if asym > 1e-10 * max(np.abs(S).max(), 1e-300):
         raise ValueError("metric must be symmetric")
     return np.einsum("...i,...ij,...j->...", v, S, w)
-
-
-def check_isometry(chart, samples):
-    """True when J^T J = I at every sample within tolerance."""
-    J = chart.jacobian(samples)
-    n = J.shape[-1]
-    dev = np.einsum("...ki,...kj->...ij", J, J) - np.eye(n)
-    worst = np.sqrt(np.sum(dev * dev, axis=(-2, -1))).max()
-    return bool(worst <= ISOMETRY_TOL)
 
 
 # ------------------------------------------------------------ metric fields

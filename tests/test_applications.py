@@ -10,7 +10,7 @@ from tripletfem import applications as app
 from tripletfem import fem, geometry as geo, mesh, triplet as tp
 from tripletfem.errors import (RegionNotContained, SingularJacobian,
                                TopologyChange, UnknownTag)
-from tripletfem.solver import SolverConfig
+from tripletfem.solver import SolverConfig, build_preconditioner, solve
 
 
 def euclidean_base(dim=2, eps=1.0):
@@ -409,6 +409,45 @@ def test_warm_start_saves_iterations():
         measure_cold=True)
     for r in results[1:]:
         assert r.iterations < r.cold_iterations
+
+
+def test_projected_start_beats_the_previous_solution():
+    # a dielectric slab under a non-uniform top plate: the potentials of
+    # successive gaps do not share a two-dimensional span, so the guess
+    # must earn its saving step by step
+    m = mesh.generate_structured("box", (32, 32),
+                                 region_bands=[("slab", 1, 0.0, 0.25),
+                                               ("gap", 1, 0.5, 1.0)])
+    triplet = tp.Triplet(chart=geo.Identity(2),
+                         metric=geo.MetricField.euclidean(2),
+                         material=tp.MaterialField(2, regions={"slab": 4.0},
+                                                   default=1.0))
+    spec = fem.BVPSpec(domain=m, triplet=triplet, dirichlet=(
+        ("bottom", 0.0),
+        ("top", lambda x: 1.0 + 0.5 * np.sin(np.pi * x[0]))))
+    steps = [gap_stretch(s) for s in np.linspace(1.0, 2.0, 10)]
+    results = app.motion_sweep(
+        app.MotionSweep(base=spec, moving_region="gap", steps=steps))
+
+    # the same sweep, each solve started from the previous solution
+    spec = replace(spec, quadrature="interior")  # as the sweep does
+    system = fem.assemble(spec)
+    moving = fem.ElementSet(system, m.elements_in_regions(["gap"]))
+    cfg = SolverConfig()
+    precond, prev, warm = None, None, []
+    for step_map, r in zip(steps, results):
+        fem.update_elements(system, app._step_triplet(
+            spec.triplet, "gap", step_map, "metric-change", 2, np.zeros(2)),
+            moving)
+        precond = precond or build_preconditioner(system.matrix, "jacobi")
+        res = solve(system.matrix, system.rhs, cfg, x0=prev,
+                    preconditioner=precond)
+        prev = res.x
+        warm.append(res.iterations)
+        assert r.energy == pytest.approx(system.energy_of(
+            system.expand(res.x)), rel=1e-8)
+    assert all(r.iterations > 0 for r in results[2:])
+    assert sum(r.iterations for r in results) < sum(warm)
 
 
 def test_motion_sweep_validates_its_inputs():

@@ -6,7 +6,7 @@ import pytest
 from tripletfem import atlas as atl
 from tripletfem import geometry as geo
 from tripletfem import mesh as msh
-from tripletfem.errors import InterfaceMismatch, NoSuchInterface
+from tripletfem.errors import InterfaceMismatch
 
 
 def two_square_atlas(n, translated=False):
@@ -77,56 +77,28 @@ def test_perturbed_interface_node_is_reported():
     assert "partner" in str(err.value)
 
 
-def test_map_interface_nodes_identity():
-    a = two_square_atlas(3)
-    pairs = atl.map_interface_nodes(a, "A", "B")
-    mesh_a = a.region("A").mesh
-    for node, point in pairs:
-        assert np.allclose(point, mesh_a.nodes[node], atol=1e-14)
-
-
-def test_map_interface_nodes_applies_target_chart():
-    left = msh.generate_structured("box", (2, 2), region="L")
-    right = msh.generate_structured("box", (4, 2), bounds=([2, 0], [4, 1]),
-                                    region="R")
-    a = atl.Atlas(
-        [("A", geo.Identity(2), left), ("B", geo.AxisScaling([2.0, 1.0]), right)],
-        [(("A", "B"), ("right", "left"))])
-    pairs = atl.map_interface_nodes(a, "A", "B")
-    mesh_a = a.region("A").mesh
-    for node, point in pairs:
-        assert np.allclose(point, [2.0 * mesh_a.nodes[node][0],
-                                   mesh_a.nodes[node][1]], atol=1e-14)
-
-
-def test_map_interface_nodes_roundtrip():
-    a = two_square_atlas(4, translated=True)
-    pairs = atl.map_interface_nodes(a, "A", "B")
-    chart_a = a.region("A").chart
-    chart_b = a.region("B").chart
-    mesh_a = a.region("A").mesh
-    for node, point in pairs:
-        back = chart_a.forward(chart_b.inverse(point))
-        assert np.abs(back - mesh_a.nodes[node]).max() <= 1e-12
-
-
 def test_undeclared_interface_is_an_error():
     left = msh.generate_structured("box", (2, 2), region="L")
     right = msh.generate_structured("box", (2, 2), bounds=([1, 0], [2, 1]),
                                     region="R")
-    a = atl.Atlas([("A", geo.Identity(2), left), ("B", geo.Identity(2), right)])
-    with pytest.raises(NoSuchInterface):
-        atl.map_interface_nodes(a, "A", "B")
+    regions = [("A", geo.Identity(2), left), ("B", geo.Identity(2), right)]
+    with pytest.raises(ValueError, match="unknown region 'C'"):
+        atl.Atlas(regions, [(("A", "C"), ("right", "left"))])
     with pytest.raises(ValueError):
-        a.region("C")
+        atl.Atlas(regions).region("C")
 
 
 def test_reversed_lookup_uses_other_sides_tag():
-    a = two_square_atlas(3)
-    pairs = atl.map_interface_nodes(a, "B", "A")
-    mesh_b = a.region("B").mesh
-    for node, point in pairs:
-        assert np.allclose(point, mesh_b.nodes[node], atol=1e-14)
+    # the same interface declared from side B: each side keeps its own tag
+    forward = two_square_atlas(3)
+    reversed_ = atl.Atlas([(r.region_id, r.chart, r.mesh)
+                           for r in forward.regions],
+                          [(("B", "A"), ("left", "right"))])
+    one = atl.build_global_index(forward)
+    two = atl.build_global_index(reversed_)
+    assert one.n_dofs == two.n_dofs
+    for rid in ("A", "B"):
+        assert np.array_equal(one.dofs(rid), two.dofs(rid))
 
 
 def test_duplicate_region_ids_rejected():

@@ -321,6 +321,17 @@ def test_report_names_the_preconditioner_built(tmp_path):
     assert report_of(path)["preconditioner"]["built"] == "jacobi"
 
 
+def test_report_carries_the_residual_history(tmp_path):
+    path = write_scenario(tmp_path, square_solve_scenario())
+    assert cli.main(["solve", path]) == 0
+    rep = report_of(path)
+    history = rep["residual_history"]
+    # the start, one recurrence residual per iteration, the true residual
+    assert len(history) == rep["iterations"] + 2
+    assert history[-1] == rep["residual"]
+    assert history[0] > history[-1]
+
+
 def test_report_shows_an_ic0_fallback(tmp_path, monkeypatch):
     from tripletfem import solver
     from tripletfem.errors import BreakdownIC
@@ -531,6 +542,16 @@ def test_motion_energies_follow_the_gap_law(tmp_path):
     energies = [s["energy"] for s in rep["steps"]]
     assert energies == pytest.approx([1.0, 1 / 1.25, 1 / 1.5], rel=1e-10)
     assert rep["steps"][0]["changed_entries"] == 0
+
+
+def test_motion_report_shows_each_steps_guess_residual(tmp_path):
+    path = write_scenario(tmp_path, motion_scenario())
+    assert cli.main(["motion", path]) == 0
+    guesses = [s["guess_residual"] for s in report_of(path)["steps"]]
+    # step 0 starts from zero, step 1 from a multiple of step 0's answer;
+    # on this sweep u = A + B/d, so two earlier solutions span step 2's
+    assert 0.0 < guesses[1] < guesses[0]
+    assert guesses[2] <= 1e-8 * guesses[0]
 
 
 def test_motion_vtk_needs_step_placeholder(tmp_path):

@@ -274,14 +274,6 @@ def test_inner_product_rejects_asymmetric_metric():
         geo.inner_product([[1.0, 0.5], [0.0, 1.0]], [1.0, 0.0], [0.0, 1.0])
 
 
-def test_isometry_check_accepts_rigid_motions_only():
-    rng = np.random.default_rng(3)
-    pts = rng.standard_normal((50, 2))
-    rigid = geo.Composite([geo.Rotation(1.1), geo.translation([3.0, -1.0])])
-    assert geo.check_isometry(rigid, pts)
-    assert not geo.check_isometry(geo.AxisScaling([1.0 + 1e-6, 1.0]), pts)
-
-
 # ------------------------------------------------------------------ domains
 
 

@@ -1,9 +1,13 @@
 """Conjugate-gradient behavior, preconditioner construction, breakdown
-fallback, warm starts, and preconditioner reuse."""
+fallback, warm starts, projected guesses, residual histories, and
+preconditioner reuse."""
+
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 from tripletfem import solver as slv
@@ -400,3 +404,91 @@ def test_ic0_errors_name_the_same_row():
             slv.ic0_factor(A)
         assert str(got.value) == str(want.value)
         assert where in str(got.value)
+
+
+# ------------------------------------------------------- residual history
+
+
+def test_residual_history_is_what_the_loop_compared():
+    A = five_point_2d(15)
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal(A.shape[0])
+    x0 = rng.standard_normal(A.shape[0])
+    tol = 1e-10
+    res = slv.solve(A, b, slv.SolverConfig(tol=tol), x0=x0)
+    r0 = b - A @ x0
+    target = tol * math.sqrt(b @ b)
+    # the start, one recurrence residual per iteration, the true residual
+    assert len(res.residuals) == res.iterations + 2
+    assert res.residuals[0] == math.sqrt(r0 @ r0)
+    assert res.residuals[-1] == res.residual
+    assert res.residuals[-2] <= target
+    assert min(res.residuals[:-2]) > target
+
+
+def test_residual_history_of_a_start_that_already_meets_the_target():
+    A = laplace_1d(30)
+    x = np.linspace(0.0, 1.0, 30)
+    b = A @ x
+    res = slv.solve(A, b, slv.SolverConfig(tol=1e-6), x0=x)
+    assert res.iterations == 0
+    assert res.residuals == [res.residual]
+    assert slv.solve(A, np.zeros(30), x0=x).residuals == [0.0]
+
+
+# ------------------------------------------------------- projected guess
+
+
+def _spd(rng, n):
+    """Dense SPD matrix with condition number up to 1e3, as CSR."""
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    M = Q @ np.diag(10.0 ** rng.uniform(0.0, 3.0, n)) @ Q.T
+    return sp.csr_matrix(0.5 * (M + M.T))
+
+
+def _energy_error(A, x):
+    def err(v):
+        e = v - x
+        return math.sqrt(max(float(e @ (A @ e)), 0.0))
+    return err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 12),
+       k=st.integers(1, 4))
+def test_projected_guess_beats_every_vector_of_its_window(seed, n, k):
+    rng = np.random.default_rng(seed)
+    A = _spd(rng, n)
+    x = rng.standard_normal(n)
+    b = A @ x
+    # earlier "solutions": the answer plus perturbations of mixed sizes
+    window = [x + 10.0 ** rng.uniform(-4.0, 0.0) * rng.standard_normal(n)
+              for _ in range(k)]
+    err = _energy_error(A, x)
+    rivals = list(window)
+    if k >= 2:
+        rivals.append(2.0 * window[-1] - window[-2])  # the secant
+    slack = 1e-9 * err(np.zeros(n))
+    guess = slv.projected_guess(A, b, window)
+    assert err(guess) <= min(err(v) for v in rivals) + slack
+
+    # a repeated and a zero column leave the span and the answer alone
+    degenerate = [window[0], window[0], np.zeros(n)] + window[1:]
+    guess = slv.projected_guess(A, b, degenerate)
+    assert np.all(np.isfinite(guess))
+    assert err(guess) <= min(err(v) for v in rivals) + slack
+
+    # a solution inside the span is recovered
+    V = rng.standard_normal((n, min(k, n - 1)))
+    inside = V @ rng.standard_normal(V.shape[1])
+    b_in = A @ inside
+    guess = slv.projected_guess(A, b_in, list(V.T))
+    assert np.linalg.norm(b_in - A @ guess) <= 1e-10 * np.linalg.norm(b_in)
+
+
+def test_projected_guess_of_an_empty_or_zero_window():
+    A = laplace_1d(6)
+    b = np.ones(6)
+    assert np.array_equal(slv.projected_guess(A, b, []), np.zeros(6))
+    assert np.array_equal(slv.projected_guess(A, b, [np.zeros(6)] * 2),
+                          np.zeros(6))
