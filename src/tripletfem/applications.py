@@ -281,8 +281,7 @@ def _check_topology(step_map, coords, k):
             f"element(s) of the moving region")
 
 
-def motion_sweep(ms, *, config=None, reuse_preconditioner=True,
-                 measure_cold=False, vtk_pattern=None):
+def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
     """Solve every configuration of the sweep on one shared system.
 
     Per step only the moving region's element blocks are recomputed.
@@ -290,11 +289,13 @@ def motion_sweep(ms, *, config=None, reuse_preconditioner=True,
     the new system onto the solutions of the last GUESS_WINDOW steps
     (solver.projected_guess): the point of their span closest to the new
     solution in the energy norm, so never worse there than the previous
-    solution or an extrapolation of the last few. By default the first
-    step's preconditioner is kept. measure_cold additionally runs each
-    step cold (zero start, fresh preconditioner) to expose the
-    iteration counts the guess and the reuse avoid; the extra solve is
-    excluded from the reported wall time.
+    solution or an extrapolation of the last few. The preconditioner
+    built on step 0 serves the whole sweep: with the projected start, a
+    fresh build per step saves at most a few iterations and costs more
+    time than they take, most of all for IC(0). measure_cold
+    additionally runs each step cold (zero start, fresh preconditioner)
+    to expose the iteration counts the guess and the reuse avoid; the
+    extra solve is excluded from the reported wall time.
     """
     spec = ms.base
     if spec.quadrature == "auto" and any(not s.is_affine for s in ms.steps):
@@ -322,7 +323,7 @@ def motion_sweep(ms, *, config=None, reuse_preconditioner=True,
             changed = fem.update_elements(system, tri, moving_set)
         except SingularJacobian as err:
             raise SingularJacobian(f"step {k}: {err}") from None
-        if precond is None or not reuse_preconditioner:
+        if precond is None:
             precond = _solver.build_preconditioner(system.matrix,
                                                    cfg.preconditioner)
         x0 = _solver.projected_guess(system.matrix, system.rhs, window)
@@ -349,15 +350,15 @@ def motion_sweep(ms, *, config=None, reuse_preconditioner=True,
     return results
 
 
-def write_sweep_csv(path, results, zero_wall_time=False):
+def write_sweep_csv(path, results):
     """Sweep log: step, energy, iterations, changed entries, wall time.
 
-    zero_wall_time replaces the timing column with zeros so reruns of a
-    deterministic scenario produce identical bytes.
+    The wall-time column is always 0 so reruns of a deterministic sweep
+    produce identical bytes; the measured time of each step is its
+    SweepStep.wall_time (the CLI report's per-step wall_time).
     """
     with open(path, "w") as f:
         f.write("step,energy,iterations,changed_entries,wall_time\n")
         for r in results:
-            wall = 0.0 if zero_wall_time else r.wall_time
             f.write(f"{r.step},{r.energy:.17g},{r.iterations},"
-                    f"{r.changed_entries},{wall:.17g}\n")
+                    f"{r.changed_entries},0\n")

@@ -47,9 +47,10 @@ scenario commands (the scenario's "mode" must match the command):
   motion             scenario.json [key=value ...] [flags]
   mesh-tools         scenario.json [key=value ...] [flags]
 
-flags: --tol X  --quadrature {auto,one_point,interior}  --seed N
+flags: --tol X  --quadrature {auto,one_point,interior}
 key=value overrides use dotted paths into the scenario, values parsed
-as JSON when possible: solver.tol=1e-8  quadrature=interior
+as JSON when possible: solver.tol=1e-8  quadrature=interior; the flags
+are shorthands for these two and win over them
 
 mesh utilities (no scenario file):
   mesh gen --shape {box,annulus} --div N N --out FILE [options]
@@ -61,7 +62,6 @@ exit codes: 0 ok, 2 validation, 3 numerical failure, 64 unknown command
 
 _SCENARIO_COMMANDS = ("solve", "equivalence-check", "open-boundary",
                       "motion", "mesh-tools")
-_QUADRATURES = ("auto", "one_point", "interior")
 
 
 def _fmt(x):
@@ -181,32 +181,25 @@ def _apply_override(scn, key, raw):
     node[parts[-1]] = value
 
 
+# flag -> the scenario path it overrides
+_FLAGS = {"--tol": "solver.tol", "--quadrature": "quadrature"}
+
+
 def _parse_scenario_args(cmd, args):
-    opts = {"seed": None, "quadrature": None, "tol": None}
+    """Split the arguments into the scenario path and its overrides. A
+    flag is shorthand for its key=value override and is applied after
+    the explicit ones, so it wins; both are validated with the scenario."""
     scenario_path = None
     overrides = []
+    flags = []
     i = 0
     while i < len(args):
         a = args[i]
-        if a in ("--seed", "--quadrature", "--tol"):
+        if a in _FLAGS:
             if i + 1 >= len(args):
                 raise ScenarioError(f"flag {a} needs a value", field=a)
-            raw = args[i + 1]
+            flags.append(f"{_FLAGS[a]}={args[i + 1]}")
             i += 2
-            try:
-                if a == "--seed":
-                    opts["seed"] = int(raw)
-                elif a == "--tol":
-                    opts["tol"] = float(raw)
-                    if not 0.0 < opts["tol"] < 1.0:
-                        raise ValueError
-                else:
-                    if raw not in _QUADRATURES:
-                        raise ValueError
-                    opts["quadrature"] = raw
-            except ValueError:
-                raise ScenarioError(f"bad value {raw!r} for {a}",
-                                    field=a) from None
         elif a.startswith("--"):
             raise ScenarioError(f"unknown flag {a!r}", field=a)
         elif scenario_path is None:
@@ -220,16 +213,7 @@ def _parse_scenario_args(cmd, args):
                 f"unexpected argument {a!r}; overrides look like key=value")
     if scenario_path is None:
         raise ScenarioError(f"{cmd} needs a scenario file")
-    return scenario_path, overrides, opts
-
-
-def _apply_flags(scn, opts):
-    if opts["tol"] is not None:
-        scn.setdefault("solver", {})["tol"] = opts["tol"]
-    if opts["quadrature"] is not None:
-        scn["quadrature"] = opts["quadrature"]
-    if opts["seed"] is not None:
-        scn["seed"] = opts["seed"]
+    return scenario_path, overrides + flags
 
 
 # ------------------------------------------------------- builders
@@ -588,7 +572,6 @@ def _run_motion(scn, ctx):
 
     results = app.motion_sweep(
         ms, config=_solver_config(scn),
-        reuse_preconditioner=cfg.get("reuse_preconditioner", True),
         measure_cold=cfg.get("measure_cold", False),
         vtk_pattern=vtk_pattern)
 
@@ -598,9 +581,7 @@ def _run_motion(scn, ctx):
     written = {}
     if "csv" in outputs:
         path = ctx.path(outputs["csv"])
-        # wall clock varies run to run; zeroing it keeps the file
-        # byte-identical across reruns of the same scenario
-        app.write_sweep_csv(path, results, zero_wall_time=True)
+        app.write_sweep_csv(path, results)
         written["csv"] = path
         print(f"wrote {path}")
     # a step's guess_residual is ||b - A x0|| of its starting vector
@@ -708,7 +689,7 @@ def _print_error(err):
 def run_scenario(cmd, args):
     """One scenario run: parse, validate, execute, report."""
     try:
-        scenario_path, overrides, opts = _parse_scenario_args(cmd, args)
+        scenario_path, overrides = _parse_scenario_args(cmd, args)
     except ScenarioError as err:
         _print_error(err)
         return _exit_code(err)
@@ -720,7 +701,6 @@ def run_scenario(cmd, args):
         for kv in overrides:
             key, _, raw = kv.partition("=")
             _apply_override(scn, key, raw)
-        _apply_flags(scn, opts)
         validate_scenario(scn)
         if scn["mode"] != cmd:
             raise ScenarioError(
@@ -740,8 +720,7 @@ def run_scenario(cmd, args):
         return code
     payload.update({
         "status": "ok", "mode": cmd, "name": scn["name"],
-        "scenario": scenario_path, "seed": scn.get("seed"),
-        "wall_time": time.time() - started})
+        "scenario": scenario_path, "wall_time": time.time() - started})
     _write_report(report_path, payload)
     return 0
 

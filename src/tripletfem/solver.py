@@ -3,11 +3,13 @@ starting guesses and reusable preconditioners.
 
 The iteration is the textbook PCG loop, run strictly sequentially so a
 rerun on identical inputs reproduces every float; every residual norm it
-compares with the target is kept on the result. Preconditioners are
-handles that outlive one solve: the motion driver builds one on an early
-step and keeps applying it while the matrix drifts. For a sequence of
-related systems, projected_guess starts each solve from the Galerkin
-projection onto earlier solutions (Fischer, CMAME 163, 1998).
+compares with the target is kept on the result. A solve either returns
+a result that meets the target or raises MaxIterExceeded. Preconditioners
+are handles that outlive one solve: the motion driver builds one on its
+first step and applies it for the whole sweep while the matrix drifts.
+For a sequence of related systems, projected_guess starts each solve
+from the Galerkin projection onto earlier solutions (Fischer, CMAME 163,
+1998).
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ class SolveResult:
     x: np.ndarray
     iterations: int
     residual: float
-    converged: bool
     preconditioner: "Preconditioner"
     residuals: list
 
@@ -204,8 +205,7 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
     norm_b = math.sqrt(b @ b)
     if norm_b == 0.0:
         return SolveResult(x=np.zeros(n), iterations=0, residual=0.0,
-                           converged=True, preconditioner=prec,
-                           residuals=[0.0])
+                           preconditioner=prec, residuals=[0.0])
     target = config.tol * norm_b
 
     r = b - A @ x
@@ -213,8 +213,7 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
     history = [res]
     if res <= target:
         return SolveResult(x=x, iterations=0, residual=res,
-                           converged=True, preconditioner=prec,
-                           residuals=history)
+                           preconditioner=prec, residuals=history)
 
     z = prec.apply(r)
     p = z.copy()
@@ -238,8 +237,7 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
             history.append(true_res)
             if true_res <= target:
                 return SolveResult(x=x, iterations=it, residual=true_res,
-                                   converged=True, preconditioner=prec,
-                                   residuals=history)
+                                   preconditioner=prec, residuals=history)
             # recurrence drifted: continue from the true residual
             r = true_r
             res = true_res

@@ -220,8 +220,7 @@ def test_capacitor_sweep_law_updates_and_warm_starts():
     steps = [gap_stretch(s) for s in s_values]
     ms = app.MotionSweep(base=spec, moving_region="gap", steps=steps)
     cfg = SolverConfig(tol=1e-7, preconditioner="ic0")
-    results = app.motion_sweep(ms, config=cfg, reuse_preconditioner=False,
-                               measure_cold=True)
+    results = app.motion_sweep(ms, config=cfg, measure_cold=True)
 
     gates = {0: 1.0, 50: 1.25, 100: 1.5, 200: 2.0}
     law_dev = max(abs(results[k].energy * d - 1.0)

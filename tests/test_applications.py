@@ -478,7 +478,7 @@ def test_sweep_csv_format(tmp_path):
                          steps=[gap_stretch(s) for s in (1.0, 1.5)])
     results = app.motion_sweep(ms)
     path = tmp_path / "sweep.csv"
-    app.write_sweep_csv(path, results, zero_wall_time=True)
+    app.write_sweep_csv(path, results)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,energy,iterations,changed_entries,wall_time"
     assert len(lines) == 3

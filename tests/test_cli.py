@@ -201,10 +201,24 @@ def test_missing_mesh_file_is_validation(tmp_path):
     assert report_of(path)["error"]["field"] == "mesh.file"
 
 
-def test_bad_flag_value_is_validation(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value, field", [
+    ("--tol", "fast", "solver.tol"),
+    ("--quadrature", "bogus", "quadrature"),
+], ids=["tol", "quadrature"])
+def test_bad_flag_value_is_validation(tmp_path, capsys, flag, value, field):
     path = write_scenario(tmp_path, square_solve_scenario())
-    assert cli.main(["solve", path, "--tol", "fast"]) == 2
-    assert "--tol" in capsys.readouterr().err
+    assert cli.main(["solve", path, flag, value]) == 2
+    assert f"(field {field})" in capsys.readouterr().err
+    rep = report_of(path)
+    assert rep["exit_code"] == 2
+    assert rep["error"]["field"] == field
+
+
+def test_flags_win_over_key_value_overrides(tmp_path):
+    path = write_scenario(tmp_path, square_solve_scenario())
+    assert cli.main(["solve", path, "--tol", "1e-8", "solver.tol=fast",
+                     "--quadrature", "interior", "quadrature=bogus"]) == 0
+    assert report_of(path)["status"] == "ok"
 
 
 def test_override_is_revalidated(tmp_path):
@@ -347,14 +361,6 @@ def test_report_shows_an_ic0_fallback(tmp_path, monkeypatch):
         "requested": "ic0", "built": "jacobi", "fallback": True,
         "note": "incomplete Cholesky pivot -1.000e+00 at row 0"}
     assert rep["energy"] == pytest.approx(1.0, rel=1e-12)
-
-
-def test_seed_recorded_in_report(tmp_path):
-    path = write_scenario(tmp_path, square_solve_scenario())
-    rc = cli.main(["solve", path, "--seed", "7"])
-    assert rc == 0
-    rep = report_of(path)
-    assert rep["seed"] == 7
 
 
 def test_by_region_metric_with_default_solves(tmp_path):
@@ -552,6 +558,22 @@ def test_motion_report_shows_each_steps_guess_residual(tmp_path):
     # on this sweep u = A + B/d, so two earlier solutions span step 2's
     assert 0.0 < guesses[1] < guesses[0]
     assert guesses[2] <= 1e-8 * guesses[0]
+
+
+@pytest.mark.parametrize("section, key, value, field", [
+    ("motion", "reuse_preconditioner", False, "motion"),
+    (None, "seed", 7, "(top level)"),
+], ids=["reuse_preconditioner", "seed"])
+def test_removed_scenario_keys_are_rejected(tmp_path, section, key, value,
+                                            field):
+    scn = motion_scenario()
+    (scn[section] if section else scn)[key] = value
+    path = write_scenario(tmp_path, scn)
+    assert cli.main(["motion", path]) == 2
+    rep = report_of(path)
+    assert rep["exit_code"] == 2
+    assert rep["error"]["field"] == field
+    assert key in rep["error"]["message"]
 
 
 def test_motion_vtk_needs_step_placeholder(tmp_path):

@@ -49,7 +49,7 @@ def test_residual_target_met():
     b = rng.standard_normal(50)
     cfg = slv.SolverConfig(tol=1e-12)
     res = slv.solve(A, b, cfg)
-    assert res.converged
+    assert res.residual <= cfg.tol * np.linalg.norm(b)
     assert np.linalg.norm(b - A @ res.x) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -59,7 +59,7 @@ def test_warm_start_with_exact_solution():
     b = A @ x_exact
     res = slv.solve(A, b, x0=x_exact)
     assert res.iterations <= 1
-    assert res.converged
+    assert res.residual <= slv.SolverConfig().tol * np.linalg.norm(b)
 
 
 def test_default_iteration_budget_is_ten_times_dof():
@@ -119,7 +119,7 @@ def test_ic0_breakdown_falls_back_to_jacobi():
     assert prec.kind == "jacobi"
     assert "pivot" in prec.note and "row 3" in prec.note
     res = slv.solve(As, np.ones(4), preconditioner=prec)
-    assert res.converged
+    assert res.residual <= slv.SolverConfig().tol * np.linalg.norm(np.ones(4))
 
 
 def test_ic0_accelerates_cg():
@@ -304,7 +304,7 @@ def test_pcg_bits_match_reference_loop(name, kind):
     tol = 1e-10
     res = slv.solve(A, b, slv.SolverConfig(tol=tol), preconditioner=prec)
     x_ref, it_ref, res_ref = _pcg_reference(A, b, tol, prec)
-    assert res.converged
+    assert res.residual <= tol * np.linalg.norm(b)
     assert np.array_equal(res.x, x_ref)
     assert res.iterations == it_ref
     assert res.residual == res_ref
