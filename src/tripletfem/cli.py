@@ -17,15 +17,18 @@ significant digits so reruns of the same scenario are byte-comparable.
 
 import argparse
 import contextlib
+import importlib.metadata
 import json
 import math
 import os
+import platform
 import sys
 import time
 from importlib import resources
 
 import jsonschema
 import numpy as np
+import scipy
 
 from . import applications as app
 from . import fem
@@ -33,6 +36,7 @@ from . import geometry as geo
 from . import mesh as mesh_mod
 from . import solver as solver_mod
 from . import triplet as tp
+from . import __version__
 from .atlas import Atlas, AtlasRegion
 from .errors import (DegenerateElement, MaxIterExceeded, ScenarioError,
                      TripletFemError, UnknownTag)
@@ -188,7 +192,11 @@ _FLAGS = {"--tol": "solver.tol", "--quadrature": "quadrature"}
 def _parse_scenario_args(cmd, args):
     """Split the arguments into the scenario path and its overrides. A
     flag is shorthand for its key=value override and is applied after
-    the explicit ones, so it wins; both are validated with the scenario."""
+    the explicit ones, so it wins; both are validated with the scenario.
+
+    Returns (scenario_path, overrides, error). Parsing stops at the first
+    bad argument, which comes back as a ScenarioError with the path as
+    far as it was read (None when no path came before it)."""
     scenario_path = None
     overrides = []
     flags = []
@@ -197,11 +205,13 @@ def _parse_scenario_args(cmd, args):
         a = args[i]
         if a in _FLAGS:
             if i + 1 >= len(args):
-                raise ScenarioError(f"flag {a} needs a value", field=a)
+                return scenario_path, [], ScenarioError(
+                    f"flag {a} needs a value", field=a)
             flags.append(f"{_FLAGS[a]}={args[i + 1]}")
             i += 2
         elif a.startswith("--"):
-            raise ScenarioError(f"unknown flag {a!r}", field=a)
+            return scenario_path, [], ScenarioError(
+                f"unknown flag {a!r}", field=a)
         elif scenario_path is None:
             scenario_path = a
             i += 1
@@ -209,11 +219,11 @@ def _parse_scenario_args(cmd, args):
             overrides.append(a)
             i += 1
         else:
-            raise ScenarioError(
+            return scenario_path, [], ScenarioError(
                 f"unexpected argument {a!r}; overrides look like key=value")
     if scenario_path is None:
-        raise ScenarioError(f"{cmd} needs a scenario file")
-    return scenario_path, overrides + flags
+        return None, [], ScenarioError(f"{cmd} needs a scenario file")
+    return scenario_path, overrides + flags, None
 
 
 # ------------------------------------------------------- builders
@@ -646,7 +656,17 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
+def _versions():
+    return {"python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "jsonschema": importlib.metadata.version("jsonschema"),
+            "tripletfem": __version__}
+
+
 def _write_report(path, payload):
+    """Write the payload as JSON, with the versions every report carries."""
+    payload = dict(payload, versions=_versions())
     try:
         with open(path, "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2, sort_keys=True,
@@ -688,15 +708,16 @@ def _print_error(err):
 
 def run_scenario(cmd, args):
     """One scenario run: parse, validate, execute, report."""
-    try:
-        scenario_path, overrides = _parse_scenario_args(cmd, args)
-    except ScenarioError as err:
-        _print_error(err)
-        return _exit_code(err)
+    scenario_path, overrides, bad_args = _parse_scenario_args(cmd, args)
+    if scenario_path is None:
+        _print_error(bad_args)
+        return _exit_code(bad_args)
     report_path = scenario_path + ".report.json"
     started = time.time()
     scn = None
     try:
+        if bad_args is not None:
+            raise bad_args
         scn = _load_scenario(scenario_path)
         for kv in overrides:
             key, _, raw = kv.partition("=")

@@ -45,6 +45,44 @@ def _eye_like(points):
 # ----------------------------------------------------------- small matrices
 
 
+# Matrices per pass of matmul's entry loops.
+_MATMUL_CHUNK = 4096
+
+
+def matmul(A, B):
+    """Products of stacks of square matrices, broadcast like A @ B.
+
+    For 2x2 stacks each entry is the sum of its two elementwise products;
+    other sizes go through @.
+
+    The closed form rounds differently from @. numpy's @ goes through
+    BLAS, which may fuse a multiply and an add into one rounding; here
+    both products are rounded before they are added. Neither is the more
+    accurate. The two agree bit for bit wherever an entry has at most one
+    nonzero product (diagonal or permutation factors, isotropic materials)
+    and may differ in the last bits where it has two.
+    """
+    A = np.asarray(A)
+    B = np.asarray(B)
+    if A.shape[-2:] != (2, 2) or B.shape[-2:] != (2, 2):
+        return A @ B
+    shape = np.broadcast_shapes(A.shape, B.shape)
+    out = np.empty(shape, dtype=np.result_type(A, B))
+    # one flat stack, taken in chunks whose operands stay in cache
+    A = np.broadcast_to(A, shape).reshape(-1, 2, 2)
+    B = np.broadcast_to(B, shape).reshape(-1, 2, 2)
+    flat = out.reshape(-1, 2, 2)
+    for lo in range(0, flat.shape[0], _MATMUL_CHUNK):
+        c = slice(lo, lo + _MATMUL_CHUNK)
+        a, b = A[c], B[c]
+        for i in range(2):
+            for j in range(2):
+                entry = flat[c, i, j]
+                np.multiply(a[:, i, 0], b[:, 0, j], out=entry)
+                entry += a[:, i, 1] * b[:, 1, j]
+    return out
+
+
 def det(M):
     """Determinants of a stack of square matrices, shape (..., n, n).
 
@@ -64,28 +102,32 @@ def det(M):
 def inv(M):
     """Inverses of a stack of square matrices, shape (..., n, n).
 
-    2x2 and 3x3 stacks use the adjugate over the determinant; other sizes
-    go through LAPACK. Raises np.linalg.LinAlgError when a determinant is
-    exactly zero, as LAPACK does on a zero pivot.
+    2x2 and 3x3 stacks divide the adjugate by the determinant, entry by
+    entry into one output; other sizes go through LAPACK. Raises
+    np.linalg.LinAlgError when a determinant is exactly zero, as LAPACK
+    does on a zero pivot.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[-1]
     if n == 2:
         a, b = M[..., 0, 0], M[..., 0, 1]
         c, d = M[..., 1, 0], M[..., 1, 1]
-        adj = np.stack([d, -b, -c, a], axis=-1).reshape(M.shape)
         dets = a * d - b * c
+        adj = {(0, 0): d, (0, 1): -b, (1, 0): -c, (1, 1): a}
     elif n == 3:
         r0, r1, r2 = M[..., 0, :], M[..., 1, :], M[..., 2, :]
         # the adjugate's columns are the cross products of row pairs
-        adj = np.stack([np.cross(r1, r2), np.cross(r2, r0),
-                        np.cross(r0, r1)], axis=-1)
-        dets = np.sum(r0 * adj[..., 0], axis=-1)
+        cols = (np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1))
+        dets = np.sum(r0 * cols[0], axis=-1)
+        adj = {(i, j): cols[j][..., i] for i in range(3) for j in range(3)}
     else:
         return np.linalg.inv(M)
     if np.any(dets == 0.0):
         raise np.linalg.LinAlgError("Singular matrix")
-    return adj / dets[..., None, None]
+    out = np.empty(M.shape)
+    for (i, j), entry in adj.items():
+        np.divide(entry, dets, out=out[..., i, j])
+    return out
 
 
 # ------------------------------------------------------------------ domains
@@ -693,7 +735,7 @@ class Composite(ChartMap):
         J = self.members[0].jacobian(p)
         x = self.members[0].forward(p)
         for m in self.members[1:]:
-            J = m.jacobian(x) @ J
+            J = matmul(m.jacobian(x), J)
             x = m.forward(x)
         return J
 

@@ -79,8 +79,9 @@ def transform_material(eps_i, S_i, S_j, J):
     eps_i = material_matrix(eps_i, n)
     S_i = _as_square(S_i, "S_i")
     S_j = _as_square(S_j, "S_j")
+    mm = geometry.matmul
     Jt = np.swapaxes(J, -1, -2)
-    out = J @ eps_i @ geometry.inv(S_i) @ Jt @ S_j
+    out = mm(mm(mm(mm(J, eps_i), geometry.inv(S_i)), Jt), S_j)
     return out / det[..., None, None]
 
 
@@ -92,7 +93,8 @@ def transform_material_euclidean(eps_f, J):
     det = _abs_det(J)
     eps_f = material_matrix(eps_f, n)
     Jt = np.swapaxes(J, -1, -2)
-    return (J @ eps_f @ Jt) / det[..., None, None]
+    out = geometry.matmul(geometry.matmul(J, eps_f), Jt)
+    return out / det[..., None, None]
 
 
 def metric_for_motion(J):
@@ -106,7 +108,7 @@ def metric_for_motion(J):
     J = _as_square(J, "J")
     det = _abs_det(J)
     Jinv = geometry.inv(J)
-    S = np.swapaxes(Jinv, -1, -2) @ Jinv
+    S = geometry.matmul(np.swapaxes(Jinv, -1, -2), Jinv)
     return S * det[..., None, None]
 
 
@@ -169,7 +171,7 @@ def effective_coefficient(eps, S):
     S = _as_square(S, "S")
     n = S.shape[-1]
     eps = material_matrix(eps, n)
-    K = eps @ geometry.inv(S)
+    K = geometry.matmul(eps, geometry.inv(S))
     Kt = np.swapaxes(K, -1, -2)
     asym = np.sqrt(np.sum((K - Kt) ** 2, axis=(-2, -1)))
     norm = np.sqrt(np.sum(K * K, axis=(-2, -1)))
@@ -254,10 +256,16 @@ class Triplet:
     material: MaterialField
 
     def effective_at(self, points, region=None):
-        """Galerkin coefficient K = eps S^-1 at the given points."""
+        """Galerkin coefficient K = eps S^-1 at the given points. Where
+        material and metric are both constant on the region, K is computed
+        once and broadcast over the points."""
         eps = self.material.eval(points, region)
         S = self.metric.eval(points, region)
-        return effective_coefficient(eps, S)
+        eps_c = self.material.is_constant(region)
+        S_c = self.metric.constant_matrix(region)
+        if eps_c is None or S_c is None:
+            return effective_coefficient(eps, S)
+        return np.broadcast_to(effective_coefficient(eps_c, S_c), eps.shape)
 
 
 @dataclass(frozen=True)
@@ -313,7 +321,8 @@ def verify_material_equivalence(t_i, t_j, samples, region=None):
     samples = np.asarray(samples, dtype=float)
     x_i = t_i.chart.forward(samples)
     x_j = t_j.chart.forward(samples)
-    J = t_j.chart.jacobian(samples) @ geometry.inv(t_i.chart.jacobian(samples))
+    J = geometry.matmul(t_j.chart.jacobian(samples),
+                        geometry.inv(t_i.chart.jacobian(samples)))
     expected = transform_material(
         t_i.material.eval(x_i, region),
         t_i.metric.eval(x_i, region),

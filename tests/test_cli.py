@@ -214,6 +214,50 @@ def test_bad_flag_value_is_validation(tmp_path, capsys, flag, value, field):
     assert rep["error"]["field"] == field
 
 
+@pytest.mark.parametrize("extra, field", [
+    (["--tol"], "--tol"),
+    (["--seed", "3"], "--seed"),
+    (["stray"], None),
+], ids=["flag-without-value", "unknown-flag", "stray-argument"])
+def test_bad_argument_after_the_scenario_writes_a_report(tmp_path, extra,
+                                                         field):
+    path = write_scenario(tmp_path, square_solve_scenario())
+    assert cli.main(["solve", path] + extra) == 2
+    rep = report_of(path)
+    assert rep["status"] == "error"
+    assert rep["exit_code"] == 2
+    assert rep["error"]["type"] == "ScenarioError"
+    assert rep["error"].get("field") == field
+
+
+def test_bad_argument_without_a_scenario_writes_no_report(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["solve", "--tol"]) == 2
+    assert cli.main(["solve"]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("break_it", [False, True], ids=["ok", "error"])
+def test_every_report_carries_the_versions(tmp_path, break_it):
+    import importlib.metadata
+    import platform
+
+    import scipy
+
+    import tripletfem
+    path = write_scenario(tmp_path, square_solve_scenario())
+    extra = ["quadrature=bogus"] if break_it else []
+    assert cli.main(["solve", path] + extra) == (2 if break_it else 0)
+    assert report_of(path)["versions"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "jsonschema": importlib.metadata.version("jsonschema"),
+        "tripletfem": tripletfem.__version__,
+    }
+
+
 def test_flags_win_over_key_value_overrides(tmp_path):
     path = write_scenario(tmp_path, square_solve_scenario())
     assert cli.main(["solve", path, "--tol", "1e-8", "solver.tol=fast",

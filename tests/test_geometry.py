@@ -419,6 +419,58 @@ def test_a_singular_matrix_in_the_stack_raises(n):
         geo.inv(M)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("shape", [(), (40,), (7, 6), (3, 3000)])
+def test_matmul_matches_numpy(n, shape):
+    # (3, 3000) spans more than one of matmul's chunks
+    rng = np.random.default_rng(100 * n + len(shape))
+    A = rng.standard_normal(shape + (n, n))
+    B = rng.standard_normal(shape + (n, n))
+    C = rng.standard_normal((n, n))
+    # one matrix against a stack, on either side, and a broadcast stack
+    pairs = [(A, B), (C, B), (A, C)]
+    if len(shape) == 2:
+        pairs.append((A[:, :1], B[:1]))
+    for X, Y in pairs:
+        got = geo.matmul(X, Y)
+        ref = np.matmul(X, Y)
+        assert got.shape == ref.shape
+        bound = 4 * n * np.finfo(float).eps * (np.abs(X) @ np.abs(Y))
+        assert np.all(np.abs(got - ref) <= bound)
+
+
+def test_matmul_rounds_each_product():
+    # x * x rounds to x2; a fused x * x - x2 would give 2^-60
+    x = 1.0 + 2.0 ** -30
+    x2 = x * x
+    A = np.array([[x, 1.0], [0.0, 0.0]])
+    B = np.array([[x, 0.0], [-x2, 0.0]])
+    assert geo.matmul(A, B)[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_matmul_of_larger_matrices_is_numpys(n):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((5, 3, n, n))
+    B = rng.standard_normal((n, n))
+    assert np.array_equal(geo.matmul(A, B), A @ B)
+    assert np.array_equal(geo.matmul(B, A), B @ A)
+    At = np.swapaxes(A, -1, -2)
+    assert np.array_equal(geo.matmul(At, A), At @ A)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_matmul_is_numpys_where_every_entry_has_one_term(n):
+    rng = np.random.default_rng(n)
+    full = rng.standard_normal((50, n, n))
+    diag = np.zeros((50, n, n))
+    diag[:, range(n), range(n)] = rng.standard_normal((50, n))
+    perm = np.eye(n)[rng.permutation(n)] * rng.standard_normal(n)
+    for X, Y in ((diag, full), (full, diag), (perm, full), (full, perm),
+                 (diag, diag)):
+        assert np.array_equal(geo.matmul(X, Y), X @ Y)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]),
        log_cond=st.floats(0.0, np.log(1e3)),

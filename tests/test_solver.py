@@ -426,6 +426,29 @@ def test_residual_history_is_what_the_loop_compared():
     assert min(res.residuals[:-2]) > target
 
 
+def test_a_drifted_recurrence_restarts_from_the_true_residual():
+    # ill-conditioned dense SPD system (cond 1e6 to 1e12) without a
+    # preconditioner: the recurrence residual meets the target before
+    # the true residual does, and the loop carries on from the latter
+    rng = np.random.default_rng(23)
+    n = int(rng.integers(20, 120))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    ev = np.logspace(0.0, rng.uniform(6.0, 12.0), n)
+    A = (Q * ev) @ Q.T
+    A = sp.csr_matrix(0.5 * (A + A.T))
+    b = rng.standard_normal(n)
+    tol = 1e-10
+    res = slv.solve(A, b, slv.SolverConfig(tol=tol, preconditioner="none",
+                                           max_iter=20 * n))
+    target = tol * math.sqrt(b @ b)
+    h = res.residuals
+    assert any(h[i] <= target < h[i + 1] for i in range(len(h) - 1))
+    r = b - A @ res.x
+    assert res.residual <= target
+    assert res.residual == math.sqrt(r @ r)
+    assert res.residual == h[-1]
+
+
 def test_residual_history_of_a_start_that_already_meets_the_target():
     A = laplace_1d(30)
     x = np.linspace(0.0, 1.0, 30)

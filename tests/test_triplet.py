@@ -329,3 +329,43 @@ def test_triplet_effective_at():
                    tp.MaterialField.uniform(1.0, 2))
     K = t.effective_at(np.zeros((1, 2)))[0]
     assert np.allclose(K, np.diag([0.5, 0.25]))
+
+
+def test_motion_coefficients_of_a_band_stretch_keep_their_bits():
+    # AxisPiecewiseLinear Jacobians are diagonal and the material is
+    # isotropic, so every product entry has one nonzero term and the
+    # closed-form products give the bits of numpy's @
+    chart = geo.AxisPiecewiseLinear(1, (0.0, 0.5, 1.0), (0.0, 0.5, 1.7))
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(0.0, 1.0, (300, 3, 2))
+    J = tp.inverse_jacobian(chart, pts)
+    Jinv = geo.inv(J)
+    S_ref = (np.swapaxes(Jinv, -1, -2) @ Jinv) \
+        * np.abs(geo.det(J))[..., None, None]
+    S = tp.metric_for_motion(J)
+    assert np.array_equal(S, S_ref)
+    eps = tp.MaterialField.uniform(2.5, 2).eval(pts)
+    K_ref = eps @ geo.inv(S_ref)
+    K_ref = 0.5 * (K_ref + np.swapaxes(K_ref, -1, -2))
+    assert np.array_equal(tp.effective_coefficient(eps, S), K_ref)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_constant_effective_at_is_the_pointwise_coefficient(n):
+    # full matrices sharing their eigenvectors, so eps S^-1 is symmetric
+    # while every product entry sums n nonzero terms
+    rng = np.random.default_rng(30 + n)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eps = (Q * rng.uniform(1.0, 3.0, n)) @ Q.T
+    S = (Q * rng.uniform(1.0, 3.0, n)) @ Q.T
+    t = tp.Triplet(geo.Identity(n), geo.MetricField(n, constant=S),
+                   tp.MaterialField.uniform(eps, n))
+    pts = rng.uniform(-1.0, 1.0, (6, 4, n))
+    K = t.effective_at(pts)
+    assert K.shape == (6, 4, n, n)
+    for idx in np.ndindex(6, 4):
+        p = pts[idx]
+        want = tp.effective_coefficient(t.material.eval(p), t.metric.eval(p))
+        assert np.array_equal(K[idx], want)
+    with pytest.raises(DimensionMismatch):
+        t.effective_at(np.zeros((5, n + 1)))
