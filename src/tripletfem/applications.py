@@ -67,7 +67,7 @@ def _contained_in_disc(region, center, radius):
             return False
         offset = float(np.linalg.norm(region.center - center))
         return offset + region.rmax <= radius * (1.0 + 1e-12)
-    return False  # half spaces and full space are unbounded
+    return False  # full space is unbounded
 
 
 def _require_euclidean_exterior(metric, center, a, dim):

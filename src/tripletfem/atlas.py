@@ -11,9 +11,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InterfaceMismatch
-from .mesh import DEDUP_RTOL, number_components
+
+# node matching tolerance relative to the bounding-box diagonal
+DEDUP_RTOL = 1e-9
+
+
+def number_components(n, pairs):
+    """Glue n nodes along the given index pairs. Returns each node's
+    component number and each component's lowest node; components are
+    numbered in order of their lowest node."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    _, lowest, inverse = np.unique(labels, return_index=True,
+                                   return_inverse=True)
+    lowest, number = np.unique(lowest[inverse], return_inverse=True)
+    return number, lowest
 
 
 @dataclass(frozen=True)

@@ -482,7 +482,7 @@ def _run_equivalence(scn, ctx):
     comp = fem.compare_matrices(systems[0].full_matrix,
                                 systems[1].full_matrix)
 
-    centroids = base.nodes[base.elements].mean(axis=1)
+    centroids = base.centroids()
     material_dev = 0.0
     for tag in base.regions():
         ids = base.elements_in_regions([tag])

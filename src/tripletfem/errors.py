@@ -41,7 +41,8 @@ class AsymmetricCoefficient(TripletFemError):
 # -------------------------------------------------------------------- mesh
 
 class DegenerateShape(TripletFemError):
-    """A requested shape has zero or negative extent."""
+    """A requested shape has zero or negative extent, or a mesh node a
+    non-finite coordinate."""
 
 
 class DegenerateElement(TripletFemError):

@@ -10,8 +10,10 @@ Assembly writes every element block into a fixed slice of one flat
 buffer (element index order, row-major within the block) and sums the
 buffer into CSR with scipy's COO to CSR conversion. A partial update
 replaces the blocks of a subset of elements and replays that sum,
-recorded and checked once per system (_CsrSum), so it gives
-bit-identical results to a full reassembly with the same inputs.
+recorded and checked once per system (_CsrSum): one np.bincount over
+the buffer in scipy's summation order adds each matrix entry's terms in
+the order scipy does, so it gives bit-identical results to a full
+reassembly with the same inputs.
 """
 
 from dataclasses import dataclass
@@ -25,15 +27,12 @@ from .atlas import Atlas, build_global_index
 from .errors import (DegenerateElement, DimensionMismatch, TripletFemError,
                      UnknownTag)
 from .geometry import MetricField
-from .mesh import Mesh
-from .triplet import (FieldVector, Triplet, effective_coefficient,
-                      material_matrix, pull_back)
+from .mesh import _VOLUME_FACTOR, Mesh
+from .triplet import Triplet, effective_coefficient, material_matrix, pull_back
 
 # Relative Frobenius bound the assembled matrix must meet against its
 # own transpose. Blocks are symmetrized, so in practice this is exact.
 ASSEMBLY_SYMMETRY_RTOL = 1e-14
-
-_VOL_FACTOR = {2: 0.5, 3: 1.0 / 6.0}
 
 
 def _frozen(a):
@@ -173,7 +172,7 @@ def _decide_rule(spec, patch, tag):
     if spec.quadrature != "auto":
         return spec.quadrature
     t = spec.triplet
-    constant = (t.material.is_constant(tag) is not None
+    constant = (t.material.constant_matrix(tag) is not None
                 and t.metric.constant_matrix(tag) is not None)
     affine = t.chart.is_affine
     if patch.chart is not None:
@@ -186,13 +185,9 @@ def _decide_rule(spec, patch, tag):
 
 
 def _p1_gradients(coords):
-    """Constant basis gradients per element, shape (E, d+1, d)."""
+    """Constant basis gradients per element, shape (E, d+1, d). Mesh has
+    already refused non-finite nodes and zero volumes."""
     edges = coords[:, 1:, :] - coords[:, :1, :]
-    dets = np.linalg.det(edges)
-    bad = np.flatnonzero(~(np.abs(dets) > 0.0))
-    if bad.size:
-        raise DegenerateElement(
-            f"element {int(bad[0])}: zero volume, gradients undefined")
     inv = np.linalg.inv(np.swapaxes(edges, 1, 2))
     grads = np.empty(coords.shape[:1] + (coords.shape[1], coords.shape[2]))
     grads[:, 1:, :] = inv
@@ -481,47 +476,45 @@ class _CsrSum:
     row's columns (csr_sort_indices) and adds each run of equal columns
     left to right (csr_sum_duplicates). The sort compares columns only,
     so running scipy's own sort_indices with buffer positions as the
-    data applies the permutation it applies to values. Every CSR slot
-    then has its buffer positions in summation order; a replay gathers
-    each slot's first term and adds one vectorized pass per further
-    rank, the same additions in the same order. The reduced matrix, the
-    lift block and the transpose are fixed sets of slots.
+    data applies the permutation it applies to values. The record holds
+    the buffer positions in summation order (pos) and the CSR slot each
+    one adds into (slot, nondecreasing). A replay is one np.bincount over
+    slot with the gathered data as weights: it adds each slot's terms
+    left to right, the same additions in the same order. The reduced
+    matrix, the lift block and the transpose are fixed sets of slots.
     """
 
     def __init__(self, system):
-        n = system.n_dofs
-        rows, cols = system._buffer_coords()
-        size = rows.size
+        n, k = system.n_dofs, system._k
+        block_rows = system.element_dofs.ravel()
+        size = block_rows.size * k
         idx = np.int32 if size < 2 ** 31 else np.int64
-        order = np.argsort(rows, kind="stable")
+        # the k buffer entries of a block row share its dof, so the stable
+        # row layout of the buffer is that of the block rows, expanded
+        by_row = np.argsort(block_rows, kind="stable")
+        order = (by_row[:, None] * k + np.arange(k)).ravel()
         indptr = np.zeros(n + 1, dtype=idx)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        laid = sp.csr_matrix((order.astype(float), cols[order], indptr),
-                             shape=(n, n))
-        del rows, cols, order
+        np.cumsum(np.bincount(block_rows, minlength=n) * k, out=indptr[1:])
+        laid = sp.csr_matrix((order.astype(float),
+                              system.element_dofs[by_row // k].ravel(),
+                              indptr), shape=(n, n))
+        del by_row, order
         laid.sort_indices()
-        pos = laid.data.astype(idx)  # buffer positions in summation order
+        self.pos = laid.data.astype(idx)  # buffer positions, summation order
         col = laid.indices
         opens = np.ones(size, dtype=bool)  # entry opens a new slot
         np.not_equal(col[1:], col[:-1], out=opens[1:])
         heads = laid.indptr[:-1]
         opens[heads[heads < size]] = True
-        first = np.flatnonzero(opens)
-        count = np.diff(first, append=size)
         opened = np.concatenate(([0], np.cumsum(opens)))
-        del opens
         self.shape = (n, n)
-        self.indices = col[first].astype(idx)
+        self.indices = col[opens].astype(idx)
         self.indptr = opened[laid.indptr].astype(idx)
+        self.slot = opened[1:] - 1
         self.slot_of = np.empty(size, dtype=idx)
-        self.slot_of[pos] = opened[1:] - 1
-        del laid, col, opened
-        # slots by falling term count, so rank r's slots are a prefix
-        self.order = np.argsort(-count, kind="stable").astype(idx)
-        self.ranks = [pos[first[self.order[:np.count_nonzero(count > r)]] + r]
-                      for r in range(count.max(initial=0))]
-        nnz = first.size
-        del pos, first, count
+        self.slot_of[self.pos] = self.slot
+        del laid, col, opens, opened
+        nnz = self.indices.size
 
         slot_ids = sp.csr_matrix((np.arange(1.0, nnz + 1), self.indices,
                                   self.indptr), shape=self.shape)
@@ -556,12 +549,8 @@ class _CsrSum:
 
     def sum(self, data):
         """The CSR data tocsr makes of the block buffer data."""
-        acc = data[self.ranks[0]]
-        for terms in self.ranks[1:]:
-            acc[:terms.size] += data[terms]
-        out = np.empty_like(acc)
-        out[self.order] = acc
-        return out
+        return np.bincount(self.slot, weights=data[self.pos],
+                           minlength=self.indices.size)
 
     def count(self, positions):
         """Number of slots the given buffer positions add into."""
@@ -602,10 +591,10 @@ def update_elements(system, triplet, element_ids):
     rules stay as frozen at assembly. All other element blocks keep
     their exact bits, and the rebuilt matrices are entrywise identical
     to a full reassembly under the new triplet: the first update records
-    how assembly's COO to CSR conversion sums the block buffer, checks
-    the record against the matrices it holds, and every update replays
-    it. Returns the number of matrix entries that one or more changed
-    blocks contribute to.
+    the order in which assembly's COO to CSR conversion sums the block
+    buffer, checks the record against the matrices it holds, and every
+    update replays it as one np.bincount. Returns the number of matrix
+    entries that one or more changed blocks contribute to.
     """
     elements = element_ids if isinstance(element_ids, ElementSet) \
         else ElementSet(system, element_ids)
@@ -644,7 +633,7 @@ def local_stiffness(nodes, K, quadrature="one_point"):
     if not np.isfinite(det) or abs(det) <= 1e-300:
         raise DegenerateElement(
             f"simplex with nodes {nodes.tolist()} has zero volume")
-    vol = abs(det) * _VOL_FACTOR[dim]
+    vol = abs(det) * _VOLUME_FACTOR[dim]
     inv = np.linalg.inv(edges.T)
     grads = np.empty((dim + 1, dim))
     grads[1:] = inv
@@ -729,19 +718,6 @@ def energy(sol, spec=None):
     if spec is not None and spec is not system.spec:
         system = assemble(spec)
     return system.energy_of(sol.u)
-
-
-def element_field(sol, element_id):
-    """Field vector of one element, metric taken at its centroid."""
-    e = int(element_id)
-    if not 0 <= e < sol.system.n_elements:
-        raise IndexError(f"element {e} out of range "
-                         f"[0, {sol.system.n_elements})")
-    centroid = sol.system.coords[e].mean(axis=0)
-    patch = sol.system.patches[sol.system.patch_of[e]]
-    label = "" if patch.region_id is None else str(patch.region_id)
-    return FieldVector(components=sol.fields[e].copy(), at=centroid,
-                       chart_label=label)
 
 
 # ------------------------------------------------------------- comparison

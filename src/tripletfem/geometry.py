@@ -208,27 +208,6 @@ class Annulus(Domain):
         return f"Annulus({self.center.tolist()}, {self.rmin}, {self.rmax})"
 
 
-class HalfSpace(Domain):
-    """{x : normal . x <= offset}, with the normal normalized to unit length."""
-
-    def __init__(self, normal, offset):
-        normal = np.atleast_1d(np.asarray(normal, dtype=float))
-        length = np.linalg.norm(normal)
-        if length == 0.0:
-            raise ValueError("half-space normal must be nonzero")
-        self.normal = normal / length
-        self.offset = float(offset) / length
-        self.dim = self.normal.size
-        self.scale = max(abs(self.offset), 1.0)
-
-    def contains(self, points):
-        p = _as_points(points, self.dim)
-        return p @ self.normal <= self.offset + self.tol
-
-    def __repr__(self):
-        return f"HalfSpace({self.normal.tolist()}, {self.offset})"
-
-
 # ------------------------------------------------------------------- charts
 
 

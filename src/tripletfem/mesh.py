@@ -12,10 +12,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
-from . import geometry
 from .errors import (
     DegenerateElement,
     DegenerateShape,
@@ -28,9 +25,6 @@ from .errors import (
 
 # simplex volume = det(edge matrix) * this factor
 _VOLUME_FACTOR = {2: 0.5, 3: 1.0 / 6.0}
-
-# node deduplication tolerance relative to the bounding-box diagonal
-DEDUP_RTOL = 1e-9
 
 
 def signed_volumes(nodes, elements):
@@ -66,20 +60,6 @@ def _face_groups(*face_arrays):
     return np.split(ids, splits), int(starts.sum())
 
 
-def number_components(n, pairs):
-    """Glue n nodes along the given index pairs. Returns each node's
-    component number and each component's lowest node; components are
-    numbered in order of their lowest node."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                       shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
-    _, lowest, inverse = np.unique(labels, return_index=True,
-                                   return_inverse=True)
-    lowest, number = np.unique(lowest[inverse], return_inverse=True)
-    return number, lowest
-
-
 def _tag_array(tags, count, what):
     out = np.empty(count, dtype=object)
     tags = list(tags)
@@ -109,6 +89,10 @@ class Mesh:
                 f"elements must have {dim + 1} nodes each in {dim}D")
         if elements.size and (elements.min() < 0 or elements.max() >= len(nodes)):
             raise IndexError("element node index out of range")
+        bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
+        if bad.size:
+            raise DegenerateShape(f"node {int(bad[0])} has a non-finite "
+                                  f"coordinate {nodes[bad[0]].tolist()}")
 
         vols = signed_volumes(nodes, elements)
         flip = vols < 0.0
@@ -766,42 +750,7 @@ def write_vtk(m, path, point_data=None, cell_data=None, title="tripletfem"):
         fh.write("\n".join(out) + "\n")
 
 
-# ------------------------------------------------------------ point probes
-
-
-def locate(m, points, tol=1e-10):
-    """Element index and barycentric coordinates for each point."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    coords = m.element_coords()
-    T = np.swapaxes(coords[:, 1:, :] - coords[:, :1, :], 1, 2)
-    Tinv = np.linalg.inv(T)
-    origin = coords[:, 0, :]
-    found = np.full(len(points), -1, dtype=np.int64)
-    bary = np.zeros((len(points), m.dim + 1))
-    for i, p in enumerate(points):
-        lam = np.einsum("eij,ej->ei", Tinv, p - origin)
-        lam0 = 1.0 - lam.sum(axis=1)
-        ok = np.flatnonzero((lam.min(axis=1) >= -tol) & (lam0 >= -tol))
-        if ok.size:
-            e = int(ok[0])
-            found[i] = e
-            bary[i, 0] = lam0[e]
-            bary[i, 1:] = lam[e]
-    if np.any(found < 0):
-        missing = points[found < 0][0]
-        raise geometry.PointOutsideDomain(
-            f"point {missing.tolist()} lies in no mesh element")
-    return found, bary
-
-
-def interpolate(m, u, points):
-    """Nodal field linearly interpolated at the given points."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != m.n_nodes:
-        raise LengthMismatch(f"field has {u.shape[0]} entries, mesh has "
-                             f"{m.n_nodes} nodes")
-    elems, bary = locate(m, points)
-    return np.einsum("pk,pk->p", u[m.elements[elems]], bary)
+# ----------------------------------------------------------------- CSV out
 
 
 def write_probe_csv(path, points, values, value_name="value"):
@@ -816,52 +765,3 @@ def write_probe_csv(path, points, values, value_name="value"):
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
 
-
-# ---------------------------------------------------------------- merging
-
-
-def merge_meshes(meshes, tol=None):
-    """Glue meshes node-by-node: nodes closer than the deduplication
-    tolerance become one. Returns (merged mesh, per-input index maps).
-    Facets whose face ends up shared by two elements (a glued interface)
-    are dropped; duplicated declared facets keep the first tag."""
-    meshes = list(meshes)
-    if not meshes:
-        raise ValueError("nothing to merge")
-    dim = meshes[0].dim
-    if any(m.dim != dim for m in meshes):
-        raise DimensionMismatch("meshes disagree in dimension")
-
-    all_nodes = np.concatenate([m.nodes for m in meshes], axis=0)
-    offsets = np.cumsum([0] + [m.n_nodes for m in meshes])
-    if tol is None:
-        lo, hi = all_nodes.min(axis=0), all_nodes.max(axis=0)
-        tol = DEDUP_RTOL * max(float(np.linalg.norm(hi - lo)), 1.0)
-
-    from scipy.spatial import cKDTree  # loaded only where meshes are glued
-
-    global_map, lowest = number_components(
-        len(all_nodes),
-        cKDTree(all_nodes).query_pairs(tol, output_type="ndarray"))
-    merged_nodes = all_nodes[lowest]
-
-    elements = np.concatenate(
-        [global_map[m.elements + off] for m, off in zip(meshes, offsets)])
-    regions = np.concatenate([m.element_regions for m in meshes])
-    facets = np.concatenate(
-        [global_map[m.boundary_facets + off] for m, off in zip(meshes, offsets)])
-    ftags = np.concatenate([m.facet_tags for m in meshes])
-
-    # the first declaration of a face wins; faces now between two
-    # elements are glued interfaces and are dropped
-    (declared, faces), n_groups = _face_groups(facets, _sorted_faces(elements))
-    _, first = np.unique(declared, return_index=True)
-    first = np.sort(first)
-    keep = first[np.bincount(faces, minlength=n_groups)[declared[first]] < 2]
-    facets, ftags = facets[keep], ftags[keep]
-
-    merged = Mesh(merged_nodes, elements, regions,
-                  facets if len(facets) else None,
-                  ftags if len(facets) else None)
-    maps = [global_map[offsets[i]:offsets[i + 1]] for i in range(len(meshes))]
-    return merged, maps

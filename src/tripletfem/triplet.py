@@ -195,18 +195,17 @@ class MaterialField:
     A default entry covers region tags without one of their own.
     """
 
-    def __init__(self, dim, regions=None, default=None, label=""):
+    def __init__(self, dim, regions=None, default=None):
         self.dim = int(dim)
-        self.label = label
         self.regions = dict(regions) if regions else {}
         self.default = default
         if not self.regions and self.default is None:
             raise ValueError("material field needs at least one entry")
 
     @classmethod
-    def uniform(cls, eps, dim, label=""):
+    def uniform(cls, eps, dim):
         """One entry covering every region."""
-        return cls(dim, default=eps, label=label)
+        return cls(dim, default=eps)
 
     def entry(self, region=None):
         entry = geometry.region_entry(self.regions, self.default, region)
@@ -215,7 +214,7 @@ class MaterialField:
                 f"material field has no entry for region {region!r}")
         return entry
 
-    def is_constant(self, region=None):
+    def constant_matrix(self, region=None):
         """The region's constant matrix, or None when it varies pointwise."""
         entry = self.entry(region)
         if callable(entry):
@@ -261,20 +260,11 @@ class Triplet:
         once and broadcast over the points."""
         eps = self.material.eval(points, region)
         S = self.metric.eval(points, region)
-        eps_c = self.material.is_constant(region)
+        eps_c = self.material.constant_matrix(region)
         S_c = self.metric.constant_matrix(region)
         if eps_c is None or S_c is None:
             return effective_coefficient(eps, S)
         return np.broadcast_to(effective_coefficient(eps_c, S_c), eps.shape)
-
-
-@dataclass(frozen=True)
-class FieldVector:
-    """Field components tied to the point and chart they were measured in."""
-
-    components: np.ndarray
-    at: np.ndarray
-    chart_label: str = ""
 
 
 def inverse_jacobian(deformation, points):

@@ -1,6 +1,7 @@
 """Scenario execution, exit codes, and the quick mesh utilities."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tripletfem
 from tripletfem import cli, mesh
+
+
+def run_python(*args):
+    """A fresh interpreter that imports the tripletfem under test."""
+    src = str(Path(tripletfem.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else os.pathsep.join((src, path)))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
 
 
 def write_scenario(tmp_path, scn, name="scenario.json"):
@@ -76,17 +88,16 @@ def test_help_exits_zero(capsys):
 
 
 def test_module_is_runnable_as_script(tmp_path):
-    out = subprocess.run([sys.executable, "-m", "tripletfem.cli", "--help"],
-                         capture_output=True, text=True)
+    out = run_python("-m", "tripletfem.cli", "--help")
     assert out.returncode == 0
     assert "usage" in out.stdout
 
 
 def test_cli_import_leaves_scipy_spatial_out():
-    # only mesh gluing uses scipy.spatial; a solve should not pay its import
+    # only atlas interface matching uses scipy.spatial; a solve should not
+    # pay its import
     code = "import sys, tripletfem.cli; print('scipy.spatial' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True)
+    out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
 
@@ -671,6 +682,9 @@ def write_exit_code_inputs(d):
     parts[-1] = parts[-2]  # a triangle with a repeated node has no area
     zero = lines[:first] + [" ".join(parts)] + lines[first + 1:]
     (d / "zero.msh").write_text("\n".join(zero) + "\n")
+    centre = lines.index("5 0.5 0.5 0")
+    nan = lines[:centre] + ["5 nan 0.5 0"] + lines[centre + 1:]
+    (d / "nan.msh").write_text("\n".join(nan) + "\n")
     latin1 = (d / "box.msh").read_text().replace('"domain"', '"caf\xe9"')
     (d / "latin1.msh").write_bytes(latin1.encode("latin-1"))
 
@@ -685,6 +699,7 @@ def write_exit_code_inputs(d):
         box, region_bands=[["far", 7, 0.0, 1.0]])})
     scenario("zero_mesh.json", mesh={"file": "zero.msh"})
     scenario("latin1_mesh.json", mesh={"file": "latin1.msh"})
+    scenario("nan_mesh.json", mesh={"file": "nan.msh"})
     scenario("dim2_box3.json", mesh={"generator": {
         "shape": "box", "divisions": [2, 2, 2]}})
     scenario("dim3_box2.json", dimension=3)
@@ -712,6 +727,9 @@ EXIT_CODE_TABLE = {
     "zero-volume-solve": (["solve", "{d}/zero_mesh.json"], 2, "mesh.file"),
     "zero-volume-quality": (["mesh", "quality", "{d}/zero.msh"], 2,
                             "mesh.file"),
+    # exited 3 from assembly, and quality printed max nan
+    "nan-node-solve": (["solve", "{d}/nan_mesh.json"], 2, "mesh.file"),
+    "nan-node-quality": (["mesh", "quality", "{d}/nan.msh"], 2, "mesh.file"),
     "unknown-dirichlet-tag": (["solve", "{d}/unknown_tag.json"], 2,
                               "boundary"),
     "max-iter": (["solve", "{d}/square.json", "solver.max_iter=1"], 3, None),

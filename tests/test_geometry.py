@@ -293,12 +293,6 @@ def test_annulus_membership():
     assert unbounded.contains([1e12, 0.0])
 
 
-def test_half_space_membership():
-    hs = geo.HalfSpace([0.0, 2.0], 4.0)
-    assert hs.contains([100.0, 2.0])
-    assert not hs.contains([0.0, 2.1])
-
-
 # ------------------------------------------------------------ metric fields
 
 

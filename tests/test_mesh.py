@@ -3,7 +3,6 @@ and the MSH/VTK/CSV interchange paths."""
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from tripletfem import geometry as geo
 from tripletfem import mesh as msh
@@ -125,6 +124,13 @@ def test_constructor_rejects_zero_volume():
     nodes = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
     with pytest.raises(DegenerateElement):
         msh.Mesh(nodes, [[0, 1, 2]], ["d"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_constructor_rejects_non_finite_nodes(bad):
+    nodes = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, bad]]
+    with pytest.raises(DegenerateShape, match="node 3 has a non-finite"):
+        msh.Mesh(nodes, [[0, 1, 2], [1, 3, 2]], ["d", "d"])
 
 
 def test_constructor_rejects_interior_facets():
@@ -349,22 +355,6 @@ def test_vtk_writer_blocks(tmp_path):
         msh.write_vtk(m, path, point_data={"u": u[:-1]})
 
 
-def test_interpolation_reproduces_linear_fields():
-    m = msh.generate_structured("box", (5, 4))
-    u = 2.0 * m.nodes[:, 0] + 3.0 * m.nodes[:, 1] - 1.0
-    rng = np.random.default_rng(8)
-    probes = rng.uniform(0.05, 0.95, (20, 2))
-    got = msh.interpolate(m, u, probes)
-    want = 2.0 * probes[:, 0] + 3.0 * probes[:, 1] - 1.0
-    assert np.abs(got - want).max() <= 1e-13
-
-
-def test_interpolation_rejects_outside_points():
-    m = msh.generate_structured("box", (2, 2))
-    with pytest.raises(geo.PointOutsideDomain):
-        msh.interpolate(m, np.zeros(m.n_nodes), [[2.0, 2.0]])
-
-
 def test_probe_csv_digits(tmp_path):
     path = tmp_path / "probe.csv"
     msh.write_probe_csv(path, [[1.0 / 3.0, 0.25]], [2.0 / 7.0])
@@ -374,39 +364,9 @@ def test_probe_csv_digits(tmp_path):
     assert x == 1.0 / 3.0 and v == 2.0 / 7.0
 
 
-# ----------------------------------------------------------------- merging
-
-
-def test_merge_glues_shared_edges():
-    n = 4
-    left = msh.generate_structured("box", (n, n), bounds=([0, 0], [1, 1]),
-                                   region="L")
-    right = msh.generate_structured("box", (n, n), bounds=([1, 0], [2, 1]),
-                                    region="R")
-    merged, maps = msh.merge_meshes([left, right])
-    assert merged.n_nodes == 2 * (n + 1) ** 2 - (n + 1)
-    assert merged.n_elements == left.n_elements + right.n_elements
-    # the glued interface carries no boundary facets any more
-    assert len(merged.boundary_facets) == 6 * n
-    # index maps agree on the shared edge
-    shared_left = left.boundary_nodes("right")
-    shared_right = right.boundary_nodes("left")
-    mapped_left = set(maps[0][shared_left].tolist())
-    mapped_right = set(maps[1][shared_right].tolist())
-    assert mapped_left == mapped_right
-
-
-def test_merge_respects_tolerance():
-    eps = 1e-3  # far larger than the dedup tolerance
-    a = msh.Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], ["a"])
-    b = msh.Mesh([[0, eps], [1, eps], [0, 1 + eps]], [[0, 1, 2]], ["b"])
-    merged, _ = msh.merge_meshes([a, b])
-    assert merged.n_nodes == 6
-
-
 # ---------------------------------------------------------- face grouping
 # The references below use the row-unique algorithm that the group-id
-# helper replaced; generation and merging must reproduce it exactly.
+# helper replaced; generation must reproduce it exactly.
 
 
 def reference_boundary_faces(elements):
@@ -469,62 +429,6 @@ def test_generation_matches_row_unique_reference(kwargs):
     assert m.boundary_facets.dtype == ref.boundary_facets.dtype
     assert np.array_equal(m.facet_tags, ref.facet_tags)
     assert np.array_equal(m.element_regions, ref.element_regions)
-
-
-def reference_merge(meshes, tol):
-    """Union-find node gluing with first-declaration facet dedup."""
-    all_nodes = np.concatenate([m.nodes for m in meshes])
-    offsets = np.cumsum([0] + [m.n_nodes for m in meshes])
-    parent = list(range(len(all_nodes)))
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for i, j in sorted(cKDTree(all_nodes).query_pairs(tol)):
-        ri, rj = find(i), find(j)
-        parent[max(ri, rj)] = min(ri, rj)
-    roots = [find(i) for i in range(len(all_nodes))]
-    order = sorted(set(roots))
-    global_map = np.array([order.index(r) for r in roots])
-    elements = np.concatenate([global_map[m.elements + off]
-                               for m, off in zip(meshes, offsets)])
-    seen, facets, tags = set(), [], []
-    for m, off in zip(meshes, offsets):
-        for f, t in zip(global_map[m.boundary_facets + off], m.facet_tags):
-            if tuple(sorted(f)) not in seen:
-                seen.add(tuple(sorted(f)))
-                facets.append(f)
-                tags.append(t)
-    uniq, counts = np.unique(msh._sorted_faces(elements), axis=0,
-                             return_counts=True)
-    shared = {tuple(f) for f, c in zip(uniq, counts) if c > 1}
-    keep = [k for k, f in enumerate(facets) if tuple(sorted(f)) not in shared]
-    maps = [global_map[offsets[k]:offsets[k + 1]] for k in range(len(meshes))]
-    return (all_nodes[order], elements, np.array([facets[k] for k in keep]),
-            [tags[k] for k in keep], maps)
-
-
-def test_three_way_merge_matches_union_find_reference():
-    # the node at (1, 1) belongs to all three inputs
-    a = msh.generate_structured("box", (3, 2), region="a")
-    b = msh.generate_structured("box", (2, 2), bounds=([1, 0], [2, 1]),
-                                region="b")
-    c = msh.generate_structured("box", (3, 4), bounds=([0, 1], [1, 2]),
-                                region="c")
-    merged, maps = msh.merge_meshes([b, c, a])
-    nodes, elements, facets, tags, ref_maps = reference_merge(
-        [b, c, a], msh.DEDUP_RTOL * np.sqrt(8.0))
-    assert np.array_equal(merged.nodes, nodes)
-    assert np.array_equal(merged.elements, elements)
-    assert np.array_equal(merged.boundary_facets, facets)
-    assert merged.facet_tags.tolist() == tags
-    for got, want in zip(maps, ref_maps):
-        assert np.array_equal(got, want)
-    corner = [int(np.flatnonzero(np.all(m.nodes == [1.0, 1.0], axis=1))[0])
-              for m in (b, c, a)]
-    assert len({int(m[k]) for m, k in zip(maps, corner)}) == 1
 
 
 def test_face_groups_are_exact_for_huge_node_ids():

@@ -202,7 +202,7 @@ def test_material_field_region_dispatch():
     assert np.allclose(field.eval(pts, "air")[0], np.eye(2))
     assert np.allclose(field.eval(pts, "slab")[1], np.diag([5.0, 2.0]))
     assert np.allclose(field.eval(pts, "other")[2], 8.0 * np.eye(2))
-    assert np.allclose(field.is_constant("slab"), np.diag([5.0, 2.0]))
+    assert np.allclose(field.constant_matrix("slab"), np.diag([5.0, 2.0]))
 
 
 def test_material_field_requires_an_entry():
@@ -229,7 +229,7 @@ def test_material_field_pointwise_entry():
         return 1.0 + np.sum(p * p, axis=-1)
 
     field = tp.MaterialField(2, default=eps_fn)
-    assert field.is_constant() is None
+    assert field.constant_matrix() is None
     got = field.eval(np.array([[1.0, 0.0], [0.0, 2.0]]))
     assert np.allclose(got[:, 0, 0], [2.0, 5.0])
     assert np.allclose(got[:, 0, 1], 0.0)
