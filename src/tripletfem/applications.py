@@ -22,7 +22,7 @@ from .geometry import (Annulus, Box, Composite, KelvinShell, MetricField,
                        PiecewiseRadial, det)
 from .mesh import Mesh, generate_structured, map_mesh, write_vtk
 from .triplet import (MaterialField, Triplet, eval_entry, inverse_jacobian,
-                      material_matrix, motion_metric_field, pull_back,
+                      motion_metric_field, pull_back,
                       transform_material_euclidean)
 
 
@@ -236,28 +236,24 @@ class SweepStep:
     cold_iterations: int = -1  # -1 when the cold solve was not measured
 
 
-def _step_triplet(base_triplet, moving_tag, step_map, mode, dim, anchor):
+def _step_triplet(base_triplet, moving_tag, step_map, mode, dim):
     if step_map.is_identity():
         return base_triplet
     if mode == "metric-change":
-        field = motion_metric_field(step_map, dim)
-        entry = field.eval(anchor) if step_map.is_affine else field
-        metric = MetricField.by_region(dim, {moving_tag: entry},
-                                       default=base_triplet.metric)
+        metric = MetricField.by_region(
+            dim, {moving_tag: motion_metric_field(step_map, dim)},
+            default=base_triplet.metric)
         return Triplet(base_triplet.chart, metric, base_triplet.material)
 
     # material-change: pull the deformed region's material back into the
     # base chart; the material is carried by the matter it describes
     base_entry = base_triplet.material.entry(moving_tag)
-    if step_map.is_affine and not callable(base_entry):
-        J = inverse_jacobian(step_map, anchor)
-        entry = transform_material_euclidean(
-            material_matrix(base_entry, dim), J)
-    else:
-        def entry(points, _e=base_entry):
-            p = np.asarray(points, dtype=float)
-            J = inverse_jacobian(step_map, p)
-            return transform_material_euclidean(eval_entry(_e, p, dim), J)
+
+    def entry(points):
+        p = np.asarray(points, dtype=float)
+        J = inverse_jacobian(step_map, p)
+        return transform_material_euclidean(eval_entry(base_entry, p, dim), J)
+
     regions = dict(base_triplet.material.regions)
     regions[moving_tag] = entry
     material = MaterialField(dim, regions=regions,
@@ -284,18 +280,21 @@ def _check_topology(step_map, coords, k):
 def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
     """Solve every configuration of the sweep on one shared system.
 
-    Per step only the moving region's element blocks are recomputed.
-    From step 1 on, the solver starts from the Galerkin projection of
-    the new system onto the solutions of the last GUESS_WINDOW steps
-    (solver.projected_guess): the point of their span closest to the new
-    solution in the energy norm, so never worse there than the previous
-    solution or an extrapolation of the last few. The preconditioner
-    built on step 0 serves the whole sweep: with the projected start, a
-    fresh build per step saves at most a few iterations and costs more
-    time than they take, most of all for IC(0). measure_cold
-    additionally runs each step cold (zero start, fresh preconditioner)
-    to expose the iteration counts the guess and the reuse avoid; the
-    extra solve is excluded from the reported wall time.
+    Per step only the moving region's element blocks are recomputed, from
+    the step's metric (or material) at their quadrature points; where the
+    step's Jacobian is one matrix there, effective_coefficient forms K
+    once. A step not declared affine makes the sweep use interior
+    quadrature. From step 1 on, the solver starts from the Galerkin
+    projection of the new system onto the solutions of the last
+    GUESS_WINDOW steps (solver.projected_guess): the point of their span
+    closest to the new solution in the energy norm, so never worse there
+    than the previous solution or an extrapolation of the last few. The
+    preconditioner built on step 0 serves the whole sweep: with the
+    projected start, a fresh build per step saves at most a few iterations
+    and costs more time than they take, most of all for IC(0). measure_cold
+    additionally runs each step cold (zero start, fresh preconditioner) to
+    expose the iteration counts the guess and the reuse avoid; the extra
+    solve is excluded from the reported wall time.
     """
     spec = ms.base
     if spec.quadrature == "auto" and any(not s.is_affine for s in ms.steps):
@@ -305,8 +304,6 @@ def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
     system = fem.assemble(spec)
     moving = spec.domain.elements_in_regions([ms.moving_region])
     coords = system.coords[moving]
-    anchor = coords.mean(axis=(0, 1)) if moving.size else \
-        spec.domain.nodes.mean(axis=0)
     dim = system.dim
     moving_set = fem.ElementSet(system, moving)
 
@@ -319,7 +316,7 @@ def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
             if not step_map.is_identity():
                 _check_topology(step_map, coords, k)
             tri = _step_triplet(spec.triplet, ms.moving_region, step_map,
-                                ms.mode, dim, anchor)
+                                ms.mode, dim)
             changed = fem.update_elements(system, tri, moving_set)
         except SingularJacobian as err:
             raise SingularJacobian(f"step {k}: {err}") from None

@@ -27,7 +27,7 @@ from .atlas import Atlas, build_global_index
 from .errors import (DegenerateElement, DimensionMismatch, TripletFemError,
                      UnknownTag)
 from .geometry import MetricField
-from .mesh import _VOLUME_FACTOR, Mesh
+from .mesh import _VOLUME_FACTOR, _VOLUME_FLOOR, Mesh
 from .triplet import Triplet, effective_coefficient, material_matrix, pull_back
 
 # Relative Frobenius bound the assembled matrix must meet against its
@@ -186,7 +186,7 @@ def _decide_rule(spec, patch, tag):
 
 def _p1_gradients(coords):
     """Constant basis gradients per element, shape (E, d+1, d). Mesh has
-    already refused non-finite nodes and zero volumes."""
+    already refused non-finite nodes and degenerate volumes."""
     edges = coords[:, 1:, :] - coords[:, :1, :]
     inv = np.linalg.inv(np.swapaxes(edges, 1, 2))
     grads = np.empty(coords.shape[:1] + (coords.shape[1], coords.shape[2]))
@@ -459,10 +459,10 @@ class AssembledSystem:
 
 def _require_symmetric(data, skew):
     """Raise unless the skew part's entries skew are small against the
-    matrix entries data, in Frobenius norm."""
+    matrix entries data, in Frobenius norm; NaN is never small."""
     norm = np.sqrt(np.sum(data * data))
     drift = np.sqrt(np.sum(skew * skew))
-    if drift > ASSEMBLY_SYMMETRY_RTOL * max(norm, 1e-300):
+    if not drift <= ASSEMBLY_SYMMETRY_RTOL * max(norm, 1e-300):
         raise TripletFemError(
             f"assembled matrix asymmetry {drift / norm:.3e} exceeds "
             f"{ASSEMBLY_SYMMETRY_RTOL:.0e}")
@@ -629,11 +629,11 @@ def local_stiffness(nodes, K, quadrature="one_point"):
             f"need d+1 nodes of dimension d, got shape {nodes.shape}")
     dim = nodes.shape[1]
     edges = nodes[1:] - nodes[0]
-    det = float(np.linalg.det(edges))
-    if not np.isfinite(det) or abs(det) <= 1e-300:
+    vol = abs(float(np.linalg.det(edges))) * _VOLUME_FACTOR[dim]
+    if not np.isfinite(vol) or vol <= _VOLUME_FLOOR:
         raise DegenerateElement(
-            f"simplex with nodes {nodes.tolist()} has zero volume")
-    vol = abs(det) * _VOLUME_FACTOR[dim]
+            f"simplex with nodes {nodes.tolist()} has volume {vol:.3e}, "
+            f"at or below {_VOLUME_FLOOR:.0e}")
     inv = np.linalg.inv(edges.T)
     grads = np.empty((dim + 1, dim))
     grads[1:] = inv
@@ -706,18 +706,6 @@ def solve_bvp(spec, config=None, *, system=None, preconditioner=None,
         u = sys_.expand(np.zeros(0))
     return Solution(u=u, energy=sys_.energy_of(u), system=sys_,
                     triplet=sys_.triplet, solve_info=result)
-
-
-def energy(sol, spec=None):
-    """Stored energy W = u^T A u with the pre-elimination matrix.
-
-    The coordinate measure carries no one-half factor; the physical
-    field energy is W / 2 for real materials.
-    """
-    system = sol.system
-    if spec is not None and spec is not system.spec:
-        system = assemble(spec)
-    return system.energy_of(sol.u)
 
 
 # ------------------------------------------------------------- comparison

@@ -773,12 +773,11 @@ class MetricField:
     """
 
     def __init__(self, dim, *, constant=None, fn=None, regions=None,
-                 default=None, label=""):
+                 default=None):
         given = sum(x is not None for x in (constant, fn, regions))
         if given != 1:
             raise ValueError("give exactly one of constant, fn, regions")
         self.dim = int(dim)
-        self.label = label
         self._fn = fn
         self._constant = None
         self._regions = None
@@ -807,11 +806,11 @@ class MetricField:
 
     @classmethod
     def euclidean(cls, dim):
-        return cls(dim, constant=np.eye(dim), label="euclidean")
+        return cls(dim, constant=np.eye(dim))
 
     @classmethod
-    def by_region(cls, dim, mapping, default=None, label=""):
-        return cls(dim, regions=mapping, default=default, label=label)
+    def by_region(cls, dim, mapping, default=None):
+        return cls(dim, regions=mapping, default=default)
 
     def is_euclidean(self, region=None):
         """True when the field is constant and within 1e-12 of I for the
@@ -853,4 +852,4 @@ class MetricField:
     def __repr__(self):
         kind = ("constant" if self._constant is not None
                 else "regions" if self._regions is not None else "fn")
-        return f"MetricField(dim={self.dim}, kind={kind}, label={self.label!r})"
+        return f"MetricField(dim={self.dim}, kind={kind})"

@@ -25,6 +25,9 @@ from .errors import (
 
 # simplex volume = det(edge matrix) * this factor
 _VOLUME_FACTOR = {2: 0.5, 3: 1.0 / 6.0}
+# simplices whose volume is at or below this floor count as degenerate
+# (the inverse of a subnormal edge matrix overflows)
+_VOLUME_FLOOR = 1e-300
 
 
 def signed_volumes(nodes, elements):
@@ -100,11 +103,11 @@ class Mesh:
             elements[flip, -2], elements[flip, -1] = (
                 elements[flip, -1].copy(), elements[flip, -2].copy())
             vols = np.abs(vols)
-        dead = np.flatnonzero(vols == 0.0)
+        dead = np.flatnonzero(vols <= _VOLUME_FLOOR)
         if dead.size:
             raise DegenerateElement(
-                f"element {int(dead[0])} has zero volume "
-                f"(nodes {elements[dead[0]].tolist()})")
+                f"element {int(dead[0])} has volume {vols[dead[0]]:.3e}, at or "
+                f"below {_VOLUME_FLOOR:.0e} (nodes {elements[dead[0]].tolist()})")
 
         if boundary_facets is None:
             boundary_facets = np.zeros((0, dim), dtype=np.int64)

@@ -162,26 +162,45 @@ def virtual_emf(E, S, dr):
     return geometry.inner_product(S, E, dr)
 
 
+def _first_if_repeated(M):
+    """M's first matrix as a (1, n, n) stack when every matrix of the
+    stack equals it exactly, else None. NaN never counts as repeated."""
+    if M.size == 0:
+        return None
+    first = M[(0,) * (M.ndim - 2)]
+    return first[None] if np.all(M == first) else None
+
+
 def effective_coefficient(eps, S):
-    """Galerkin coefficient K = eps S^-1, symmetrized.
+    """Galerkin coefficient K = eps S^-1, symmetrized, shape (..., n, n).
+
+    When eps and S each repeat one matrix exactly, K is formed once from
+    their first (1, n, n) slices, through the pointwise kernels, and
+    returned broadcast: the same bits, whatever made the inputs constant.
 
     Raises AsymmetricCoefficient when the asymmetry exceeds SYMMETRY_RTOL
-    relative to the coefficient's own magnitude.
+    relative to the coefficient's own magnitude, or is not a number.
     """
     S = _as_square(S, "S")
     n = S.shape[-1]
     eps = material_matrix(eps, n)
+    shape = None
+    eps_1, S_1 = _first_if_repeated(eps), _first_if_repeated(S)
+    if eps_1 is not None and S_1 is not None:
+        shape = np.broadcast_shapes(eps.shape, S.shape)
+        eps, S = eps_1, S_1
     K = geometry.matmul(eps, geometry.inv(S))
     Kt = np.swapaxes(K, -1, -2)
     asym = np.sqrt(np.sum((K - Kt) ** 2, axis=(-2, -1)))
     norm = np.sqrt(np.sum(K * K, axis=(-2, -1)))
     rel = asym / np.maximum(norm, 1e-300)
-    if np.any(rel > SYMMETRY_RTOL):
+    if not np.all(rel <= SYMMETRY_RTOL):
         raise AsymmetricCoefficient(
             f"effective coefficient asymmetry {float(np.max(rel)):.3e} exceeds "
             f"{SYMMETRY_RTOL:.0e}; the material/metric pair is inconsistent"
         )
-    return 0.5 * (K + Kt)
+    K = 0.5 * (K + Kt)
+    return K if shape is None else np.broadcast_to(K[0], shape)
 
 
 # ---------------------------------------------------------- material fields
@@ -255,16 +274,9 @@ class Triplet:
     material: MaterialField
 
     def effective_at(self, points, region=None):
-        """Galerkin coefficient K = eps S^-1 at the given points. Where
-        material and metric are both constant on the region, K is computed
-        once and broadcast over the points."""
-        eps = self.material.eval(points, region)
-        S = self.metric.eval(points, region)
-        eps_c = self.material.constant_matrix(region)
-        S_c = self.metric.constant_matrix(region)
-        if eps_c is None or S_c is None:
-            return effective_coefficient(eps, S)
-        return np.broadcast_to(effective_coefficient(eps_c, S_c), eps.shape)
+        """effective_coefficient of the material and metric at the points."""
+        return effective_coefficient(self.material.eval(points, region),
+                                     self.metric.eval(points, region))
 
 
 def inverse_jacobian(deformation, points):
@@ -285,7 +297,7 @@ def motion_metric_field(deformation, dim):
     def fn(points):
         return metric_for_motion(inverse_jacobian(deformation, points))
 
-    return geometry.MetricField(dim, fn=fn, label="motion")
+    return geometry.MetricField(dim, fn=fn)
 
 
 # ------------------------------------------------------------- verification

@@ -234,7 +234,7 @@ def test_capacitor_sweep_law_updates_and_warm_starts():
     stepped = replace(spec, quadrature="interior",
                       triplet=app._step_triplet(spec.triplet, "gap",
                                                 steps[-1], "metric-change",
-                                                2, np.zeros(2)))
+                                                2))
     fresh = fem.assemble(stepped).full_matrix
     exact = (np.array_equal(final.data, fresh.data)
              and np.array_equal(final.indices, fresh.indices)

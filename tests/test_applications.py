@@ -260,6 +260,35 @@ def test_metric_and_material_modes_build_the_same_matrix():
     assert report.rel_frobenius <= 1e-12
 
 
+def gap_quadrature_points(spec):
+    m = spec.domain
+    coords = m.nodes[m.elements[m.elements_in_regions(["gap"])]]
+    bary, _ = fem.quadrature_rule("interior", 2)
+    return bary @ coords  # (E, Q, 2)
+
+
+@pytest.mark.parametrize("mode", ["metric-change", "material-change"])
+def test_step_with_one_jacobian_on_the_gap_gives_one_coefficient(mode):
+    # the stretch is not affine, but its Jacobian is one matrix on the gap
+    spec = capacitor_spec(8)
+    step = gap_stretch(1.7)
+    assert not step.is_affine
+    tri = app._step_triplet(spec.triplet, "gap", step, mode, 2)
+    xq = gap_quadrature_points(spec)
+    K = tri.effective_at(xq, "gap")
+    assert K.shape == xq.shape[:2] + (2, 2)
+    assert K.strides[:2] == (0, 0)
+    assert np.allclose(K[0, 0], np.diag([1.7, 1.0 / 1.7]),
+                       rtol=1e-14, atol=0.0)
+
+    # a break inside the gap: two Jacobians there, so K stays pointwise
+    kinked = geo.AxisPiecewiseLinear(axis=1, breaks=(0.0, 0.75, 1.0),
+                                     images=(0.0, 0.75, 1.5))
+    K = app._step_triplet(spec.triplet, "gap", kinked, mode,
+                          2).effective_at(xq, "gap")
+    assert K.strides[0] != 0
+
+
 def test_capacitor_energy_tracks_one_over_d():
     spec = capacitor_spec(16)
     gaps = [1.0, 1.25, 1.5, 2.0]          # total plate separation
@@ -282,8 +311,7 @@ def test_partial_reassembly_equals_full_reassembly():
     # the sweep forces the interior rule for curved steps; mirror that
     stepped = replace(spec, quadrature="interior",
                       triplet=app._step_triplet(spec.triplet, "gap", step,
-                                                "metric-change", 2,
-                                                np.zeros(2)))
+                                                "metric-change", 2))
     fresh = fem.assemble(stepped)
     assert np.array_equal(swept.full_matrix.data, fresh.full_matrix.data)
     assert np.array_equal(swept.full_matrix.indices,
@@ -437,7 +465,7 @@ def test_projected_start_beats_the_previous_solution():
     precond, prev, warm = None, None, []
     for step_map, r in zip(steps, results):
         fem.update_elements(system, app._step_triplet(
-            spec.triplet, "gap", step_map, "metric-change", 2, np.zeros(2)),
+            spec.triplet, "gap", step_map, "metric-change", 2),
             moving)
         precond = precond or build_preconditioner(system.matrix, "jacobi")
         res = solve(system.matrix, system.rhs, cfg, x0=prev,

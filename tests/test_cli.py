@@ -685,6 +685,11 @@ def write_exit_code_inputs(d):
     centre = lines.index("5 0.5 0.5 0")
     nan = lines[:centre] + ["5 nan 0.5 0"] + lines[centre + 1:]
     (d / "nan.msh").write_text("\n".join(nan) + "\n")
+    start, end = lines.index("$Nodes") + 2, lines.index("$EndNodes")
+    flat = [f"{i} {x} {float(y) * 1e-310!r} {z}" for i, x, y, z in
+            (line.split() for line in lines[start:end])]
+    subnormal = lines[:start] + flat + lines[end:]
+    (d / "subnormal.msh").write_text("\n".join(subnormal) + "\n")
     latin1 = (d / "box.msh").read_text().replace('"domain"', '"caf\xe9"')
     (d / "latin1.msh").write_bytes(latin1.encode("latin-1"))
 
@@ -700,6 +705,7 @@ def write_exit_code_inputs(d):
     scenario("zero_mesh.json", mesh={"file": "zero.msh"})
     scenario("latin1_mesh.json", mesh={"file": "latin1.msh"})
     scenario("nan_mesh.json", mesh={"file": "nan.msh"})
+    scenario("subnormal_mesh.json", mesh={"file": "subnormal.msh"})
     scenario("dim2_box3.json", mesh={"generator": {
         "shape": "box", "divisions": [2, 2, 2]}})
     scenario("dim3_box2.json", dimension=3)
@@ -730,6 +736,9 @@ EXIT_CODE_TABLE = {
     # exited 3 from assembly, and quality printed max nan
     "nan-node-solve": (["solve", "{d}/nan_mesh.json"], 2, "mesh.file"),
     "nan-node-quality": (["mesh", "quality", "{d}/nan.msh"], 2, "mesh.file"),
+    # exited 3 from CG on a NaN matrix (residual nan)
+    "subnormal-volume-solve": (["solve", "{d}/subnormal_mesh.json"], 2,
+                               "mesh.file"),
     "unknown-dirichlet-tag": (["solve", "{d}/unknown_tag.json"], 2,
                               "boundary"),
     "max-iter": (["solve", "{d}/square.json", "solver.max_iter=1"], 3, None),

@@ -85,6 +85,11 @@ def test_degenerate_simplex_rejected():
         fem.local_stiffness([[0, 0], [1, 0], [2, 0]], np.eye(2))
 
 
+def test_subnormal_simplex_rejected_at_the_mesh_volume_floor():
+    with pytest.raises(DegenerateElement, match="at or below 1e-300"):
+        fem.local_stiffness([[0, 0], [1, 0], [0, 1e-310]], np.eye(2))
+
+
 def test_quadrature_tables_have_unit_weight_and_interior_points():
     for name in ("one_point", "interior"):
         for dim in (2, 3):
@@ -142,7 +147,7 @@ def test_residual_small_after_solve():
 def test_energy_of_unit_gradient_is_one():
     sol = fem.solve_bvp(unit_square_spec(8))
     assert abs(sol.energy - 1.0) <= 1e-12
-    assert abs(fem.energy(sol) - 1.0) <= 1e-12
+    assert abs(sol.system.energy_of(sol.u) - 1.0) <= 1e-12
 
 
 def test_energy_scales_linearly_with_material():
@@ -153,10 +158,8 @@ def test_energy_scales_linearly_with_material():
 
 def test_energy_checks_dimensions():
     sol = fem.solve_bvp(unit_square_spec(4))
-    bad = fem.Solution(u=np.zeros(3), energy=0.0, system=sol.system,
-                       triplet=sol.triplet)
     with pytest.raises(DimensionMismatch):
-        fem.energy(bad)
+        sol.system.energy_of(np.zeros(3))
 
 
 def test_missing_dirichlet_tag_is_rejected():
@@ -284,6 +287,21 @@ def test_anisotropic_metric_material_pair_rejected_at_offending_element():
     t = tp.Triplet(geo.Identity(2), S, eps)
     with pytest.raises(AsymmetricCoefficient, match="element 0"):
         fem.assemble(fem.BVPSpec(m, t, (("left", 0.0),)))
+
+
+def test_nan_material_is_rejected_at_the_first_element_it_reaches():
+    m = mesh.generate_structured("box", (4, 4))
+    material = tp.MaterialField.uniform(
+        lambda p: np.where(p[..., 0] > 0.6, np.nan, 1.0), 2)
+    t = tp.Triplet(geo.Identity(2), geo.MetricField.euclidean(2), material)
+    with pytest.raises(TripletFemError, match=r"^element \d+: .*nan"):
+        fem.assemble(fem.BVPSpec(m, t, (("left", 0.0),)))
+
+
+def test_assembled_symmetry_check_refuses_nan():
+    data = np.array([1.0, np.nan])
+    with pytest.raises(TripletFemError, match="asymmetry"):
+        fem._require_symmetric(data, np.array([0.0, np.nan]))
 
 
 # ------------------------------------------------------------ field recovery

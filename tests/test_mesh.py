@@ -126,6 +126,14 @@ def test_constructor_rejects_zero_volume():
         msh.Mesh(nodes, [[0, 1, 2]], ["d"])
 
 
+def test_constructor_rejects_subnormal_volume():
+    # the edge matrix's inverse would overflow and assemble to NaN
+    nodes = [[0.0, 0.0], [1.0, 0.0], [0.0, 1e-310], [1.0, 1e-310]]
+    with pytest.raises(DegenerateElement,
+                       match="element 0 has volume .* at or below 1e-300"):
+        msh.Mesh(nodes, [[0, 1, 2], [1, 3, 2]], ["d", "d"])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_constructor_rejects_non_finite_nodes(bad):
     nodes = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, bad]]

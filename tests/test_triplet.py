@@ -8,6 +8,7 @@ is cross-checked against that or against pinned hand-computed values.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tripletfem import geometry as geo
 from tripletfem import triplet as tp
@@ -369,3 +370,58 @@ def test_constant_effective_at_is_the_pointwise_coefficient(n):
         assert np.array_equal(K[idx], want)
     with pytest.raises(DimensionMismatch):
         t.effective_at(np.zeros((5, n + 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]),
+       stack=st.tuples(st.integers(1, 6), st.integers(1, 4)),
+       layout=st.sampled_from(["copies", "broadcast", "one-eps"]))
+def test_repeated_stack_gives_the_pointwise_bits(seed, n, stack, layout):
+    # full matrices sharing their eigenvectors, so eps S^-1 is symmetric
+    # while every product entry sums n nonzero terms
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eps = (Q * rng.uniform(0.5, 4.0, n)) @ Q.T
+    S = (Q * rng.uniform(0.5, 4.0, n)) @ Q.T
+    shape = stack + (n, n)
+    S_stack = np.broadcast_to(S, shape)
+    eps_stack = {"copies": np.tile(eps, stack + (1, 1)),
+                 "broadcast": np.broadcast_to(eps, shape),
+                 "one-eps": eps}[layout]
+    if layout == "copies":
+        S_stack = S_stack.copy()
+    K = tp.effective_coefficient(eps_stack, S_stack)
+    assert K.shape == shape
+    assert K.strides[:-2] == (0, 0)
+
+    # oracle: one differing matrix appended makes the stack pointwise
+    flat_S = np.concatenate([S_stack.reshape(-1, n, n), S[None]])
+    flat_eps = np.concatenate([np.broadcast_to(eps_stack, shape)
+                               .reshape(-1, n, n), 2.0 * eps[None]])
+    if layout == "one-eps":
+        flat_eps, flat_S = eps, np.concatenate([flat_S[:-1], 2.0 * S[None]])
+    want = tp.effective_coefficient(flat_eps, flat_S)
+    assert want.strides[0] != 0
+    assert np.array_equal(K, want[:-1].reshape(shape))
+
+
+def test_repeated_asymmetric_pair_fails_as_the_pointwise_path_does():
+    eps = np.diag([2.0, 1.0])
+    S = np.array([[2.0, 0.4], [0.4, 1.0]])
+    shape = (5, 3, 2, 2)
+    with pytest.raises(AsymmetricCoefficient) as repeated:
+        tp.effective_coefficient(np.broadcast_to(eps, shape),
+                                 np.broadcast_to(S, shape))
+    # an appended symmetric pair leaves the worst asymmetry where it was
+    eye = np.eye(2)[None]
+    with pytest.raises(AsymmetricCoefficient) as pointwise:
+        tp.effective_coefficient(
+            np.concatenate([np.broadcast_to(eps, (15, 2, 2)), eye]),
+            np.concatenate([np.broadcast_to(S, (15, 2, 2)), eye]))
+    assert str(repeated.value) == str(pointwise.value)
+
+
+def test_nan_never_counts_as_repeated():
+    eps = np.full((4, 2, 2), np.nan)
+    with pytest.raises(AsymmetricCoefficient, match="asymmetry nan"):
+        tp.effective_coefficient(eps, np.eye(2))
