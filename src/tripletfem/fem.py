@@ -7,13 +7,13 @@ makes solves under exchanged {chart, metric, material} triplets land on
 the same matrix entries.
 
 Assembly writes every element block into a fixed slice of one flat
-buffer (element index order, row-major within the block) and sums the
-buffer into CSR with scipy's COO to CSR conversion. A partial update
-replaces the blocks of a subset of elements and replays that sum,
-recorded and checked once per system (_CsrSum): one np.bincount over
-the buffer in scipy's summation order adds each matrix entry's terms in
-the order scipy does, so it gives bit-identical results to a full
-reassembly with the same inputs.
+buffer (element index order, row-major within the block). It records
+once per system the order in which scipy's COO to CSR conversion would
+sum that buffer (_CsrSum), and builds the matrices by gathering the
+buffer into that order and running scipy's own duplicate sum. A partial
+update replaces the blocks of a subset of elements and rebuilds through
+the same record, so its matrices are bit-identical to a full
+reassembly with the same inputs: both run the same code.
 """
 
 from dataclasses import dataclass
@@ -27,7 +27,7 @@ from .atlas import Atlas, build_global_index
 from .errors import (DegenerateElement, DimensionMismatch, TripletFemError,
                      UnknownTag)
 from .geometry import MetricField
-from .mesh import _VOLUME_FACTOR, _VOLUME_FLOOR, Mesh
+from .mesh import _VOLUME_FACTOR, Mesh, _first_degenerate
 from .triplet import Triplet, effective_coefficient, material_matrix, pull_back
 
 # Relative Frobenius bound the assembled matrix must meet against its
@@ -186,7 +186,7 @@ def _decide_rule(spec, patch, tag):
 
 def _p1_gradients(coords):
     """Constant basis gradients per element, shape (E, d+1, d). Mesh has
-    already refused non-finite nodes and degenerate volumes."""
+    already refused non-finite nodes and degenerate simplices."""
     edges = coords[:, 1:, :] - coords[:, :1, :]
     inv = np.linalg.inv(np.swapaxes(edges, 1, 2))
     grads = np.empty(coords.shape[:1] + (coords.shape[1], coords.shape[2]))
@@ -281,9 +281,9 @@ class ElementSet:
     """Element ids of one system, prepared for repeated block updates.
 
     The (patch, region) split, the gathered gradients and volumes, the
-    quadrature points and the buffer positions depend on the ids only,
-    so a motion sweep takes them once and passes the set to every
-    update_elements call.
+    quadrature points, the buffer positions and the matrix entries they
+    add into depend on the ids only, so a motion sweep takes them once
+    and passes the set to every update_elements call.
     """
 
     def __init__(self, system, element_ids):
@@ -306,6 +306,18 @@ class ElementSet:
         """Positions of the set's blocks in the system's block buffer."""
         k2 = self.system._k ** 2
         return (self.ids[:, None] * k2 + np.arange(k2)).ravel()
+
+    @cached_property
+    def slots(self):
+        """Index into the full matrix's CSR data of the entry each of the
+        set's buffer positions adds into."""
+        system = self.system
+        n = np.int64(system.n_dofs)
+        dofs = system.element_dofs[self.ids]
+        want = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
+        A = system.full_matrix
+        rows = np.repeat(np.arange(n), np.diff(A.indptr))
+        return np.searchsorted(rows * n + A.indices, want)
 
 
 class AssembledSystem:
@@ -352,8 +364,8 @@ class AssembledSystem:
 
         self._fill(spec.triplet, ElementSet(self, np.arange(self.n_elements)))
         self._collect_dirichlet()
-        self._rebuild()
-        self._csr_sum = None  # recorded by the first partial update
+        self._csr_sum = _CsrSum(self)
+        self._build()
 
     # -- element blocks
 
@@ -375,13 +387,6 @@ class AssembledSystem:
             _, weights = quadrature_rule(group.rule, self.dim)
             for c, b in _element_blocks(weights, group.grads, K, group.vols):
                 blocks[group.ids[c]] = b
-
-    def _buffer_coords(self):
-        """Row and column dof of every buffer entry."""
-        shape = (self.n_elements, self._k, self._k)
-        dofs = self.element_dofs
-        return (np.broadcast_to(dofs[:, :, None], shape).ravel(),
-                np.broadcast_to(dofs[:, None, :], shape).ravel())
 
     # -- boundary conditions
 
@@ -413,29 +418,10 @@ class AssembledSystem:
 
     # -- matrices
 
-    def _rebuild(self):
-        rows, cols = self._buffer_coords()
-        A = sp.coo_matrix((self.data, (rows, cols)),
-                          shape=(self.n_dofs, self.n_dofs)).tocsr()
-        del rows, cols
-        _require_symmetric(A.data, (A - A.T).data)
-        self.full_matrix = A
-        free, fixed = self.free, self.dirichlet_dofs
-        if free.size:
-            self.matrix = A[free][:, free].tocsr()
-            lift = A[free][:, fixed] @ self.dirichlet_values
-            self.rhs = -lift
-        else:
-            self.matrix = sp.csr_matrix((0, 0))
-            self.rhs = np.zeros(0)
-
-    def _replay(self):
-        """Rebuild the matrices through the recorded CSR sum."""
-        csr_sum = self._csr_sum
-        vals = csr_sum.sum(self.data)
-        _require_symmetric(vals, vals - vals[csr_sum.transposed])
-        self.full_matrix, self.matrix, self.rhs = csr_sum.matrices(
-            vals, self.dirichlet_values)
+    def _build(self):
+        """Sum the block buffer into the matrices through the record."""
+        self.full_matrix, self.matrix, self.rhs = self._csr_sum.matrices(
+            self.data, self.dirichlet_values)
 
     def expand(self, x_free):
         """Free-dof vector -> full nodal vector with boundary values set."""
@@ -470,54 +456,53 @@ def _require_symmetric(data, skew):
 
 class _CsrSum:
     """The sum coo_matrix(...).tocsr() forms over a system's block
-    buffer, recorded once so partial updates can replay it.
+    buffer, recorded once; every build of the system's matrices goes
+    through it.
 
     tocsr lays the buffer out by row, stably (coo_tocsr), sorts each
     row's columns (csr_sort_indices) and adds each run of equal columns
     left to right (csr_sum_duplicates). The sort compares columns only,
     so running scipy's own sort_indices with buffer positions as the
-    data applies the permutation it applies to values. The record holds
-    the buffer positions in summation order (pos) and the CSR slot each
-    one adds into (slot, nondecreasing). A replay is one np.bincount over
-    slot with the gathered data as weights: it adds each slot's terms
-    left to right, the same additions in the same order. The reduced
-    matrix, the lift block and the transpose are fixed sets of slots.
+    data applies the permutation it applies to values. The record keeps
+    those positions (pos), the sorted columns (col) and the row heads. A
+    build gathers the buffer into that order and lets scipy's
+    sum_duplicates add the runs: the code tocsr ends with, on the same
+    values in the same order. The summed pattern does not depend on the
+    values, so the reduced matrix, the lift block and the transpose are
+    fixed sets of its slots.
     """
 
     def __init__(self, system):
         n, k = system.n_dofs, system._k
-        block_rows = system.element_dofs.ravel()
-        size = block_rows.size * k
-        idx = np.int32 if size < 2 ** 31 else np.int64
+        dofs = system.element_dofs
+        size = dofs.size * k
+        idx = np.int32 if max(size, n) < 2 ** 31 else np.int64
         # the k buffer entries of a block row share its dof, so the stable
-        # row layout of the buffer is that of the block rows, expanded
-        by_row = np.argsort(block_rows, kind="stable")
-        order = (by_row[:, None] * k + np.arange(k)).ravel()
-        indptr = np.zeros(n + 1, dtype=idx)
-        np.cumsum(np.bincount(block_rows, minlength=n) * k, out=indptr[1:])
-        laid = sp.csr_matrix((order.astype(float),
-                              system.element_dofs[by_row // k].ravel(),
-                              indptr), shape=(n, n))
-        del by_row, order
+        # row layout of the buffer is that of the block rows, expanded;
+        # the CSC form of the block rows' incidence matrix lists them by
+        # dof, stably (a counting sort, as coo_tocsr's)
+        by_dof = sp.csr_matrix((np.ones(dofs.size, dtype=bool),
+                                dofs.ravel().astype(idx),
+                                np.arange(dofs.size + 1, dtype=idx)),
+                               shape=(dofs.size, n)).tocsc()
+        by_row = by_dof.indices
+        order = (by_row[:, None] * idx(k) + np.arange(k, dtype=idx)).ravel()
+        laid = sp.csr_matrix((order, dofs.astype(idx)[by_row // k].ravel(),
+                              by_dof.indptr * idx(k)), shape=(n, n))
+        del by_dof, by_row, order
         laid.sort_indices()
-        self.pos = laid.data.astype(idx)  # buffer positions, summation order
-        col = laid.indices
-        opens = np.ones(size, dtype=bool)  # entry opens a new slot
-        np.not_equal(col[1:], col[:-1], out=opens[1:])
-        heads = laid.indptr[:-1]
-        opens[heads[heads < size]] = True
-        opened = np.concatenate(([0], np.cumsum(opens)))
         self.shape = (n, n)
-        self.indices = col[opens].astype(idx)
-        self.indptr = opened[laid.indptr].astype(idx)
-        self.slot = opened[1:] - 1
-        self.slot_of = np.empty(size, dtype=idx)
-        self.slot_of[self.pos] = self.slot
-        del laid, col, opens, opened
-        nnz = self.indices.size
+        # buffer positions in summation order, their columns, row heads
+        self.pos, self.col, self.heads = laid.data, laid.indices, laid.indptr
+        del laid
+        pattern = sp.csr_matrix((np.ones(size, dtype=bool), self.col.copy(),
+                                 self.heads.copy()), shape=self.shape)
+        pattern.sum_duplicates()  # the summed pattern; its values are unused
+        nnz = pattern.nnz
 
-        slot_ids = sp.csr_matrix((np.arange(1.0, nnz + 1), self.indices,
-                                  self.indptr), shape=self.shape)
+        slot_ids = sp.csr_matrix((np.arange(1.0, nnz + 1), pattern.indices,
+                                  pattern.indptr), shape=self.shape)
+        del pattern
         self.transposed = slot_ids.T.tocsr().data.astype(idx) - 1
         free, fixed = system.free, system.dirichlet_dofs
         self.reduced = None
@@ -528,41 +513,15 @@ class _CsrSum:
                                  for M in (rows_free[:, free].tocsr(),
                                            rows_free[:, fixed]))
 
-    def check(self, system):
-        """Raise unless replaying the system's block buffer gives the
-        matrices and right-hand side it holds, bit for bit, and the
-        transpose slots give scipy's transpose."""
-        full, matrix, rhs = self.matrices(self.sum(system.data),
-                                          system.dirichlet_values)
-        A = system.full_matrix
-        flipped = sp.csr_matrix((full.data[self.transposed], full.indices,
-                                 full.indptr), shape=self.shape)
-        same = all(np.array_equal(a.indices, b.indices)
-                   and np.array_equal(a.indptr, b.indptr)
-                   and np.array_equal(a.data, b.data)
-                   for a, b in ((full, A), (matrix, system.matrix),
-                                (flipped, A.T.tocsr())))
-        if not (same and np.array_equal(rhs, system.rhs)):
-            raise TripletFemError(
-                "the recorded CSR sum does not reproduce the assembled "
-                "matrices; partial updates would not match a reassembly")
-
-    def sum(self, data):
-        """The CSR data tocsr makes of the block buffer data."""
-        return np.bincount(self.slot, weights=data[self.pos],
-                           minlength=self.indices.size)
-
-    def count(self, positions):
-        """Number of slots the given buffer positions add into."""
-        hit = np.zeros(self.indices.size, dtype=bool)
-        hit[self.slot_of[positions]] = True
-        return int(np.count_nonzero(hit))
-
-    def matrices(self, vals, values):
-        """Full matrix, reduced matrix and right-hand side from the full
-        matrix's CSR data vals and the Dirichlet values."""
-        full = sp.csr_matrix((vals, self.indices, self.indptr),
-                             shape=self.shape)
+    def matrices(self, data, values):
+        """Full matrix, reduced matrix and right-hand side from the block
+        buffer data and the Dirichlet values; raises unless the full
+        matrix is symmetric."""
+        full = sp.csr_matrix((data[self.pos], self.col.copy(),
+                              self.heads.copy()), shape=self.shape)
+        full.sum_duplicates()
+        vals = full.data
+        _require_symmetric(vals, vals - vals[self.transposed])
         if self.reduced is None:
             return full, sp.csr_matrix((0, 0)), np.zeros(0)
         matrix, lift = (sp.csr_matrix((vals[slots], indices, indptr),
@@ -577,8 +536,10 @@ def assemble(spec):
     Returns an AssembledSystem; .matrix and .rhs are the reduced system
     after symmetric elimination of the Dirichlet dofs, .full_matrix the
     untouched operator (its nullspace contains the constant vector).
-    Accumulation order is element index order, so repeated runs on the
-    same inputs produce identical bits.
+    Each matrix entry adds its element terms in the order scipy's COO to
+    CSR conversion of the block buffer does (a stable sort by row, then
+    scipy's sort of each row's columns), so repeated runs on the same
+    inputs produce identical bits.
     """
     return AssembledSystem(spec)
 
@@ -589,28 +550,24 @@ def update_elements(system, triplet, element_ids):
     element_ids is an array of element ids, or an ElementSet of this
     system when the same elements are updated again and again. Quadrature
     rules stay as frozen at assembly. All other element blocks keep
-    their exact bits, and the rebuilt matrices are entrywise identical
-    to a full reassembly under the new triplet: the first update records
-    the order in which assembly's COO to CSR conversion sums the block
-    buffer, checks the record against the matrices it holds, and every
-    update replays it as one np.bincount. Returns the number of matrix
-    entries that one or more changed blocks contribute to.
+    their exact bits, and the matrices are rebuilt from the whole block
+    buffer through the sum assembly recorded, so they are entrywise
+    identical to a full reassembly under the new triplet. Returns the
+    number of matrix entries that one or more changed blocks contribute
+    to.
     """
     elements = element_ids if isinstance(element_ids, ElementSet) \
         else ElementSet(system, element_ids)
     if elements.system is not system:
         raise ValueError("the element set was made for another system")
-    if system._csr_sum is None:
-        csr_sum = _CsrSum(system)
-        csr_sum.check(system)
-        system._csr_sum = csr_sum
     flat = elements.flat
     before = system.data[flat]
     system._fill(triplet, elements)
     system.triplet = triplet
-    changed = system._csr_sum.count(flat[system.data[flat] != before])
-    system._replay()
-    return changed
+    hit = np.zeros(system.full_matrix.nnz, dtype=bool)
+    hit[elements.slots[system.data[flat] != before]] = True
+    system._build()
+    return int(np.count_nonzero(hit))
 
 
 # ------------------------------------------------------------- element ops
@@ -630,10 +587,11 @@ def local_stiffness(nodes, K, quadrature="one_point"):
     dim = nodes.shape[1]
     edges = nodes[1:] - nodes[0]
     vol = abs(float(np.linalg.det(edges))) * _VOLUME_FACTOR[dim]
-    if not np.isfinite(vol) or vol <= _VOLUME_FLOOR:
+    dead = _first_degenerate(nodes, np.arange(dim + 1)[None],
+                             np.array([vol]))
+    if dead is not None:
         raise DegenerateElement(
-            f"simplex with nodes {nodes.tolist()} has volume {vol:.3e}, "
-            f"at or below {_VOLUME_FLOOR:.0e}")
+            f"simplex with nodes {nodes.tolist()} {dead[1]}")
     inv = np.linalg.inv(edges.T)
     grads = np.empty((dim + 1, dim))
     grads[1:] = inv

@@ -30,11 +30,49 @@ _VOLUME_FACTOR = {2: 0.5, 3: 1.0 / 6.0}
 _VOLUME_FLOOR = 1e-300
 
 
+def _first_degenerate(nodes, elements, vols):
+    """(index, reason) of the first simplex, among the rows of elements
+    with volumes vols, that cannot be assembled, or None. The one rule
+    for Mesh() and fem.local_stiffness: the volume must lie above
+    _VOLUME_FLOOR and be finite, and the basis gradients, bounded by
+    longest edge^(d-1) / volume, must not overflow when squared."""
+    dim = nodes.shape[1]
+
+    def fine(vol, edge):
+        grad = edge ** (dim - 1) / vol
+        return ((vol > _VOLUME_FLOOR) & (vol < np.inf)
+                & np.isfinite(grad * grad))
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # no edge is longer than the diagonal of a box holding every node
+        # (and the origin, so that an empty mesh needs no case of its
+        # own): only the simplices that fail against it need their edges
+        box = nodes.max(axis=0, initial=0.0) - nodes.min(axis=0, initial=0.0)
+        suspects = np.flatnonzero(~fine(vols, np.sqrt(box @ box)))
+        corners = nodes[elements[suspects]].transpose(1, 2, 0)
+        longest = np.zeros(suspects.size)
+        for i in range(dim + 1):
+            for j in range(i):
+                edge = corners[i] - corners[j]
+                np.maximum(longest, np.sum(edge * edge, axis=0), out=longest)
+        longest = np.sqrt(longest)
+        bad = np.flatnonzero(~fine(vols[suspects], longest))
+    if not bad.size:
+        return None
+    i, vol = int(suspects[bad[0]]), vols[suspects[bad[0]]]
+    if not vol > _VOLUME_FLOOR:
+        return i, f"has volume {vol:.3e}, at or below {_VOLUME_FLOOR:.0e}"
+    return i, (f"has volume {vol:.3e} against a longest edge of "
+               f"{longest[bad[0]]:.3e}: its volume or its basis gradients "
+               "overflow")
+
+
 def signed_volumes(nodes, elements):
     """Signed simplex volumes; positive for the normalized orientation."""
     coords = nodes[elements]
     edges = coords[:, 1:, :] - coords[:, :1, :]
-    return _VOLUME_FACTOR[nodes.shape[1]] * np.linalg.det(edges)
+    with np.errstate(over="ignore"):  # an infinite volume is refused later
+        return _VOLUME_FACTOR[nodes.shape[1]] * np.linalg.det(edges)
 
 
 def _sorted_faces(elements):
@@ -103,11 +141,11 @@ class Mesh:
             elements[flip, -2], elements[flip, -1] = (
                 elements[flip, -1].copy(), elements[flip, -2].copy())
             vols = np.abs(vols)
-        dead = np.flatnonzero(vols <= _VOLUME_FLOOR)
-        if dead.size:
-            raise DegenerateElement(
-                f"element {int(dead[0])} has volume {vols[dead[0]]:.3e}, at or "
-                f"below {_VOLUME_FLOOR:.0e} (nodes {elements[dead[0]].tolist()})")
+        dead = _first_degenerate(nodes, elements, vols)
+        if dead is not None:
+            i, reason = dead
+            raise DegenerateElement(f"element {i} {reason} "
+                                    f"(nodes {elements[i].tolist()})")
 
         if boundary_facets is None:
             boundary_facets = np.zeros((0, dim), dtype=np.int64)

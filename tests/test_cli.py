@@ -1,26 +1,12 @@
 """Scenario execution, exit codes, and the quick mesh utilities."""
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import tripletfem
 from tripletfem import cli, mesh
-
-
-def run_python(*args):
-    """A fresh interpreter that imports the tripletfem under test."""
-    src = str(Path(tripletfem.__file__).parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src if not path else os.pathsep.join((src, path)))
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env)
 
 
 def write_scenario(tmp_path, scn, name="scenario.json"):
@@ -87,13 +73,13 @@ def test_help_exits_zero(capsys):
     assert "usage" in capsys.readouterr().out
 
 
-def test_module_is_runnable_as_script(tmp_path):
+def test_module_is_runnable_as_script(run_python):
     out = run_python("-m", "tripletfem.cli", "--help")
     assert out.returncode == 0
     assert "usage" in out.stdout
 
 
-def test_cli_import_leaves_scipy_spatial_out():
+def test_cli_import_leaves_scipy_spatial_out(run_python):
     # only atlas interface matching uses scipy.spatial; a solve should not
     # pay its import
     code = "import sys, tripletfem.cli; print('scipy.spatial' in sys.modules)"
@@ -690,6 +676,10 @@ def write_exit_code_inputs(d):
             (line.split() for line in lines[start:end])]
     subnormal = lines[:start] + flat + lines[end:]
     (d / "subnormal.msh").write_text("\n".join(subnormal) + "\n")
+    thin = [f"{i} {x} {float(y) * 1e-200!r} {z}" for i, x, y, z in
+            (line.split() for line in lines[start:end])]
+    (d / "thin.msh").write_text("\n".join(lines[:start] + thin + lines[end:])
+                                + "\n")
     latin1 = (d / "box.msh").read_text().replace('"domain"', '"caf\xe9"')
     (d / "latin1.msh").write_bytes(latin1.encode("latin-1"))
 
@@ -706,6 +696,7 @@ def write_exit_code_inputs(d):
     scenario("latin1_mesh.json", mesh={"file": "latin1.msh"})
     scenario("nan_mesh.json", mesh={"file": "nan.msh"})
     scenario("subnormal_mesh.json", mesh={"file": "subnormal.msh"})
+    scenario("thin_mesh.json", mesh={"file": "thin.msh"})
     scenario("dim2_box3.json", mesh={"generator": {
         "shape": "box", "divisions": [2, 2, 2]}})
     scenario("dim3_box2.json", dimension=3)
@@ -739,6 +730,8 @@ EXIT_CODE_TABLE = {
     # exited 3 from CG on a NaN matrix (residual nan)
     "subnormal-volume-solve": (["solve", "{d}/subnormal_mesh.json"], 2,
                                "mesh.file"),
+    # raised "assembled matrix asymmetry nan" after an overflow, exit 3
+    "thin-element-solve": (["solve", "{d}/thin_mesh.json"], 2, "mesh.file"),
     "unknown-dirichlet-tag": (["solve", "{d}/unknown_tag.json"], 2,
                               "boundary"),
     "max-iter": (["solve", "{d}/square.json", "solver.max_iter=1"], 3, None),

@@ -90,6 +90,11 @@ def test_subnormal_simplex_rejected_at_the_mesh_volume_floor():
         fem.local_stiffness([[0, 0], [1, 0], [0, 1e-310]], np.eye(2))
 
 
+def test_thin_simplex_rejected_by_the_mesh_rule():
+    with pytest.raises(DegenerateElement, match="gradients overflow"):
+        fem.local_stiffness([[0, 0], [1, 0], [0, 1e-200]], np.eye(2))
+
+
 def test_quadrature_tables_have_unit_weight_and_interior_points():
     for name in ("one_point", "interior"):
         for dim in (2, 3):
@@ -428,27 +433,81 @@ def two_patch_atlas_spec():
                        (("left", 0.0), ("right", 1.0)))
 
 
-@pytest.mark.parametrize("make_spec",
-                         [box_2d_spec, box_3d_spec, two_patch_atlas_spec])
-def test_csr_replay_matches_coo_to_csr(make_spec):
-    system = fem.assemble(make_spec())
-    csr_sum = fem._CsrSum(system)
-    csr_sum.check(system)
-    rng = np.random.default_rng(3)
-    size = system.data.size
-    data = rng.standard_normal(size) * np.exp(rng.uniform(-20.0, 20.0, size))
-    rows, cols = system._buffer_coords()
-    A = sp.coo_matrix((data, (rows, cols)),
+def graded_annulus_spec():
+    m = mesh.generate_structured("annulus", (12, 4), radii=(1.0, 2.0),
+                                 grading=2.0)
+    return fem.BVPSpec(m, euclidean_triplet(2),
+                       (("inner", 1.0), ("outer", 0.0)))
+
+
+def all_dirichlet_spec():
+    m = mesh.generate_structured("box", (1, 1))
+    return fem.BVPSpec(m, euclidean_triplet(2),
+                       tuple((tag, float(i)) for i, tag in
+                             enumerate(("left", "right", "bottom", "top"))))
+
+
+def unused_node_spec():
+    box = mesh.generate_structured("box", (3, 3))
+    nodes = np.vstack([box.nodes, [[2.0, 2.0]]])  # in no element
+    m = mesh.Mesh(nodes, box.elements, box.element_regions,
+                  box.boundary_facets, box.facet_tags)
+    return fem.BVPSpec(m, euclidean_triplet(2),
+                       (("left", 0.0), ("right", 1.0)))
+
+
+def buffer_coords(system):
+    """Row and column dof of every entry of the system's block buffer."""
+    shape = (system.n_elements, system._k, system._k)
+    dofs = system.element_dofs
+    return (np.broadcast_to(dofs[:, :, None], shape).ravel(),
+            np.broadcast_to(dofs[:, None, :], shape).ravel())
+
+
+def assert_scipy_sums_the_buffer(system):
+    """The system's matrices and rhs, bit for bit, against scipy's COO to
+    CSR conversion of its block buffer and a slice of the result."""
+    rows, cols = buffer_coords(system)
+    A = sp.coo_matrix((system.data, (rows, cols)),
                       shape=(system.n_dofs, system.n_dofs)).tocsr()
     free, fixed = system.free, system.dirichlet_dofs
-    values = rng.standard_normal(fixed.size)
-    full, matrix, rhs = csr_sum.matrices(csr_sum.sum(data), values)
-    want = A[free][:, free].tocsr()
-    for got, ref in ((full, A), (matrix, want)):
-        assert np.array_equal(got.indices, ref.indices)
-        assert np.array_equal(got.indptr, ref.indptr)
-        assert np.array_equal(got.data, ref.data)
-    assert np.array_equal(rhs, -(A[free][:, fixed] @ values))
+    want = [(system.full_matrix, A)]
+    if free.size:
+        want.append((system.matrix, A[free][:, free].tocsr()))
+        rhs = -(A[free][:, fixed] @ system.dirichlet_values)
+    else:
+        assert system.matrix.shape == (0, 0)
+        rhs = np.zeros(0)
+    for got, ref in want:
+        for field in ("indices", "indptr", "data"):
+            a, b = getattr(got, field), getattr(ref, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(system.rhs, rhs)
+
+
+@pytest.mark.parametrize("make_spec",
+                         [box_2d_spec, box_3d_spec, two_patch_atlas_spec,
+                          graded_annulus_spec, all_dirichlet_spec,
+                          unused_node_spec])
+def test_csr_replay_matches_coo_to_csr(make_spec):
+    """Assembly and a partial update both replay the recorded CSR sum;
+    scipy's own conversion of the buffer is the oracle."""
+    spec = make_spec()
+    system = fem.assemble(spec)
+    assert_scipy_sums_the_buffer(system)
+    # symmetric blocks over a wide range of exponents, so any change in
+    # the order of the additions moves the last bits
+    rng = np.random.default_rng(3)
+    k = system._k
+    B = rng.standard_normal((system.n_elements, k, k)) \
+        * np.exp(rng.uniform(-20.0, 20.0, (system.n_elements, 1, 1)))
+    system.data[:] = (B + np.swapaxes(B, 1, 2)).ravel()
+    system.dirichlet_values = rng.standard_normal(system.dirichlet_dofs.size)
+    some = rng.choice(system.n_elements, max(1, system.n_elements // 3),
+                      replace=False)
+    t2 = euclidean_triplet(system.dim, eps=3.0)
+    fem.update_elements(system, t2, some)
+    assert_scipy_sums_the_buffer(system)
 
 
 def test_changed_entries_match_the_pattern_count():
@@ -463,23 +522,10 @@ def test_changed_entries_match_the_pattern_count():
     # every element is recomputed, only the slab's blocks move
     changed = fem.update_elements(system, t2, np.arange(m.n_elements))
     moved = np.flatnonzero(system.data != before)
-    rows, cols = system._buffer_coords()
+    rows, cols = buffer_coords(system)
     pattern = sp.coo_matrix((np.ones(moved.size), (rows[moved], cols[moved])),
                             shape=(system.n_dofs, system.n_dofs)).tocsr()
     assert 0 < changed == pattern.nnz < system.full_matrix.nnz
-
-
-def test_a_corrupted_csr_sum_is_refused(monkeypatch):
-    class Corrupted(fem._CsrSum):
-        def __init__(self, system):
-            super().__init__(system)
-            self.pos = self.pos[::-1].copy()
-
-    spec = unit_square_spec(5)
-    system = fem.assemble(spec)
-    monkeypatch.setattr(fem, "_CsrSum", Corrupted)
-    with pytest.raises(TripletFemError, match="CSR sum"):
-        fem.update_elements(system, spec.triplet, [0, 1])
 
 
 def test_element_set_belongs_to_its_system():

@@ -134,6 +134,31 @@ def test_constructor_rejects_subnormal_volume():
         msh.Mesh(nodes, [[0, 1, 2], [1, 3, 2]], ["d", "d"])
 
 
+def test_constructor_rejects_elements_whose_gradients_overflow():
+    # the volume clears the floor, but the basis gradients (about 1e200)
+    # overflow when the blocks square them
+    nodes = [[0.0, 0.0], [1.0, 0.0], [0.0, 1e-200], [1.0, 1e-200]]
+    with pytest.raises(DegenerateElement,
+                       match="element 0 has volume .* overflow"):
+        msh.Mesh(nodes, [[0, 1, 2], [1, 3, 2]], ["d", "d"])
+
+
+def test_a_small_element_far_from_a_large_one_is_kept():
+    # against the whole mesh's extent the small triangle's gradients would
+    # overflow; against its own edges (about 1e100 / 1e-200) they do not
+    nodes = [[0.0, 0.0], [1e-100, 0.0], [0.0, 1e-100],
+             [1e100, 0.0], [2e100, 0.0], [1e100, 1e100]]
+    m = msh.Mesh(nodes, [[0, 1, 2], [3, 4, 5]], ["d", "d"])
+    assert m.n_elements == 2
+
+
+def test_constructor_rejects_elements_whose_volume_overflows():
+    nodes = [[0.0, 0.0, 0.0], [1e103, 0.0, 0.0], [0.0, 1e103, 0.0],
+             [0.0, 0.0, 1e103]]
+    with pytest.raises(DegenerateElement, match="element 0 has volume inf"):
+        msh.Mesh(nodes, [[0, 1, 2, 3]], ["d"])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_constructor_rejects_non_finite_nodes(bad):
     nodes = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, bad]]
