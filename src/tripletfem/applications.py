@@ -21,7 +21,7 @@ from .errors import (RegionNotContained, SingularJacobian, TopologyChange,
 from .geometry import (Annulus, Box, Composite, KelvinShell, MetricField,
                        PiecewiseRadial, det)
 from .mesh import Mesh, generate_structured, map_mesh, write_vtk
-from .triplet import (MaterialField, Triplet, eval_entry, inverse_jacobian,
+from .triplet import (Triplet, eval_entry, inverse_jacobian,
                       motion_metric_field, pull_back,
                       transform_material_euclidean)
 
@@ -168,7 +168,9 @@ def reparameterize_fixed_metric(spec, g):
             return fn(mapped.nodes[0])
         return fn
 
-    material = t.material.map_entries(transformed)
+    # the default meets each metric region's own entry under that tag
+    material = t.material.spread_default(
+        t.metric.region_tags()).map_entries(transformed)
 
     chart = g if t.chart.is_identity() else Composite([t.chart, g])
     triplet = Triplet(chart=chart, metric=euclidean, material=material)
@@ -240,9 +242,8 @@ def _step_triplet(base_triplet, moving_tag, step_map, mode, dim):
     if step_map.is_identity():
         return base_triplet
     if mode == "metric-change":
-        metric = MetricField.by_region(
-            dim, {moving_tag: motion_metric_field(step_map, dim)},
-            default=base_triplet.metric)
+        entry = motion_metric_field(step_map, dim).entry()
+        metric = base_triplet.metric.with_entry(moving_tag, entry)
         return Triplet(base_triplet.chart, metric, base_triplet.material)
 
     # material-change: pull the deformed region's material back into the
@@ -254,10 +255,7 @@ def _step_triplet(base_triplet, moving_tag, step_map, mode, dim):
         J = inverse_jacobian(step_map, p)
         return transform_material_euclidean(eval_entry(base_entry, p, dim), J)
 
-    regions = dict(base_triplet.material.regions)
-    regions[moving_tag] = entry
-    material = MaterialField(dim, regions=regions,
-                             default=base_triplet.material.default)
+    material = base_triplet.material.with_entry(moving_tag, entry)
     return Triplet(base_triplet.chart, base_triplet.metric, material)
 
 

@@ -319,14 +319,10 @@ def build_material(cfg, dim, chart, metric):
     if cfg is None:
         return tp.MaterialField.uniform(1.0, dim)
     with _declared("material", "bad material: "):
-        regions = dict(cfg.get("regions") or {})
-        if isinstance(cfg.get("default"), dict):
-            # a pulled-back default meets each metric region's own matrix
-            for tag in metric.region_tags():
-                regions.setdefault(tag, cfg["default"])
-        declared = tp.MaterialField(dim, regions=regions,
+        declared = tp.MaterialField(dim, regions=cfg.get("regions"),
                                     default=cfg.get("default"))
-        return declared.map_entries(
+        # a pulled-back default meets each metric region's own matrix
+        return declared.spread_default(metric.region_tags()).map_entries(
             lambda entry, tag: _material_entry(entry, dim, chart, metric,
                                                tag))
 

@@ -38,6 +38,10 @@ class AsymmetricCoefficient(TripletFemError):
     """The effective coefficient eps * S^-1 is asymmetric beyond tolerance."""
 
 
+class NonFiniteCoefficient(TripletFemError):
+    """A material or metric evaluated to inf or NaN."""
+
+
 # -------------------------------------------------------------------- mesh
 
 class DegenerateShape(TripletFemError):

@@ -1,4 +1,4 @@
-"""Coordinate charts, their Jacobians, domain descriptors, and metric fields.
+"""Coordinate charts, their Jacobians, domain descriptors, and tensor fields.
 
 Charts are invertible differentiable maps from a region of R^n onto their
 image. Every family carries an analytic Jacobian; nothing here is ever
@@ -749,60 +749,159 @@ def inner_product(S, v, w):
     return np.einsum("...i,...ij,...j->...", v, S, w)
 
 
-# ------------------------------------------------------------ metric fields
+# ------------------------------------------------------------ tensor fields
 
 
-def region_entry(table, default, region):
-    """A field's entry for a region tag: the region's own, else the
-    default, else the only entry when no region is named; None otherwise."""
-    if region in table:
-        return table[region]
-    if default is not None:
-        return default
-    if region is None and len(table) == 1:
-        return next(iter(table.values()))
-    return None
+def material_matrix(eps, dim):
+    """Normalize a field value, a material's or a metric's: scalars
+    mean isotropic eps * I."""
+    eps = np.asarray(eps, dtype=float)
+    if eps.ndim >= 2 and eps.shape[-2:] == (dim, dim):
+        return eps
+    if eps.ndim >= 2:
+        raise DimensionMismatch(
+            f"material matrix shape {eps.shape[-2:]} disagrees with dimension {dim}")
+    return eps[..., None, None] * np.eye(dim)
 
 
-class MetricField:
-    """Symmetric positive definite tensor field S(x) on a chart codomain.
+def eval_entry(entry, points, dim):
+    """A field entry (scalar, matrix, or pointwise evaluator returning
+    either) as full matrices at the points, shape (..., n, n)."""
+    if callable(entry):
+        out = np.asarray(entry(points), dtype=float)
+    else:
+        out = np.asarray(entry, dtype=float)
+    out = material_matrix(out, dim)
+    want = points.shape[:-1] + (dim, dim)
+    if out.shape != want:
+        out = np.broadcast_to(out, want)
+    return out
 
-    Evaluators are vectorized over points. Fields built from a constant
-    matrix advertise it through constant_matrix(), which quadrature
-    selection exploits. A field may also be assembled per region tag.
+
+class TensorField:
+    """Region-tagged tensor field on a chart codomain: the one region
+    lookup behind both the metric and the material.
+
+    `regions` maps region tags to entries and `default` covers tags
+    without one. An entry is a value (a scalar meaning that multiple of
+    I, or an (n, n) matrix) or a pointwise evaluator returning either.
+    An entry is never itself a field: evaluated on its own, a nested
+    field would not know the region it stands for.
+    """
+
+    def __init__(self, dim, regions=None, default=None):
+        self.dim = int(dim)
+        self.regions = {tag: self._check_entry(e)
+                        for tag, e in (regions or {}).items()}
+        self.default = None if default is None else self._check_entry(default)
+        if not self.regions and self.default is None:
+            raise ValueError(f"{type(self).__name__} needs at least one entry")
+
+    def _check_entry(self, entry):
+        """The entry as stored; subclasses validate constant entries."""
+        if isinstance(entry, TensorField):
+            raise TypeError(
+                f"a field entry is a value or a pointwise evaluator, not "
+                f"{entry!r}; pass one of its entries instead")
+        return entry
+
+    def entry(self, region=None):
+        """The region's own entry, else the default, else the only entry
+        when no region is named."""
+        if region in self.regions:
+            return self.regions[region]
+        if self.default is not None:
+            return self.default
+        if region is None and len(self.regions) == 1:
+            return next(iter(self.regions.values()))
+        raise UnknownTag(
+            f"{type(self).__name__} has no entry for region {region!r}")
+
+    def region_tags(self):
+        """Tags with an entry of their own."""
+        return tuple(self.regions)
+
+    def constant_matrix(self, region=None):
+        """The region's constant matrix; None when it varies pointwise or
+        the region has no entry (eval then raises UnknownTag)."""
+        try:
+            entry = self.entry(region)
+        except UnknownTag:
+            return None
+        if callable(entry):
+            return None
+        return material_matrix(entry, self.dim)
+
+    def eval(self, points, region=None):
+        """The region's matrices at the given points, shape (..., n, n)."""
+        p = _as_points(points, self.dim)
+        return eval_entry(self.entry(region), p, self.dim)
+
+    def map_entries(self, fn):
+        """A field of the same kind holding fn(entry, tag) in place of
+        every entry; the default's tag is None."""
+        regions = {tag: fn(e, tag) for tag, e in self.regions.items()}
+        default = None if self.default is None else fn(self.default, None)
+        return type(self)(self.dim, regions=regions, default=default)
+
+    def with_entry(self, tag, entry):
+        """A field of the same kind with `entry` for the region `tag` and
+        every other entry, the default included, kept."""
+        return type(self)(self.dim, regions={**self.regions, tag: entry},
+                          default=self.default)
+
+    def spread_default(self, tags):
+        """A field of the same kind in which each of `tags` without an
+        entry of its own holds the default as one. A map_entries that
+        depends on the tag, such as a pull-back against a by-region
+        metric, then sees those regions by name."""
+        if self.default is None:
+            return self
+        regions = dict.fromkeys(tags, self.default)
+        regions.update(self.regions)
+        return type(self)(self.dim, regions=regions, default=self.default)
+
+    def __repr__(self):
+        tags = sorted(map(repr, self.regions))
+        return (f"{type(self).__name__}(dim={self.dim}, "
+                f"regions=[{', '.join(tags)}], "
+                f"default={'set' if self.default is not None else 'none'})")
+
+
+class MetricField(TensorField):
+    """Symmetric positive definite metric S(x) on a chart codomain.
+
+    Give exactly one of `constant` (an (n, n) matrix), `fn` (a pointwise
+    evaluator), or `regions` (a table of either, with an optional
+    `default`). Constant entries are checked for shape, symmetry and
+    positive definiteness and stored read-only; constant_matrix()
+    advertises them, which quadrature selection exploits.
     """
 
     def __init__(self, dim, *, constant=None, fn=None, regions=None,
                  default=None):
         given = sum(x is not None for x in (constant, fn, regions))
-        if given != 1:
-            raise ValueError("give exactly one of constant, fn, regions")
-        self.dim = int(dim)
-        self._fn = fn
-        self._constant = None
-        self._regions = None
-        self._default = None
-        if constant is not None:
-            S = np.asarray(constant, dtype=float)
-            if S.shape != (self.dim, self.dim):
-                raise DimensionMismatch("metric matrix shape disagrees with dim")
-            if np.abs(S - S.T).max() > 1e-10 * max(np.abs(S).max(), 1e-300):
-                raise ValueError("metric matrix must be symmetric")
-            if np.any(np.linalg.eigvalsh(S) <= 0.0):
-                raise ValueError("metric matrix must be positive definite")
-            S = S.copy()
-            S.flags.writeable = False
-            self._constant = S
-        if regions is not None:
-            table = {}
-            for tag, entry in regions.items():
-                if not isinstance(entry, MetricField):
-                    entry = MetricField(self.dim, constant=entry)
-                table[tag] = entry
-            self._regions = table
-            if default is not None and not isinstance(default, MetricField):
-                default = MetricField(self.dim, constant=default)
-            self._default = default
+        if given != 1 or (default is not None and regions is None):
+            raise ValueError("give exactly one of constant, fn, regions; "
+                             "a default goes with regions")
+        if regions is None:
+            default = fn if constant is None else constant
+        super().__init__(dim, regions=regions, default=default)
+
+    def _check_entry(self, entry):
+        entry = super()._check_entry(entry)
+        if callable(entry):
+            return entry
+        S = np.asarray(entry, dtype=float)
+        if S.shape != (self.dim, self.dim):
+            raise DimensionMismatch("metric matrix shape disagrees with dim")
+        if np.abs(S - S.T).max() > 1e-10 * max(np.abs(S).max(), 1e-300):
+            raise ValueError("metric matrix must be symmetric")
+        if np.any(np.linalg.eigvalsh(S) <= 0.0):
+            raise ValueError("metric matrix must be positive definite")
+        S = S.copy()
+        S.flags.writeable = False
+        return S
 
     @classmethod
     def euclidean(cls, dim):
@@ -813,43 +912,6 @@ class MetricField:
         return cls(dim, regions=mapping, default=default)
 
     def is_euclidean(self, region=None):
-        """True when the field is constant and within 1e-12 of I for the
-        region."""
+        """True when the region's entry is constant and within 1e-12 of I."""
         S = self.constant_matrix(region)
         return S is not None and np.abs(S - np.eye(self.dim)).max() <= 1e-12
-
-    def region_tags(self):
-        """Tags with an entry of their own; empty unless built by region."""
-        return tuple(self._regions or ())
-
-    def constant_matrix(self, region=None):
-        """The field's constant value, or None when it varies."""
-        if self._constant is not None:
-            return self._constant
-        if self._regions is not None:
-            entry = region_entry(self._regions, self._default, region)
-            if entry is not None:
-                return entry.constant_matrix()
-        return None
-
-    def eval(self, points, region=None):
-        """Metric matrices at the given points, shape (..., n, n)."""
-        p = _as_points(points, self.dim)
-        if self._constant is not None:
-            return np.broadcast_to(self._constant, p.shape[:-1] + (self.dim, self.dim))
-        if self._regions is not None:
-            entry = region_entry(self._regions, self._default, region)
-            if entry is None:
-                raise UnknownTag(
-                    f"metric field has no entry for region {region!r}")
-            return entry.eval(p)
-        out = np.asarray(self._fn(p), dtype=float)
-        want = p.shape[:-1] + (self.dim, self.dim)
-        if out.shape != want:
-            out = np.broadcast_to(out, want)
-        return out
-
-    def __repr__(self):
-        kind = ("constant" if self._constant is not None
-                else "regions" if self._regions is not None else "fn")
-        return f"MetricField(dim={self.dim}, kind={kind})"

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import geometry
 from .errors import (AsymmetricCoefficient, DimensionMismatch,
-                     SingularJacobian, UnknownTag)
+                     NonFiniteCoefficient, SingularJacobian)
+from .geometry import eval_entry, material_matrix
 
 # |det J| at or below this floor counts as singular.
 DET_FLOOR = 1e-300
@@ -30,31 +31,6 @@ def _as_square(M, name):
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DimensionMismatch(f"{name} must be a square matrix (stack)")
     return M
-
-
-def material_matrix(eps, dim):
-    """Normalize a material value: scalars mean isotropic eps * I."""
-    eps = np.asarray(eps, dtype=float)
-    if eps.ndim >= 2 and eps.shape[-2:] == (dim, dim):
-        return eps
-    if eps.ndim >= 2:
-        raise DimensionMismatch(
-            f"material matrix shape {eps.shape[-2:]} disagrees with dimension {dim}")
-    return eps[..., None, None] * np.eye(dim)
-
-
-def eval_entry(entry, points, dim):
-    """A material entry (scalar, matrix, or pointwise evaluator returning
-    either) as full matrices at the points, shape (..., n, n)."""
-    if callable(entry):
-        out = np.asarray(entry(points), dtype=float)
-    else:
-        out = np.asarray(entry, dtype=float)
-    out = material_matrix(out, dim)
-    want = points.shape[:-1] + (dim, dim)
-    if out.shape != want:
-        out = np.broadcast_to(out, want)
-    return out
 
 
 def _abs_det(J):
@@ -119,22 +95,15 @@ def pull_back(entry, chart, source, target, region=None):
     the result is a pointwise evaluator for the image, whose metric field
     is target. At points p it takes x = chart.inverse(p) and
     J = chart.jacobian(x), evaluates the entry and source at x and target
-    at p, and returns transform_material of them. When both metrics are
-    the identity for the region the Euclidean form is used; the two give
-    the same bits.
+    at p, and returns transform_material of them.
     """
     dim = target.dim
-    eye = np.eye(dim)
-    euclidean = all(np.array_equal(m.constant_matrix(region), eye)
-                    for m in (source, target))
 
     def fn(points):
         p = np.asarray(points, dtype=float)
         x = chart.inverse(p)
         J = chart.jacobian(x)
         eps = eval_entry(entry, x, dim)
-        if euclidean:
-            return transform_material_euclidean(eps, J)
         return transform_material(eps, source.eval(x, region),
                                   target.eval(p, region), J)
 
@@ -171,6 +140,13 @@ def _first_if_repeated(M):
     return first[None] if np.all(M == first) else None
 
 
+def _require_finite(M, name):
+    finite = np.isfinite(M)
+    if not finite.all():
+        raise NonFiniteCoefficient(
+            f"{name} holds the non-finite value {float(M[~finite][0])}")
+
+
 def effective_coefficient(eps, S):
     """Galerkin coefficient K = eps S^-1, symmetrized, shape (..., n, n).
 
@@ -178,14 +154,19 @@ def effective_coefficient(eps, S):
     their first (1, n, n) slices, through the pointwise kernels, and
     returned broadcast: the same bits, whatever made the inputs constant.
 
-    Raises AsymmetricCoefficient when the asymmetry exceeds SYMMETRY_RTOL
-    relative to the coefficient's own magnitude, or is not a number.
+    Raises NonFiniteCoefficient, before any product, when the material or
+    the metric holds inf or NaN, and AsymmetricCoefficient when the
+    asymmetry exceeds SYMMETRY_RTOL relative to the coefficient's own
+    magnitude.
     """
     S = _as_square(S, "S")
     n = S.shape[-1]
     eps = material_matrix(eps, n)
     shape = None
     eps_1, S_1 = _first_if_repeated(eps), _first_if_repeated(S)
+    # a repeated stack equals its first matrix, so that one is scanned
+    _require_finite(eps if eps_1 is None else eps_1, "material")
+    _require_finite(S if S_1 is None else S_1, "metric")
     if eps_1 is not None and S_1 is not None:
         shape = np.broadcast_shapes(eps.shape, S.shape)
         eps, S = eps_1, S_1
@@ -206,59 +187,15 @@ def effective_coefficient(eps, S):
 # ---------------------------------------------------------- material fields
 
 
-class MaterialField:
-    """Region-tagged permittivity field.
-
-    Entries are scalars (isotropic), (n, n) matrices, or pointwise
-    evaluators returning either. eval() always hands back full matrices.
-    A default entry covers region tags without one of their own.
-    """
-
-    def __init__(self, dim, regions=None, default=None):
-        self.dim = int(dim)
-        self.regions = dict(regions) if regions else {}
-        self.default = default
-        if not self.regions and self.default is None:
-            raise ValueError("material field needs at least one entry")
+class MaterialField(geometry.TensorField):
+    """Region-tagged permittivity field: a TensorField whose entries are
+    scalars (isotropic), (n, n) matrices, or pointwise evaluators
+    returning either, stored as given."""
 
     @classmethod
     def uniform(cls, eps, dim):
         """One entry covering every region."""
         return cls(dim, default=eps)
-
-    def entry(self, region=None):
-        entry = geometry.region_entry(self.regions, self.default, region)
-        if entry is None:
-            raise UnknownTag(
-                f"material field has no entry for region {region!r}")
-        return entry
-
-    def constant_matrix(self, region=None):
-        """The region's constant matrix, or None when it varies pointwise."""
-        entry = self.entry(region)
-        if callable(entry):
-            return None
-        return material_matrix(entry, self.dim)
-
-    def map_entries(self, fn):
-        """A field holding fn(entry, tag) in place of every entry; the
-        default's tag is None."""
-        regions = {tag: fn(e, tag) for tag, e in self.regions.items()}
-        default = None if self.default is None else fn(self.default, None)
-        return MaterialField(self.dim, regions=regions, default=default)
-
-    def eval(self, points, region=None):
-        """Material matrices at the given points, shape (..., n, n)."""
-        p = np.asarray(points, dtype=float)
-        if p.shape[-1] != self.dim:
-            raise DimensionMismatch(
-                f"points have {p.shape[-1]} coordinates, field has {self.dim}")
-        return eval_entry(self.entry(region), p, self.dim)
-
-    def __repr__(self):
-        tags = sorted(map(repr, self.regions))
-        return (f"MaterialField(dim={self.dim}, regions=[{', '.join(tags)}], "
-                f"default={'set' if self.default is not None else 'none'})")
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,24 @@ def test_callable_boundary_values_keep_their_numbers():
     assert np.allclose(a.dirichlet_values, b.dirichlet_values, atol=1e-14)
 
 
+def test_a_material_default_meets_the_metric_of_the_region_it_covers():
+    # the material's default covers "domain", where the metric has an
+    # entry of its own: the pull-back must use that entry, not I
+    S = np.array([[2.0, 0.5], [0.5, 1.0]])
+    m = mesh.generate_structured("box", (6, 6),
+                                 region_bands=[("gap", 1, 0.5, 1.0)])
+    triplet = tp.Triplet(
+        geo.Identity(2),
+        geo.MetricField.by_region(2, {"domain": S}, default=np.eye(2)),
+        tp.MaterialField(2, regions={"gap": 1.0}, default=2.0))
+    spec = fem.BVPSpec(m, triplet, (("bottom", 0.0), ("top", 1.0)))
+    g = geo.Composite([geo.Rotation(0.3), geo.AxisScaling((2.0, 0.5))])
+    pushed = app.reparameterize_fixed_metric(spec, g)
+    report = fem.compare_matrices(fem.assemble(spec).full_matrix,
+                                  fem.assemble(pushed).full_matrix)
+    assert report.rel_frobenius <= 1e-12
+
+
 def test_reparameterize_rejects_atlas_problems():
     from tripletfem.atlas import Atlas, AtlasRegion
 
@@ -424,6 +442,34 @@ def test_sweep_fields_use_the_metric_of_their_own_step():
     # the shared system has moved on to the last step's metric
     stale = fem._all_element_fields(sol.u, sol.system, sol.system.triplet)
     assert not np.array_equal(stale, at_step_0)
+
+
+def banded_metric_spec():
+    """The capacitor with a by-region metric: S on the unmoved domain, I
+    on the gap, and a scalar material so eps S^-1 stays symmetric."""
+    S = np.array([[2.0, 0.5], [0.5, 1.0]])
+    metric = geo.MetricField.by_region(2, {"domain": S}, default=np.eye(2))
+    spec = capacitor_spec(8)
+    return replace(spec, quadrature="interior",
+                   triplet=replace(spec.triplet, metric=metric))
+
+
+@pytest.mark.parametrize("mode", ["metric-change", "material-change"])
+def test_step_triplet_keeps_the_unmoved_regions_of_the_base(mode):
+    spec = banded_metric_spec()
+    steps = [geo.Identity(2), gap_stretch(1.5), geo.AxisScaling((1.0, 1.0))]
+    for k in range(len(steps)):
+        results = app.motion_sweep(app.MotionSweep(
+            base=spec, moving_region="gap", steps=steps[:k + 1], mode=mode))
+        swept = results[-1].solution.system.full_matrix
+        fresh = fem.assemble(replace(
+            spec, triplet=results[-1].solution.triplet)).full_matrix
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(swept, name), getattr(fresh, name))
+    # the unit scaling moves nothing: the domain's fields are step 0's
+    domain = spec.domain.elements_in_regions(["domain"])
+    fields = [r.solution.fields[domain] for r in results]
+    assert np.allclose(fields[2], fields[0], rtol=0.0, atol=1e-9)
 
 
 def test_warm_start_saves_iterations():

@@ -320,13 +320,16 @@ def test_metric_field_region_dispatch():
     S = geo.MetricField.by_region(
         2,
         {"air": np.eye(2), "slab": np.diag([4.0, 0.25])},
-        default=geo.MetricField.euclidean(2),
+        default=np.eye(2),
     )
     pts = np.zeros((3, 2))
     assert np.allclose(S.eval(pts, region="slab")[0], np.diag([4.0, 0.25]))
     assert np.allclose(S.eval(pts, region="elsewhere")[0], np.eye(2))
     assert S.constant_matrix(region="slab") is not None
     assert S.constant_matrix() is None or S.constant_matrix().shape == (2, 2)
+    with pytest.raises(TypeError, match="not MetricField"):
+        geo.MetricField.by_region(2, {"slab": np.eye(2)},
+                                  default=geo.MetricField.euclidean(2))
 
 
 def test_metric_field_region_default_given_as_matrix():

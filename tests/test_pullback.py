@@ -153,8 +153,8 @@ def test_reparameterization_by_a_curved_chart_matches():
                                  region_bands=[("band", 0, 0.5, 0.9)])
     S = np.array([[1.3, 0.2], [0.2, 0.7]])
     metric = geo.MetricField.by_region(
-        2, {"band": S}, default=geo.MetricField(
-            2, fn=lambda p: (1.0 + 0.2 * p[..., :1, None]) * np.eye(2)))
+        2, {"band": S},
+        default=lambda p: (1.0 + 0.2 * p[..., :1, None]) * np.eye(2))
     material = tp.MaterialField(2, regions={"band": 2.0 * S},
                                 default=graded_x)
     spec = fem.BVPSpec(m, tp.Triplet(geo.Identity(2), metric, material),

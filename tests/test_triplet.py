@@ -15,6 +15,7 @@ from tripletfem import triplet as tp
 from tripletfem.errors import (
     AsymmetricCoefficient,
     DimensionMismatch,
+    NonFiniteCoefficient,
     SingularJacobian,
     UnknownTag,
 )
@@ -423,5 +424,22 @@ def test_repeated_asymmetric_pair_fails_as_the_pointwise_path_does():
 
 def test_nan_never_counts_as_repeated():
     eps = np.full((4, 2, 2), np.nan)
-    with pytest.raises(AsymmetricCoefficient, match="asymmetry nan"):
+    with pytest.raises(NonFiniteCoefficient, match="material .* nan"):
         tp.effective_coefficient(eps, np.eye(2))
+
+
+def test_non_finite_material_or_metric_is_refused_by_name():
+    # RuntimeWarnings are errors in this suite, so no product may run
+    with pytest.raises(NonFiniteCoefficient,
+                       match="material holds the non-finite value inf"):
+        tp.effective_coefficient(np.full((6, 2, 2), np.inf), np.eye(2))
+    eps = np.broadcast_to(np.eye(2), (5, 2, 2)).copy()
+    eps[3, 1, 0] = np.nan
+    with pytest.raises(NonFiniteCoefficient,
+                       match="material holds the non-finite value nan"):
+        tp.effective_coefficient(eps, np.eye(2))
+    S = np.broadcast_to(np.eye(2), (5, 2, 2)).copy()
+    S[2, 0, 0] = -np.inf
+    with pytest.raises(NonFiniteCoefficient,
+                       match="metric holds the non-finite value -inf"):
+        tp.effective_coefficient(np.eye(2), S)
