@@ -618,7 +618,10 @@ class Solution:
 
     triplet is the one the system held when it was solved; a motion
     sweep goes on changing system.triplet afterwards, so the fields,
-    computed on first read, take the metric from here.
+    computed on first read, take the metric from here. A fresh assemble
+    under triplet gives a sweep step's bits only with quadrature named:
+    the sweep keeps the rules frozen at step 0 (system.group_rules), where
+    "auto" may pick the interior rule for the step's pointwise entries.
     """
 
     u: np.ndarray

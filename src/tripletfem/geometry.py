@@ -769,6 +769,8 @@ def eval_entry(entry, points, dim):
     either) as full matrices at the points, shape (..., n, n)."""
     if callable(entry):
         out = np.asarray(entry(points), dtype=float)
+        if out.shape == points.shape[:-1]:  # a scalar per point, (E, Q) too
+            out = out[..., None, None] * np.eye(dim)
     else:
         out = np.asarray(entry, dtype=float)
     out = material_matrix(out, dim)

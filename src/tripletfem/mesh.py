@@ -4,10 +4,13 @@ charts, quality metrics, and MSH / VTK / CSV interchange.
 Meshes are immutable. All tags (region and boundary) are strings; the
 constructor coerces whatever it is given. Elements are stored with
 positive signed volume; the constructor flips inverted node orderings.
+A mesh's topology (elements, regions, facets, tags) is checked once;
+map_mesh shares it, moves the nodes, and checks only the new geometry.
 """
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass
 
@@ -130,22 +133,15 @@ class Mesh:
                 f"elements must have {dim + 1} nodes each in {dim}D")
         if elements.size and (elements.min() < 0 or elements.max() >= len(nodes)):
             raise IndexError("element node index out of range")
-        bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
-        if bad.size:
-            raise DegenerateShape(f"node {int(bad[0])} has a non-finite "
-                                  f"coordinate {nodes[bad[0]].tolist()}")
+        self.dim = dim
+        self.elements = elements
 
-        vols = signed_volumes(nodes, elements)
-        flip = vols < 0.0
-        if np.any(flip):
-            elements[flip, -2], elements[flip, -1] = (
-                elements[flip, -1].copy(), elements[flip, -2].copy())
-            vols = np.abs(vols)
-        dead = _first_degenerate(nodes, elements, vols)
-        if dead is not None:
-            i, reason = dead
-            raise DegenerateElement(f"element {i} {reason} "
-                                    f"(nodes {elements[i].tolist()})")
+        def flip_inverted(vols):
+            flip = vols < 0.0
+            elements[flip, -2:] = elements[flip, -1:-3:-1]
+            return np.abs(vols)
+
+        self._set_geometry(nodes, flip_inverted)
 
         if boundary_facets is None:
             boundary_facets = np.zeros((0, dim), dtype=np.int64)
@@ -157,19 +153,32 @@ class Mesh:
                                      or boundary_facets.max() >= len(nodes)):
             raise IndexError("facet node index out of range")
 
-        self.dim = dim
-        self.nodes = nodes
-        self.elements = elements
         self.element_regions = _tag_array(element_regions, len(elements), "elements")
         self.boundary_facets = boundary_facets
         self.facet_tags = _tag_array(
             [] if facet_tags is None else facet_tags,
             len(boundary_facets), "facets")
-        self._volumes = vols
         self._check_facets()
-        for arr in (self.nodes, self.elements, self.element_regions,
-                    self.boundary_facets, self.facet_tags, self._volumes):
+        for arr in (self.elements, self.element_regions,
+                    self.boundary_facets, self.facet_tags):
             arr.flags.writeable = False
+
+    def _set_geometry(self, nodes, orient):
+        """Check nodes against self.elements and store them and their
+        volumes read-only: finite coordinates, positive volumes from
+        orient(signed volumes) (it reorders or refuses), _first_degenerate."""
+        bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
+        if bad.size:
+            raise DegenerateShape(f"node {int(bad[0])} has a non-finite "
+                                  f"coordinate {nodes[bad[0]].tolist()}")
+        vols = orient(signed_volumes(nodes, self.elements))
+        dead = _first_degenerate(nodes, self.elements, vols)
+        if dead is not None:
+            i, reason = dead
+            raise DegenerateElement(f"element {i} {reason} "
+                                    f"(nodes {self.elements[i].tolist()})")
+        nodes.flags.writeable = vols.flags.writeable = False
+        self.nodes, self._volumes = nodes, vols
 
     def _check_facets(self):
         if not len(self.boundary_facets):
@@ -291,26 +300,18 @@ _SIDE_TAGS = {0: ("left", "right"), 1: ("bottom", "top"), 2: ("back", "front")}
 def _box_3d(divisions, lo, hi, region, region_bands):
     nx, ny, nz = divisions
     axes = [np.linspace(lo[k], hi[k], divisions[k] + 1) for k in range(3)]
-    X, Y, Z = np.meshgrid(axes[0], axes[1], axes[2], indexing="ij")
-    # node id = (k*(ny+1) + j)*(nx+1) + i
-    nodes = np.column_stack([X.transpose(2, 1, 0).ravel(),
-                             Y.transpose(2, 1, 0).ravel(),
-                             Z.transpose(2, 1, 0).ravel()])
-
-    def nid(i, j, k):
-        return (k * (ny + 1) + j) * (nx + 1) + i
+    # node id = i + j*stride[1] + k*stride[2]: x runs fastest
+    Z, Y, X = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
+    nodes = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
+    stride = np.array([1, nx + 1, (nx + 1) * (ny + 1)])
 
     ii, jj, kk = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
                              indexing="ij")
     ii, jj, kk = ii.ravel(), jj.ravel(), kk.ravel()
-    tets = []
-    for perm in _KUHN_PERMS:
-        steps = np.zeros((4, 3), dtype=np.int64)
-        for s, axis in enumerate(perm):
-            steps[s + 1] = steps[s]
-            steps[s + 1, axis] += 1
-        verts = [nid(ii + st[0], jj + st[1], kk + st[2]) for st in steps]
-        tets.append(np.column_stack(verts))
+    low = ii * stride[0] + jj * stride[1] + kk * stride[2]
+    # a Kuhn tet walks from the cell's low corner one axis at a time
+    tets = [low[:, None] + np.cumsum([0, *stride[list(perm)]])
+            for perm in _KUHN_PERMS]
     # interleave so the 6 tets of a cell stay adjacent
     tets = np.stack(tets, axis=1).reshape(-1, 4)
 
@@ -321,30 +322,20 @@ def _box_3d(divisions, lo, hi, region, region_bands):
     cell_tags = _assign_bands(centers, axes, region, region_bands)
     regions = np.repeat(cell_tags, 6)
 
-    facets, tags = _boundary_by_planes(nodes, tets, lo, hi)
-    return Mesh(nodes, tets, regions, facets, tags)
-
-
-def _boundary_by_planes(nodes, tets, lo, hi):
-    """Tag faces that lie on the box sides; used for 3D generation where
-    enumerating side quads by hand is error-prone. Faces come out in
-    lexicographic order of their sorted node ids within each side."""
-    faces = _sorted_faces(tets)
-    (ids,), n = _face_groups(faces)
-    single = np.flatnonzero(np.bincount(ids, minlength=n)[ids] == 1)
-    bound = faces[single[np.argsort(ids[single])]]
-    coords = nodes[bound]
-    tol = 1e-12 * max(np.abs(np.concatenate([lo, hi])).max(), 1.0)
+    # each side quad a < b < c < d splits along its rising diagonal a-d,
+    # as the Kuhn tets split it; listing quads with the lower axis fastest
+    # and abd before acd puts each side's triangles in lexicographic order
     facets, tags = [], []
-    for axis in range(nodes.shape[1]):
-        low_tag, high_tag = _SIDE_TAGS[axis]
-        on_lo = np.all(np.abs(coords[..., axis] - lo[axis]) <= tol, axis=1)
-        on_hi = np.all(np.abs(coords[..., axis] - hi[axis]) <= tol, axis=1)
-        facets.extend(bound[on_lo])
-        tags.extend([low_tag] * int(on_lo.sum()))
-        facets.extend(bound[on_hi])
-        tags.extend([high_tag] * int(on_hi.sum()))
-    return np.array(facets, dtype=np.int64), tags
+    for axis, side_tags in _SIDE_TAGS.items():
+        p, q = [k for k in range(3) if k != axis]
+        low = (np.arange(divisions[q])[:, None] * stride[q]
+               + np.arange(divisions[p]) * stride[p]).ravel()
+        for end, tag in zip((0, divisions[axis]), side_tags):
+            a = low + end * stride[axis]
+            b, c, d = a + stride[p], a + stride[q], a + stride[p] + stride[q]
+            facets.append(np.column_stack([a, b, d, a, c, d]).reshape(-1, 3))
+            tags += [tag] * (2 * len(a))
+    return Mesh(nodes, tets, regions, np.concatenate(facets), tags)
 
 
 def _assign_bands(centers, gridlines, region, region_bands):
@@ -466,19 +457,24 @@ def generate_structured(shape="box", divisions=(1, 1), *, bounds=None,
 
 
 def map_mesh(m, chart):
-    """The same mesh drawn in another chart: nodes mapped, connectivity and
-    tags untouched. Rejects maps that fold, collapse, or mirror elements."""
-    new_nodes = chart.forward(m.nodes)
-    vols = signed_volumes(new_nodes, m.elements)
-    bad = np.flatnonzero(vols <= 0.0)
-    if bad.size:
-        kind = ("reverses the orientation of" if np.all(vols < 0.0)
-                else "folds or collapses")
-        raise DegenerateElement(
-            f"chart {kind} element {int(bad[0])} "
-            f"(mapped signed volume {vols[bad[0]]:.3e})")
-    return Mesh(new_nodes, m.elements, m.element_regions,
-                m.boundary_facets, m.facet_tags)
+    """The same mesh drawn in another chart. It shares the source's checked,
+    read-only topology (elements, regions, facets, facet tags); only its
+    mapped geometry is checked again. Folds, collapses and mirrors fail."""
+
+    def keep_orientation(vols):
+        bad = np.flatnonzero(vols <= 0.0)
+        if bad.size:
+            kind = ("reverses the orientation of" if np.all(vols < 0.0)
+                    else "folds or collapses")
+            raise DegenerateElement(
+                f"chart {kind} element {int(bad[0])} "
+                f"(mapped signed volume {vols[bad[0]]:.3e})")
+        return vols
+
+    moved = copy.copy(m)
+    moved._set_geometry(np.array(chart.forward(m.nodes), dtype=float),
+                        keep_orientation)
+    return moved
 
 
 # ---------------------------------------------------------------- quality

@@ -224,6 +224,78 @@ def test_map_mesh_rejects_folds_and_reflections():
     assert "orientation" in str(err.value)
 
 
+def test_map_mesh_names_a_non_finite_node():
+    m = msh.generate_structured("box", (2, 2))
+
+    class CenterToInfinity(geo.ChartMap):
+        dim = 2
+
+        def _forward(self, p):
+            out = p.copy()
+            out[np.all(p == 0.5, axis=-1)] = np.inf
+            return out
+
+    # the suite turns a RuntimeWarning into an error, so none is emitted
+    with pytest.raises(DegenerateShape, match=r"node 4 .*non-finite"):
+        msh.map_mesh(m, CenterToInfinity())
+
+
+def with_unused_node():
+    m = msh.generate_structured("box", (3, 2))
+    return msh.Mesh(np.vstack([m.nodes, [[0.25, 2.0]]]), m.elements,
+                    m.element_regions, m.boundary_facets, m.facet_tags)
+
+
+def read_back(m, tmp_path):
+    path = tmp_path / "source.msh"
+    msh.write_msh(m, path)
+    return msh.read_msh(path)
+
+
+MAPPED = {
+    "box2d-bands-affine": (
+        lambda _: msh.generate_structured(
+            "box", (6, 5), region_bands=[("gap", 1, 0.4, 0.8)]),
+        geo.Affine([[1.5, 0.4], [-0.2, 0.8]], [0.3, -1.0])),
+    "box3d-rotation-scaling": (
+        lambda _: msh.generate_structured(
+            "box", (3, 2, 4), region_bands=[("slab", 2, 0.25, 0.75)]),
+        geo.Composite([geo.AxisScaling([2.0, 0.5, 3.0]),
+                       geo.Rotation(0.7, axis=[1.0, -2.0, 0.5])])),
+    "annulus-kelvin": (
+        lambda _: msh.generate_structured("annulus", (16, 6),
+                                          radii=(1.0, 10.0)),
+        geo.KelvinShell(1.0, 2.0)),
+    "msh-roundtrip": (
+        lambda tmp_path: read_back(msh.generate_structured(
+            "box", (2, 2, 2), region_bands=[("gap", 0, 0.5, 1.0)]), tmp_path),
+        geo.Affine(np.diag([1.0, 2.0, 0.5]))),
+    "unused-node": (lambda _: with_unused_node(), geo.Rotation(1.1)),
+}
+
+
+@pytest.mark.parametrize("case", MAPPED)
+def test_map_mesh_equals_the_full_constructor(case, tmp_path):
+    make, chart = MAPPED[case]
+    m = make(tmp_path)
+    mapped = msh.map_mesh(m, chart)
+    ref = msh.Mesh(chart.forward(m.nodes), m.elements, m.element_regions,
+                   m.boundary_facets, m.facet_tags)
+    for got, want in [(mapped.nodes, ref.nodes),
+                      (mapped.elements, ref.elements),
+                      (mapped.element_regions, ref.element_regions),
+                      (mapped.boundary_facets, ref.boundary_facets),
+                      (mapped.facet_tags, ref.facet_tags),
+                      (mapped.volumes(), ref.volumes())]:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+    # the topology is the source's own, checked once when it was built
+    for name in ("elements", "element_regions", "boundary_facets",
+                 "facet_tags"):
+        assert getattr(mapped, name) is getattr(m, name)
+
+
 def test_straight_edges_only_approximate_curved_maps():
     # mapping nodes keeps edges straight; for a curved map the mapped
     # midpoint of an edge is not the midpoint of the mapped edge
@@ -439,10 +511,16 @@ GENERATED = [
          region_bands=[("slab", 2, 2.4, 3.2), ("wall", 0, -0.5, 0.0)]),
     dict(shape="annulus", divisions=(17, 6), radii=(1.0, 2.5),
          center=(0.3, -0.2), grading=2.0),
+    # one cell thick along x, then along z, off the unit box
+    dict(shape="box", divisions=(1, 3, 2), bounds=([-0.5, 1.0, -2.0],
+                                                   [0.25, 4.0, 7.0])),
+    dict(shape="box", divisions=(3, 2, 1), bounds=([2.0, -3.0, 0.5],
+                                                   [5.0, -1.0, 0.75])),
 ]
 
 
-@pytest.mark.parametrize("kwargs", GENERATED, ids=["box2d", "box3d", "annulus"])
+@pytest.mark.parametrize("kwargs", GENERATED, ids=[
+    "box2d", "box3d", "annulus", "box3d-thin-x", "box3d-thin-z"])
 def test_generation_matches_row_unique_reference(kwargs):
     m = msh.generate_structured(**kwargs)
     assert reference_facet_counts(m) == [1] * len(m.boundary_facets)

@@ -1,5 +1,5 @@
 """Source hygiene for src/tripletfem: no unused imports, and no private
-module-level function or class that nothing in the package references.
+function, class or method that nothing in the package references.
 
 Code that nothing calls is deleted rather than kept; these checks find it
 with the standard library's ast, so a refactor that leaves a name behind
@@ -46,14 +46,28 @@ def test_every_import_is_used(name):
     assert not unused, f"{name} imports {unused} and never uses them"
 
 
+def private_definitions(body, owner=""):
+    """(qualified name, name) of each private function or class in body,
+    and of each private method in the bodies of its classes."""
+    for node in body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_") and not node.name.startswith("__"):
+            yield owner + node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from private_definitions(node.body, f"{owner}{node.name}.")
+
+
 def test_every_private_definition_is_referenced():
     used = set()
     for tree in TREES.values():
         used.update(referenced_names(tree))
-    orphans = [f"{name}:{node.name}"
-               for name, tree in TREES.items() for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_")
-               and not node.name.startswith("__")
-               and node.name not in used]
+        # a method looked up with getattr is named by a string
+        used.update(node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str))
+    orphans = [f"{name}:{qualified}"
+               for name, tree in TREES.items()
+               for qualified, short in private_definitions(tree.body)
+               if short not in used]
     assert not orphans, f"private definitions nothing references: {orphans}"

@@ -235,6 +235,10 @@ def test_material_field_pointwise_entry():
     got = field.eval(np.array([[1.0, 0.0], [0.0, 2.0]]))
     assert np.allclose(got[:, 0, 0], [2.0, 5.0])
     assert np.allclose(got[:, 0, 1], 0.0)
+    # a batch of quadrature points, (E, Q, 2), as assembly evaluates them
+    batch = np.arange(24.0).reshape(4, 3, 2)
+    got = field.eval(batch)
+    assert np.array_equal(got, eps_fn(batch)[..., None, None] * np.eye(2))
 
 
 def test_uniform_material_field():
