@@ -286,7 +286,9 @@ def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
     projection of the new system onto the solutions of the last
     GUESS_WINDOW steps (solver.projected_guess): the point of their span
     closest to the new solution in the energy norm, so never worse there
-    than the previous solution or an extrapolation of the last few. The
+    than the previous solution or an extrapolation of the last few. A
+    step that changes no matrix entry has the last step's system, bit for
+    bit, and takes its solution with 0 iterations and no solve. The
     preconditioner built on step 0 serves the whole sweep: with the
     projected start, a fresh build per step saves at most a few iterations
     and costs more time than they take, most of all for IC(0). measure_cold
@@ -318,14 +320,23 @@ def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
             changed = fem.update_elements(system, tri, moving_set)
         except SingularJacobian as err:
             raise SingularJacobian(f"step {k}: {err}") from None
-        if precond is None:
-            precond = _solver.build_preconditioner(system.matrix,
-                                                   cfg.preconditioner)
-        x0 = _solver.projected_guess(system.matrix, system.rhs, window)
-        sol = fem.solve_bvp(spec, cfg, system=system, preconditioner=precond,
-                            x0=x0)
-        if sol.solve_info is not None:
-            window.append(sol.solve_info.x)
+        if changed == 0 and results:
+            # the matrix and right-hand side are the last step's, bit for
+            # bit, so its solution is this one's; no solve
+            sol = replace(results[-1].solution, triplet=tri)
+            info = sol.solve_info
+            if info is not None:
+                sol = replace(sol, solve_info=replace(
+                    info, iterations=0, residuals=[info.residual]))
+        else:
+            if precond is None:
+                precond = _solver.build_preconditioner(system.matrix,
+                                                       cfg.preconditioner)
+            x0 = _solver.projected_guess(system.matrix, system.rhs, window)
+            sol = fem.solve_bvp(spec, cfg, system=system,
+                                preconditioner=precond, x0=x0)
+            if sol.solve_info is not None:
+                window.append(sol.solve_info.x)
         wall = time.perf_counter() - t0
 
         cold_iters = -1

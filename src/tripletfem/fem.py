@@ -26,7 +26,7 @@ from . import solver as _solver
 from .atlas import Atlas, build_global_index
 from .errors import (DegenerateElement, DimensionMismatch, TripletFemError,
                      UnknownTag)
-from .geometry import MetricField
+from .geometry import MetricField, inv
 from .mesh import _VOLUME_FACTOR, Mesh, _first_degenerate
 from .triplet import Triplet, effective_coefficient, material_matrix, pull_back
 
@@ -185,13 +185,17 @@ def _decide_rule(spec, patch, tag):
 
 
 def _p1_gradients(coords):
-    """Constant basis gradients per element, shape (E, d+1, d). Mesh has
-    already refused non-finite nodes and degenerate simplices."""
+    """Constant basis gradients per element, shape (E, d+1, d): rows 1..d
+    are the columns of the inverse edge matrix (edges from node 0 as its
+    rows), row 0 minus their sum. geometry.inv divides the adjugate by
+    the determinant Mesh took the volume from, bit for bit, and Mesh has
+    refused every simplex whose volume is not above its floor, whose
+    gradients overflow or whose shape lets rounding spoil them
+    (mesh._first_degenerate), so the division is by a nonzero number."""
     edges = coords[:, 1:, :] - coords[:, :1, :]
-    inv = np.linalg.inv(np.swapaxes(edges, 1, 2))
-    grads = np.empty(coords.shape[:1] + (coords.shape[1], coords.shape[2]))
-    grads[:, 1:, :] = inv
-    grads[:, 0, :] = -np.sum(inv, axis=1)
+    grads = np.empty(coords.shape)
+    grads[:, 1:, :] = np.swapaxes(inv(edges), 1, 2)
+    grads[:, 0, :] = -np.sum(grads[:, 1:, :], axis=1)
     return grads
 
 
@@ -287,7 +291,11 @@ class ElementSet:
     """
 
     def __init__(self, system, element_ids):
-        ids = np.unique(np.asarray(element_ids, dtype=int))
+        # sorted and without repeats, as np.unique gives them, from a sort
+        ids = np.sort(np.asarray(element_ids, dtype=int), axis=None)
+        first = np.ones(ids.size, dtype=bool)
+        first[1:] = ids[1:] != ids[:-1]
+        ids = ids[first]
         if ids.size and (ids[0] < 0 or ids[-1] >= system.n_elements):
             raise IndexError(
                 f"element ids must lie in [0, {system.n_elements})")
@@ -579,6 +587,11 @@ def local_stiffness(nodes, K, quadrature="one_point"):
 
     K is a matrix, a scalar (isotropic), or a callable point -> matrix.
     The one_point rule is exact when K is constant.
+
+    Its determinant and inverse stay on LAPACK (np.linalg) on purpose:
+    tests/test_acceptance.py uses this function as an oracle that shares
+    no small-matrix kernel with assembly, which goes through
+    geometry.inv.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 2 or nodes.shape[0] != nodes.shape[1] + 1:
@@ -587,8 +600,7 @@ def local_stiffness(nodes, K, quadrature="one_point"):
     dim = nodes.shape[1]
     edges = nodes[1:] - nodes[0]
     vol = abs(float(np.linalg.det(edges))) * _VOLUME_FACTOR[dim]
-    dead = _first_degenerate(nodes, np.arange(dim + 1)[None],
-                             np.array([vol]))
+    dead = _first_degenerate(nodes, edges[None], np.array([vol]))
     if dead is not None:
         raise DegenerateElement(
             f"simplex with nodes {nodes.tolist()} {dead[1]}")

@@ -83,19 +83,41 @@ def matmul(A, B):
     return out
 
 
+def _cross(a, b):
+    """a x b from lists of three component arrays, each component formed
+    as np.cross forms it."""
+    return [a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
+
+
+def _dot(a, b):
+    """a . b from lists of three component arrays, added left to right as
+    np.sum adds a trailing axis of length 3."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _rows(M):
+    """The rows of a stack of 3x3 matrices as lists of entry arrays."""
+    return [[M[..., i, j] for j in range(3)] for i in range(3)]
+
+
 def det(M):
     """Determinants of a stack of square matrices, shape (..., n, n).
 
-    2x2 and 3x3 stacks use the cofactor expansion, so each matrix costs a
-    few flops instead of one LAPACK call; other sizes go through LAPACK.
+    2x2 and 3x3 stacks use the cofactor expansion along the first row,
+    built from the entry arrays M[..., i, j], so each matrix costs a few
+    flops instead of one LAPACK call; other sizes go through LAPACK. A
+    3x3 result has the bits of np.sum(M[..., 0, :] * np.cross(M[..., 1,
+    :], M[..., 2, :]), axis=-1), except that an exact zero may be -0.0.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[-1]
     if n == 2:
         return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
     if n == 3:
-        c0 = np.cross(M[..., 1, :], M[..., 2, :])
-        return np.sum(M[..., 0, :] * c0, axis=-1)
+        r = _rows(M)
+        return _dot(r[0], _cross(r[1], r[2]))
     return np.linalg.det(M)
 
 
@@ -103,9 +125,9 @@ def inv(M):
     """Inverses of a stack of square matrices, shape (..., n, n).
 
     2x2 and 3x3 stacks divide the adjugate by the determinant, entry by
-    entry into one output; other sizes go through LAPACK. Raises
-    np.linalg.LinAlgError when a determinant is exactly zero, as LAPACK
-    does on a zero pivot.
+    entry into one output; other sizes go through LAPACK. The determinant
+    is det's, bit for bit. Raises np.linalg.LinAlgError when a
+    determinant is exactly zero, as LAPACK does on a zero pivot.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[-1]
@@ -115,11 +137,11 @@ def inv(M):
         dets = a * d - b * c
         adj = {(0, 0): d, (0, 1): -b, (1, 0): -c, (1, 1): a}
     elif n == 3:
-        r0, r1, r2 = M[..., 0, :], M[..., 1, :], M[..., 2, :]
+        r = _rows(M)
         # the adjugate's columns are the cross products of row pairs
-        cols = (np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1))
-        dets = np.sum(r0 * cols[0], axis=-1)
-        adj = {(i, j): cols[j][..., i] for i in range(3) for j in range(3)}
+        cols = [_cross(r[1], r[2]), _cross(r[2], r[0]), _cross(r[0], r[1])]
+        dets = _dot(r[0], cols[0])
+        adj = {(i, j): cols[j][i] for i in range(3) for j in range(3)}
     else:
         return np.linalg.inv(M)
     if np.any(dets == 0.0):

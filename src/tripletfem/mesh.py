@@ -25,26 +25,34 @@ from .errors import (
     MalformedFile,
     UnsupportedVersion,
 )
+from .geometry import det
 
 # simplex volume = det(edge matrix) * this factor
 _VOLUME_FACTOR = {2: 0.5, 3: 1.0 / 6.0}
 # simplices whose volume is at or below this floor count as degenerate
 # (the inverse of a subnormal edge matrix overflows)
 _VOLUME_FLOOR = 1e-300
+# simplices whose longest edge^d / volume lies above this count as
+# degenerate: the cofactor expansion that gives their volume and basis
+# gradients (geometry.det and inv) rounds by up to about eps * longest
+# edge^d, here 1/64 of the volume (eps = 2^-52)
+_SHAPE_LIMIT = 2.0 ** 46
 
 
-def _first_degenerate(nodes, elements, vols):
-    """(index, reason) of the first simplex, among the rows of elements
-    with volumes vols, that cannot be assembled, or None. The one rule
-    for Mesh() and fem.local_stiffness: the volume must lie above
-    _VOLUME_FLOOR and be finite, and the basis gradients, bounded by
-    longest edge^(d-1) / volume, must not overflow when squared."""
+def _first_degenerate(nodes, edges, vols):
+    """(index, reason) of the first simplex, among the edge matrices
+    edges (E, d, d) of simplices on nodes, with volumes vols, that cannot
+    be assembled, or None. The one rule for Mesh() and
+    fem.local_stiffness: the volume must lie above _VOLUME_FLOOR and be
+    finite, the basis gradients, bounded by longest edge^(d-1) / volume,
+    must not overflow when squared, and longest edge^d / volume must not
+    exceed _SHAPE_LIMIT."""
     dim = nodes.shape[1]
 
     def fine(vol, edge):
         grad = edge ** (dim - 1) / vol
         return ((vol > _VOLUME_FLOOR) & (vol < np.inf)
-                & np.isfinite(grad * grad))
+                & np.isfinite(grad * grad) & (grad * edge <= _SHAPE_LIMIT))
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # no edge is longer than the diagonal of a box holding every node
@@ -52,30 +60,54 @@ def _first_degenerate(nodes, elements, vols):
         # own): only the simplices that fail against it need their edges
         box = nodes.max(axis=0, initial=0.0) - nodes.min(axis=0, initial=0.0)
         suspects = np.flatnonzero(~fine(vols, np.sqrt(box @ box)))
-        corners = nodes[elements[suspects]].transpose(1, 2, 0)
+        rows = [[edges[suspects, i, k] for k in range(dim)]
+                for i in range(dim)]
         longest = np.zeros(suspects.size)
-        for i in range(dim + 1):
-            for j in range(i):
-                edge = corners[i] - corners[j]
-                np.maximum(longest, np.sum(edge * edge, axis=0), out=longest)
+        for i, row in enumerate(rows):
+            # node i + 1's edge to node 0, then its edges to nodes 1..i
+            for side in [row] + [[a - b for a, b in zip(row, other)]
+                                 for other in rows[:i]]:
+                np.maximum(longest, sum(x * x for x in side), out=longest)
         longest = np.sqrt(longest)
         bad = np.flatnonzero(~fine(vols[suspects], longest))
-    if not bad.size:
-        return None
-    i, vol = int(suspects[bad[0]]), vols[suspects[bad[0]]]
+        if not bad.size:
+            return None
+        j = bad[0]
+        i, vol, edge = int(suspects[j]), vols[suspects[j]], longest[j]
+        grad = edge ** (dim - 1) / vol
+        overflows = not (vol < np.inf and np.isfinite(grad * grad))
     if not vol > _VOLUME_FLOOR:
         return i, f"has volume {vol:.3e}, at or below {_VOLUME_FLOOR:.0e}"
-    return i, (f"has volume {vol:.3e} against a longest edge of "
-               f"{longest[bad[0]]:.3e}: its volume or its basis gradients "
-               "overflow")
+    if overflows:
+        return i, (f"has volume {vol:.3e} against a longest edge of "
+                   f"{edge:.3e}: its volume or its basis gradients overflow")
+    return i, (f"has volume {vol:.3e} against a longest edge of {edge:.3e}: "
+               f"longest edge^{dim} / volume exceeds 2^46, where rounding "
+               "spoils its volume and basis gradients")
+
+
+def _edge_matrices(nodes, elements):
+    """Edge matrices of the simplices, shape (E, d, d): row i is node
+    i + 1 minus node 0."""
+    coords = nodes[elements]
+    return coords[:, 1:, :] - coords[:, :1, :]
+
+
+def _volumes_of(edges):
+    """Signed volumes of the simplices with edge matrices edges.
+
+    The determinant is geometry.det's cofactor expansion, the one
+    geometry.inv divides by when fem forms the basis gradients. Swapping
+    two edge rows negates it exactly, so a flipped element keeps the
+    magnitude checked here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an infinite or NaN volume is refused by _first_degenerate
+        return _VOLUME_FACTOR[edges.shape[-1]] * det(edges)
 
 
 def signed_volumes(nodes, elements):
     """Signed simplex volumes; positive for the normalized orientation."""
-    coords = nodes[elements]
-    edges = coords[:, 1:, :] - coords[:, :1, :]
-    with np.errstate(over="ignore"):  # an infinite volume is refused later
-        return _VOLUME_FACTOR[nodes.shape[1]] * np.linalg.det(edges)
+    return _volumes_of(_edge_matrices(nodes, elements))
 
 
 def _sorted_faces(elements):
@@ -102,6 +134,22 @@ def _face_groups(*face_arrays):
     ids[order] = np.cumsum(starts) - 1
     splits = np.cumsum([len(f) for f in face_arrays])[:-1]
     return np.split(ids, splits), int(starts.sum())
+
+
+def _facet_counts(elements, facets, n_nodes):
+    """For each row of facets, the number of elements that have it as a
+    face, and the index of the first row equal to it. Only the faces of
+    elements with at least dim nodes on facets are grouped: a face equal
+    to a facet has all dim of its nodes on facets, so no other element
+    has one, and the counts are those of grouping every face."""
+    on_facet = np.zeros(n_nodes, dtype=bool)
+    on_facet[facets] = True
+    near = on_facet[elements].sum(axis=1) >= facets.shape[1]
+    (faces, declared), n = _face_groups(_sorted_faces(elements[near]), facets)
+    counts = np.bincount(faces, minlength=n)[declared]
+    _, first, inverse = np.unique(declared, return_index=True,
+                                  return_inverse=True)
+    return counts, first[inverse]
 
 
 def _tag_array(tags, count, what):
@@ -171,8 +219,9 @@ class Mesh:
         if bad.size:
             raise DegenerateShape(f"node {int(bad[0])} has a non-finite "
                                   f"coordinate {nodes[bad[0]].tolist()}")
-        vols = orient(signed_volumes(nodes, self.elements))
-        dead = _first_degenerate(nodes, self.elements, vols)
+        edges = _edge_matrices(nodes, self.elements)
+        vols = orient(_volumes_of(edges))
+        dead = _first_degenerate(nodes, edges, vols)
         if dead is not None:
             i, reason = dead
             raise DegenerateElement(f"element {i} {reason} "
@@ -183,12 +232,8 @@ class Mesh:
     def _check_facets(self):
         if not len(self.boundary_facets):
             return
-        (faces, declared), n = _face_groups(_sorted_faces(self.elements),
-                                            self.boundary_facets)
-        counts = np.bincount(faces, minlength=n)[declared]
-        _, first, inverse = np.unique(declared, return_index=True,
-                                      return_inverse=True)
-        first = first[inverse]
+        counts, first = _facet_counts(self.elements, self.boundary_facets,
+                                      len(self.nodes))
         bad = np.flatnonzero((counts != 1) | (first != np.arange(len(first))))
         if not bad.size:
             return

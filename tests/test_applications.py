@@ -264,6 +264,21 @@ def test_all_identity_steps_change_nothing():
                           fresh.full_matrix.indices)
 
 
+def test_a_step_that_changes_nothing_reuses_the_last_solution():
+    ms = app.MotionSweep(base=capacitor_spec(8), moving_region="gap",
+                         steps=[gap_stretch(1.5), gap_stretch(1.5),
+                                gap_stretch(2.0)])
+    first, again, moved = app.motion_sweep(ms)
+    assert again.changed_entries == 0 and again.iterations == 0
+    assert again.solution.u is first.solution.u
+    assert again.energy == first.energy
+    info = again.solution.solve_info
+    assert info.iterations == 0
+    assert info.residuals == [first.solution.solve_info.residual]
+    assert again.solution.triplet is not first.solution.triplet
+    assert moved.changed_entries > 0 and moved.energy < again.energy
+
+
 def test_metric_and_material_modes_build_the_same_matrix():
     spec = capacitor_spec(8)
     steps = [gap_stretch(2.0)]

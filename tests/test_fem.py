@@ -95,6 +95,57 @@ def test_thin_simplex_rejected_by_the_mesh_rule():
         fem.local_stiffness([[0, 0], [1, 0], [0, 1e-200]], np.eye(2))
 
 
+def edge_of_acceptance(rng, dim):
+    """Nodes of a simplex with a random orientation and shape: longest
+    edge scale 1e-160 to 1e160, singular values of the edge matrix spread
+    over a ratio up to 1e12, placed up to 1e3 edge scales from 0."""
+    scale = 10.0 ** rng.uniform(-160, 160)
+    aspect = 10.0 ** rng.uniform(0, 12)
+    U, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    V, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    s = aspect ** rng.uniform(0, 1, dim)
+    s[0], s[-1] = 1.0, aspect
+    offset = scale * 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(dim)
+    return offset + np.vstack([np.zeros(dim), scale * (U * s / aspect) @ V.T])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_every_accepted_simplex_gets_accurate_adjugate_gradients(dim):
+    rng = np.random.default_rng(dim)
+    eps = np.finfo(float).eps
+    accepted = refused = 0
+    for _ in range(1500):
+        try:
+            m = mesh.Mesh(edge_of_acceptance(rng, dim),
+                          [list(range(dim + 1))], ["d"])
+        except DegenerateElement:
+            refused += 1
+            continue
+        accepted += 1
+        coords = m.element_coords()
+        grads = fem._p1_gradients(coords)[0]
+        edges = coords[0, 1:] - coords[0, 0]
+        assert np.all(np.isfinite(grads))
+        size = np.abs(grads).max()
+        assert np.abs(grads.sum(axis=0)).max() <= 4 * eps * size
+        # grads[1 + a] . edges[b] = delta_ab within c eps s1^d / |det|,
+        # s the falling singular values of the edges. The adjugate's
+        # entries carry the rounding of products of d - 1 entries, about
+        # eps s1^(d-1), against a determinant s1 ... sd. That is c eps
+        # cond in 2-D and for a flat 3-D simplex (s1 ~ s2), and c eps
+        # cond s1 / s2 for a 3-D needle, where LAPACK's residual stays
+        # near eps cond. Mesh refuses longest edge^d / volume above 2^46,
+        # so eps s1^d / |det| stays below 1/64 here and the first-order
+        # bound holds. The draws here give c up to 0.97, and 24,000 more
+        # per dimension at other seeds up to 1.02, so c = 2.
+        s = np.linalg.svd(edges, compute_uv=False)
+        scale = np.prod(s[0] / s[1:])
+        assert np.abs(grads[1:] @ edges.T - np.eye(dim)).max() \
+            <= 2 * scale * eps
+    # the draws straddle the edge: most pass, some fail the mesh rule
+    assert accepted > 500 and refused > 50
+
+
 def test_quadrature_tables_have_unit_weight_and_interior_points():
     for name in ("one_point", "interior"):
         for dim in (2, 3):

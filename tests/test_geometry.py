@@ -416,6 +416,51 @@ def test_a_singular_matrix_in_the_stack_raises(n):
         geo.inv(M)
 
 
+def cross_sum_reference(M):
+    """3x3 inverse and determinant from np.cross on the rows and np.sum
+    over the trailing axis, the form geometry.inv and det once took."""
+    r0, r1, r2 = M[..., 0, :], M[..., 1, :], M[..., 2, :]
+    cols = (np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1))
+    dets = np.sum(r0 * cols[0], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.stack(cols, axis=-1) / dets[..., None, None], dets
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_three_by_three_kernels_keep_the_cross_product_bits(seed):
+    rng = np.random.default_rng(seed)
+    stack = 1e-3 * rng.standard_normal((5000, 4, 3))
+    # contiguous, a row slice (strided rows), a transposed view (strided
+    # entries) and a nested stack
+    for M in (np.ascontiguousarray(stack[:, 1:]), stack[:, 1:],
+              np.swapaxes(stack[:, :3], 1, 2),
+              stack[:4900, 1:].reshape(70, 70, 3, 3)):
+        ref_inv, ref_det = cross_sum_reference(M)
+        assert same_bits(geo.det(M), ref_det)
+        assert same_bits(geo.inv(M), ref_inv)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exact_zero_determinants_stay_zero_and_raise(seed):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((300, 3, 3))
+    M[0::3, 2] = M[0::3, 1]     # the last two rows equal
+    M[1::3, :, 0] = -0.0        # a zero column
+    M[2::3, 1] = 0.0            # a zero row
+    _, ref_det = cross_sum_reference(M)
+    # np.sum starts from +0.0, so only the sign of a zero may differ
+    assert np.array_equal(geo.det(M), ref_det)
+    assert np.all(ref_det == 0.0)
+    for i in range(3):
+        with pytest.raises(np.linalg.LinAlgError):
+            geo.inv(M[i::3])
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("shape", [(), (40,), (7, 6), (3, 3000)])
 def test_matmul_matches_numpy(n, shape):

@@ -143,6 +143,20 @@ def test_constructor_rejects_elements_whose_gradients_overflow():
         msh.Mesh(nodes, [[0, 1, 2], [1, 3, 2]], ["d", "d"])
 
 
+def test_constructor_rejects_a_needle_its_rounding_spoils():
+    # 1e8 long and about 1 across, off the axes: the cofactor expansion
+    # rounds by about eps * 1e24 against a determinant of about 1e8
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+    tip = np.array([[0.0, 0.0, 0.0], [1e8, 0.0, 0.0], [0.5e8, 1.0, 0.0],
+                    [0.5e8, 0.0, 1.0]])
+    with pytest.raises(DegenerateElement,
+                       match=r"element 0 .* exceeds 2\^46"):
+        msh.Mesh(tip @ Q.T, [[0, 1, 2, 3]], ["d"])
+    # 1e4 long is kept, in any orientation
+    m = msh.Mesh(tip * [1e-4, 1.0, 1.0] @ Q.T, [[0, 1, 2, 3]], ["d"])
+    assert m.volumes()[0] == pytest.approx(1e4 / 6, rel=1e-6)
+
+
 def test_a_small_element_far_from_a_large_one_is_kept():
     # against the whole mesh's extent the small triangle's gradients would
     # overflow; against its own edges (about 1e100 / 1e-200) they do not
@@ -568,3 +582,89 @@ def test_bad_declared_facets_are_named(extra, why):
         box_with_extra_facet(extra)
     assert str(err.value).startswith("boundary facet 8 ")
     assert why in str(err.value)
+
+
+# ------------------------------------------------- near-boundary facet check
+
+
+def full_grouping_counts(m_elements, facets):
+    """Per-facet element counts and first equal row from grouping every
+    face of the mesh: the check before it looked near the boundary only."""
+    (faces, declared), n = msh._face_groups(msh._sorted_faces(m_elements),
+                                            facets)
+    counts = np.bincount(faces, minlength=n)[declared]
+    _, first, inverse = np.unique(declared, return_index=True,
+                                  return_inverse=True)
+    return counts, first[inverse]
+
+
+def expected_facet_error(facets, counts, first):
+    """The InvalidFacet message for the first bad facet, or None."""
+    bad = np.flatnonzero((counts != 1) | (first != np.arange(len(first))))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    if counts[i] != 1:
+        return (f"boundary facet {i} {facets[i].tolist()} belongs to "
+                f"{counts[i]} elements; boundary facets must belong to "
+                "exactly one")
+    return (f"boundary facet {i} {facets[i].tolist()} repeats boundary "
+            f"facet {first[i]}; each boundary facet is declared once")
+
+
+def corrupted(m, kind, rng):
+    """m's facets with one bad row put at a random place: an interior
+    face, a face no element has (nodes drawn from declared facets, so its
+    element test is the near-boundary one), or a facet declared again."""
+    faces = msh._sorted_faces(m.elements)
+    rows, counts = np.unique(faces, axis=0, return_counts=True)
+    if kind == "interior":
+        extra = rows[counts == 2][rng.integers((counts == 2).sum())]
+    elif kind == "orphan":
+        known = {tuple(r) for r in rows}
+        pool = np.unique(m.boundary_facets)
+        while True:
+            extra = np.sort(rng.choice(pool, m.dim, replace=False))
+            if tuple(extra) not in known:
+                break
+    else:
+        extra = m.boundary_facets[rng.integers(len(m.boundary_facets))]
+    at = int(rng.integers(len(m.boundary_facets) + 1))
+    facets = np.insert(m.boundary_facets, at, rng.permutation(extra), axis=0)
+    tags = np.insert(m.facet_tags, at, "extra")
+    return facets, tags
+
+
+FACET_MESHES = {
+    "box2d": lambda _: msh.generate_structured(**GENERATED[0]),
+    "box3d": lambda _: msh.generate_structured(**GENERATED[1]),
+    "annulus": lambda _: msh.generate_structured(**GENERATED[2]),
+    "box3d-thin-x": lambda _: msh.generate_structured(**GENERATED[3]),
+    "box3d-thin-z": lambda _: msh.generate_structured(**GENERATED[4]),
+    "box2d-one-cell": lambda _: msh.generate_structured("box", (1, 1)),
+    "msh-2d": lambda tmp_path: read_back(msh.generate_structured(
+        "box", (3, 4), region_bands=[("gap", 1, 0.5, 1.0)]), tmp_path),
+    "msh-3d": lambda tmp_path: read_back(
+        msh.generate_structured("box", (2, 3, 2)), tmp_path),
+}
+
+
+@pytest.mark.parametrize("kind", ["interior", "orphan", "repeat"])
+@pytest.mark.parametrize("case", FACET_MESHES)
+def test_near_boundary_facet_check_matches_full_grouping(case, kind,
+                                                         tmp_path):
+    m = FACET_MESHES[case](tmp_path)
+    rng = np.random.default_rng(sorted(FACET_MESHES).index(case))
+    for facets in [m.boundary_facets] + [corrupted(m, kind, rng)[0]
+                                         for _ in range(5)]:
+        got = msh._facet_counts(m.elements, facets, m.n_nodes)
+        want = full_grouping_counts(m.elements, facets)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+    facets, tags = corrupted(m, kind, rng)
+    message = expected_facet_error(facets, *full_grouping_counts(
+        m.elements, facets))
+    assert message is not None
+    with pytest.raises(InvalidFacet) as err:
+        msh.Mesh(m.nodes, m.elements, m.element_regions, facets, tags)
+    assert str(err.value) == message

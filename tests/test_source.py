@@ -71,3 +71,52 @@ def test_every_private_definition_is_referenced():
                for qualified, short in private_definitions(tree.body)
                if short not in used]
     assert not orphans, f"private definitions nothing references: {orphans}"
+
+
+# Where src/ may call LAPACK's inverse or determinant: geometry.inv and
+# det hand it the sizes their closed forms do not cover, Affine sets up
+# its one matrix, and fem.local_stiffness stays on LAPACK as the oracle
+# that tests/test_acceptance.py checks assembly against. Every other
+# small-matrix inverse or determinant goes through geometry.inv / det.
+LAPACK_ALLOWED = {("geometry.py", "det"), ("geometry.py", "inv"),
+                  ("geometry.py", "Affine.__init__"),
+                  ("fem.py", "local_stiffness")}
+LAPACK_NAMES = {"inv", "det", "slogdet"}
+
+
+def lapack_calls(node, owner=""):
+    """(qualified name of the enclosing function or class, called name) of
+    every call x.linalg.inv / det / slogdet below node, as np.linalg.inv
+    or scipy.linalg.det."""
+    for child in ast.iter_child_nodes(node):
+        where = owner
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            where = f"{owner}.{child.name}" if owner else child.name
+        elif (isinstance(child, ast.Call)
+              and isinstance(child.func, ast.Attribute)
+              and child.func.attr in LAPACK_NAMES
+              and isinstance(child.func.value, ast.Attribute)
+              and child.func.value.attr == "linalg"):
+            yield owner, child.func.attr
+        yield from lapack_calls(child, where)
+
+
+def stray_lapack_calls(trees):
+    return sorted(f"{name}:{where} calls np.linalg.{called}"
+                  for name, tree in trees.items()
+                  for where, called in lapack_calls(tree)
+                  if (name, where) not in LAPACK_ALLOWED)
+
+
+def test_small_matrices_go_through_geometry_inv_and_det():
+    assert not stray_lapack_calls(TREES)
+
+
+def test_a_stray_lapack_call_is_found():
+    source = (PACKAGE / "fem.py").read_text()
+    assert "inv(edges)" in source
+    broken = source.replace("inv(edges)", "np.linalg.inv(edges)")
+    trees = dict(TREES, **{"fem.py": ast.parse(broken)})
+    assert stray_lapack_calls(trees) == [
+        "fem.py:_p1_gradients calls np.linalg.inv"]
