@@ -147,10 +147,10 @@ def reparameterize_fixed_metric(spec, g):
     """Push a whole problem through the chart g, metric staying Euclidean.
 
     The mesh is mapped node by node, materials are replaced by their
-    transforms so the assembled operator is unchanged up to roundoff
-    (exactly so for affine g), and boundary values keep their physical
-    meaning: callables are composed with g^-1 so each boundary node
-    receives the same number as before.
+    pull-backs through g so the assembled operator is unchanged up to
+    round-off, and boundary values keep their physical meaning: callables
+    are composed with g^-1 so each boundary node receives the same number
+    as before.
     """
     if not isinstance(spec.domain, Mesh):
         raise TypeError("reparameterization works on plain mesh problems")
@@ -160,17 +160,9 @@ def reparameterize_fixed_metric(spec, g):
     dim = m.nodes.shape[1]
     euclidean = MetricField.euclidean(dim)
 
-    def transformed(entry, tag):
-        fn = pull_back(entry, g, t.metric, euclidean, tag)
-        if (g.is_affine and not callable(entry)
-                and t.metric.constant_matrix(tag) is not None):
-            # constant J, material and metric: one matrix for every point
-            return fn(mapped.nodes[0])
-        return fn
-
     # the default meets each metric region's own entry under that tag
-    material = t.material.spread_default(
-        t.metric.region_tags()).map_entries(transformed)
+    material = t.material.spread_default(t.metric.region_tags()).map_entries(
+        lambda entry, tag: pull_back(entry, g, t.metric, euclidean, tag))
 
     chart = g if t.chart.is_identity() else Composite([t.chart, g])
     triplet = Triplet(chart=chart, metric=euclidean, material=material)
@@ -281,25 +273,23 @@ def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
     Per step only the moving region's element blocks are recomputed, from
     the step's metric (or material) at their quadrature points; where the
     step's Jacobian is one matrix there, effective_coefficient forms K
-    once. A step not declared affine makes the sweep use interior
-    quadrature. From step 1 on, the solver starts from the Galerkin
-    projection of the new system onto the solutions of the last
-    GUESS_WINDOW steps (solver.projected_guess): the point of their span
-    closest to the new solution in the energy norm, so never worse there
-    than the previous solution or an extrapolation of the last few. A
-    step that changes no matrix entry has the last step's system, bit for
-    bit, and takes its solution with 0 iterations and no solve. The
-    preconditioner built on step 0 serves the whole sweep: with the
-    projected start, a fresh build per step saves at most a few iterations
-    and costs more time than they take, most of all for IC(0). measure_cold
+    once, and "auto" quadrature integrates it with one point, as a fresh
+    assembly under the step's triplet does. From step 1 on, the solver
+    starts from the Galerkin projection of the new system onto the
+    solutions of the last GUESS_WINDOW steps (solver.projected_guess):
+    the point of their span closest to the new solution in the energy
+    norm, so never worse there than the previous solution or an
+    extrapolation of the last few. A step that changes no matrix entry
+    has the last step's system, bit for bit, and takes its solution with
+    0 iterations and no solve. The preconditioner built on step 0 serves
+    the whole sweep: with the projected start, a fresh build per step
+    saves at most a few iterations and costs more time than they take,
+    most of all for IC(0). measure_cold
     additionally runs each step cold (zero start, fresh preconditioner) to
     expose the iteration counts the guess and the reuse avoid; the extra
     solve is excluded from the reported wall time.
     """
     spec = ms.base
-    if spec.quadrature == "auto" and any(not s.is_affine for s in ms.steps):
-        # a curved step can make frozen one-point rules inexact
-        spec = replace(spec, quadrature="interior")
     cfg = config if config is not None else _solver.SolverConfig()
     system = fem.assemble(spec)
     moving = spec.domain.elements_in_regions([ms.moving_region])

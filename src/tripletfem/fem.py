@@ -103,7 +103,9 @@ class BVPSpec:
     (boundary tag, value) pairs; value is a number or a pointwise
     callable of the coordinates the boundary lives in (universal
     coordinates for an atlas). At least one tag is required, otherwise
-    the potential is ungrounded and the matrix singular.
+    the potential is ungrounded and the matrix singular. quadrature "auto"
+    samples K at the interior points and integrates with one point where
+    K is one matrix there; "one_point" and "interior" fix the rule.
     """
 
     domain: object
@@ -166,19 +168,6 @@ def _build_patches(spec):
                               gidx.dofs(r.region_id), offset))
         offset += r.mesh.n_elements
     return patches, gidx.n_dofs
-
-
-def _decide_rule(spec, patch, tag):
-    if spec.quadrature != "auto":
-        return spec.quadrature
-    t = spec.triplet
-    constant = (t.material.constant_matrix(tag) is not None
-                and t.metric.constant_matrix(tag) is not None)
-    affine = t.chart.is_affine
-    if patch.chart is not None:
-        affine = affine and patch.chart.is_affine
-        constant = constant and patch.metric.constant_matrix(tag) is not None
-    return "one_point" if (constant and affine) else "interior"
 
 
 # ---------------------------------------------------------------- assembly
@@ -267,6 +256,22 @@ def _element_blocks(weights, grads, K, vols):
         yield c, (0.5 * (out + out.transpose(1, 0, 2))).transpose(2, 0, 1)
 
 
+def _quadrature_points(bary, coords, ids):
+    """np.einsum("qa,ead->eqd", bary, coords[ids]) bit for bit: each point
+    adds its node terms in node order, as einsum does, over chunks of the
+    elements gathered element index last, so every pass runs along a
+    contiguous axis."""
+    out = np.empty((ids.size, bary.shape[0], coords.shape[2]))
+    for lo in range(0, ids.size, _BLOCK_CHUNK):
+        c = slice(lo, lo + _BLOCK_CHUNK)
+        nodes = coords[ids[c]].transpose(1, 2, 0).copy()
+        points = np.multiply.outer(bary[:, 0], nodes[0])  # (Q, d, chunk)
+        for a in range(1, nodes.shape[0]):
+            points += np.multiply.outer(bary[:, a], nodes[a])
+        out[c] = points.transpose(2, 0, 1)
+    return out
+
+
 @dataclass(frozen=True)
 class _Group:
     """Elements of one (patch, region tag) with what their blocks need
@@ -274,7 +279,6 @@ class _Group:
 
     patch: _Patch
     tag: str
-    rule: str
     ids: np.ndarray
     grads: np.ndarray
     vols: np.ndarray
@@ -301,13 +305,11 @@ class ElementSet:
                 f"element ids must lie in [0, {system.n_elements})")
         self.system = system
         self.ids = ids
-        self.groups = []
-        for patch, tag, rule, gids in system._groups(ids):
-            bary, _ = quadrature_rule(rule, system.dim)
-            xq = np.einsum("qa,ead->eqd", bary, system.coords[gids])
-            self.groups.append(_Group(patch, tag, rule, gids,
-                                      system.grads[gids], system.vols[gids],
-                                      xq))
+        bary, _ = quadrature_rule(system.rule, system.dim)
+        self.groups = [_Group(patch, tag, gids, system.grads[gids],
+                              system.vols[gids],
+                              _quadrature_points(bary, system.coords, gids))
+                       for patch, tag, gids in system._groups(ids)]
 
     @cached_property
     def flat(self):
@@ -362,13 +364,10 @@ class AssembledSystem:
         self._k = k
         self.data = np.zeros(self.n_elements * k * k)
 
-        # The rule for each (patch, region tag) group is decided once,
-        # here, and reused verbatim by partial updates; a motion step
-        # must not silently switch rules mid-sweep.
-        self.group_rules = {}
-        for i, p in enumerate(patches):
-            for tag in p.mesh.regions():
-                self.group_rules[(i, tag)] = _decide_rule(spec, p, tag)
+        self.rule = "interior" if spec.quadrature == "auto" \
+            else spec.quadrature
+        self._group_keys = [(i, tag) for i, p in enumerate(patches)
+                            for tag in p.mesh.regions()]
 
         self._fill(spec.triplet, ElementSet(self, np.arange(self.n_elements)))
         self._collect_dirichlet()
@@ -380,20 +379,27 @@ class AssembledSystem:
     def _groups(self, element_ids):
         """Split element ids by (patch, region tag), deterministic order."""
         out = []
-        for (i, tag), rule in self.group_rules.items():
+        for i, tag in self._group_keys:
             mask = (self.patch_of[element_ids] == i) \
                 & (self.tag_of[element_ids] == tag)
             ids = element_ids[mask]
             if ids.size:
-                out.append((self.patches[i], tag, rule, ids))
+                out.append((self.patches[i], tag, ids))
         return out
 
     def _fill(self, triplet, elements):
+        """Blocks of the set's elements under triplet. Under "auto" K is
+        measured on every call; where it is one matrix at all interior
+        points (broadcast, stride zero on its leading axes), the one-point
+        rule gives the interior rule's integral exactly."""
         blocks = self.data.reshape(self.n_elements, self._k, self._k)
+        _, weights = quadrature_rule(self.rule, self.dim)
+        _, centroid = quadrature_rule("one_point", self.dim)
         for group in elements.groups:
-            K = _coefficients(triplet, group)
-            _, weights = quadrature_rule(group.rule, self.dim)
-            for c, b in _element_blocks(weights, group.grads, K, group.vols):
+            K, w = _coefficients(triplet, group), weights
+            if self.spec.quadrature == "auto" and not any(K.strides[:-2]):
+                K, w = K[:, :1], centroid
+            for c, b in _element_blocks(w, group.grads, K, group.vols):
                 blocks[group.ids[c]] = b
 
     # -- boundary conditions
@@ -556,11 +562,12 @@ def update_elements(system, triplet, element_ids):
     """Recompute the blocks of the given elements under a new triplet.
 
     element_ids is an array of element ids, or an ElementSet of this
-    system when the same elements are updated again and again. Quadrature
-    rules stay as frozen at assembly. All other element blocks keep
-    their exact bits, and the matrices are rebuilt from the whole block
-    buffer through the sum assembly recorded, so they are entrywise
-    identical to a full reassembly under the new triplet. Returns the
+    system when the same elements are updated again and again. Their
+    quadrature is decided from the new triplet's K, as assembly decides
+    it. All other element blocks keep their exact bits, and the matrices
+    are rebuilt from the whole block buffer through the sum assembly
+    recorded, so they are entrywise identical to a full reassembly under
+    the new triplet. Returns the
     number of matrix entries that one or more changed blocks contribute
     to.
     """
@@ -630,10 +637,8 @@ class Solution:
 
     triplet is the one the system held when it was solved; a motion
     sweep goes on changing system.triplet afterwards, so the fields,
-    computed on first read, take the metric from here. A fresh assemble
-    under triplet gives a sweep step's bits only with quadrature named:
-    the sweep keeps the rules frozen at step 0 (system.group_rules), where
-    "auto" may pick the interior rule for the step's pointwise entries.
+    computed on first read, take the metric from here, and a fresh
+    assemble of the system's spec under it gives the solved matrices.
     """
 
     u: np.ndarray
@@ -653,7 +658,7 @@ def _all_element_fields(u, system, triplet):
     centroids = system.coords.mean(axis=1)
     out = np.empty_like(grad)
     all_ids = np.arange(system.n_elements)
-    for patch, tag, _, ids in system._groups(all_ids):
+    for patch, tag, ids in system._groups(all_ids):
         metric = patch.metric if patch.metric is not None \
             else triplet.metric
         S = metric.eval(centroids[ids], tag)

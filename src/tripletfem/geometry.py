@@ -243,7 +243,6 @@ class ChartMap:
     dim = None            # None means any dimension
     domain = FullSpace()  # where forward/jacobian may be evaluated
     image = FullSpace()   # where inverse may be evaluated
-    is_affine = False     # True when the Jacobian is constant everywhere
 
     def forward(self, points):
         p = _as_points(points, self.dim)
@@ -289,8 +288,6 @@ class ChartMap:
 class Identity(ChartMap):
     """The do-nothing chart."""
 
-    is_affine = True
-
     def __init__(self, dim=None):
         self.dim = dim
 
@@ -312,8 +309,6 @@ class Identity(ChartMap):
 
 class Affine(ChartMap):
     """x -> A x + b with invertible A."""
-
-    is_affine = True
 
     def __init__(self, A, b=None):
         A = np.asarray(A, dtype=float)
@@ -353,8 +348,6 @@ def translation(b):
 class AxisScaling(ChartMap):
     """Independent nonzero scale factor per axis."""
 
-    is_affine = True
-
     def __init__(self, factors):
         f = np.atleast_1d(np.asarray(factors, dtype=float))
         if np.any(f == 0.0):
@@ -381,8 +374,6 @@ class AxisScaling(ChartMap):
 
 class Rotation(ChartMap):
     """Rigid rotation about the origin (2-d) or about an axis (3-d)."""
-
-    is_affine = True
 
     def __init__(self, angle, axis=None):
         angle = float(angle)
@@ -717,7 +708,6 @@ class Composite(ChartMap):
         self.dim = dims.pop() if dims else None
         self.domain = members[0].domain
         self.image = members[-1].image
-        self.is_affine = all(m.is_affine for m in members)
 
     def is_identity(self):
         return all(m.is_identity() for m in self.members)
@@ -899,7 +889,7 @@ class MetricField(TensorField):
     evaluator), or `regions` (a table of either, with an optional
     `default`). Constant entries are checked for shape, symmetry and
     positive definiteness and stored read-only; constant_matrix()
-    advertises them, which quadrature selection exploits.
+    returns them, and is_euclidean reads it.
     """
 
     def __init__(self, dim, *, constant=None, fn=None, regions=None,

@@ -153,11 +153,15 @@ def _facet_counts(elements, facets, n_nodes):
 
 
 def _tag_array(tags, count, what):
-    out = np.empty(count, dtype=object)
-    tags = list(tags)
+    """The tags as an object array of str: a 1-D numpy unicode array as
+    it is, anything else through str() per tag (2.5 keeps its text)."""
+    if not (isinstance(tags, np.ndarray) and tags.dtype.kind == "U"
+            and tags.ndim == 1):
+        tags = [str(t) for t in tags]
     if len(tags) != count:
         raise LengthMismatch(f"{what}: got {len(tags)} tags for {count} entries")
-    out[:] = [str(t) for t in tags]
+    out = np.empty(count, dtype=object)
+    out[:] = tags
     return out
 
 

@@ -133,11 +133,15 @@ def virtual_emf(E, S, dr):
 
 def _first_if_repeated(M):
     """M's first matrix as a (1, n, n) stack when every matrix of the
-    stack equals it exactly, else None. NaN never counts as repeated."""
+    stack equals it exactly, else None. A stack broadcast from one matrix
+    (stride zero on every leading axis) repeats without a scan, even NaN,
+    which the caller's finiteness check then meets; scanned, NaN never
+    repeats."""
     if M.size == 0:
         return None
     first = M[(0,) * (M.ndim - 2)]
-    return first[None] if np.all(M == first) else None
+    repeated = not any(M.strides[:-2]) or np.all(M == first)
+    return first[None] if repeated else None
 
 
 def _require_finite(M, name):
@@ -152,7 +156,8 @@ def effective_coefficient(eps, S):
 
     When eps and S each repeat one matrix exactly, K is formed once from
     their first (1, n, n) slices, through the pointwise kernels, and
-    returned broadcast: the same bits, whatever made the inputs constant.
+    returned broadcast, with stride zero on every leading axis (assembly
+    reads that): the same bits, whatever made the inputs constant.
 
     Raises NonFiniteCoefficient, before any product, when the material or
     the metric holds inf or NaN, and AsymmetricCoefficient when the
@@ -172,8 +177,12 @@ def effective_coefficient(eps, S):
         eps, S = eps_1, S_1
     K = geometry.matmul(eps, geometry.inv(S))
     Kt = np.swapaxes(K, -1, -2)
-    asym = np.sqrt(np.sum((K - Kt) ** 2, axis=(-2, -1)))
-    norm = np.sqrt(np.sum(K * K, axis=(-2, -1)))
+    # Frobenius norms as dot products over one flattened axis, not np.sum
+    # over two axes, whose reduction loop runs once per point
+    skew = (K - Kt).reshape(K.shape[:-2] + (n * n,))
+    flat = K.reshape(skew.shape)
+    asym = np.sqrt(np.einsum("...i,...i->...", skew, skew))
+    norm = np.sqrt(np.einsum("...i,...i->...", flat, flat))
     rel = asym / np.maximum(norm, 1e-300)
     if not np.all(rel <= SYMMETRY_RTOL):
         raise AsymmetricCoefficient(

@@ -231,10 +231,8 @@ def test_capacitor_sweep_law_updates_and_warm_starts():
     # the partially updated operator must equal a from-scratch assembly
     # of the final step, bit for bit
     final = results[-1].solution.system.full_matrix
-    stepped = replace(spec, quadrature="interior",
-                      triplet=app._step_triplet(spec.triplet, "gap",
-                                                steps[-1], "metric-change",
-                                                2))
+    stepped = replace(spec, triplet=app._step_triplet(
+        spec.triplet, "gap", steps[-1], "metric-change", 2))
     fresh = fem.assemble(stepped).full_matrix
     exact = (np.array_equal(final.data, fresh.data)
              and np.array_equal(final.indices, fresh.indices)

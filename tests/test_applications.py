@@ -305,7 +305,6 @@ def test_step_with_one_jacobian_on_the_gap_gives_one_coefficient(mode):
     # the stretch is not affine, but its Jacobian is one matrix on the gap
     spec = capacitor_spec(8)
     step = gap_stretch(1.7)
-    assert not step.is_affine
     tri = app._step_triplet(spec.triplet, "gap", step, mode, 2)
     xq = gap_quadrature_points(spec)
     K = tri.effective_at(xq, "gap")
@@ -341,15 +340,34 @@ def test_partial_reassembly_equals_full_reassembly():
     results = app.motion_sweep(ms)
     swept = results[-1].solution.system
 
-    # the sweep forces the interior rule for curved steps; mirror that
-    stepped = replace(spec, quadrature="interior",
-                      triplet=app._step_triplet(spec.triplet, "gap", step,
-                                                "metric-change", 2))
+    stepped = replace(spec, triplet=app._step_triplet(
+        spec.triplet, "gap", step, "metric-change", 2))
     fresh = fem.assemble(stepped)
     assert np.array_equal(swept.full_matrix.data, fresh.full_matrix.data)
     assert np.array_equal(swept.full_matrix.indices,
                           fresh.full_matrix.indices)
     assert np.array_equal(swept.full_matrix.indptr, fresh.full_matrix.indptr)
+
+
+@pytest.mark.parametrize("mode", ["metric-change", "material-change"])
+@pytest.mark.parametrize("step", [
+    geo.Affine(np.array([[1.0, 0.3], [0.1, 1.2]])),
+    gap_stretch(2.0),
+    geo.PolarStretch(1.2, 1.4, center=(-0.3, -0.2)),  # center off the gap
+], ids=["affine", "axis-piecewise-linear", "polar-stretch"])
+def test_auto_assembly_under_a_step_triplet_is_the_sweep(step, mode):
+    # the system is assembled under the base triplet, then updated to the
+    # step's; "auto" decides each group's rule from the K it measures, so
+    # a fresh assembly under the step's triplet decides the same
+    spec = capacitor_spec(8)
+    assert spec.quadrature == "auto"
+    result = app.motion_sweep(app.MotionSweep(
+        base=spec, moving_region="gap", steps=[step], mode=mode))[-1]
+    swept = result.solution.system.full_matrix
+    fresh = fem.assemble(replace(spec, triplet=result.solution.triplet))
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(swept, name),
+                              getattr(fresh.full_matrix, name))
 
 
 def test_changed_entries_are_the_pairs_sharing_a_moving_element():
@@ -372,8 +390,6 @@ def test_changed_entries_are_the_pairs_sharing_a_moving_element():
 
 class _FoldTop:
     """Stub map: reflects everything above y = 0.75 back down."""
-
-    is_affine = False
 
     def is_identity(self):
         return False
@@ -404,8 +420,6 @@ def test_fold_raises_topology_change():
 
 class _FlattenY:
     """Stub map: moves nothing but reports a rank-deficient Jacobian."""
-
-    is_affine = True
 
     def is_identity(self):
         return False
@@ -465,8 +479,7 @@ def banded_metric_spec():
     S = np.array([[2.0, 0.5], [0.5, 1.0]])
     metric = geo.MetricField.by_region(2, {"domain": S}, default=np.eye(2))
     spec = capacitor_spec(8)
-    return replace(spec, quadrature="interior",
-                   triplet=replace(spec.triplet, metric=metric))
+    return replace(spec, triplet=replace(spec.triplet, metric=metric))
 
 
 @pytest.mark.parametrize("mode", ["metric-change", "material-change"])
@@ -519,7 +532,6 @@ def test_projected_start_beats_the_previous_solution():
         app.MotionSweep(base=spec, moving_region="gap", steps=steps))
 
     # the same sweep, each solve started from the previous solution
-    spec = replace(spec, quadrature="interior")  # as the sweep does
     system = fem.assemble(spec)
     moving = fem.ElementSet(system, m.elements_in_regions(["gap"]))
     cfg = SolverConfig()

@@ -120,7 +120,7 @@ def step_map(draw):
 @given(entries=triplet_entries(euclidean_gap=True),
        defaults=st.tuples(st.booleans(), st.booleans()),
        mode=st.sampled_from(["metric-change", "material-change"]),
-       quadrature=st.sampled_from(["interior", "one_point"]),
+       quadrature=st.sampled_from(["auto", "interior", "one_point"]),
        steps=st.lists(step_map(), min_size=2, max_size=2),
        gap_eps=st.one_of(floats(0.5, 4.0), floats(0.5, 4.0).map(
            lambda c: lambda p: c * (1.0 + p[..., 0] ** 2))))

@@ -465,6 +465,48 @@ def test_block_kernel_keeps_the_einsum_bits(dim, rule):
     assert np.array_equal(got, einsum_blocks(weights, grads, K, vols))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("rule", ["one_point", "interior"])
+def test_quadrature_points_keep_the_einsum_bits(dim, rule):
+    rng = np.random.default_rng(11 * dim + len(rule))
+    n = 2 * fem._BLOCK_CHUNK + 37  # a last, partial chunk
+    bary, _ = fem.quadrature_rule(rule, dim)
+    coords = rng.standard_normal((n, dim + 1, dim)) \
+        * np.exp(rng.uniform(-20.0, 20.0, (n, 1, 1))) \
+        + rng.standard_normal((n, 1, dim)) * 1e3
+    ids = np.sort(rng.choice(n, n - 5, replace=False))
+    got = fem._quadrature_points(bary, coords, ids)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, np.einsum("qa,ead->eqd", bary, coords[ids]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_constant_material_given_as_value_or_callable_gives_the_same_bits(
+        dim):
+    rng = np.random.default_rng(dim)
+    A = rng.standard_normal((dim, dim))
+    K = A @ A.T + dim * np.eye(dim)
+    m = mesh.generate_structured("box", (5,) * dim if dim == 2 else (3,) * 3)
+    bc = (("left", 0.0), ("right", 1.0))
+
+    def assembled(material, quadrature="auto"):
+        triplet = tp.Triplet(geo.Identity(dim), geo.MetricField.euclidean(dim),
+                             tp.MaterialField.uniform(material, dim))
+        return fem.assemble(fem.BVPSpec(m, triplet, bc,
+                                        quadrature=quadrature)).full_matrix
+
+    want = assembled(K, "one_point")
+    stack = lambda p: np.broadcast_to(K, p.shape[:-1] + K.shape).copy()
+    for material in (K, lambda p: K, stack):
+        got = assembled(material)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    # a coefficient that varies keeps the interior rule under "auto"
+    varying = lambda p: (1.0 + p[..., 0] ** 2)[..., None, None] * K
+    assert np.array_equal(assembled(varying).data,
+                          assembled(varying, "interior").data)
+
+
 def box_2d_spec():
     return unit_square_spec(7)
 

@@ -233,13 +233,6 @@ def test_identity_detection_through_composites():
     assert not geo.Composite([geo.Identity(2), geo.Rotation(0.1)]).is_identity()
 
 
-def test_affine_flag_propagates_through_composites():
-    affine = geo.Composite([geo.Rotation(0.2), geo.AxisScaling([2.0, 1.0])])
-    curved = geo.Composite([geo.Rotation(0.2), geo.PolarStretch(exponent=2.0)])
-    assert affine.is_affine
-    assert not curved.is_affine
-
-
 def test_domain_error_names_the_offending_point():
     shell = geo.KelvinShell(1.0, 2.0)
     pts = np.array([[3.0, 0.0], [0.25, 0.0]])

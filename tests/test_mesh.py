@@ -114,6 +114,22 @@ def test_region_band_collapse_is_detected():
     assert "snap" in str(err.value)
 
 
+@pytest.mark.parametrize("tags, text", [
+    (np.array(["a", "bb"]), ["a", "bb"]),
+    (["a", "bb"], ["a", "bb"]),
+    ([1, 2.5], ["1", "2.5"]),
+    (np.array([1, 2]), ["1", "2"]),
+], ids=["unicode-array", "str-list", "numbers", "int-array"])
+def test_region_tags_are_stored_as_their_text(tags, text):
+    nodes = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    m = msh.Mesh(nodes, [[0, 1, 2], [1, 3, 2]], tags)
+    assert m.element_regions.dtype == object
+    assert [type(t) for t in m.element_regions] == [str, str]
+    assert m.element_regions.tolist() == text
+    with pytest.raises(LengthMismatch, match="got 2 tags for 1"):
+        msh.Mesh(nodes, [[0, 1, 2]], tags)
+
+
 def test_constructor_normalizes_orientation():
     nodes = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     m = msh.Mesh(nodes, [[0, 2, 1]], ["d"])  # clockwise on purpose

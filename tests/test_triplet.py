@@ -432,6 +432,18 @@ def test_nan_never_counts_as_repeated():
         tp.effective_coefficient(eps, np.eye(2))
 
 
+def test_a_broadcast_stack_is_one_matrix_and_its_nan_is_refused():
+    S = np.array([[2.0, 0.5], [0.5, 1.0]])
+    K = tp.effective_coefficient(2.0, np.broadcast_to(S, (4, 3, 2, 2)))
+    assert K.shape == (4, 3, 2, 2) and K.strides[:2] == (0, 0)
+    # no scan decides that such a stack repeats; the finiteness check
+    # still reads its one matrix
+    with pytest.raises(NonFiniteCoefficient, match="material .* nan"):
+        tp.effective_coefficient(np.broadcast_to(np.nan, (4, 3, 2, 2)), S)
+    with pytest.raises(NonFiniteCoefficient, match="metric .* inf"):
+        tp.effective_coefficient(1.0, np.broadcast_to(np.inf, (4, 3, 2, 2)))
+
+
 def test_non_finite_material_or_metric_is_refused_by_name():
     # RuntimeWarnings are errors in this suite, so no product may run
     with pytest.raises(NonFiniteCoefficient,
