@@ -219,7 +219,13 @@ class MotionSweep:
 
 @dataclass(frozen=True)
 class SweepStep:
-    """One solved configuration of a motion sweep."""
+    """One solved configuration of a motion sweep.
+
+    timings holds the step's phases in seconds: update (topology check,
+    step triplet and update_elements), guess (the projected start) and
+    solve (preconditioner build on the first solve, and CG); wall_time is
+    their total.
+    """
 
     step: int
     solution: object
@@ -227,6 +233,7 @@ class SweepStep:
     iterations: int
     changed_entries: int
     wall_time: float
+    timings: dict
     cold_iterations: int = -1  # -1 when the cold solve was not measured
 
 
@@ -272,9 +279,10 @@ def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
 
     Per step only the moving region's element blocks are recomputed, from
     the step's metric (or material) at their quadrature points; where the
-    step's Jacobian is one matrix there, effective_coefficient forms K
-    once, and "auto" quadrature integrates it with one point, as a fresh
-    assembly under the step's triplet does. From step 1 on, the solver
+    step's Jacobian is one matrix there, its inverse, the metric (or
+    material) and K are each formed once (triplet._once_if_repeated), and
+    "auto" quadrature integrates K with one point, as a fresh assembly
+    under the step's triplet does. From step 1 on, the solver
     starts from the Galerkin projection of the new system onto the
     solutions of the last GUESS_WINDOW steps (solver.projected_guess):
     the point of their span closest to the new solution in the energy
@@ -287,7 +295,8 @@ def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
     most of all for IC(0). measure_cold
     additionally runs each step cold (zero start, fresh preconditioner) to
     expose the iteration counts the guess and the reuse avoid; the extra
-    solve is excluded from the reported wall time.
+    solve is excluded from the reported wall time. Each SweepStep carries
+    its phase timings; the library prints nothing.
     """
     spec = ms.base
     cfg = config if config is not None else _solver.SolverConfig()
@@ -310,24 +319,27 @@ def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
             changed = fem.update_elements(system, tri, moving_set)
         except SingularJacobian as err:
             raise SingularJacobian(f"step {k}: {err}") from None
+        t1 = t2 = time.perf_counter()
         if changed == 0 and results:
             # the matrix and right-hand side are the last step's, bit for
-            # bit, so its solution is this one's; no solve
+            # bit, so its solution is this one's; no guess and no solve
             sol = replace(results[-1].solution, triplet=tri)
             info = sol.solve_info
             if info is not None:
                 sol = replace(sol, solve_info=replace(
                     info, iterations=0, residuals=[info.residual]))
         else:
+            x0 = _solver.projected_guess(system.matrix, system.rhs, window)
+            t2 = time.perf_counter()
             if precond is None:
                 precond = _solver.build_preconditioner(system.matrix,
                                                        cfg.preconditioner)
-            x0 = _solver.projected_guess(system.matrix, system.rhs, window)
             sol = fem.solve_bvp(spec, cfg, system=system,
                                 preconditioner=precond, x0=x0)
             if sol.solve_info is not None:
                 window.append(sol.solve_info.x)
-        wall = time.perf_counter() - t0
+        t3 = time.perf_counter()
+        timings = {"update": t1 - t0, "guess": t2 - t1, "solve": t3 - t2}
 
         cold_iters = -1
         if measure_cold:
@@ -342,7 +354,9 @@ def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
         iters = sol.solve_info.iterations if sol.solve_info is not None else 0
         results.append(SweepStep(step=k, solution=sol, energy=sol.energy,
                                  iterations=iters, changed_entries=changed,
-                                 wall_time=wall, cold_iterations=cold_iters))
+                                 wall_time=sum(timings.values()),
+                                 timings=timings,
+                                 cold_iterations=cold_iters))
     return results
 
 

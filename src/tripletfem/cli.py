@@ -38,7 +38,7 @@ from . import solver as solver_mod
 from . import triplet as tp
 from . import __version__
 from .atlas import Atlas, AtlasRegion
-from .errors import (DegenerateElement, MaxIterExceeded, ScenarioError,
+from .errors import (DegenerateElement, NotConverged, ScenarioError,
                      TripletFemError, UnknownTag)
 
 USAGE = """\
@@ -596,7 +596,8 @@ def _run_motion(scn, ctx):
                        if r.solution.solve_info is not None else 0.0,
                        "changed_entries": int(r.changed_entries),
                        "cold_iterations": int(r.cold_iterations),
-                       "wall_time": float(r.wall_time)}
+                       "wall_time": float(r.wall_time),
+                       "timings": dict(r.timings)}
                       for r in results],
             "outputs": written}
 
@@ -674,7 +675,7 @@ def _write_report(path, payload):
 
 def _error_info(err):
     info = {"type": type(err).__name__, "message": str(err)}
-    if isinstance(err, MaxIterExceeded):
+    if isinstance(err, NotConverged):
         info["iterations"] = int(err.iterations)
         info["residual"] = float(err.residual)
     if isinstance(err, ScenarioError):

@@ -83,8 +83,9 @@ class InterfaceMismatch(TripletFemError):
 
 # ------------------------------------------------------------------ solver
 
-class MaxIterExceeded(TripletFemError):
-    """Iteration budget exhausted; carries the best iterate and residual."""
+class NotConverged(TripletFemError):
+    """CG stopped above its residual target; carries the best iterate, its
+    residual and the number of iterations done."""
 
     def __init__(self, message, best=None, residual=None, iterations=None):
         super().__init__(message)
@@ -93,8 +94,17 @@ class MaxIterExceeded(TripletFemError):
         self.iterations = iterations
 
 
+class MaxIterExceeded(NotConverged):
+    """Iteration budget exhausted."""
+
+
+class ToleranceUnreachable(NotConverged):
+    """The CG recurrence underflowed to an exact zero above the target:
+    the tolerance lies below what double precision reaches."""
+
+
 class NotPositiveDefinite(TripletFemError):
-    """The matrix exposed a direction of non-positive curvature."""
+    """The matrix exposed a direction of negative curvature."""
 
 
 class ZeroDiagonal(TripletFemError):

@@ -4,7 +4,8 @@ starting guesses and reusable preconditioners.
 The iteration is the textbook PCG loop, run strictly sequentially so a
 rerun on identical inputs reproduces every float; every residual norm it
 compares with the target is kept on the result. A solve either returns
-a result that meets the target or raises MaxIterExceeded. Preconditioners
+a result that meets the target or raises MaxIterExceeded, or
+ToleranceUnreachable when the recurrence underflows first. Preconditioners
 are handles that outlive one solve: the motion driver builds one on its
 first step and applies it for the whole sweep while the matrix drifts.
 For a sequence of related systems, projected_guess starts each solve
@@ -25,6 +26,7 @@ from .errors import (
     BreakdownIC,
     MaxIterExceeded,
     NotPositiveDefinite,
+    ToleranceUnreachable,
     TripletFemError,
     ZeroDiagonal,
 )
@@ -188,10 +190,30 @@ def projected_guess(A, b, basis):
     return V @ y
 
 
+def _zero_product(quantity, u, v, iterations, x, res, target):
+    """The error for u^T v = 0 while the residual is above the target.
+    When every product u_i v_i lies below the smallest normal double, the
+    zero is underflow: ToleranceUnreachable. Otherwise the vectors are of
+    normal size and the form really vanishes: NotPositiveDefinite."""
+    scale = float(np.max(np.abs(u))) * float(np.max(np.abs(v)))
+    if scale < np.finfo(float).tiny:
+        return ToleranceUnreachable(
+            f"{quantity} underflowed to 0 after {iterations} iterations "
+            f"with the residual {res:.3e} above the target {target:.3e}; "
+            "the tolerance lies below what double precision reaches",
+            best=x, residual=res, iterations=iterations)
+    return NotPositiveDefinite(
+        f"{quantity} = 0 after {iterations} iterations; the system or its "
+        "preconditioner is not positive definite")
+
+
 def solve(A, b, config=None, x0=None, preconditioner=None):
     """PCG on an SPD system. Returns a SolveResult whose x satisfies
     ||b - A x|| <= tol * ||b||; convergence is confirmed against the true
-    residual, not just the recurrence."""
+    residual, not just the recurrence. A zero r^T z or p^T A p above the
+    target raises ToleranceUnreachable where it is underflow
+    (_zero_product); a negative p^T A p, or a zero one of normal-sized
+    vectors, raises NotPositiveDefinite."""
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -222,7 +244,9 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
     for it in range(1, max_iter + 1):
         Ap = A @ p
         pAp = float(np.dot(p, Ap))
-        if pAp <= 0.0:
+        if pAp == 0.0:
+            raise _zero_product("p^T A p", p, Ap, it - 1, x, res, target)
+        if pAp < 0.0:
             raise NotPositiveDefinite(
                 f"p^T A p = {pAp:.3e} at iteration {it}; the reduced system "
                 "is not positive definite")
@@ -247,6 +271,8 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
             continue
         z = prec.apply(r)
         rz_new = float(np.dot(r, z))
+        if rz_new == 0.0:
+            raise _zero_product("r^T z", r, z, it, x, res, target)
         beta = rz_new / rz
         p *= beta
         p += z

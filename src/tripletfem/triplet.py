@@ -48,13 +48,19 @@ def transform_material(eps_i, S_i, S_j, J):
     J is the Jacobian of the transition map from chart i to chart j. The
     result is eps_j = J eps_i S_i^-1 J^T S_j / |det J|; the determinant
     enters with its magnitude because it stands for the volume element.
+    Where the four operands each repeat one matrix, the result is formed
+    once and returned broadcast (_once_if_repeated).
     """
     J = _as_square(J, "J")
     n = J.shape[-1]
-    det = _abs_det(J)
     eps_i = material_matrix(eps_i, n)
     S_i = _as_square(S_i, "S_i")
     S_j = _as_square(S_j, "S_j")
+    return _once_if_repeated(_transformed_material, eps_i, S_i, S_j, J)
+
+
+def _transformed_material(eps_i, S_i, S_j, J):
+    det = _abs_det(J)
     mm = geometry.matmul
     Jt = np.swapaxes(J, -1, -2)
     out = mm(mm(mm(mm(J, eps_i), geometry.inv(S_i)), Jt), S_j)
@@ -63,11 +69,15 @@ def transform_material(eps_i, S_i, S_j, J):
 
 def transform_material_euclidean(eps_f, J):
     """Special case of transform_material when both metrics are Euclidean:
-    eps_g = J eps_f J^T / |det J|."""
+    eps_g = J eps_f J^T / |det J|, formed once where eps_f and J each
+    repeat one matrix."""
     J = _as_square(J, "J")
-    n = J.shape[-1]
+    eps_f = material_matrix(eps_f, J.shape[-1])
+    return _once_if_repeated(_transformed_euclidean, eps_f, J)
+
+
+def _transformed_euclidean(eps_f, J):
     det = _abs_det(J)
-    eps_f = material_matrix(eps_f, n)
     Jt = np.swapaxes(J, -1, -2)
     out = geometry.matmul(geometry.matmul(J, eps_f), Jt)
     return out / det[..., None, None]
@@ -79,9 +89,13 @@ def metric_for_motion(J):
     J is the Jacobian of the transition map from the deformed (physical)
     configuration to the fixed computational chart. Requiring the
     transformed material to equal the original scalar one gives
-    S = |det J| J^-T J^-1, which this returns.
+    S = |det J| J^-T J^-1, which this returns; where J repeats one
+    matrix, S is formed once and returned broadcast.
     """
-    J = _as_square(J, "J")
+    return _once_if_repeated(_motion_metric, _as_square(J, "J"))
+
+
+def _motion_metric(J):
     det = _abs_det(J)
     Jinv = geometry.inv(J)
     S = geometry.matmul(np.swapaxes(Jinv, -1, -2), Jinv)
@@ -95,7 +109,9 @@ def pull_back(entry, chart, source, target, region=None):
     the result is a pointwise evaluator for the image, whose metric field
     is target. At points p it takes x = chart.inverse(p) and
     J = chart.jacobian(x), evaluates the entry and source at x and target
-    at p, and returns transform_material of them.
+    at p, and returns transform_material of them: one matrix broadcast
+    over the points wherever all four repeat one matrix there, as they do
+    for a constant entry and metrics under an affine chart.
     """
     dim = target.dim
 
@@ -136,12 +152,37 @@ def _first_if_repeated(M):
     stack equals it exactly, else None. A stack broadcast from one matrix
     (stride zero on every leading axis) repeats without a scan, even NaN,
     which the caller's finiteness check then meets; scanned, NaN never
-    repeats."""
+    repeats. The last matrix is compared first, so most stacks that vary
+    are turned down without a full scan."""
     if M.size == 0:
         return None
     first = M[(0,) * (M.ndim - 2)]
-    repeated = not any(M.strides[:-2]) or np.all(M == first)
+    repeated = not any(M.strides[:-2]) or (
+        np.all(M[(-1,) * (M.ndim - 2)] == first) and np.all(M == first))
     return first[None] if repeated else None
+
+
+def _once_if_repeated(fn, *stacks):
+    """fn(*stacks), the one repeat rule of the pointwise transforms.
+
+    When every stack repeats one matrix exactly (_first_if_repeated), fn
+    runs once on the (1, n, n) first slices and its result is returned
+    broadcast over the stacks' leading shape, with stride zero on every
+    leading axis, which spares the next transform its scan and lets
+    assembly integrate with one point. fn's kernels (geometry.inv, det,
+    matmul) work matrix by matrix, so the bits are those of the full
+    stacks, and so are the errors: a singular or non-finite matrix that
+    repeats is the first slice. Otherwise fn runs on the full stacks.
+    """
+    firsts = []
+    for M in stacks:
+        first = _first_if_repeated(M)
+        if first is None:
+            return fn(*stacks)
+        firsts.append(first)
+    lead = np.broadcast_shapes(*(M.shape[:-2] for M in stacks))
+    out = fn(*firsts)
+    return np.broadcast_to(out[0], lead + out.shape[1:])
 
 
 def _require_finite(M, name):
@@ -154,10 +195,10 @@ def _require_finite(M, name):
 def effective_coefficient(eps, S):
     """Galerkin coefficient K = eps S^-1, symmetrized, shape (..., n, n).
 
-    When eps and S each repeat one matrix exactly, K is formed once from
-    their first (1, n, n) slices, through the pointwise kernels, and
-    returned broadcast, with stride zero on every leading axis (assembly
-    reads that): the same bits, whatever made the inputs constant.
+    When eps and S each repeat one matrix exactly, K is formed once and
+    returned broadcast, with stride zero on every leading axis
+    (_once_if_repeated; assembly reads the strides): the same bits,
+    whatever made the inputs constant.
 
     Raises NonFiniteCoefficient, before any product, when the material or
     the metric holds inf or NaN, and AsymmetricCoefficient when the
@@ -165,16 +206,14 @@ def effective_coefficient(eps, S):
     magnitude.
     """
     S = _as_square(S, "S")
+    eps = material_matrix(eps, S.shape[-1])
+    return _once_if_repeated(_coefficient, eps, S)
+
+
+def _coefficient(eps, S):
+    _require_finite(eps, "material")
+    _require_finite(S, "metric")
     n = S.shape[-1]
-    eps = material_matrix(eps, n)
-    shape = None
-    eps_1, S_1 = _first_if_repeated(eps), _first_if_repeated(S)
-    # a repeated stack equals its first matrix, so that one is scanned
-    _require_finite(eps if eps_1 is None else eps_1, "material")
-    _require_finite(S if S_1 is None else S_1, "metric")
-    if eps_1 is not None and S_1 is not None:
-        shape = np.broadcast_shapes(eps.shape, S.shape)
-        eps, S = eps_1, S_1
     K = geometry.matmul(eps, geometry.inv(S))
     Kt = np.swapaxes(K, -1, -2)
     # Frobenius norms as dot products over one flattened axis, not np.sum
@@ -189,8 +228,7 @@ def effective_coefficient(eps, S):
             f"effective coefficient asymmetry {float(np.max(rel)):.3e} exceeds "
             f"{SYMMETRY_RTOL:.0e}; the material/metric pair is inconsistent"
         )
-    K = 0.5 * (K + Kt)
-    return K if shape is None else np.broadcast_to(K[0], shape)
+    return 0.5 * (K + Kt)
 
 
 # ---------------------------------------------------------- material fields
@@ -226,10 +264,12 @@ class Triplet:
 
 
 def inverse_jacobian(deformation, points):
-    """The inverse of a deformation's Jacobian at the points, raising
-    SingularJacobian where the Jacobian is singular."""
+    """The inverse of a deformation's Jacobian at the points, formed once
+    where the Jacobian repeats one matrix, raising SingularJacobian where
+    it is singular."""
+    J = np.asarray(deformation.jacobian(points), dtype=float)
     try:
-        return geometry.inv(deformation.jacobian(points))
+        return _once_if_repeated(geometry.inv, J)
     except np.linalg.LinAlgError:
         raise SingularJacobian(
             "deformation Jacobian is singular on the moving region"

@@ -279,6 +279,20 @@ def test_a_step_that_changes_nothing_reuses_the_last_solution():
     assert moved.changed_entries > 0 and moved.energy < again.energy
 
 
+def test_each_step_carries_its_phase_timings(capsys):
+    ms = app.MotionSweep(base=capacitor_spec(8), moving_region="gap",
+                         steps=[gap_stretch(1.5), gap_stretch(1.5),
+                                gap_stretch(2.0)])
+    results = app.motion_sweep(ms)
+    for r in results:
+        assert list(r.timings) == ["update", "guess", "solve"]
+        assert all(t >= 0.0 for t in r.timings.values())
+        assert sum(r.timings.values()) <= r.wall_time
+    # the step that changes nothing takes no guess
+    assert results[1].timings["guess"] == 0.0
+    assert capsys.readouterr() == ("", "")  # the library prints nothing
+
+
 def test_metric_and_material_modes_build_the_same_matrix():
     spec = capacitor_spec(8)
     steps = [gap_stretch(2.0)]

@@ -551,6 +551,31 @@ def test_open_boundary_scenario_solves_exterior_problem(tmp_path):
     assert (tmp_path / "dipole.vtk").exists()
 
 
+@pytest.mark.parametrize("preconditioner", ["ic0", "jacobi"])
+def test_unreachable_tolerance_exits_3_with_the_solver_state(
+        tmp_path, preconditioner):
+    # the CG recurrence underflows before 1e-300 * ||b||: IC(0) divided by
+    # r^T z = 0 (exit 1, a traceback) and Jacobi called the SPD system
+    # indefinite
+    scn = {
+        "name": "tiny-tol", "dimension": 2, "mode": "open-boundary",
+        "open_boundary": {"a": 1.0, "b": 2.0,
+                          "interior": {"kind": "disc", "radius": 1.0},
+                          "divisions": [16, 6],
+                          "inner_value": {"harmonic": 1}},
+        "solver": {"preconditioner": preconditioner, "tol": 1e-300},
+    }
+    path = write_scenario(tmp_path, scn)
+    assert cli.main(["open-boundary", path]) == 3
+    rep = report_of(path)
+    assert rep["status"] == "error" and rep["exit_code"] == 3
+    err = rep["error"]
+    assert err["type"] == "ToleranceUnreachable"
+    assert "double precision" in err["message"]
+    assert err["iterations"] > 0
+    assert 0 < err["residual"] < 1e-150
+
+
 def test_open_boundary_interior_must_fit(tmp_path):
     scn = {
         "name": "too-big",
@@ -589,6 +614,16 @@ def test_motion_energies_follow_the_gap_law(tmp_path):
     energies = [s["energy"] for s in rep["steps"]]
     assert energies == pytest.approx([1.0, 1 / 1.25, 1 / 1.5], rel=1e-10)
     assert rep["steps"][0]["changed_entries"] == 0
+
+
+def test_motion_report_copies_each_steps_timings(tmp_path):
+    path = write_scenario(tmp_path, motion_scenario())
+    assert cli.main(["motion", path]) == 0
+    for step in report_of(path)["steps"]:
+        timings = step["timings"]
+        assert set(timings) == {"update", "guess", "solve"}
+        assert all(t >= 0.0 for t in timings.values())
+        assert sum(timings.values()) <= step["wall_time"] * (1 + 1e-12)
 
 
 def test_motion_report_shows_each_steps_guess_residual(tmp_path):

@@ -169,6 +169,39 @@ def test_reparameterization_by_a_curved_chart_matches():
         assert np.array_equal(pushed.triplet.material.eval(points, tag), ref)
 
 
+def test_reparameterizing_by_an_affine_composite_forms_the_material_once(
+        monkeypatch):
+    # Rotation and AxisScaling each have one Jacobian, so with a constant
+    # material and Euclidean metrics every operand of the pull-back repeats
+    # one matrix: it is formed once and returned broadcast
+    m = mesh.generate_structured("box", (4, 4, 4))
+    base = tp.Triplet(geo.Identity(3), euclidean(3),
+                      tp.MaterialField.uniform(2.0, 3))
+    spec = fem.BVPSpec(m, base, (("left", 0.0), ("right", 1.0)))
+    g = geo.Composite([geo.Rotation(0.7, (1.0, 2.0, 2.0)),
+                       geo.AxisScaling((0.3, 2.0, 5.0))])
+    pushed = app.reparameterize_fixed_metric(spec, g)
+    points = interior_points(pushed.domain)
+    eps = pushed.triplet.material.eval(points)
+    assert eps.shape == points.shape[:2] + (3, 3)
+    assert eps.strides[:2] == (0, 0)
+    fast = fem.assemble(pushed).full_matrix
+
+    # the per-point path: every pull-back formed at every point, and K
+    # still measured once, as effective_coefficient alone used to
+    once = tp._once_if_repeated
+    monkeypatch.setattr(
+        tp, "_once_if_repeated",
+        lambda fn, *stacks: (once(fn, *stacks) if fn is tp._coefficient
+                             else fn(*stacks)))
+    per_point = pushed.triplet.material.eval(points)
+    assert per_point.strides[0] != 0
+    assert np.array_equal(eps, per_point)
+    slow = fem.assemble(pushed).full_matrix
+    for a in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(fast, a), getattr(slow, a))
+
+
 def test_atlas_patch_with_a_curved_metric_matches():
     S = np.array([[1.5, 0.2], [0.2, 0.8]])
     triplet = tp.Triplet(

@@ -15,6 +15,7 @@ from tripletfem.errors import (
     BreakdownIC,
     MaxIterExceeded,
     NotPositiveDefinite,
+    ToleranceUnreachable,
     TripletFemError,
     ZeroDiagonal,
 )
@@ -80,6 +81,27 @@ def test_indefinite_matrix_detected():
     A = sp.csr_matrix(np.diag([1.0, -1.0]))
     with pytest.raises(NotPositiveDefinite):
         slv.solve(A, np.array([1.0, 1.0]), slv.SolverConfig(preconditioner="none"))
+
+
+@pytest.mark.parametrize("kind, quantity", [("none", "p^T A p"),
+                                             ("jacobi", "r^T z")])
+def test_underflow_below_the_target_is_a_typed_error(kind, quantity):
+    # a target of 1e-300 * ||b|| lies below what double precision reaches:
+    # the recurrence underflows to an exact zero first (the parent read
+    # p^T A p = 0 as an indefinite matrix and divided by r^T z = 0)
+    A = laplace_1d(12)
+    b = np.random.default_rng(1).standard_normal(12)
+    cfg = slv.SolverConfig(tol=1e-300, max_iter=2000, preconditioner=kind)
+    with pytest.raises(ToleranceUnreachable) as err:
+        slv.solve(A, b, cfg)
+    e = err.value
+    assert str(e).startswith(f"{quantity} underflowed to 0")
+    assert "below what double precision reaches" in str(e)
+    assert 0 < e.iterations < cfg.max_iter
+    assert np.all(np.isfinite(e.best))
+    assert cfg.tol * np.linalg.norm(b) < e.residual < 1e-150
+    # the best iterate is the solution to double precision
+    assert np.linalg.norm(b - A @ e.best) <= 1e-14 * np.linalg.norm(b)
 
 
 def test_jacobi_preconditioner_values():

@@ -84,22 +84,29 @@ LAPACK_ALLOWED = {("geometry.py", "det"), ("geometry.py", "inv"),
 LAPACK_NAMES = {"inv", "det", "slogdet"}
 
 
-def lapack_calls(node, owner=""):
-    """(qualified name of the enclosing function or class, called name) of
-    every call x.linalg.inv / det / slogdet below node, as np.linalg.inv
-    or scipy.linalg.det."""
+def calls(node, owner=""):
+    """(qualified name of the enclosing function or class, call node) of
+    every call below node."""
     for child in ast.iter_child_nodes(node):
         where = owner
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                               ast.ClassDef)):
             where = f"{owner}.{child.name}" if owner else child.name
-        elif (isinstance(child, ast.Call)
-              and isinstance(child.func, ast.Attribute)
-              and child.func.attr in LAPACK_NAMES
-              and isinstance(child.func.value, ast.Attribute)
-              and child.func.value.attr == "linalg"):
-            yield owner, child.func.attr
-        yield from lapack_calls(child, where)
+        elif isinstance(child, ast.Call):
+            yield owner, child
+        yield from calls(child, where)
+
+
+def lapack_calls(tree):
+    """(enclosing function or class, called name) of every call
+    x.linalg.inv / det / slogdet in tree, as np.linalg.inv or
+    scipy.linalg.det."""
+    for where, call in calls(tree):
+        func = call.func
+        if (isinstance(func, ast.Attribute) and func.attr in LAPACK_NAMES
+                and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "linalg"):
+            yield where, func.attr
 
 
 def stray_lapack_calls(trees):
@@ -120,3 +127,30 @@ def test_a_stray_lapack_call_is_found():
     trees = dict(TREES, **{"fem.py": ast.parse(broken)})
     assert stray_lapack_calls(trees) == [
         "fem.py:_p1_gradients calls np.linalg.inv"]
+
+
+# The pointwise transforms share one repeat rule: triplet._once_if_repeated
+# is the only function that asks whether a stack repeats one matrix, so
+# no transform keeps a first-slice branch of its own.
+def first_slice_callers(trees):
+    return sorted(f"{name}:{where}"
+                  for name, tree in trees.items()
+                  for where, call in calls(tree)
+                  if isinstance(call.func, ast.Name)
+                  and call.func.id == "_first_if_repeated")
+
+
+def test_one_repeat_rule_for_the_pointwise_transforms():
+    assert first_slice_callers(TREES) == ["triplet.py:_once_if_repeated"]
+
+
+def test_a_second_first_slice_branch_is_found():
+    source = (PACKAGE / "triplet.py").read_text()
+    anchor = "    det = _abs_det(J)\n    Jinv = geometry.inv(J)\n"
+    assert anchor in source
+    broken = source.replace(
+        anchor, "    J_1 = _first_if_repeated(J)\n    J = J if J_1 is None "
+        "else J_1\n" + anchor)
+    trees = dict(TREES, **{"triplet.py": ast.parse(broken)})
+    assert first_slice_callers(trees) == ["triplet.py:_motion_metric",
+                                          "triplet.py:_once_if_repeated"]

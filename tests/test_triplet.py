@@ -459,3 +459,155 @@ def test_non_finite_material_or_metric_is_refused_by_name():
     with pytest.raises(NonFiniteCoefficient,
                        match="metric holds the non-finite value -inf"):
         tp.effective_coefficient(np.eye(2), S)
+
+
+# ------------------------------------------------------------ repeat rule
+#
+# Every pointwise transform forms its result once when all its operands
+# repeat one matrix, and returns it broadcast. The oracles below are the
+# kernels applied to the full stacks, as each transform applies them.
+
+
+def transform_material_kernels(eps, S_i, S_j, J):
+    mm = geo.matmul
+    out = mm(mm(mm(mm(J, eps), geo.inv(S_i)), np.swapaxes(J, -1, -2)), S_j)
+    return out / np.abs(geo.det(J))[..., None, None]
+
+
+def euclidean_kernels(eps, J):
+    out = geo.matmul(geo.matmul(J, eps), np.swapaxes(J, -1, -2))
+    return out / np.abs(geo.det(J))[..., None, None]
+
+
+def motion_metric_kernels(J):
+    Jinv = geo.inv(J)
+    S = geo.matmul(np.swapaxes(Jinv, -1, -2), Jinv)
+    return S * np.abs(geo.det(J))[..., None, None]
+
+
+def coefficient_kernels(eps, S):
+    K = geo.matmul(eps, geo.inv(S))
+    return 0.5 * (K + np.swapaxes(K, -1, -2))
+
+
+class _GivenJacobian(geo.ChartMap):
+    """A deformation whose Jacobian is the given stack."""
+
+    def __init__(self, J):
+        self.J = J
+        self.dim = J.shape[-1]
+
+    def _jacobian(self, p):
+        return self.J
+
+
+def inverse_jacobian_of(J):
+    points = np.zeros(J.shape[:-2] + J.shape[-1:])
+    return tp.inverse_jacobian(_GivenJacobian(J), points)
+
+
+def shared_eigenvectors(rng, n):
+    """Full eps and S with one eigenbasis, so eps S^-1 is symmetric while
+    every product entry sums n nonzero terms."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return [(Q * rng.uniform(0.5, 4.0, n)) @ Q.T for _ in range(2)]
+
+
+# name -> (transform, its kernels, one matrix per operand)
+REPEATED = {
+    "transform_material": (
+        tp.transform_material, transform_material_kernels,
+        lambda rng, n: [random_spd(rng, n), random_spd(rng, n),
+                        random_spd(rng, n), random_invertible(rng, n)]),
+    "transform_material_euclidean": (
+        tp.transform_material_euclidean, euclidean_kernels,
+        lambda rng, n: [random_spd(rng, n), random_invertible(rng, n)]),
+    "metric_for_motion": (
+        tp.metric_for_motion, motion_metric_kernels,
+        lambda rng, n: [random_invertible(rng, n)]),
+    "inverse_jacobian": (
+        inverse_jacobian_of, geo.inv,
+        lambda rng, n: [random_invertible(rng, n)]),
+    "effective_coefficient": (
+        tp.effective_coefficient, coefficient_kernels, shared_eigenvectors),
+}
+
+LEAD = (5, 3)
+
+
+def repeated_stack(M, layout):
+    if layout == "copies":
+        return np.tile(M, LEAD + (1, 1))
+    return np.broadcast_to(M, LEAD + M.shape)
+
+
+@pytest.mark.parametrize("layout", ["copies", "broadcast"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", sorted(REPEATED))
+def test_repeat_rule_keeps_the_pointwise_bits(name, n, layout):
+    transform, kernels, operands = REPEATED[name]
+    mats = operands(np.random.default_rng(50 + n), n)
+    stacks = [repeated_stack(M, layout) for M in mats]
+    got = transform(*stacks)
+    full = [np.tile(M, LEAD + (1, 1)) for M in mats]
+    assert np.array_equal(got, kernels(*full))
+    assert got.shape == LEAD + (n, n) and got.strides[:2] == (0, 0)
+
+    # one differing matrix, last or in the middle, takes the full path
+    for where in [(4, 2), (2, 1)]:
+        odd = full[-1].copy()
+        odd[where] *= 2.0
+        mixed = stacks[:-1] + [odd]
+        got = transform(*mixed)
+        assert got.strides[0] != 0
+        assert np.array_equal(got, kernels(*mixed))
+
+
+SINGULAR = {2: np.array([[1.0, 2.0], [0.5, 1.0]]),
+            3: np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]])}
+
+
+def error_of(call, *args):
+    with pytest.raises(Exception) as err:
+        call(*args)
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("layout", ["copies", "broadcast"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_repeat_rule_keeps_the_errors(n, layout):
+    J = SINGULAR[n]
+    assert geo.det(J) == 0.0
+    eye = np.eye(n)
+    # a stack that repeats the singular matrix, and one in which a regular
+    # matrix breaks the repeat: the same error, word for word
+    pointwise = np.tile(J, LEAD + (1, 1))
+    pointwise[0, 0] = eye
+    calls = [lambda J: tp.transform_material(1.0, eye, eye, J),
+             lambda J: tp.transform_material_euclidean(2.0, J),
+             tp.metric_for_motion, inverse_jacobian_of]
+    for call in calls:
+        repeated = error_of(call, repeated_stack(J, layout))
+        assert repeated[0] is SingularJacobian
+        assert repeated == error_of(call, pointwise)
+
+    nan = np.full((n, n), np.nan)
+    pointwise = np.tile(nan, LEAD + (1, 1))
+    pointwise[0, 0] = eye
+    for name in ["material", "metric"]:
+        def call(M):
+            return tp.effective_coefficient(
+                *((M, eye) if name == "material" else (eye, M)))
+        repeated = error_of(call, repeated_stack(nan, layout))
+        assert repeated == (NonFiniteCoefficient,
+                            f"{name} holds the non-finite value nan")
+        assert repeated == error_of(call, pointwise)
+    # the transforms pass NaN through, as their kernels do
+    for name in ["transform_material_euclidean", "metric_for_motion",
+                 "inverse_jacobian"]:
+        transform, kernels, _ = REPEATED[name]
+        args = [repeated_stack(nan, layout)]
+        if name == "transform_material_euclidean":
+            args = [eye] + args
+        assert np.array_equal(transform(*args), kernels(*args),
+                              equal_nan=True)
