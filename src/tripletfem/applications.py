@@ -20,7 +20,7 @@ from .errors import (RegionNotContained, SingularJacobian, TopologyChange,
                      UnknownTag)
 from .geometry import (Annulus, Box, Composite, KelvinShell, MetricField,
                        PiecewiseRadial, det)
-from .mesh import Mesh, generate_structured, map_mesh, write_vtk
+from .mesh import Mesh, generate_structured, map_mesh, write_csv, write_vtk
 from .triplet import (Triplet, eval_entry, inverse_jacobian,
                       motion_metric_field, pull_back,
                       transform_material_euclidean)
@@ -216,6 +216,20 @@ class MotionSweep:
             raise ValueError("the moving region must carry a Euclidean "
                              "metric in the base problem")
 
+    def step_paths(self, pattern):
+        """pattern.format(step=k) for each step k. A ValueError names a
+        pattern with any other replacement field, or one that gives two
+        steps one name."""
+        try:
+            paths = [pattern.format(step=k) for k in range(len(self.steps))]
+        except (LookupError, AttributeError, TypeError, ValueError) as err:
+            raise ValueError(f"file pattern {pattern!r} does not format "
+                             f"with step alone: {err!r}") from None
+        if len(set(paths)) < len(paths):
+            raise ValueError(f"file pattern {pattern!r} gives two steps one "
+                             "name; it needs a {step} placeholder")
+        return paths
+
 
 @dataclass(frozen=True)
 class SweepStep:
@@ -296,8 +310,11 @@ def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
     additionally runs each step cold (zero start, fresh preconditioner) to
     expose the iteration counts the guess and the reuse avoid; the extra
     solve is excluded from the reported wall time. Each SweepStep carries
-    its phase timings; the library prints nothing.
+    its phase timings; the library prints nothing. Given vtk_pattern,
+    each step's potential is written to its name from
+    MotionSweep.step_paths, which checks the pattern before step 0.
     """
+    paths = None if vtk_pattern is None else ms.step_paths(vtk_pattern)
     spec = ms.base
     cfg = config if config is not None else _solver.SolverConfig()
     system = fem.assemble(spec)
@@ -348,9 +365,8 @@ def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
             cold = _solver.solve(system.matrix, system.rhs, cfg,
                                  preconditioner=fresh)
             cold_iters = cold.iterations
-        if vtk_pattern is not None:
-            write_vtk(spec.domain, vtk_pattern.format(step=k),
-                      point_data={"potential": sol.u})
+        if paths is not None:
+            write_vtk(spec.domain, paths[k], point_data={"potential": sol.u})
         iters = sol.solve_info.iterations if sol.solve_info is not None else 0
         results.append(SweepStep(step=k, solution=sol, energy=sol.energy,
                                  iterations=iters, changed_entries=changed,
@@ -361,14 +377,15 @@ def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
 
 
 def write_sweep_csv(path, results):
-    """Sweep log: step, energy, iterations, changed entries, wall time.
+    """Sweep log: step, energy, iterations, changed entries, wall time,
+    through mesh.write_csv.
 
     The wall-time column is always 0 so reruns of a deterministic sweep
     produce identical bytes; the measured time of each step is its
     SweepStep.wall_time (the CLI report's per-step wall_time).
     """
-    with open(path, "w") as f:
-        f.write("step,energy,iterations,changed_entries,wall_time\n")
-        for r in results:
-            f.write(f"{r.step},{r.energy:.17g},{r.iterations},"
-                    f"{r.changed_entries},0\n")
+    write_csv(path, ["step", "energy", "iterations", "changed_entries",
+                     "wall_time"],
+              [r.step for r in results], [r.energy for r in results],
+              [r.iterations for r in results],
+              [r.changed_entries for r in results], [0] * len(results))

@@ -1,18 +1,21 @@
 """Command line front end: JSON scenarios in, solved problems out.
 
 A scenario file declares a problem (mesh or generator, triplet, boundary
-values) plus one mode; the subcommand must match the mode. Outputs and
-the always-written JSON run report land next to the scenario file unless
-given as absolute paths. Quick mesh utilities (gen, convert, quality)
-work without a scenario.
+values) plus one mode; the subcommand must match the mode. Each mode's
+runner hands its writers, one per output the mode can write, to one
+output table (_outputs), which refuses any other declared output before
+the run starts. Outputs and the always-written JSON run report land next
+to the scenario file unless given as absolute paths. Quick mesh
+utilities (gen, convert, quality) work without a scenario.
 
 Exit codes: 0 success, 64 unknown subcommand, and otherwise one rule
 (_exit_code) for scenario commands and mesh utilities alike: a
 ScenarioError (a bad declaration or argument; the diagnostic names the
 field or line), an UnknownTag or an OSError exits 2, and any other
 library error is numerical and exits 3. Every scenario run, successful
-or not, writes a machine-readable report; numbers print with 17
-significant digits so reruns of the same scenario are byte-comparable.
+or not, writes a machine-readable report. Printed numbers, like the
+files' numbers, come from mesh.text_rows, so reruns of the same scenario
+are byte-comparable.
 """
 
 import argparse
@@ -69,7 +72,7 @@ _SCENARIO_COMMANDS = ("solve", "equivalence-check", "open-boundary",
 
 
 def _fmt(x):
-    return f"{float(x):.17g}"
+    return mesh_mod.text_rows([float(x)])[:-1]
 
 
 # ------------------------------------------------------------ schema
@@ -415,100 +418,97 @@ def _solver_config(scn):
 # -------------------------------------------------------- runners
 
 
-def _solve_and_export(spec, scn, ctx):
-    config = _solver_config(scn)
-    sol = fem.solve_bvp(spec, config)
-    outputs = scn.get("outputs", {})
-    written = {}
-    single_mesh = isinstance(spec.domain, mesh_mod.Mesh)
-    for key in ("vtk", "csv"):
-        if key in outputs and not single_mesh:
+@contextlib.contextmanager
+def _outputs(scn, ctx, writers):
+    """The one output table of a scenario run. writers maps each output
+    the run can write to a function that writes it to its resolved path
+    (one that leaves several files returns their paths). Entering
+    refuses a declared output without a writer, before any assembly or
+    solve, and yields the declared outputs' paths; when the body returns,
+    each is written, every file prints "wrote <path>", and the yielded
+    map, with returned file lists in place, is the report's outputs."""
+    outputs = {key: ctx.path(rel) for key, rel in
+               scn.get("outputs", {}).items() if key != "report"}
+    for key in outputs:
+        if key not in writers:
             raise ScenarioError(
-                f"{key} output needs a single-mesh problem, not an atlas",
-                field=f"outputs.{key}")
-    if "vtk" in outputs:
-        path = ctx.path(outputs["vtk"])
-        mesh_mod.write_vtk(spec.domain, path,
-                           point_data={"potential": sol.u})
-        written["vtk"] = path
-    if "csv" in outputs:
-        path = ctx.path(outputs["csv"])
-        mesh_mod.write_probe_csv(path, spec.domain.nodes, sol.u,
-                                 value_name="potential")
-        written["csv"] = path
-    if "matrix_market" in outputs:
-        path = ctx.path(outputs["matrix_market"])
-        fem.write_matrix_market(sol.system.full_matrix, path)
-        written["matrix_market"] = path
-    info = sol.solve_info
-    iterations = info.iterations if info is not None else 0
-    residual = float(info.residual) if info is not None else 0.0
-    history = info.residuals if info is not None else [0.0]
+                f"this {scn['mode']} run writes no {key} output; it writes "
+                f"{', '.join(writers)}", field=f"outputs.{key}")
+    yield outputs
+    for key, write in writers.items():
+        if key in outputs:
+            files = write(outputs[key])
+            outputs[key] = files or outputs[key]
+            for path in files or [outputs[key]]:
+                print(f"wrote {path}")
+
+
+def _run_solve(scn, ctx, spec=None):
+    """Solve the scenario's problem, or the given spec, and export it."""
+    spec = spec if spec is not None else build_bvp(scn, ctx)
+    # the writers read the solution once the body below has made it
+    writers = {} if not isinstance(spec.domain, mesh_mod.Mesh) else {
+        "vtk": lambda path: mesh_mod.write_vtk(
+            spec.domain, path, point_data={"potential": sol.u}),
+        "csv": lambda path: mesh_mod.write_probe_csv(
+            path, spec.domain.nodes, sol.u, value_name="potential")}
+    writers["matrix_market"] = lambda path: fem.write_matrix_market(
+        sol.system.full_matrix, path)
+    config = _solver_config(scn)
+    with _outputs(scn, ctx, writers) as outputs:
+        sol = fem.solve_bvp(spec, config)
+        info = sol.solve_info
+        iterations = info.iterations if info is not None else 0
+        residual = float(info.residual) if info is not None else 0.0
+        print(f"energy {_fmt(sol.energy)}")
+        print(f"cg iterations {iterations}, residual {_fmt(residual)}")
     prec = info.preconditioner if info is not None else None
-    print(f"energy {_fmt(sol.energy)}")
-    print(f"cg iterations {iterations}, residual {_fmt(residual)}")
-    for path in written.values():
-        print(f"wrote {path}")
-    return sol, {"energy": float(sol.energy), "iterations": int(iterations),
-                 "residual": residual, "residual_history": history,
-                 "dofs": int(sol.u.size),
-                 "outputs": written,
-                 "preconditioner": {
-                     "requested": config.preconditioner,
-                     "built": prec.kind if prec is not None else None,
-                     "fallback": prec is not None and prec.fallback,
-                     "note": prec.note if prec is not None else ""}}
-
-
-def _run_solve(scn, ctx):
-    spec = build_bvp(scn, ctx)
-    _, payload = _solve_and_export(spec, scn, ctx)
-    return payload
+    return {"energy": float(sol.energy), "iterations": int(iterations),
+            "residual": residual,
+            "residual_history": info.residuals if info is not None else [0.0],
+            "dofs": int(sol.u.size),
+            "outputs": outputs,
+            "preconditioner": {
+                "requested": config.preconditioner,
+                "built": prec.kind if prec is not None else None,
+                "fallback": prec is not None and prec.fallback,
+                "note": prec.note if prec is not None else ""}}
 
 
 def _run_equivalence(scn, ctx):
     dim = scn["dimension"]
-    base = _scenario_mesh(scn["mesh"], ctx, dim)  # standard parameterization
-    triplets = [build_triplet(c, dim) for c in scn["triplets"]]
-    systems = []
-    for t in triplets:
-        m = mesh_mod.map_mesh(base, t.chart)
-        systems.append(fem.assemble(_make_spec(m, t, scn)))
-    comp = fem.compare_matrices(systems[0].full_matrix,
-                                systems[1].full_matrix)
+    writers = {
+        "csv": lambda path: mesh_mod.write_csv(
+            path, ["matrix_rel_frobenius", "matrix_max_entry",
+                   "material_max_deviation"],
+            [comp.rel_frobenius], [comp.max_entry_deviation], [material_dev]),
+        "matrix_market": lambda path: fem.write_matrix_market(
+            systems[0].full_matrix, path)}
+    with _outputs(scn, ctx, writers) as outputs:
+        # the standard parameterization
+        base = _scenario_mesh(scn["mesh"], ctx, dim)
+        triplets = [build_triplet(c, dim) for c in scn["triplets"]]
+        systems = []
+        for t in triplets:
+            m = mesh_mod.map_mesh(base, t.chart)
+            systems.append(fem.assemble(_make_spec(m, t, scn)))
+        comp = fem.compare_matrices(systems[0].full_matrix,
+                                    systems[1].full_matrix)
 
-    centroids = base.centroids()
-    material_dev = 0.0
-    for tag in base.regions():
-        ids = base.elements_in_regions([tag])
-        rep = tp.verify_material_equivalence(triplets[0], triplets[1],
-                                             centroids[ids], region=tag)
-        material_dev = max(material_dev, float(rep.max_deviation))
+        centroids = base.centroids()
+        material_dev = 0.0
+        for tag in base.regions():
+            ids = base.elements_in_regions([tag])
+            rep = tp.verify_material_equivalence(triplets[0], triplets[1],
+                                                 centroids[ids], region=tag)
+            material_dev = max(material_dev, float(rep.max_deviation))
 
-    print(f"matrix deviation {_fmt(comp.rel_frobenius)} "
-          f"(worst entry {_fmt(comp.max_entry_deviation)})")
-    print(f"material deviation {_fmt(material_dev)}")
-
-    outputs = scn.get("outputs", {})
-    written = {}
-    if "csv" in outputs:
-        path = ctx.path(outputs["csv"])
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("matrix_rel_frobenius,matrix_max_entry,"
-                    "material_max_deviation\n")
-            f.write(f"{_fmt(comp.rel_frobenius)},"
-                    f"{_fmt(comp.max_entry_deviation)},"
-                    f"{_fmt(material_dev)}\n")
-        written["csv"] = path
-    if "matrix_market" in outputs:
-        path = ctx.path(outputs["matrix_market"])
-        fem.write_matrix_market(systems[0].full_matrix, path)
-        written["matrix_market"] = path
-    for path in written.values():
-        print(f"wrote {path}")
+        print(f"matrix deviation {_fmt(comp.rel_frobenius)} "
+              f"(worst entry {_fmt(comp.max_entry_deviation)})")
+        print(f"material deviation {_fmt(material_dev)}")
     return {"matrix_rel_frobenius": float(comp.rel_frobenius),
             "matrix_max_entry": float(comp.max_entry_deviation),
-            "material_max_deviation": material_dev, "outputs": written}
+            "material_max_deviation": material_dev, "outputs": outputs}
 
 
 def _build_interior(cfg):
@@ -546,7 +546,7 @@ def _run_open_boundary(scn, ctx):
             ob, base, value,
             divisions=tuple(cfg.get("divisions", (64, 40))),
             grading=float(cfg.get("grading", 2.0)))
-    _, payload = _solve_and_export(spec, scn, ctx)
+    payload = _run_solve(scn, ctx, spec)
     payload["shell"] = {"a": ob.a, "b": ob.b,
                         "center": ob.center.tolist()}
     return payload
@@ -562,33 +562,19 @@ def _run_motion(scn, ctx):
                              steps=steps,
                              mode=cfg.get("mode", "metric-change"))
 
-    outputs = scn.get("outputs", {})
-    if "matrix_market" in outputs:
-        raise ScenarioError(
-            "matrix_market output is not available for motion sweeps",
-            field="outputs.matrix_market")
-    vtk_pattern = None
-    if "vtk" in outputs:
-        if "{step}" not in outputs["vtk"]:
-            raise ScenarioError(
-                "motion vtk path needs a {step} placeholder",
-                field="outputs.vtk")
-        vtk_pattern = ctx.path(outputs["vtk"])
-
-    results = app.motion_sweep(
-        ms, config=_solver_config(scn),
-        measure_cold=cfg.get("measure_cold", False),
-        vtk_pattern=vtk_pattern)
-
-    for r in results:
-        print(f"step {r.step} energy {_fmt(r.energy)} "
-              f"iterations {r.iterations} changed {r.changed_entries}")
-    written = {}
-    if "csv" in outputs:
-        path = ctx.path(outputs["csv"])
-        app.write_sweep_csv(path, results)
-        written["csv"] = path
-        print(f"wrote {path}")
+    writers = {"vtk": lambda pattern: step_files,  # the sweep writes them
+               "csv": lambda path: app.write_sweep_csv(path, results)}
+    with _outputs(scn, ctx, writers) as outputs:
+        with _declared("outputs.vtk"):
+            step_files = ms.step_paths(outputs["vtk"]) \
+                if "vtk" in outputs else []
+        results = app.motion_sweep(
+            ms, config=_solver_config(scn),
+            measure_cold=cfg.get("measure_cold", False),
+            vtk_pattern=outputs.get("vtk"))
+        for r in results:
+            print(f"step {r.step} energy {_fmt(r.energy)} "
+                  f"iterations {r.iterations} changed {r.changed_entries}")
     # a step's guess_residual is ||b - A x0|| of its starting vector
     return {"steps": [{"step": r.step, "energy": float(r.energy),
                        "iterations": int(r.iterations),
@@ -599,39 +585,28 @@ def _run_motion(scn, ctx):
                        "wall_time": float(r.wall_time),
                        "timings": dict(r.timings)}
                       for r in results],
-            "outputs": written}
+            "outputs": outputs}
 
 
 def _run_mesh_tools(scn, ctx):
-    m = _scenario_mesh(scn["mesh"], ctx, scn["dimension"])
-    q = mesh_mod.quality(m)
-    outputs = scn.get("outputs", {})
-    written = {}
-    if "msh" in outputs:
-        path = ctx.path(outputs["msh"])
-        mesh_mod.write_msh(m, path)
-        written["msh"] = path
-    if "vtk" in outputs:
-        path = ctx.path(outputs["vtk"])
-        mesh_mod.write_vtk(m, path, cell_data={"quality": q.ratios})
-        written["vtk"] = path
-    if "csv" in outputs:
-        path = ctx.path(outputs["csv"])
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("element,quality\n")
-            for e, ratio in enumerate(q.ratios):
-                f.write(f"{e},{_fmt(ratio)}\n")
-        written["csv"] = path
-    print(f"nodes {m.n_nodes}, elements {m.n_elements}")
-    print(f"quality min {_fmt(q.min)} max {_fmt(q.max)} "
-          f"mean {_fmt(q.mean)} worst element {q.worst_element}")
-    for path in written.values():
-        print(f"wrote {path}")
+    writers = {
+        "msh": lambda path: mesh_mod.write_msh(m, path),
+        "vtk": lambda path: mesh_mod.write_vtk(
+            m, path, cell_data={"quality": q.ratios}),
+        "csv": lambda path: mesh_mod.write_csv(
+            path, ["element", "quality"], np.arange(len(q.ratios)),
+            q.ratios)}
+    with _outputs(scn, ctx, writers) as outputs:
+        m = _scenario_mesh(scn["mesh"], ctx, scn["dimension"])
+        q = mesh_mod.quality(m)
+        print(f"nodes {m.n_nodes}, elements {m.n_elements}")
+        print(f"quality min {_fmt(q.min)} max {_fmt(q.max)} "
+              f"mean {_fmt(q.mean)} worst element {q.worst_element}")
     return {"nodes": int(m.n_nodes), "elements": int(m.n_elements),
             "quality": {"min": float(q.min), "max": float(q.max),
                         "mean": float(q.mean),
                         "worst_element": int(q.worst_element)},
-            "outputs": written}
+            "outputs": outputs}
 
 
 _RUNNERS = {"solve": _run_solve, "equivalence-check": _run_equivalence,

@@ -27,7 +27,7 @@ from .atlas import Atlas, build_global_index
 from .errors import (DegenerateElement, DimensionMismatch, TripletFemError,
                      UnknownTag)
 from .geometry import MetricField, inv
-from .mesh import _VOLUME_FACTOR, Mesh, _first_degenerate
+from .mesh import _VOLUME_FACTOR, Mesh, _first_degenerate, text_rows
 from .triplet import Triplet, effective_coefficient, material_matrix, pull_back
 
 # Relative Frobenius bound the assembled matrix must meet against its
@@ -733,7 +733,7 @@ def compare_matrices(A, B):
 
 
 def write_matrix_market(A, path):
-    """Coordinate-format text export, 1-based, 17 significant digits.
+    """Coordinate-format text export, 1-based, numbers by mesh.text_rows.
 
     Entries appear in row-major order with ascending columns, so equal
     matrices serialize to equal bytes.
@@ -743,7 +743,6 @@ def write_matrix_market(A, path):
     A.sort_indices()
     coo = A.tocoo()
     with open(path, "w") as f:
-        f.write("%%MatrixMarket matrix coordinate real general\n")
-        f.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            f.write(f"{i + 1} {j + 1} {v:.17g}\n")
+        f.writelines(["%%MatrixMarket matrix coordinate real general\n"
+                      f"{A.shape[0]} {A.shape[1]} {A.nnz}\n",
+                      text_rows(coo.row + 1, coo.col + 1, coo.data)])

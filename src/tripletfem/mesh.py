@@ -11,6 +11,7 @@ map_mesh shares it, moves the nodes, and checks only the new geometry.
 from __future__ import annotations
 
 import copy
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -572,6 +573,33 @@ def quality(m):
                          worst_element=worst)
 
 
+# ------------------------------------------------------------ number text
+
+
+def text_rows(*columns, sep=" "):
+    """The text of a table: one line per row, its entries joined by sep.
+
+    Every number the package writes to a file or prints is formatted
+    here. A column is a 1-D array, or a 2-D array giving one column per
+    entry of its second axis; all have one length. Integer columns are
+    written with %d, all others with %.17g: 17 significant digits tell
+    any two doubles apart, so a read-back is bit-exact and reruns of one
+    computation write equal bytes.
+    """
+    cols = []
+    for c in map(np.asarray, columns):
+        cols.extend(c.T if c.ndim == 2 else (c,))
+    row = sep.join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
+                   for c in cols) + "\n"
+    values = itertools.chain.from_iterable(zip(*(c.tolist() for c in cols)))
+    return (row * len(cols[0])) % tuple(values)
+
+
+def _xyz(points):
+    """(N, 2) or (N, 3) rows as (N, 3), with z = 0 in 2-D."""
+    return np.pad(points, ((0, 0), (0, 3 - points.shape[1])))
+
+
 # ----------------------------------------------------------------- MSH I/O
 
 # gmsh element type codes for the simplices we support
@@ -581,41 +609,32 @@ _PHYS_NAME = re.compile(r'^(\d+)\s+(\d+)\s+"(.*)"\s*$')
 
 
 def write_msh(m, path):
-    """Gmsh MSH 2.2 ASCII with physical names for every tag. Coordinates
-    carry 17 significant digits so a read-back is bit-exact."""
-    tags = sorted(set(m.facet_tags.tolist()))
-    tags += sorted(set(m.element_regions.tolist()))
+    """Gmsh MSH 2.2 ASCII with physical names for every tag; its numbers
+    are written by text_rows."""
+    facet_tags = sorted(set(m.facet_tags.tolist()))
+    tags = facet_tags + sorted(set(m.element_regions.tolist()))
     phys_id = {t: i + 1 for i, t in enumerate(tags)}
-    n_facet_tags = len(set(m.facet_tags.tolist()))
-    lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat"]
-    lines.append("$PhysicalNames")
-    lines.append(str(len(phys_id)))
-    for t, i in phys_id.items():
-        tag_dim = m.dim - 1 if i <= n_facet_tags else m.dim
-        lines.append(f'{tag_dim} {i} "{t}"')
-    lines.append("$EndPhysicalNames")
-    lines.append("$Nodes")
-    lines.append(str(m.n_nodes))
-    for i, p in enumerate(m.nodes.tolist()):
-        z = p[2] if m.dim == 3 else 0.0
-        lines.append(f"{i + 1} {p[0]:.17g} {p[1]:.17g} {z:.17g}")
-    lines.append("$EndNodes")
-    lines.append("$Elements")
-    lines.append(str(len(m.boundary_facets) + m.n_elements))
-    eid = 1
-    for f, t in zip(m.boundary_facets.tolist(), m.facet_tags.tolist()):
-        code = _MSH_TYPE[m.dim]
-        nodes = " ".join(str(n + 1) for n in f)
-        lines.append(f"{eid} {code} 2 {phys_id[t]} {phys_id[t]} {nodes}")
-        eid += 1
-    for e, t in zip(m.elements.tolist(), m.element_regions.tolist()):
-        code = _MSH_TYPE[m.dim + 1]
-        nodes = " ".join(str(n + 1) for n in e)
-        lines.append(f"{eid} {code} 2 {phys_id[t]} {phys_id[t]} {nodes}")
-        eid += 1
-    lines.append("$EndElements")
+    names = "".join(f'{m.dim - (i <= len(facet_tags))} {i} "{t}"\n'
+                    for t, i in phys_id.items())
+
+    def entities(first, conn, labels):
+        n = len(conn)
+        ids = np.array([phys_id[t] for t in labels.tolist()], dtype=np.int64)
+        return text_rows(np.arange(first, first + n),
+                         np.full(n, _MSH_TYPE[conn.shape[1]]), np.full(n, 2),
+                         ids, ids, conn + 1)
+
+    n_facets = len(m.boundary_facets)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines([
+            f"$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$PhysicalNames\n"
+            f"{len(phys_id)}\n", names,
+            f"$EndPhysicalNames\n$Nodes\n{m.n_nodes}\n",
+            text_rows(np.arange(1, m.n_nodes + 1), _xyz(m.nodes)),
+            f"$EndNodes\n$Elements\n{n_facets + m.n_elements}\n",
+            entities(1, m.boundary_facets, m.facet_tags),
+            entities(n_facets + 1, m.elements, m.element_regions),
+            "$EndElements\n"])
 
 
 def read_msh(path):
@@ -785,69 +804,54 @@ _VTK_CELL = {2: 5, 3: 10}  # dim -> triangle / tetra
 
 
 def write_vtk(m, path, point_data=None, cell_data=None, title="tripletfem"):
-    """Legacy ASCII unstructured-grid file. point_data/cell_data map names
-    to (N,) scalars or (N, dim) vectors; lengths are checked up front."""
-
-    def check(data, want, kind):
+    """Legacy ASCII unstructured-grid file, its numbers written by
+    text_rows. point_data/cell_data map names to (N,) scalars or (N, dim)
+    vectors; lengths are checked before the file is opened."""
+    k = m.dim + 1
+    out = [f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+           f"DATASET UNSTRUCTURED_GRID\nPOINTS {m.n_nodes} double\n",
+           text_rows(_xyz(m.nodes)),
+           f"CELLS {m.n_elements} {m.n_elements * (k + 1)}\n",
+           text_rows(np.full(m.n_elements, k), m.elements),
+           f"CELL_TYPES {m.n_elements}\n",
+           text_rows(np.full(m.n_elements, _VTK_CELL[m.dim]))]
+    for kind, count, data in (("point", m.n_nodes, point_data),
+                              ("cell", m.n_elements, cell_data)):
+        if data:
+            out.append(f"{kind.upper()}_DATA {count}\n")
         for name, arr in (data or {}).items():
             arr = np.asarray(arr, dtype=float)
-            if arr.shape[0] != want:
+            if arr.shape[0] != count:
                 raise LengthMismatch(
                     f"{kind} field {name!r} has {arr.shape[0]} entries, "
-                    f"mesh has {want}")
+                    f"mesh has {count}")
             if arr.ndim > 2 or (arr.ndim == 2 and arr.shape[1] not in (2, 3)):
                 raise DimensionMismatch(
                     f"{kind} field {name!r} must be scalar or vector")
-            yield name, arr
-
-    point_data = dict(check(point_data, m.n_nodes, "point"))
-    cell_data = dict(check(cell_data, m.n_elements, "cell"))
-
-    out = [f"# vtk DataFile Version 3.0", title, "ASCII",
-           "DATASET UNSTRUCTURED_GRID", f"POINTS {m.n_nodes} double"]
-    for p in m.nodes.tolist():
-        z = p[2] if m.dim == 3 else 0.0
-        out.append(f"{p[0]:.17g} {p[1]:.17g} {z:.17g}")
-    k = m.dim + 1
-    out.append(f"CELLS {m.n_elements} {m.n_elements * (k + 1)}")
-    for e in m.elements.tolist():
-        out.append(f"{k} " + " ".join(str(n) for n in e))
-    out.append(f"CELL_TYPES {m.n_elements}")
-    out.extend([str(_VTK_CELL[m.dim])] * m.n_elements)
-
-    def emit(data, count, keyword):
-        if not data:
-            return
-        out.append(f"{keyword} {count}")
-        for name, arr in data.items():
             if arr.ndim == 1:
-                out.append(f"SCALARS {name} double 1")
-                out.append("LOOKUP_TABLE default")
-                out.extend(f"{v:.17g}" for v in arr.tolist())
+                out += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n",
+                        text_rows(arr)]
             else:
-                out.append(f"VECTORS {name} double")
-                for row in arr.tolist():
-                    z = row[2] if arr.shape[1] == 3 else 0.0
-                    out.append(f"{row[0]:.17g} {row[1]:.17g} {z:.17g}")
-
-    emit(point_data, m.n_nodes, "POINT_DATA")
-    emit(cell_data, m.n_elements, "CELL_DATA")
+                out += [f"VECTORS {name} double\n", text_rows(_xyz(arr))]
     with open(path, "w") as fh:
-        fh.write("\n".join(out) + "\n")
+        fh.writelines(out)
 
 
 # ----------------------------------------------------------------- CSV out
 
 
+def write_csv(path, names, *columns):
+    """A header line of the column names, then text_rows(*columns) with
+    commas."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines([",".join(names) + "\n", text_rows(*columns, sep=",")])
+
+
 def write_probe_csv(path, points, values, value_name="value"):
+    """One row per probe point: its coordinates, then its value."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.asarray(values, dtype=float)
     if len(values) != len(points):
         raise LengthMismatch("one value per probe point required")
-    cols = ["x", "y", "z"][: points.shape[1]] + [value_name]
-    rows = [",".join(cols)]
-    for p, v in zip(points.tolist(), values.tolist()):
-        rows.append(",".join(f"{c:.17g}" for c in p) + f",{v:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-
+    write_csv(path, ["x", "y", "z"][: points.shape[1]] + [value_name],
+              points, values)

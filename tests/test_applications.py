@@ -613,3 +613,26 @@ def test_sweep_writes_per_step_vtk(tmp_path):
     app.motion_sweep(ms, vtk_pattern=str(tmp_path / "cap_{step}.vtk"))
     assert (tmp_path / "cap_0.vtk").exists()
     assert (tmp_path / "cap_1.vtk").exists()
+
+
+@pytest.mark.parametrize("pattern, why", [
+    ("m{step}{oops}.vtk", "KeyError"),
+    ("m{step}{0}.vtk", "IndexError"),
+    ("m{step}{.vtk", "ValueError"),
+    ("m.vtk", "gives two steps one name"),
+])
+def test_a_bad_vtk_pattern_fails_before_step_0(tmp_path, monkeypatch,
+                                               pattern, why):
+    # the first three once failed after step 0's solve, the last wrote
+    # every step over one file
+    def no_assembly(spec):
+        raise AssertionError("the sweep assembled before the check")
+
+    monkeypatch.setattr(fem, "assemble", no_assembly)
+    ms = app.MotionSweep(base=capacitor_spec(4), moving_region="gap",
+                         steps=[geo.Identity(2), gap_stretch(1.5)])
+    full = str(tmp_path / pattern)
+    with pytest.raises(ValueError) as err:
+        app.motion_sweep(ms, vtk_pattern=full)
+    assert repr(full) in str(err.value) and why in str(err.value)
+    assert list(tmp_path.iterdir()) == []

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tripletfem import cli, mesh
+from tripletfem import cli, fem, mesh
 
 
 def write_scenario(tmp_path, scn, name="scenario.json"):
@@ -658,12 +658,32 @@ def test_motion_vtk_needs_step_placeholder(tmp_path):
     assert report_of(path)["error"]["field"] == "outputs.vtk"
 
 
-def test_motion_writes_per_step_vtk(tmp_path):
+def test_motion_writes_per_step_vtk(tmp_path, capsys):
     path = write_scenario(tmp_path,
                           motion_scenario({"vtk": "u_{step}.vtk"}))
     assert cli.main(["motion", path]) == 0
-    for k in range(3):
-        assert (tmp_path / f"u_{k}.vtk").exists()
+    files = [str(tmp_path / f"u_{k}.vtk") for k in range(3)]
+    for file in files:
+        assert Path(file).exists()
+    # the report and the printed lines name every step's file
+    assert report_of(path)["outputs"] == {"vtk": files}
+    out = capsys.readouterr().out
+    assert [f"wrote {file}" for file in files] == \
+        [line for line in out.splitlines() if line.startswith("wrote ")]
+
+
+@pytest.mark.parametrize("pattern", ["m{step}{oops}.vtk", "m{step}{0}.vtk",
+                                     "m{step}{.vtk"])
+def test_motion_vtk_pattern_with_another_field_exits_2(tmp_path, pattern):
+    # each once raised KeyError, IndexError or ValueError after step 0's
+    # solve: exit 1 with a traceback and no report
+    path = write_scenario(tmp_path, motion_scenario({"vtk": pattern}))
+    assert cli.main(["motion", path]) == 2
+    error = report_of(path)["error"]
+    assert error["field"] == "outputs.vtk"
+    assert pattern in error["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "scenario.json", "scenario.json.report.json"]
 
 
 # --------------------------------------------------------- mesh-tools
@@ -687,6 +707,63 @@ def test_mesh_tools_scenario_reports_quality(tmp_path, capsys):
     assert lines[0] == "element,quality"
     assert len(lines) == 33
 
+
+
+# ----------------------------------------------------- one output table
+
+
+def equivalence_scenario(outputs=None):
+    return {"name": "self", "dimension": 2, "mode": "equivalence-check",
+            "mesh": {"generator": {"shape": "box", "divisions": [4, 4]}},
+            "boundary": [{"tag": "left", "value": 0.0},
+                         {"tag": "right", "value": 1.0}],
+            "triplets": [{}, {}], "outputs": outputs or {}}
+
+
+def mesh_tools_scenario(outputs=None):
+    return {"name": "grid", "dimension": 2, "mode": "mesh-tools",
+            "mesh": {"generator": {"shape": "box", "divisions": [4, 4]}},
+            "outputs": outputs or {}}
+
+
+def atlas_solve_scenario(outputs=None):
+    scn = square_solve_scenario(outputs)
+    scn["atlas"] = {"regions": [{"id": "a", "chart": {"kind": "identity"},
+                                 "mesh": scn.pop("mesh")}]}
+    return scn
+
+
+# case -> (scenario, the declared output its mode has no writer for, the
+# outputs the mode writes); each but the motion and atlas cases once exited
+# 0 and wrote nothing, and the atlas refusal came after the solve
+REFUSED_OUTPUTS = {
+    "solve-msh": (square_solve_scenario, "msh", "vtk, csv, matrix_market"),
+    "atlas-vtk": (atlas_solve_scenario, "vtk", "matrix_market"),
+    "equivalence-vtk": (equivalence_scenario, "vtk", "csv, matrix_market"),
+    "equivalence-msh": (equivalence_scenario, "msh", "csv, matrix_market"),
+    "motion-matrix-market": (motion_scenario, "matrix_market", "vtk, csv"),
+    "mesh-tools-matrix-market": (mesh_tools_scenario, "matrix_market",
+                                 "msh, vtk, csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_OUTPUTS))
+def test_an_output_the_mode_cannot_write_exits_2_before_any_work(
+        tmp_path, monkeypatch, case):
+    scenario, key, writes = REFUSED_OUTPUTS[case]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started before the refusal")
+
+    monkeypatch.setattr(fem, "assemble", no_work)
+    monkeypatch.setattr(mesh, "quality", no_work)
+    scn = scenario({key: "out.file"})
+    path = write_scenario(tmp_path, scn)
+    assert cli.main([scn["mode"], path]) == 2
+    error = report_of(path)["error"]
+    assert error["field"] == f"outputs.{key}"
+    assert error["message"].endswith(f"it writes {writes}")
+    assert not (tmp_path / "out.file").exists()
 
 
 # ------------------------------------------------- one exit-code rule

@@ -84,17 +84,22 @@ LAPACK_ALLOWED = {("geometry.py", "det"), ("geometry.py", "inv"),
 LAPACK_NAMES = {"inv", "det", "slogdet"}
 
 
-def calls(node, owner=""):
-    """(qualified name of the enclosing function or class, call node) of
-    every call below node."""
+def nodes(node, owner=""):
+    """(qualified name of the enclosing function or class, node) of every
+    node below node."""
     for child in ast.iter_child_nodes(node):
+        yield owner, child
         where = owner
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                               ast.ClassDef)):
             where = f"{owner}.{child.name}" if owner else child.name
-        elif isinstance(child, ast.Call):
-            yield owner, child
-        yield from calls(child, where)
+        yield from nodes(child, where)
+
+
+def calls(node):
+    """(enclosing function or class, call node) of every call below node."""
+    return ((where, child) for where, child in nodes(node)
+            if isinstance(child, ast.Call))
 
 
 def lapack_calls(tree):
@@ -154,3 +159,28 @@ def test_a_second_first_slice_branch_is_found():
     trees = dict(TREES, **{"triplet.py": ast.parse(broken)})
     assert first_slice_callers(trees) == ["triplet.py:_motion_metric",
                                           "triplet.py:_once_if_repeated"]
+
+
+# Every number a file or the command line gets is formatted by
+# mesh.text_rows: the 17-digit format appears in that one function, so no
+# writer keeps a per-row format of its own.
+def seventeen_digit_formats(trees):
+    return sorted({f"{name}:{where}"
+                   for name, tree in trees.items()
+                   for where, node in nodes(tree)
+                   if isinstance(node, ast.Constant)
+                   and isinstance(node.value, str) and ".17g" in node.value})
+
+
+def test_one_number_formatter():
+    assert seventeen_digit_formats(TREES) == ["mesh.py:text_rows"]
+
+
+def test_a_second_number_format_is_found():
+    source = (PACKAGE / "cli.py").read_text()
+    anchor = "    return mesh_mod.text_rows([float(x)])[:-1]\n"
+    assert anchor in source
+    broken = source.replace(anchor, '    return f"{float(x):.17g}"\n')
+    trees = dict(TREES, **{"cli.py": ast.parse(broken)})
+    assert seventeen_digit_formats(trees) == ["cli.py:_fmt",
+                                              "mesh.py:text_rows"]
