@@ -318,8 +318,9 @@ def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
     spec = ms.base
     cfg = config if config is not None else _solver.SolverConfig()
     system = fem.assemble(spec)
-    moving = spec.domain.elements_in_regions([ms.moving_region])
-    coords = system.coords[moving]
+    m = spec.domain
+    moving = m.elements_in_regions([ms.moving_region])
+    coords = m.nodes[m.elements[moving]]
     dim = system.dim
     moving_set = fem.ElementSet(system, moving)
 

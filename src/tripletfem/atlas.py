@@ -15,6 +15,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InterfaceMismatch
+from .mesh import _TopologySlot
 
 # node matching tolerance relative to the bounding-box diagonal
 DEDUP_RTOL = 1e-9
@@ -56,7 +57,9 @@ class AtlasRegion:
 class Atlas:
     """Regions plus declared interfaces: ((id_a, id_b), (tag_a, tag_b))
     marks the boundary facets tag_a of region id_a as glued to the facets
-    tag_b of region id_b."""
+    tag_b of region id_b. Like a Mesh, an atlas keeps one slot for what
+    assembly derives from its topology (its stitched dof numbering is a
+    function of the regions and interfaces, which do not change)."""
 
     def __init__(self, regions, interfaces=()):
         regs = []
@@ -78,6 +81,7 @@ class Atlas:
                     raise ValueError(f"interface references unknown region {rid!r}")
             checked.append(((ra, rb), (str(tags[0]), str(tags[1]))))
         self.interfaces = tuple(checked)
+        self._assembly_record = _TopologySlot()
 
     def region(self, region_id):
         try:

@@ -464,7 +464,7 @@ def _run_solve(scn, ctx, spec=None):
         print(f"cg iterations {iterations}, residual {_fmt(residual)}")
     prec = info.preconditioner if info is not None else None
     return {"energy": float(sol.energy), "iterations": int(iterations),
-            "residual": residual,
+            "residual": residual, "assembly": dict(sol.system.timings),
             "residual_history": info.residuals if info is not None else [0.0],
             "dofs": int(sol.u.size),
             "outputs": outputs,
@@ -508,7 +508,9 @@ def _run_equivalence(scn, ctx):
         print(f"material deviation {_fmt(material_dev)}")
     return {"matrix_rel_frobenius": float(comp.rel_frobenius),
             "matrix_max_entry": float(comp.max_entry_deviation),
-            "material_max_deviation": material_dev, "outputs": outputs}
+            "material_max_deviation": material_dev,
+            "assembly": [dict(s.timings) for s in systems],
+            "outputs": outputs}
 
 
 def _build_interior(cfg):
@@ -562,16 +564,24 @@ def _run_motion(scn, ctx):
                              steps=steps,
                              mode=cfg.get("mode", "metric-change"))
 
-    writers = {"vtk": lambda pattern: step_files,  # the sweep writes them
+    def write_steps(_):
+        for r, path in zip(results, step_files):
+            mesh_mod.write_vtk(spec.domain, path,
+                               point_data={"potential": r.solution.u})
+        return step_files
+
+    writers = {"vtk": write_steps,
                "csv": lambda path: app.write_sweep_csv(path, results)}
     with _outputs(scn, ctx, writers) as outputs:
+        # the declared pattern is formatted before it is resolved, so
+        # braces in the scenario's directory stay part of the name
         with _declared("outputs.vtk"):
-            step_files = ms.step_paths(outputs["vtk"]) \
+            step_files = [ctx.path(name) for name in
+                          ms.step_paths(scn["outputs"]["vtk"])] \
                 if "vtk" in outputs else []
         results = app.motion_sweep(
             ms, config=_solver_config(scn),
-            measure_cold=cfg.get("measure_cold", False),
-            vtk_pattern=outputs.get("vtk"))
+            measure_cold=cfg.get("measure_cold", False))
         for r in results:
             print(f"step {r.step} energy {_fmt(r.energy)} "
                   f"iterations {r.iterations} changed {r.changed_entries}")
@@ -585,6 +595,7 @@ def _run_motion(scn, ctx):
                        "wall_time": float(r.wall_time),
                        "timings": dict(r.timings)}
                       for r in results],
+            "assembly": dict(results[0].solution.system.timings),
             "outputs": outputs}
 
 

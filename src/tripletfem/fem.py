@@ -6,16 +6,22 @@ K is the only place the metric and the material enter, which is what
 makes solves under exchanged {chart, metric, material} triplets land on
 the same matrix entries.
 
-Assembly writes every element block into a fixed slice of one flat
-buffer (element index order, row-major within the block). It records
-once per system the order in which scipy's COO to CSR conversion would
-sum that buffer (_CsrSum), and builds the matrices by gathering the
-buffer into that order and running scipy's own duplicate sum. A partial
-update replaces the blocks of a subset of elements and rebuilds through
-the same record, so its matrices are bit-identical to a full
-reassembly with the same inputs: both run the same code.
+Assembly takes what does not depend on the triplet from the domain:
+the basis gradients from the mesh's own edge matrices and volumes, and
+quadrature points only for groups whose material or metric entry is
+evaluated pointwise. It writes every element block into a fixed slice
+of one flat buffer (element index order, row-major within the block).
+The order in which scipy's COO to CSR conversion would sum that buffer
+depends on the element dofs and the Dirichlet dofs alone; it is
+recorded once per mesh topology (_CsrSum), kept in a slot the mesh
+shares with its map_mesh images (an Atlas keeps its own), and every
+build gathers the buffer into that order and runs scipy's own duplicate
+sum. A partial update replaces the blocks of a subset of elements and
+rebuilds through the same record, so its matrices are bit-identical to
+a full reassembly with the same inputs: both run the same code.
 """
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -153,6 +159,12 @@ class _Patch:
     elem_offset: int
 
 
+def _joined(parts):
+    """The patches' arrays as one: the only one itself, without a copy,
+    for a plain mesh."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _build_patches(spec):
     if not spec.is_atlas:
         m = spec.domain
@@ -173,16 +185,17 @@ def _build_patches(spec):
 # ---------------------------------------------------------------- assembly
 
 
-def _p1_gradients(coords):
-    """Constant basis gradients per element, shape (E, d+1, d): rows 1..d
-    are the columns of the inverse edge matrix (edges from node 0 as its
-    rows), row 0 minus their sum. geometry.inv divides the adjugate by
-    the determinant Mesh took the volume from, bit for bit, and Mesh has
-    refused every simplex whose volume is not above its floor, whose
-    gradients overflow or whose shape lets rounding spoil them
-    (mesh._first_degenerate), so the division is by a nonzero number."""
-    edges = coords[:, 1:, :] - coords[:, :1, :]
-    grads = np.empty(coords.shape)
+def _p1_gradients(edges):
+    """Constant basis gradients per element, shape (E, d+1, d), from the
+    edge matrices (E, d, d) a Mesh keeps (edges from node 0 as rows):
+    rows 1..d are the columns of the inverse edge matrix, row 0 minus
+    their sum. geometry.inv divides the adjugate by the determinant Mesh
+    took the volume from, bit for bit, and Mesh has refused every simplex
+    whose volume is not above its floor, whose gradients overflow or
+    whose shape lets rounding spoil them (mesh._first_degenerate), so the
+    division is by a nonzero number."""
+    n, d = edges.shape[:2]
+    grads = np.empty((n, d + 1, d))
     grads[:, 1:, :] = np.swapaxes(inv(edges), 1, 2)
     grads[:, 0, :] = -np.sum(grads[:, 1:, :], axis=1)
     return grads
@@ -203,10 +216,28 @@ def _coefficient_at(triplet, patch, tag, points):
     return effective_coefficient(eps_p, patch.metric.eval(points, tag))
 
 
+def _points_for(triplet, group):
+    """The group's quadrature points where an entry is evaluated there
+    (a pointwise material or metric entry, or an atlas patch's
+    pull-back); else a stride-zero stand-in of their (E, Q, d) shape,
+    which is all a value entry reads (geometry.eval_entry)."""
+    patch, tag = group.patch, group.tag
+    try:
+        pointwise = patch.chart is not None or any(
+            callable(field.entry(tag))
+            for field in (triplet.material, triplet.metric))
+    except UnknownTag:
+        pointwise = False  # the evaluation raises it at the first element
+    if pointwise:
+        return group.xq
+    n, d = group.grads.shape[0], group.grads.shape[2]
+    return np.broadcast_to(0.0, (n, group.bary.shape[0], d))
+
+
 def _coefficients(triplet, group):
     """K at the group's quadrature points, shape (E, Q, d, d); a failing
     evaluation is localized to the first element it fails on."""
-    patch, xq = group.patch, group.xq
+    patch, xq = group.patch, _points_for(triplet, group)
     try:
         return _coefficient_at(triplet, patch, group.tag, xq)
     except TripletFemError:
@@ -256,18 +287,18 @@ def _element_blocks(weights, grads, K, vols):
         yield c, (0.5 * (out + out.transpose(1, 0, 2))).transpose(2, 0, 1)
 
 
-def _quadrature_points(bary, coords, ids):
-    """np.einsum("qa,ead->eqd", bary, coords[ids]) bit for bit: each point
-    adds its node terms in node order, as einsum does, over chunks of the
-    elements gathered element index last, so every pass runs along a
-    contiguous axis."""
-    out = np.empty((ids.size, bary.shape[0], coords.shape[2]))
-    for lo in range(0, ids.size, _BLOCK_CHUNK):
+def _quadrature_points(bary, nodes, elements):
+    """np.einsum("qa,ead->eqd", bary, nodes[elements]) bit for bit: each
+    point adds its node terms in node order, as einsum does, over chunks
+    of the elements gathered element index last, so every pass runs along
+    a contiguous axis."""
+    out = np.empty((len(elements), bary.shape[0], nodes.shape[1]))
+    for lo in range(0, len(elements), _BLOCK_CHUNK):
         c = slice(lo, lo + _BLOCK_CHUNK)
-        nodes = coords[ids[c]].transpose(1, 2, 0).copy()
-        points = np.multiply.outer(bary[:, 0], nodes[0])  # (Q, d, chunk)
-        for a in range(1, nodes.shape[0]):
-            points += np.multiply.outer(bary[:, a], nodes[a])
+        corners = nodes[elements[c].T].transpose(0, 2, 1).copy()
+        points = np.multiply.outer(bary[:, 0], corners[0])  # (Q, d, chunk)
+        for a in range(1, corners.shape[0]):
+            points += np.multiply.outer(bary[:, a], corners[a])
         out[c] = points.transpose(2, 0, 1)
     return out
 
@@ -275,23 +306,42 @@ def _quadrature_points(bary, coords, ids):
 @dataclass(frozen=True)
 class _Group:
     """Elements of one (patch, region tag) with what their blocks need
-    besides the coefficient: gradients, volumes, quadrature points."""
+    besides the coefficient: gradients, volumes, and the barycentric
+    points of the rule, from which the quadrature points are formed on
+    first use (xq); a group whose entries are all values never uses
+    them."""
 
     patch: _Patch
     tag: str
     ids: np.ndarray
     grads: np.ndarray
     vols: np.ndarray
-    xq: np.ndarray
+    bary: np.ndarray
+
+    @cached_property
+    def xq(self):
+        mesh = self.patch.mesh
+        return _quadrature_points(
+            self.bary, mesh.nodes,
+            mesh.elements[self.ids - self.patch.elem_offset])
+
+
+def _element_rows(a, ids):
+    """a[ids] for sorted ids without repeats: a view where they are one
+    run, as a region of a structured mesh often is."""
+    if ids.size and ids[-1] - ids[0] == ids.size - 1:
+        return a[ids[0]:ids[-1] + 1]
+    return a[ids]
 
 
 class ElementSet:
     """Element ids of one system, prepared for repeated block updates.
 
     The (patch, region) split, the gathered gradients and volumes, the
-    quadrature points, the buffer positions and the matrix entries they
-    add into depend on the ids only, so a motion sweep takes them once
-    and passes the set to every update_elements call.
+    quadrature points (formed on first use), the buffer positions and the
+    matrix entries they add into depend on the ids only, so a motion
+    sweep takes them once and passes the set to every update_elements
+    call.
     """
 
     def __init__(self, system, element_ids):
@@ -306,9 +356,9 @@ class ElementSet:
         self.system = system
         self.ids = ids
         bary, _ = quadrature_rule(system.rule, system.dim)
-        self.groups = [_Group(patch, tag, gids, system.grads[gids],
-                              system.vols[gids],
-                              _quadrature_points(bary, system.coords, gids))
+        self.groups = [_Group(patch, tag, gids,
+                              _element_rows(system.grads, gids),
+                              _element_rows(system.vols, gids), bary)
                        for patch, tag, gids in system._groups(ids)]
 
     @cached_property
@@ -335,7 +385,12 @@ class AssembledSystem:
     buffer that makes partial reassembly exact.
 
     matrix and rhs are the reduced (free-dof) system; full_matrix keeps
-    every dof and is the one the energy quadratic form uses.
+    every dof and is the one the energy quadratic form uses. timings
+    holds the assembly's phases in seconds: coefficients (K at the
+    quadrature points), blocks (the element blocks), record (the lookup,
+    or the build, of the summation record) and build (the matrices), and
+    record_reused tells whether the record was one the domain already
+    kept. The library prints none of it.
     """
 
     def __init__(self, spec):
@@ -346,19 +401,15 @@ class AssembledSystem:
         self.n_dofs = n_dofs
         self.dim = patches[0].mesh.nodes.shape[1]
 
-        coords = np.concatenate([p.mesh.element_coords() for p in patches])
-        vols = np.concatenate([p.mesh.volumes() for p in patches])
-        dofs = np.concatenate([p.dofs[p.mesh.elements] for p in patches])
-        patch_of = np.concatenate([np.full(p.mesh.n_elements, i)
-                                   for i, p in enumerate(patches)])
-        tag_of = np.concatenate([p.mesh.element_regions for p in patches])
-        self.coords = _frozen(coords)
-        self.vols = _frozen(vols)
-        self.element_dofs = dofs
-        self.patch_of = patch_of
-        self.tag_of = tag_of
-        self.n_elements = coords.shape[0]
-        self.grads = _frozen(_p1_gradients(coords))
+        self.vols = _frozen(_joined([p.mesh.volumes() for p in patches]))
+        self.grads = _frozen(_joined([_p1_gradients(p.mesh.edge_matrices())
+                                      for p in patches]))
+        self.element_dofs = _joined([p.dofs[p.mesh.elements]
+                                     for p in patches])
+        self.patch_of = _joined([np.full(p.mesh.n_elements, i)
+                                 for i, p in enumerate(patches)])
+        self.tag_of = _joined([p.mesh.element_regions for p in patches])
+        self.n_elements = self.vols.size
 
         k = self.dim + 1
         self._k = k
@@ -369,10 +420,16 @@ class AssembledSystem:
         self._group_keys = [(i, tag) for i, p in enumerate(patches)
                             for tag in p.mesh.regions()]
 
-        self._fill(spec.triplet, ElementSet(self, np.arange(self.n_elements)))
+        timings = self._fill(spec.triplet,
+                             ElementSet(self, np.arange(self.n_elements)))
         self._collect_dirichlet()
-        self._csr_sum = _CsrSum(self)
+        t0 = time.perf_counter()
+        self._csr_sum, reused = _csr_sum_of(self)
+        t1 = time.perf_counter()
         self._build()
+        timings.update(record=t1 - t0, build=time.perf_counter() - t1,
+                       record_reused=reused)
+        self.timings = timings
 
     # -- element blocks
 
@@ -388,26 +445,37 @@ class AssembledSystem:
         return out
 
     def _fill(self, triplet, elements):
-        """Blocks of the set's elements under triplet. Under "auto" K is
-        measured on every call; where it is one matrix at all interior
-        points (broadcast, stride zero on its leading axes), the one-point
-        rule gives the interior rule's integral exactly."""
+        """Blocks of the set's elements under triplet; returns the seconds
+        spent on coefficients and on blocks. Under "auto" K is measured on
+        every call; where it is one matrix at all interior points
+        (broadcast, stride zero on its leading axes), the one-point rule
+        gives the interior rule's integral exactly."""
         blocks = self.data.reshape(self.n_elements, self._k, self._k)
         _, weights = quadrature_rule(self.rule, self.dim)
         _, centroid = quadrature_rule("one_point", self.dim)
+        spent = {"coefficients": 0.0, "blocks": 0.0}
         for group in elements.groups:
+            t0 = time.perf_counter()
             K, w = _coefficients(triplet, group), weights
             if self.spec.quadrature == "auto" and not any(K.strides[:-2]):
                 K, w = K[:, :1], centroid
+            t1 = time.perf_counter()
             for c, b in _element_blocks(w, group.grads, K, group.vols):
                 blocks[group.ids[c]] = b
+            spent["coefficients"] += t1 - t0
+            spent["blocks"] += time.perf_counter() - t1
+        return spent
 
     # -- boundary conditions
 
     def _collect_dirichlet(self):
+        """Dirichlet dofs (sorted), their values and the free dofs. A dof
+        on several tags takes the value of the earliest in declaration
+        order; a callable value is called once per node it assigns, with
+        the node's coordinates, in that order."""
         sides = self.spec.domain.interface_sides() if self.spec.is_atlas \
             else set()
-        assigned = {}
+        parts = []  # (dofs, points, value) in declaration order
         for tag, value in self.spec.dirichlet:
             for patch in self.patches:
                 if tag not in patch.mesh.boundary_tags():
@@ -418,17 +486,28 @@ class AssembledSystem:
                 pts = patch.mesh.nodes[local]
                 if patch.chart is not None:
                     pts = patch.chart.inverse(pts)
-                for node, x in zip(patch.dofs[local], pts):
-                    dof = int(node)
-                    if dof in assigned:
-                        continue  # earlier tag in declaration order wins
-                    assigned[dof] = float(value(x)) if callable(value) \
-                        else float(value)
-        order = np.array(sorted(assigned), dtype=int)
+                parts.append((patch.dofs[local], pts, value))
+        dofs = np.concatenate([np.zeros(0, dtype=int)]
+                              + [d for d, _, _ in parts])
+        # the sorted dofs and where each first appears: its earliest tag
+        order, first = np.unique(dofs, return_index=True)
+        assigns = np.zeros(dofs.size, dtype=bool)
+        assigns[first] = True
+        values = np.empty(dofs.size)
+        start = 0
+        for d, pts, value in parts:
+            own = slice(start, start + d.size)
+            start += d.size
+            if callable(value):
+                values[own][assigns[own]] = [float(value(x))
+                                             for x in pts[assigns[own]]]
+            else:
+                values[own] = float(value)
+        fixed = np.zeros(self.n_dofs, dtype=bool)
+        fixed[order] = True
         self.dirichlet_dofs = order
-        self.dirichlet_values = np.array([assigned[d] for d in order])
-        self.free = np.setdiff1d(np.arange(self.n_dofs), order,
-                                 assume_unique=False)
+        self.dirichlet_values = values[first]
+        self.free = np.flatnonzero(~fixed)
 
     # -- matrices
 
@@ -468,10 +547,22 @@ def _require_symmetric(data, skew):
             f"{ASSEMBLY_SYMMETRY_RTOL:.0e}")
 
 
+def _csr_sum_of(system):
+    """(record, reused): the _CsrSum of the system's element dofs and
+    Dirichlet dofs, from the one slot its domain keeps for its topology.
+    A Mesh shares the slot with its map_mesh images, so a system on a
+    mesh and one on its image share one record; an Atlas keeps a slot of
+    its own. The slot is keyed by the Dirichlet dofs, the one input of
+    the record that a topology does not fix."""
+    return system.spec.domain._assembly_record.get(
+        system.dirichlet_dofs, lambda: _CsrSum(system))
+
+
 class _CsrSum:
     """The sum coo_matrix(...).tocsr() forms over a system's block
-    buffer, recorded once; every build of the system's matrices goes
-    through it.
+    buffer, recorded once per topology and Dirichlet dof set; every build
+    of the matrices of every system on that topology goes through it.
+    Its arrays are read-only.
 
     tocsr lays the buffer out by row, stably (coo_tocsr), sorts each
     row's columns (csr_sort_indices) and adds each run of equal columns
@@ -526,6 +617,9 @@ class _CsrSum:
                                   M.shape)
                                  for M in (rows_free[:, free].tocsr(),
                                            rows_free[:, fixed]))
+        for arr in (self.pos, self.col, self.heads, self.transposed,
+                    *(a for r in self.reduced or () for a in r[:3])):
+            arr.flags.writeable = False
 
     def matrices(self, data, values):
         """Full matrix, reduced matrix and right-hand side from the block
@@ -538,8 +632,10 @@ class _CsrSum:
         _require_symmetric(vals, vals - vals[self.transposed])
         if self.reduced is None:
             return full, sp.csr_matrix((0, 0)), np.zeros(0)
-        matrix, lift = (sp.csr_matrix((vals[slots], indices, indptr),
-                                      shape=shape)
+        # every matrix handed out owns its arrays: the record's are
+        # read-only and serve every system on the topology
+        matrix, lift = (sp.csr_matrix((vals[slots], indices.copy(),
+                                       indptr.copy()), shape=shape)
                         for slots, indices, indptr, shape in self.reduced)
         return full, matrix, -(lift @ values)
 
@@ -655,7 +751,7 @@ class Solution:
 def _all_element_fields(u, system, triplet):
     """Constant field per element, E = -S^-1 grad(u), S at the centroid."""
     grad = np.einsum("ea,ead->ed", u[system.element_dofs], system.grads)
-    centroids = system.coords.mean(axis=1)
+    centroids = np.concatenate([p.mesh.centroids() for p in system.patches])
     out = np.empty_like(grad)
     all_ids = np.arange(system.n_elements)
     for patch, tag, ids in system._groups(all_ids):

@@ -6,6 +6,8 @@ constructor coerces whatever it is given. Elements are stored with
 positive signed volume; the constructor flips inverted node orderings.
 A mesh's topology (elements, regions, facets, tags) is checked once;
 map_mesh shares it, moves the nodes, and checks only the new geometry.
+What assembly derives from the topology alone is kept in one slot that
+the mesh and its map_mesh images share (_TopologySlot).
 """
 
 from __future__ import annotations
@@ -90,8 +92,7 @@ def _first_degenerate(nodes, edges, vols):
 def _edge_matrices(nodes, elements):
     """Edge matrices of the simplices, shape (E, d, d): row i is node
     i + 1 minus node 0."""
-    coords = nodes[elements]
-    return coords[:, 1:, :] - coords[:, :1, :]
+    return nodes[elements[:, 1:]] - nodes[elements[:, :1]]
 
 
 def _volumes_of(edges):
@@ -166,12 +167,38 @@ def _tag_array(tags, count, what):
     return out
 
 
+class _TopologySlot:
+    """One value derived from a topology, kept with the key it was made
+    for. A Mesh creates it with its topology and its map_mesh images
+    share it (so does an Atlas, for its own), so assembly derives the
+    value once for all of them; one slot bounds what is kept to one
+    value."""
+
+    def __init__(self):
+        self._key = self._value = None
+
+    def get(self, key, make):
+        """(value, reused): the kept value if it was made for key, an
+        integer array, else make(), kept in its place."""
+        if self._key is not None and np.array_equal(self._key, key):
+            return self._value, True
+        self._key = self._value = None  # the old value goes before make()
+        value = make()
+        self._key = np.array(key)
+        self._key.flags.writeable = False
+        self._value = value
+        return value, False
+
+
 class Mesh:
     """Conforming simplicial mesh with tagged regions and boundary facets.
 
     nodes: (N, dim) float; elements: (E, dim+1) int with one region tag
     each; boundary_facets: (F, dim) int with one tag each. Every declared
-    facet must be a facet of exactly one element, and declared once.
+    facet must be a facet of exactly one element, and declared once. The
+    mesh keeps the edge matrices it took its volumes from, read-only, in
+    the stored orientation (edge_matrices()); assembly forms the basis
+    gradients from them.
     """
 
     def __init__(self, nodes, elements, element_regions,
@@ -189,12 +216,16 @@ class Mesh:
         self.dim = dim
         self.elements = elements
 
-        def flip_inverted(vols):
+        def flip_inverted(vols, edges):
+            # swapping the last two nodes swaps the last two edge rows,
+            # exactly: node 0, which every edge starts from, stays
             flip = vols < 0.0
             elements[flip, -2:] = elements[flip, -1:-3:-1]
+            edges[flip, -2:] = edges[flip, -1:-3:-1]
             return np.abs(vols)
 
         self._set_geometry(nodes, flip_inverted)
+        self._assembly_record = _TopologySlot()
 
         if boundary_facets is None:
             boundary_facets = np.zeros((0, dim), dtype=np.int64)
@@ -217,22 +248,24 @@ class Mesh:
             arr.flags.writeable = False
 
     def _set_geometry(self, nodes, orient):
-        """Check nodes against self.elements and store them and their
-        volumes read-only: finite coordinates, positive volumes from
-        orient(signed volumes) (it reorders or refuses), _first_degenerate."""
+        """Check nodes against self.elements and store them, their edge
+        matrices and their volumes read-only: finite coordinates, positive
+        volumes from orient(signed volumes, edge matrices) (it reorders
+        elements and edge rows, or refuses), _first_degenerate."""
         bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
         if bad.size:
             raise DegenerateShape(f"node {int(bad[0])} has a non-finite "
                                   f"coordinate {nodes[bad[0]].tolist()}")
         edges = _edge_matrices(nodes, self.elements)
-        vols = orient(_volumes_of(edges))
+        vols = orient(_volumes_of(edges), edges)
         dead = _first_degenerate(nodes, edges, vols)
         if dead is not None:
             i, reason = dead
             raise DegenerateElement(f"element {i} {reason} "
                                     f"(nodes {self.elements[i].tolist()})")
-        nodes.flags.writeable = vols.flags.writeable = False
-        self.nodes, self._volumes = nodes, vols
+        for arr in (nodes, edges, vols):
+            arr.flags.writeable = False
+        self.nodes, self._edges, self._volumes = nodes, edges, vols
 
     def _check_facets(self):
         if not len(self.boundary_facets):
@@ -264,6 +297,11 @@ class Mesh:
 
     def volumes(self):
         return self._volumes
+
+    def edge_matrices(self):
+        """(E, d, d) read-only: row i of element e is its node i + 1 minus
+        its node 0, in the stored orientation; volumes() came from them."""
+        return self._edges
 
     def element_coords(self):
         return self.nodes[self.elements]
@@ -508,10 +546,11 @@ def generate_structured(shape="box", divisions=(1, 1), *, bounds=None,
 
 def map_mesh(m, chart):
     """The same mesh drawn in another chart. It shares the source's checked,
-    read-only topology (elements, regions, facets, facet tags); only its
-    mapped geometry is checked again. Folds, collapses and mirrors fail."""
+    read-only topology (elements, regions, facets, facet tags) and the
+    slot assembly keeps its topology's record in; only its mapped geometry
+    is checked again. Folds, collapses and mirrors fail."""
 
-    def keep_orientation(vols):
+    def keep_orientation(vols, edges):
         bad = np.flatnonzero(vols <= 0.0)
         if bad.size:
             kind = ("reverses the orientation of" if np.all(vols < 0.0)

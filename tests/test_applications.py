@@ -279,6 +279,19 @@ def test_a_step_that_changes_nothing_reuses_the_last_solution():
     assert moved.changed_entries > 0 and moved.energy < again.energy
 
 
+def test_sweeps_on_one_mesh_share_its_record(capsys):
+    ms = app.MotionSweep(base=capacitor_spec(8), moving_region="gap",
+                         steps=[gap_stretch(1.5), gap_stretch(2.0)])
+    first, again = app.motion_sweep(ms), app.motion_sweep(ms)
+    a, b = first[0].solution.system, again[0].solution.system
+    assert a is not b and b._csr_sum is a._csr_sum
+    assert (a.timings["record_reused"], b.timings["record_reused"]) == \
+        (False, True)
+    assert [r.energy for r in again] == [r.energy for r in first]
+    assert [r.iterations for r in again] == [r.iterations for r in first]
+    assert capsys.readouterr() == ("", "")  # the library prints nothing
+
+
 def test_each_step_carries_its_phase_timings(capsys):
     ms = app.MotionSweep(base=capacitor_spec(8), moving_region="gap",
                          steps=[gap_stretch(1.5), gap_stretch(1.5),

@@ -626,6 +626,38 @@ def test_motion_report_copies_each_steps_timings(tmp_path):
         assert sum(timings.values()) <= step["wall_time"] * (1 + 1e-12)
 
 
+ASSEMBLY_TIMINGS = {"coefficients", "blocks", "record", "build",
+                    "record_reused"}
+
+
+def assembly_timings_are_well_formed(timings):
+    assert set(timings) == ASSEMBLY_TIMINGS
+    assert isinstance(timings["record_reused"], bool)
+    assert all(timings[k] >= 0.0 for k in ASSEMBLY_TIMINGS
+               if k != "record_reused")
+    return True
+
+
+def test_reports_copy_the_assembly_timings(tmp_path):
+    path = write_scenario(tmp_path, motion_scenario(), "motion.json")
+    assert cli.main(["motion", path]) == 0
+    assert assembly_timings_are_well_formed(report_of(path)["assembly"])
+
+    path = write_scenario(tmp_path, square_solve_scenario(), "solve.json")
+    assert cli.main(["solve", path]) == 0
+    timings = report_of(path)["assembly"]
+    assert assembly_timings_are_well_formed(timings)
+    assert timings["record_reused"] is False
+
+    path = write_scenario(tmp_path, equivalence_scenario(), "eq.json")
+    assert cli.main(["equivalence-check", path]) == 0
+    first, second = report_of(path)["assembly"]
+    assert assembly_timings_are_well_formed(first)
+    assert assembly_timings_are_well_formed(second)
+    # both triplets' meshes are map_mesh images of one scenario mesh
+    assert (first["record_reused"], second["record_reused"]) == (False, True)
+
+
 def test_motion_report_shows_each_steps_guess_residual(tmp_path):
     path = write_scenario(tmp_path, motion_scenario())
     assert cli.main(["motion", path]) == 0
@@ -670,6 +702,19 @@ def test_motion_writes_per_step_vtk(tmp_path, capsys):
     out = capsys.readouterr().out
     assert [f"wrote {file}" for file in files] == \
         [line for line in out.splitlines() if line.startswith("wrote ")]
+
+
+def test_motion_vtk_pattern_under_a_directory_with_braces(tmp_path, capsys):
+    # the pattern is formatted before it is resolved against the
+    # scenario's directory, whose braces are no replacement fields
+    run = tmp_path / "run{x}"
+    run.mkdir()
+    path = write_scenario(run, motion_scenario({"vtk": "u_{step}.vtk"}))
+    assert cli.main(["motion", path]) == 0
+    files = [str(run / f"u_{k}.vtk") for k in range(3)]
+    assert all(Path(file).exists() for file in files)
+    assert report_of(path)["outputs"] == {"vtk": files}
+    assert f"wrote {files[-1]}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("pattern", ["m{step}{oops}.vtk", "m{step}{0}.vtk",

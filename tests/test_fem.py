@@ -1,5 +1,7 @@
 """Assembly, boundary elimination, energy, and matrix comparison."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -123,7 +125,7 @@ def test_every_accepted_simplex_gets_accurate_adjugate_gradients(dim):
             continue
         accepted += 1
         coords = m.element_coords()
-        grads = fem._p1_gradients(coords)[0]
+        grads = fem._p1_gradients(m.edge_matrices())[0]
         edges = coords[0, 1:] - coords[0, 0]
         assert np.all(np.isfinite(grads))
         size = np.abs(grads).max()
@@ -471,13 +473,14 @@ def test_quadrature_points_keep_the_einsum_bits(dim, rule):
     rng = np.random.default_rng(11 * dim + len(rule))
     n = 2 * fem._BLOCK_CHUNK + 37  # a last, partial chunk
     bary, _ = fem.quadrature_rule(rule, dim)
-    coords = rng.standard_normal((n, dim + 1, dim)) \
-        * np.exp(rng.uniform(-20.0, 20.0, (n, 1, 1))) \
-        + rng.standard_normal((n, 1, dim)) * 1e3
-    ids = np.sort(rng.choice(n, n - 5, replace=False))
-    got = fem._quadrature_points(bary, coords, ids)
+    nodes = rng.standard_normal((n, dim)) \
+        * np.exp(rng.uniform(-20.0, 20.0, (n, 1))) \
+        + rng.standard_normal((n, dim)) * 1e3
+    elements = rng.integers(0, n, (n - 5, dim + 1))
+    got = fem._quadrature_points(bary, nodes, elements)
     assert got.flags.c_contiguous
-    assert np.array_equal(got, np.einsum("qa,ead->eqd", bary, coords[ids]))
+    assert np.array_equal(got, np.einsum("qa,ead->eqd", bary,
+                                         nodes[elements]))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -697,6 +700,203 @@ def test_interface_side_tag_is_not_a_dirichlet_target():
     for node in patch_a.mesh.boundary_nodes("right"):
         interface_dofs.add(int(patch_a.dofs[node]))
     assert interface_dofs.isdisjoint(system.dirichlet_dofs.tolist())
+
+
+# ------------------------------------ one geometry and one record per mesh
+
+
+def mapped_pair_spec(dim):
+    """A banded box and a spec on its image under an affine chart."""
+    divisions = (6, 5) if dim == 2 else (3, 4, 2)
+    m = mesh.generate_structured("box", divisions,
+                                 region_bands=[("band", 1, 0.25, 0.75)])
+    chart = geo.Composite([geo.Rotation(0.3) if dim == 2 else
+                           geo.Rotation(0.3, [1.0, 2.0, 2.0]),
+                           geo.AxisScaling([2.0, 0.5, 3.0][:dim])])
+    bc = (("left", 0.0), ("right", 1.0))
+    return (fem.BVPSpec(m, euclidean_triplet(dim), bc),
+            fem.BVPSpec(mesh.map_mesh(m, chart), euclidean_triplet(dim, 2.0),
+                        bc))
+
+
+def fresh_mesh(m):
+    """The same mesh from copies of its arrays: it shares nothing."""
+    return mesh.Mesh(m.nodes.copy(), m.elements.copy(),
+                     m.element_regions.copy(), m.boundary_facets.copy(),
+                     m.facet_tags.copy())
+
+
+def assert_same_matrices(a, b):
+    for got, want in ((a.full_matrix, b.full_matrix), (a.matrix, b.matrix)):
+        for field in ("indices", "indptr", "data"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert np.array_equal(a.rhs, b.rhs)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_mesh_and_its_image_share_one_record(dim):
+    base, image = mapped_pair_spec(dim)
+    a, b = fem.assemble(base), fem.assemble(image)
+    assert b._csr_sum is a._csr_sum
+    assert (a.timings["record_reused"], b.timings["record_reused"]) == \
+        (False, True)
+    for arr in (a._csr_sum.pos, a._csr_sum.col, a._csr_sum.heads,
+                a._csr_sum.transposed, *a._csr_sum.reduced[0][:3]):
+        assert not arr.flags.writeable
+    # the matrices handed out own their arrays
+    for got, other in ((a.full_matrix, b.full_matrix), (a.matrix, b.matrix)):
+        for field in ("indices", "indptr"):
+            assert getattr(got, field).flags.writeable
+            assert not np.shares_memory(getattr(got, field),
+                                        getattr(other, field))
+    # a mesh built again from the same arrays shares nothing, and its
+    # systems carry the same bits
+    for spec, system in ((base, a), (image, b)):
+        alone = fem.assemble(replace(spec, domain=fresh_mesh(spec.domain)))
+        assert alone._csr_sum is not a._csr_sum
+        assert not alone.timings["record_reused"]
+        assert_same_matrices(system, alone)
+
+
+def test_the_slot_keeps_one_record_keyed_by_the_dirichlet_dofs():
+    spec, _ = mapped_pair_spec(2)
+    first = fem.assemble(spec)
+    other = fem.assemble(replace(spec, dirichlet=(("bottom", 0.0),)))
+    assert other._csr_sum is not first._csr_sum
+    # the slot now holds the other record; the first set builds anew
+    again = fem.assemble(replace(spec, dirichlet=(("left", 3.0),
+                                                  ("right", -1.0))))
+    assert again._csr_sum is not first._csr_sum
+    assert not again.timings["record_reused"]
+    assert_scipy_sums_the_buffer(again)
+    # the same dofs under other values reuse it
+    same = fem.assemble(spec)
+    assert same._csr_sum is again._csr_sum
+    assert_same_matrices(same, first)
+
+
+def test_an_atlas_keeps_its_own_record():
+    spec = two_patch_atlas_spec()
+    a = fem.assemble(spec)
+    b = fem.assemble(replace(spec, triplet=euclidean_triplet(2, 2.0)))
+    assert b._csr_sum is a._csr_sum
+    assert b.timings["record_reused"]
+    assert_scipy_sums_the_buffer(b)
+
+
+def kuhn_box():
+    m = mesh.generate_structured("box", (3, 2, 2))
+    # the generator hands Mesh the six Kuhn tets of a cell in both
+    # orientations (here those of the first cell); Mesh flipped the
+    # inverted ones, rows and edge matrices alike
+    stride = np.array([1, 4, 12])
+    raw = np.array([np.cumsum([0, *stride[list(p)]])
+                    for p in mesh._KUHN_PERMS])
+    assert (mesh.signed_volumes(m.nodes, raw) < 0).sum() == 3
+    assert not np.array_equal(m.elements[:6], raw)
+    return m
+
+
+def test_gradients_from_the_stored_edges_keep_the_gathered_bits():
+    boxes = [kuhn_box()]
+    # and a mesh handed every other element inverted
+    square = mesh.generate_structured("box", (5, 4))
+    raw = square.elements.copy()
+    raw[::2, -2:] = raw[::2, -1:-3:-1]
+    flipped = mesh.Mesh(square.nodes, raw, square.element_regions,
+                        square.boundary_facets, square.facet_tags)
+    assert np.array_equal(flipped.elements, square.elements)
+    boxes.append(flipped)
+    for m in boxes:
+        coords = m.nodes[m.elements]
+        gathered = coords[:, 1:, :] - coords[:, :1, :]
+        assert np.array_equal(m.edge_matrices(), gathered)
+        assert not m.edge_matrices().flags.writeable
+        assert np.array_equal(fem._p1_gradients(m.edge_matrices()),
+                              fem._p1_gradients(gathered))
+
+
+def test_quadrature_points_only_for_pointwise_entries(monkeypatch):
+    formed = []
+    points = fem._quadrature_points
+
+    def counted(bary, nodes, elements):
+        formed.append(len(elements))
+        return points(bary, nodes, elements)
+
+    monkeypatch.setattr(fem, "_quadrature_points", counted)
+    m = mesh.generate_structured("box", (6, 6),
+                                 region_bands=[("band", 0, 0.5, 1.0)])
+    bc = (("left", 0.0), ("right", 1.0))
+    values = tp.Triplet(geo.Identity(2), geo.MetricField.euclidean(2),
+                        tp.MaterialField(2, regions={"band": 2.0},
+                                         default=np.diag([1.0, 3.0])))
+    for quadrature in fem.QUADRATURE_NAMES:
+        fem.assemble(fem.BVPSpec(m, values, bc, quadrature))
+    assert formed == []
+    # a pointwise entry on the band: that group alone forms its points
+    pointwise = replace(values, material=values.material.with_entry(
+        "band", lambda p: 1.0 + p[..., 0]))
+    system = fem.assemble(fem.BVPSpec(m, pointwise, bc))
+    assert formed == [m.elements_in_regions(["band"]).size]
+    # and a value entry that fails is still reported at its first element
+    asym = replace(values, metric=geo.MetricField(
+        2, constant=np.array([[2.0, 0.4], [0.4, 1.0]])))
+    with pytest.raises(AsymmetricCoefficient, match="element 0: "):
+        fem.update_elements(system, asym, np.arange(system.n_elements))
+    assert formed == [m.elements_in_regions(["band"]).size]
+
+
+def reference_dirichlet(system):
+    """The Dirichlet split by a per-node dict, earlier tag first."""
+    sides = system.spec.domain.interface_sides() if system.spec.is_atlas \
+        else set()
+    assigned = {}
+    for tag, value in system.spec.dirichlet:
+        for patch in system.patches:
+            if tag not in patch.mesh.boundary_tags() \
+                    or (patch.region_id, tag) in sides:
+                continue
+            local = patch.mesh.boundary_nodes(tag)
+            pts = patch.mesh.nodes[local]
+            if patch.chart is not None:
+                pts = patch.chart.inverse(pts)
+            for node, x in zip(patch.dofs[local], pts):
+                if int(node) not in assigned:
+                    assigned[int(node)] = float(value(x)) \
+                        if callable(value) else float(value)
+    dofs = np.array(sorted(assigned), dtype=int)
+    return (dofs, np.array([assigned[d] for d in dofs]),
+            np.setdiff1d(np.arange(system.n_dofs), dofs))
+
+
+def test_dirichlet_split_keeps_the_earlier_tag_and_calls_once_per_node():
+    half = mesh.generate_structured("box", (4, 3))
+    atlas = Atlas([AtlasRegion("a", geo.Identity(2), half),
+                   AtlasRegion("b", geo.translation([-1.0, 0.0]), half)],
+                  interfaces=[(("a", "b"), ("right", "left"))])
+    calls = []
+
+    def ramp(x):
+        calls.append(tuple(x))
+        return 2.0 * x[0] - x[1]
+
+    # the corners of bottom and top belong to left or right first; bottom
+    # spans both patches and meets the glued line in a shared dof
+    bc = (("left", 0.5), ("bottom", ramp), ("top", -1.0), ("right", ramp))
+    for domain in (atlas, half):
+        calls.clear()
+        system = fem.assemble(fem.BVPSpec(domain, euclidean_triplet(2), bc))
+        made = list(calls)
+        calls.clear()
+        dofs, values, free = reference_dirichlet(system)
+        # one call per node the callable assigns, in the same order
+        assert made == calls
+        assert system.dirichlet_dofs.dtype == dofs.dtype
+        assert np.array_equal(system.dirichlet_dofs, dofs)
+        assert np.array_equal(system.dirichlet_values, values)
+        assert np.array_equal(system.free, free)
+        assert system.free.dtype == free.dtype
 
 
 # -------------------------------------------------------------- comparison

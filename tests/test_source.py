@@ -184,3 +184,42 @@ def test_a_second_number_format_is_found():
     trees = dict(TREES, **{"cli.py": ast.parse(broken)})
     assert seventeen_digit_formats(trees) == ["cli.py:_fmt",
                                               "mesh.py:text_rows"]
+
+
+# Assembly takes what does not depend on the triplet from the domain,
+# once per topology: _CsrSum is built only where the record is looked up
+# in the slot a mesh shares with its map_mesh images, and fem.py takes
+# element geometry from the mesh (edge matrices, volumes, centroids),
+# never by gathering element coordinates.
+def topology_rule_breaks(trees):
+    built = [f"{name}:{where} builds _CsrSum"
+             for name, tree in trees.items()
+             for where, call in calls(tree)
+             if isinstance(call.func, ast.Name) and call.func.id == "_CsrSum"]
+    gathered = [f"fem.py:{where} calls element_coords"
+                for where, call in calls(trees["fem.py"])
+                if isinstance(call.func, ast.Attribute)
+                and call.func.attr == "element_coords"]
+    return sorted(built + gathered)
+
+
+def test_one_record_lookup_and_no_coordinate_gather_in_assembly():
+    assert topology_rule_breaks(TREES) == [
+        "fem.py:_csr_sum_of builds _CsrSum"]
+
+
+def test_a_second_record_build_and_a_coordinate_gather_are_found():
+    source = (PACKAGE / "fem.py").read_text()
+    lookup = "        self._csr_sum, reused = _csr_sum_of(self)\n"
+    centroids = "    centroids = np.concatenate([p.mesh.centroids() " \
+        "for p in system.patches])\n"
+    assert lookup in source and centroids in source
+    broken = source.replace(
+        lookup, "        self._csr_sum, reused = _CsrSum(self), False\n"
+    ).replace(centroids, "    centroids = system.patches[0].mesh."
+              "element_coords().mean(axis=1)\n")
+    trees = dict(TREES, **{"fem.py": ast.parse(broken)})
+    assert topology_rule_breaks(trees) == [
+        "fem.py:AssembledSystem.__init__ builds _CsrSum",
+        "fem.py:_all_element_fields calls element_coords",
+        "fem.py:_csr_sum_of builds _CsrSum"]
