@@ -20,7 +20,8 @@ from .errors import (RegionNotContained, SingularJacobian, TopologyChange,
                      UnknownTag)
 from .geometry import (Annulus, Box, Composite, KelvinShell, MetricField,
                        PiecewiseRadial, det)
-from .mesh import Mesh, generate_structured, map_mesh, write_csv, write_vtk
+from .mesh import (Mesh, _edge_matrices, generate_structured, map_mesh,
+                   write_csv, write_vtk)
 from .triplet import (Triplet, eval_entry, inverse_jacobian,
                       motion_metric_field, pull_back,
                       transform_material_euclidean)
@@ -276,11 +277,12 @@ def _step_triplet(base_triplet, moving_tag, step_map, mode, dim):
 GUESS_WINDOW = 4
 
 
-def _check_topology(step_map, coords, k):
-    mapped = step_map.forward(coords.reshape(-1, coords.shape[2]))
-    mapped = mapped.reshape(coords.shape)
-    edges = mapped[:, 1:, :] - mapped[:, :1, :]
-    dets = det(edges)
+def _check_topology(step_map, nodes, elements, k):
+    """Raise TopologyChange unless step k's map keeps every element
+    positively oriented: nodes are the moving region's node coordinates,
+    elements its elements numbered into them, so each node is mapped
+    once and the edge matrices come from the one edge formula."""
+    dets = det(_edge_matrices(step_map.forward(nodes), elements))
     bad = int(np.count_nonzero(dets <= 0.0))
     if bad:
         raise TopologyChange(
@@ -317,10 +319,12 @@ def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
     paths = None if vtk_pattern is None else ms.step_paths(vtk_pattern)
     spec = ms.base
     cfg = config if config is not None else _solver.SolverConfig()
-    system = fem.assemble(spec)
     m = spec.domain
     moving = m.elements_in_regions([ms.moving_region])
-    coords = m.nodes[m.elements[moving]]
+    # the moving nodes, and the moving elements numbered into them
+    node_ids, local = np.unique(m.elements[moving], return_inverse=True)
+    moving_nodes, local = m.nodes[node_ids], local.reshape(len(moving), -1)
+    system = fem.assemble(spec)
     dim = system.dim
     moving_set = fem.ElementSet(system, moving)
 
@@ -331,7 +335,7 @@ def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
         t0 = time.perf_counter()
         try:
             if not step_map.is_identity():
-                _check_topology(step_map, coords, k)
+                _check_topology(step_map, moving_nodes, local, k)
             tri = _step_triplet(spec.triplet, ms.moving_region, step_map,
                                 ms.mode, dim)
             changed = fem.update_elements(system, tri, moving_set)

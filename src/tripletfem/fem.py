@@ -32,8 +32,9 @@ from . import solver as _solver
 from .atlas import Atlas, build_global_index
 from .errors import (DegenerateElement, DimensionMismatch, TripletFemError,
                      UnknownTag)
-from .geometry import MetricField, inv
-from .mesh import _VOLUME_FACTOR, Mesh, _first_degenerate, text_rows
+from .geometry import MetricField, adjugate
+from .mesh import (_VOLUME_FACTOR, Mesh, _edge_matrices, _first_degenerate,
+                   text_rows)
 from .triplet import Triplet, effective_coefficient, material_matrix, pull_back
 
 # Relative Frobenius bound the assembled matrix must meet against its
@@ -160,9 +161,13 @@ class _Patch:
 
 
 def _joined(parts):
-    """The patches' arrays as one: the only one itself, without a copy,
-    for a plain mesh."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    """The patches' arrays as one, joined along the element axis in the
+    memory order of the first (component-major geometry stays so): the
+    only one itself, without a copy, for a plain mesh."""
+    if len(parts) == 1:
+        return parts[0]
+    shape = (sum(len(p) for p in parts),) + parts[0].shape[1:]
+    return np.concatenate(parts, out=np.empty_like(parts[0], shape=shape))
 
 
 def _build_patches(spec):
@@ -189,16 +194,31 @@ def _p1_gradients(edges):
     """Constant basis gradients per element, shape (E, d+1, d), from the
     edge matrices (E, d, d) a Mesh keeps (edges from node 0 as rows):
     rows 1..d are the columns of the inverse edge matrix, row 0 minus
-    their sum. geometry.inv divides the adjugate by the determinant Mesh
-    took the volume from, bit for bit, and Mesh has refused every simplex
-    whose volume is not above its floor, whose gradients overflow or
-    whose shape lets rounding spoil them (mesh._first_degenerate), so the
-    division is by a nonzero number."""
-    n, d = edges.shape[:2]
-    grads = np.empty((n, d + 1, d))
-    grads[:, 1:, :] = np.swapaxes(inv(edges), 1, 2)
-    grads[:, 0, :] = -np.sum(grads[:, 1:, :], axis=1)
-    return grads
+    their sum. Each inverse entry is geometry.adjugate's entry divided by
+    the determinant Mesh took the volume from, bit for bit, as
+    geometry.inv divides it; Mesh has refused every simplex whose volume
+    is not above its floor, whose gradients overflow or whose shape lets
+    rounding spoil them (mesh._first_degenerate), so the division is by a
+    nonzero number.
+
+    Like the edge matrices, the gradients are component-major: the
+    (E, d+1, d) view of a contiguous (d+1, d, E) buffer, each entry array
+    [:, a, k] one contiguous row, which the division writes and the
+    block kernel reads at streaming speed. Row 0 adds rows 1..d left to
+    right and negates the sum, the bits of -np.sum(rows, axis=1)."""
+    d = edges.shape[1]
+    # the buffer before the adjugate's temporaries: in the other order
+    # glibc kept about 2 MB more resident at the peak of two 24^3
+    # assemblies (tracemalloc's peak is the same either way)
+    out = np.empty((d + 1, d, len(edges)))
+    dets, adj = adjugate(edges)
+    for (i, j), entry in adj.items():
+        np.divide(entry, dets, out=out[1 + j, i])
+    np.add(out[1], out[2], out=out[0])
+    for row in out[3:]:
+        out[0] += row
+    np.negative(out[0], out=out[0])
+    return out.transpose(2, 0, 1)
 
 
 def _coefficient_at(triplet, patch, tag, points):
@@ -263,17 +283,22 @@ def _element_blocks(weights, grads, K, vols):
     """Symmetrized stiffness blocks, yielded as (slice, blocks (c, d+1, d+1))
     over chunks of the elements.
 
-    Inside a chunk the element index is the last, contiguous axis. The
-    sum over quadrature points q and gradient components (k, l) runs in
-    lexicographic order, each term formed as ((w_q g_ak) K_qkl) g_bl:
-    that is the order and association np.einsum("q,eak,eqkl,ebl->eab")
-    takes on these operands, so the blocks carry its exact bits.
+    Inside a chunk the element index is the last axis. The gradients are
+    component-major (_p1_gradients), so a chunk's rows are read in place
+    as contiguous runs; K is copied element index last, unless it is one
+    matrix along the elements (stride zero), whose entries are then read
+    as one value each. The sum over quadrature points q and gradient
+    components (k, l) runs in lexicographic order, each term formed as
+    ((w_q g_ak) K_qkl) g_bl: that is the order and association
+    np.einsum("q,eak,eqkl,ebl->eab") takes on these operands, so the
+    blocks carry its exact bits.
     """
     n, k, dim = grads.shape
     for lo in range(0, n, _BLOCK_CHUNK):
         c = slice(lo, min(lo + _BLOCK_CHUNK, n))
-        g = np.ascontiguousarray(grads[c].transpose(1, 2, 0))
-        Kc = np.ascontiguousarray(K[c].transpose(1, 2, 3, 0))
+        g = grads[c].transpose(1, 2, 0)
+        Kc = K[c].transpose(1, 2, 3, 0)
+        Kc = Kc[..., :1] if K.strides[0] == 0 else np.ascontiguousarray(Kc)
         out = np.zeros((k, k, g.shape[2]))
         term = np.empty_like(out)
         for q, w in enumerate(weights):
@@ -327,11 +352,12 @@ class _Group:
 
 
 def _element_rows(a, ids):
-    """a[ids] for sorted ids without repeats: a view where they are one
-    run, as a region of a structured mesh often is."""
+    """a[ids] for sorted ids without repeats, in a's memory order: a view
+    where they are one run, as a region of a structured mesh often is,
+    else gathered along the element axis of a's component-major buffer."""
     if ids.size and ids[-1] - ids[0] == ids.size - 1:
         return a[ids[0]:ids[-1] + 1]
-    return a[ids]
+    return np.moveaxis(np.take(np.moveaxis(a, 0, -1), ids, axis=-1), -1, 0)
 
 
 class ElementSet:
@@ -386,7 +412,8 @@ class AssembledSystem:
 
     matrix and rhs are the reduced (free-dof) system; full_matrix keeps
     every dof and is the one the energy quadratic form uses. timings
-    holds the assembly's phases in seconds: coefficients (K at the
+    holds the assembly's phases in seconds: gradients (the basis
+    gradients from the mesh's edge matrices), coefficients (K at the
     quadrature points), blocks (the element blocks), record (the lookup,
     or the build, of the summation record) and build (the matrices), and
     record_reused tells whether the record was one the domain already
@@ -402,8 +429,10 @@ class AssembledSystem:
         self.dim = patches[0].mesh.nodes.shape[1]
 
         self.vols = _frozen(_joined([p.mesh.volumes() for p in patches]))
+        t0 = time.perf_counter()
         self.grads = _frozen(_joined([_p1_gradients(p.mesh.edge_matrices())
                                       for p in patches]))
+        gradients = time.perf_counter() - t0
         self.element_dofs = _joined([p.dofs[p.mesh.elements]
                                      for p in patches])
         self.patch_of = _joined([np.full(p.mesh.n_elements, i)
@@ -429,7 +458,7 @@ class AssembledSystem:
         self._build()
         timings.update(record=t1 - t0, build=time.perf_counter() - t1,
                        record_reused=reused)
-        self.timings = timings
+        self.timings = {"gradients": gradients, **timings}
 
     # -- element blocks
 
@@ -701,7 +730,7 @@ def local_stiffness(nodes, K, quadrature="one_point"):
         raise DimensionMismatch(
             f"need d+1 nodes of dimension d, got shape {nodes.shape}")
     dim = nodes.shape[1]
-    edges = nodes[1:] - nodes[0]
+    edges = _edge_matrices(nodes, np.arange(dim + 1)[None])[0]
     vol = abs(float(np.linalg.det(edges))) * _VOLUME_FACTOR[dim]
     dead = _first_degenerate(nodes, edges[None], np.array([vol]))
     if dead is not None:

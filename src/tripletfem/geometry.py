@@ -121,29 +121,37 @@ def det(M):
     return np.linalg.det(M)
 
 
+def adjugate(M):
+    """(determinants, {(i, j): adjugate entry}) of a stack of 2x2 or 3x3
+    matrices, shape (..., n, n), formed from the entry arrays M[..., i, j]:
+    the one adjugate formula of the package, under inv and the basis
+    gradients (fem._p1_gradients). Each entry array is read once per
+    product, so a component-major stack, whose entry arrays are
+    contiguous, streams. The determinants are det's, bit for bit."""
+    if M.shape[-1] == 2:
+        a, b = M[..., 0, 0], M[..., 0, 1]
+        c, d = M[..., 1, 0], M[..., 1, 1]
+        return a * d - b * c, {(0, 0): d, (0, 1): -b, (1, 0): -c, (1, 1): a}
+    r = _rows(M)
+    # the adjugate's columns are the cross products of row pairs
+    cols = [_cross(r[1], r[2]), _cross(r[2], r[0]), _cross(r[0], r[1])]
+    return (_dot(r[0], cols[0]),
+            {(i, j): cols[j][i] for i in range(3) for j in range(3)})
+
+
 def inv(M):
     """Inverses of a stack of square matrices, shape (..., n, n).
 
     2x2 and 3x3 stacks divide the adjugate by the determinant, entry by
-    entry into one output; other sizes go through LAPACK. The determinant
-    is det's, bit for bit. Raises np.linalg.LinAlgError when a
-    determinant is exactly zero, as LAPACK does on a zero pivot.
+    entry into one C-ordered output, whatever the memory order of M;
+    other sizes go through LAPACK. The determinant is det's, bit for bit.
+    Raises np.linalg.LinAlgError when a determinant is exactly zero, as
+    LAPACK does on a zero pivot.
     """
     M = np.asarray(M, dtype=float)
-    n = M.shape[-1]
-    if n == 2:
-        a, b = M[..., 0, 0], M[..., 0, 1]
-        c, d = M[..., 1, 0], M[..., 1, 1]
-        dets = a * d - b * c
-        adj = {(0, 0): d, (0, 1): -b, (1, 0): -c, (1, 1): a}
-    elif n == 3:
-        r = _rows(M)
-        # the adjugate's columns are the cross products of row pairs
-        cols = [_cross(r[1], r[2]), _cross(r[2], r[0]), _cross(r[0], r[1])]
-        dets = _dot(r[0], cols[0])
-        adj = {(i, j): cols[j][i] for i in range(3) for j in range(3)}
-    else:
+    if M.shape[-1] not in (2, 3):
         return np.linalg.inv(M)
+    dets, adj = adjugate(M)
     if np.any(dets == 0.0):
         raise np.linalg.LinAlgError("Singular matrix")
     out = np.empty(M.shape)

@@ -91,8 +91,22 @@ def _first_degenerate(nodes, edges, vols):
 
 def _edge_matrices(nodes, elements):
     """Edge matrices of the simplices, shape (E, d, d): row i is node
-    i + 1 minus node 0."""
-    return nodes[elements[:, 1:]] - nodes[elements[:, :1]]
+    i + 1 minus node 0, the one edge formula of the package.
+
+    The array is component-major, the (E, d, d) view of a contiguous
+    (d, d, E) buffer: each entry array M[:, i, j] is one contiguous row,
+    so det, geometry.adjugate and every other kernel that reads entry
+    arrays streams through memory instead of striding across whole
+    matrices. Each entry is node i + 1's coordinate j minus node 0's, the
+    bits of nodes[elements[:, 1:]] - nodes[elements[:, :1]]."""
+    d = nodes.shape[1]
+    coords = np.ascontiguousarray(nodes.T)
+    corners = np.ascontiguousarray(elements.T)
+    out = np.empty((d, d, len(elements)))
+    for j, x in enumerate(coords):
+        at = x[corners]  # coordinate j of every node of every element
+        np.subtract(at[1:], at[0], out=out[:, j])
+    return out.transpose(2, 0, 1)
 
 
 def _volumes_of(edges):
@@ -238,6 +252,8 @@ class Mesh:
             raise IndexError("facet node index out of range")
 
         self.element_regions = _tag_array(element_regions, len(elements), "elements")
+        # the topology fixes the region list; map_mesh images share it
+        self._regions = tuple(dict.fromkeys(self.element_regions.tolist()))
         self.boundary_facets = boundary_facets
         self.facet_tags = _tag_array(
             [] if facet_tags is None else facet_tags,
@@ -300,7 +316,11 @@ class Mesh:
 
     def edge_matrices(self):
         """(E, d, d) read-only: row i of element e is its node i + 1 minus
-        its node 0, in the stored orientation; volumes() came from them."""
+        its node 0, in the stored orientation; volumes() came from them.
+        The array is component-major, a view of a contiguous (d, d, E)
+        buffer, so each entry array [:, i, j] is contiguous and the
+        elementwise kernels over them (det, the basis gradients) stream
+        (_edge_matrices)."""
         return self._edges
 
     def element_coords(self):
@@ -310,8 +330,8 @@ class Mesh:
         return self.nodes[self.elements].mean(axis=1)
 
     def regions(self):
-        """Region tags in first-appearance order."""
-        return list(dict.fromkeys(self.element_regions.tolist()))
+        """Region tags in first-appearance order (a new list each call)."""
+        return list(self._regions)
 
     def boundary_tags(self):
         return list(dict.fromkeys(self.facet_tags.tolist()))
@@ -594,7 +614,7 @@ def quality(m):
         inr = vols / (0.5 * sides.sum(axis=1))
     else:
         v0 = coords[:, 0]
-        B = 2.0 * (coords[:, 1:] - v0[:, None, :])
+        B = 2.0 * m.edge_matrices()
         rhs = np.sum(coords[:, 1:] ** 2, axis=2) - np.sum(v0**2, axis=1)[:, None]
         centers = np.linalg.solve(B, rhs[..., None])[..., 0]
         circum = np.linalg.norm(centers - v0, axis=1)

@@ -445,6 +445,24 @@ def test_fold_raises_topology_change():
         app.motion_sweep(ms)
 
 
+def test_a_fold_reports_the_count_of_folded_elements():
+    spec = capacitor_spec(8)
+    m = spec.domain
+    # every moving element's corners mapped one by one, LAPACK's signs
+    moving = m.elements[m.elements_in_regions(["gap"])]
+    corners = _FoldTop().forward(m.nodes[moving].reshape(-1, 2))
+    corners = corners.reshape(moving.shape + (2,))
+    folded = int(np.sum(np.linalg.det(corners[:, 1:] - corners[:, :1]) <= 0))
+    assert folded > 0
+    ms = app.MotionSweep(base=spec, moving_region="gap",
+                         steps=[geo.Identity(2), _FoldTop()])
+    with pytest.raises(TopologyChange) as err:
+        app.motion_sweep(ms)
+    assert str(err.value) == (
+        f"step 1: the deformation folds or collapses {folded} element(s) "
+        "of the moving region")
+
+
 class _FlattenY:
     """Stub map: moves nothing but reports a rank-deficient Jacobian."""
 

@@ -626,8 +626,8 @@ def test_motion_report_copies_each_steps_timings(tmp_path):
         assert sum(timings.values()) <= step["wall_time"] * (1 + 1e-12)
 
 
-ASSEMBLY_TIMINGS = {"coefficients", "blocks", "record", "build",
-                    "record_reused"}
+ASSEMBLY_TIMINGS = {"gradients", "coefficients", "blocks", "record",
+                    "build", "record_reused"}
 
 
 def assembly_timings_are_well_formed(timings):

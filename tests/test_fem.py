@@ -816,6 +816,90 @@ def test_gradients_from_the_stored_edges_keep_the_gathered_bits():
                               fem._p1_gradients(gathered))
 
 
+def flipped_square():
+    """A 2-D box handed to Mesh with every other element inverted."""
+    square = mesh.generate_structured("box", (5, 4))
+    raw = square.elements.copy()
+    raw[::2, -2:] = raw[::2, -1:-3:-1]
+    return mesh.Mesh(square.nodes, raw, square.element_regions,
+                     square.boundary_facets, square.facet_tags)
+
+
+def banded_box(dim):
+    return mesh.generate_structured("box", (7, 5, 4)[:dim],
+                                    region_bands=[("b", 0, 0.3, 0.7)])
+
+
+GEOMETRY_CASES = {
+    "box2d": lambda: banded_box(2),
+    "box3d": lambda: banded_box(3),
+    "kuhn-flipped": kuhn_box,
+    "square-flipped": flipped_square,
+    "box2d-mapped": lambda: mesh.map_mesh(
+        banded_box(2), geo.PolarStretch(1.2, 1.4, center=(-0.3, -0.2))),
+    "box3d-mapped": lambda: mesh.map_mesh(banded_box(3), geo.Composite(
+        [geo.Rotation(0.7, [0.3, -0.5, 0.8]),
+         geo.AxisScaling([0.01, 3.0, 200.0])])),
+}
+
+
+def same_bits(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes()
+            == np.ascontiguousarray(b).tobytes())
+
+
+def entry_arrays_contiguous(stack):
+    """Whether every entry array stack[:, i, j] is one contiguous row."""
+    return all(stack[:, i, j].flags.c_contiguous
+               for i in range(stack.shape[1]) for j in range(stack.shape[2]))
+
+
+def c_ordered_gradients(edges):
+    """The basis gradients as formed from C-ordered stacks: the transposed
+    geometry.inv of the edge matrices, row 0 minus the sum of the rest."""
+    n, d = edges.shape[:2]
+    grads = np.empty((n, d + 1, d))
+    grads[:, 1:, :] = np.swapaxes(geo.inv(edges), 1, 2)
+    grads[:, 0, :] = -np.sum(grads[:, 1:, :], axis=1)
+    return grads
+
+
+@pytest.mark.parametrize("case", list(GEOMETRY_CASES))
+def test_element_geometry_is_component_major_with_the_same_bits(case):
+    m = GEOMETRY_CASES[case]()
+    el = m.elements
+    edges = m.edge_matrices()
+    assert same_bits(edges, m.nodes[el[:, 1:]] - m.nodes[el[:, :1]])
+    copy = np.ascontiguousarray(edges)
+    assert same_bits(m.volumes(),
+                     mesh._VOLUME_FACTOR[m.dim] * geo.det(copy))
+    grads = fem._p1_gradients(edges)
+    assert same_bits(grads, c_ordered_gradients(copy))
+    assert entry_arrays_contiguous(edges)
+    assert entry_arrays_contiguous(grads)
+    # assembly keeps the layout, and so do an element set's gathers of
+    # ids that are not one run
+    tag = m.boundary_tags()[0]
+    system = fem.assemble(fem.BVPSpec(m, euclidean_triplet(m.dim),
+                                      ((tag, 0.0),)))
+    assert same_bits(system.grads, grads)
+    assert entry_arrays_contiguous(system.grads)
+    ids = np.arange(0, m.n_elements, 3)
+    for group in fem.ElementSet(system, ids).groups:
+        assert same_bits(group.grads, grads[group.ids])
+        assert entry_arrays_contiguous(group.grads)
+
+
+def test_an_atlas_joins_its_patches_gradients_component_major():
+    system = fem.assemble(two_patch_atlas_spec())
+    parts = [fem._p1_gradients(p.mesh.edge_matrices())
+             for p in system.patches]
+    assert same_bits(system.grads, np.concatenate(parts))
+    assert entry_arrays_contiguous(system.grads)
+    assert system.element_dofs.flags.c_contiguous
+
+
 def test_quadrature_points_only_for_pointwise_entries(monkeypatch):
     formed = []
     points = fem._quadrature_points

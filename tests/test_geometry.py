@@ -528,6 +528,28 @@ def test_inverse_times_matrix_is_the_identity(seed, n, log_cond, inner,
     assert dev <= 4.0 * cond ** (n - 1) * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_inv_is_c_ordered_and_layout_blind(n):
+    rng = np.random.default_rng(n)
+    stacks = {"C": rng.standard_normal((40, n, n))}
+    # component-major: entry arrays contiguous, as a mesh's edge matrices
+    stacks["component-major"] = np.ascontiguousarray(
+        stacks["C"].transpose(1, 2, 0)).transpose(2, 0, 1)
+    # one matrix broadcast over (5, 8), stride zero on the leading axes
+    stacks["broadcast"] = np.broadcast_to(stacks["C"][0], (5, 8, n, n))
+    expected = geo.inv(stacks["C"])
+    for name, M in stacks.items():
+        out = geo.inv(M)
+        assert out.flags.c_contiguous, name
+        want = expected if name != "broadcast" \
+            else np.broadcast_to(expected[0], M.shape)
+        assert np.array_equal(out, want), name
+        dets, adj = geo.adjugate(M)
+        assert np.array_equal(dets, geo.det(M)), name
+        for (i, j), entry in adj.items():
+            assert np.array_equal(entry / dets, out[..., i, j]), name
+
+
 # ------------------------------------------------ piecewise radial branches
 
 

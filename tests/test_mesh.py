@@ -20,6 +20,17 @@ from tripletfem.errors import (
 # ---------------------------------------------------------------- building
 
 
+def test_the_region_list_is_kept_once_and_handed_out_as_a_copy():
+    m = msh.generate_structured("box", (4, 4),
+                                region_bands=[("band", 0, 0.5, 1.0)])
+    assert m.regions() == list(dict.fromkeys(m.element_regions.tolist()))
+    m.regions().append("stray")
+    assert m.regions() == ["domain", "band"]
+    moved = msh.map_mesh(m, geo.AxisScaling((2.0, 1.0)))
+    assert moved._regions is m._regions
+    assert moved.regions() == ["domain", "band"]
+
+
 def test_unit_cell_counts():
     m = msh.generate_structured("box", (1, 1))
     assert m.n_nodes == 4

@@ -127,11 +127,13 @@ def test_small_matrices_go_through_geometry_inv_and_det():
 
 def test_a_stray_lapack_call_is_found():
     source = (PACKAGE / "fem.py").read_text()
-    assert "inv(edges)" in source
-    broken = source.replace("inv(edges)", "np.linalg.inv(edges)")
+    anchor = "    dets, adj = adjugate(edges)\n"
+    assert anchor in source
+    broken = source.replace(anchor, "    dets, adj = np.linalg.det(edges), "
+                            "adjugate(edges)[1]\n")
     trees = dict(TREES, **{"fem.py": ast.parse(broken)})
     assert stray_lapack_calls(trees) == [
-        "fem.py:_p1_gradients calls np.linalg.inv"]
+        "fem.py:_p1_gradients calls np.linalg.det"]
 
 
 # The pointwise transforms share one repeat rule: triplet._once_if_repeated
@@ -223,3 +225,88 @@ def test_a_second_record_build_and_a_coordinate_gather_are_found():
         "fem.py:AssembledSystem.__init__ builds _CsrSum",
         "fem.py:_all_element_fields calls element_coords",
         "fem.py:_csr_sum_of builds _CsrSum"]
+
+
+# One edge formula and one adjugate formula. An edge matrix is rows 1..d
+# (or row i + 1) of one array minus its row 0, and only
+# mesh._edge_matrices forms it; every other edge matrix (the mesh's, a
+# motion step's, the oracle fem.local_stiffness's) comes from there. An
+# adjugate or a 2x2 determinant is a difference of two products, and
+# only geometry forms one: det's cofactor expansion, the cross products
+# under it, and adjugate, which geometry.inv and fem._p1_gradients share.
+FORMULA_SITES = {"mesh.py:_edge_matrices": "edge difference",
+                 "geometry.py:_cross": "difference of products",
+                 "geometry.py:det": "difference of products",
+                 "geometry.py:adjugate": "difference of products"}
+
+
+def differences(tree):
+    """(enclosing function, left, right) of every a - b and
+    np.subtract(a, b, ...) in tree."""
+    for where, node in nodes(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+            yield where, node.left, node.right
+        elif (isinstance(node, ast.Call) and len(node.args) >= 2
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "subtract"):
+            yield where, node.args[0], node.args[1]
+
+
+def takes(index, test):
+    """Whether any part of a subscript's index passes test."""
+    return any(test(part) for part in ast.walk(index))
+
+
+def is_row_zero(part):
+    return ((isinstance(part, ast.Constant) and part.value == 0)
+            or (isinstance(part, ast.Slice) and part.lower is None
+                and isinstance(part.upper, ast.Constant)
+                and part.upper.value == 1))
+
+
+def is_later_row(part):
+    return (isinstance(part, ast.Slice)
+            and isinstance(part.lower, ast.Constant)
+            and part.lower.value == 1) or (
+        isinstance(part, ast.BinOp) and isinstance(part.op, ast.Add)
+        and isinstance(part.right, ast.Constant) and part.right.value == 1)
+
+
+def formula_sites(trees):
+    found = set()
+    for name, tree in trees.items():
+        for where, left, right in differences(tree):
+            if (isinstance(left, ast.Subscript)
+                    and isinstance(right, ast.Subscript)
+                    and ast.dump(left.value) == ast.dump(right.value)
+                    and takes(left.slice, is_later_row)
+                    and takes(right.slice, is_row_zero)):
+                found.add((f"{name}:{where}", "edge difference"))
+            if all(isinstance(side, ast.BinOp)
+                   and isinstance(side.op, ast.Mult)
+                   for side in (left, right)):
+                found.add((f"{name}:{where}", "difference of products"))
+    return dict(sorted(found))
+
+
+def test_one_edge_formula_and_one_adjugate():
+    assert formula_sites(TREES) == FORMULA_SITES
+
+
+def test_a_second_edge_formula_and_adjugate_are_found():
+    apps = (PACKAGE / "applications.py").read_text()
+    edges = "    dets = det(_edge_matrices(step_map.forward(nodes), elements))\n"
+    fem = (PACKAGE / "fem.py").read_text()
+    adj = "    dets, adj = adjugate(edges)\n"
+    assert edges in apps and adj in fem
+    broken_apps = apps.replace(
+        edges, "    mapped = step_map.forward(nodes)[elements]\n"
+        "    dets = det(mapped[:, 1:, :] - mapped[:, :1, :])\n")
+    broken_fem = fem.replace(
+        adj, "    a, b, c, e = (edges[:, i, j] for i in (0, 1) for j in (0, 1))\n"
+        "    dets, adj = a * e - b * c, adjugate(edges)[1]\n")
+    trees = dict(TREES, **{"applications.py": ast.parse(broken_apps),
+                           "fem.py": ast.parse(broken_fem)})
+    assert formula_sites(trees) == dict(
+        FORMULA_SITES, **{"applications.py:_check_topology": "edge difference",
+                          "fem.py:_p1_gradients": "difference of products"})
