@@ -21,7 +21,7 @@ from .errors import (RegionNotContained, SingularJacobian, TopologyChange,
 from .geometry import (Annulus, Box, Composite, KelvinShell, MetricField,
                        PiecewiseRadial, det)
 from .mesh import (Mesh, _edge_matrices, generate_structured, map_mesh,
-                   write_csv, write_vtk)
+                   write_csv)
 from .triplet import (Triplet, eval_entry, inverse_jacobian,
                       motion_metric_field, pull_back,
                       transform_material_euclidean)
@@ -290,13 +290,13 @@ def _check_topology(step_map, nodes, elements, k):
             f"element(s) of the moving region")
 
 
-def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
+def motion_sweep(ms, *, config=None, measure_cold=False):
     """Solve every configuration of the sweep on one shared system.
 
     Per step only the moving region's element blocks are recomputed, from
     the step's metric (or material) at their quadrature points; where the
     step's Jacobian is one matrix there, its inverse, the metric (or
-    material) and K are each formed once (triplet._once_if_repeated), and
+    material) and K are each formed once (geometry._once_if_repeated), and
     "auto" quadrature integrates K with one point, as a fresh assembly
     under the step's triplet does. From step 1 on, the solver
     starts from the Galerkin projection of the new system onto the
@@ -304,19 +304,19 @@ def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
     the point of their span closest to the new solution in the energy
     norm, so never worse there than the previous solution or an
     extrapolation of the last few. A step that changes no matrix entry
-    has the last step's system, bit for bit, and takes its solution with
-    0 iterations and no solve. The preconditioner built on step 0 serves
-    the whole sweep: with the projected start, a fresh build per step
-    saves at most a few iterations and costs more time than they take,
-    most of all for IC(0). measure_cold
+    has the last step's system, entry for entry, and takes its solution
+    with 0 iterations, zero solve timings and no solve. The
+    preconditioner built on step 0 serves the whole sweep: with the
+    projected start, a fresh build per step saves at most a few
+    iterations and costs more time than they take, most of all for
+    IC(0). measure_cold
     additionally runs each step cold (zero start, fresh preconditioner) to
     expose the iteration counts the guess and the reuse avoid; the extra
     solve is excluded from the reported wall time. Each SweepStep carries
-    its phase timings; the library prints nothing. Given vtk_pattern,
-    each step's potential is written to its name from
-    MotionSweep.step_paths, which checks the pattern before step 0.
+    its phase timings; the library prints nothing and writes no file
+    (the CLI writes per-step files to the names MotionSweep.step_paths
+    gives).
     """
-    paths = None if vtk_pattern is None else ms.step_paths(vtk_pattern)
     spec = ms.base
     cfg = config if config is not None else _solver.SolverConfig()
     m = spec.domain
@@ -343,13 +343,14 @@ def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
             raise SingularJacobian(f"step {k}: {err}") from None
         t1 = t2 = time.perf_counter()
         if changed == 0 and results:
-            # the matrix and right-hand side are the last step's, bit for
-            # bit, so its solution is this one's; no guess and no solve
+            # the matrix and right-hand side equal the last step's, so
+            # its solution is this one's; no guess and no solve
             sol = replace(results[-1].solution, triplet=tri)
             info = sol.solve_info
             if info is not None:
                 sol = replace(sol, solve_info=replace(
-                    info, iterations=0, residuals=[info.residual]))
+                    info, iterations=0, residuals=[info.residual],
+                    timings={"preconditioner": 0.0, "cg": 0.0}))
         else:
             x0 = _solver.projected_guess(system.matrix, system.rhs, window)
             t2 = time.perf_counter()
@@ -370,8 +371,6 @@ def motion_sweep(ms, *, config=None, measure_cold=False, vtk_pattern=None):
             cold = _solver.solve(system.matrix, system.rhs, cfg,
                                  preconditioner=fresh)
             cold_iters = cold.iterations
-        if paths is not None:
-            write_vtk(spec.domain, paths[k], point_data={"potential": sol.u})
         iters = sol.solve_info.iterations if sol.solve_info is not None else 0
         results.append(SweepStep(step=k, solution=sol, energy=sol.energy,
                                  iterations=iters, changed_entries=changed,

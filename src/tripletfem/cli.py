@@ -465,6 +465,8 @@ def _run_solve(scn, ctx, spec=None):
     prec = info.preconditioner if info is not None else None
     return {"energy": float(sol.energy), "iterations": int(iterations),
             "residual": residual, "assembly": dict(sol.system.timings),
+            "solve": dict(info.timings) if info is not None
+            else {"preconditioner": 0.0, "cg": 0.0},
             "residual_history": info.residuals if info is not None else [0.0],
             "dofs": int(sol.u.size),
             "outputs": outputs,

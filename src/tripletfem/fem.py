@@ -363,11 +363,10 @@ def _element_rows(a, ids):
 class ElementSet:
     """Element ids of one system, prepared for repeated block updates.
 
-    The (patch, region) split, the gathered gradients and volumes, the
-    quadrature points (formed on first use), the buffer positions and the
-    matrix entries they add into depend on the ids only, so a motion
-    sweep takes them once and passes the set to every update_elements
-    call.
+    The (patch, region) split, the gathered gradients and volumes and
+    the quadrature points (formed on first use) depend on the ids only,
+    so a motion sweep takes them once and passes the set to every
+    update_elements call.
     """
 
     def __init__(self, system, element_ids):
@@ -386,24 +385,6 @@ class ElementSet:
                               _element_rows(system.grads, gids),
                               _element_rows(system.vols, gids), bary)
                        for patch, tag, gids in system._groups(ids)]
-
-    @cached_property
-    def flat(self):
-        """Positions of the set's blocks in the system's block buffer."""
-        k2 = self.system._k ** 2
-        return (self.ids[:, None] * k2 + np.arange(k2)).ravel()
-
-    @cached_property
-    def slots(self):
-        """Index into the full matrix's CSR data of the entry each of the
-        set's buffer positions adds into."""
-        system = self.system
-        n = np.int64(system.n_dofs)
-        dofs = system.element_dofs[self.ids]
-        want = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
-        A = system.full_matrix
-        rows = np.repeat(np.arange(n), np.diff(A.indptr))
-        return np.searchsorted(rows * n + A.indices, want)
 
 
 class AssembledSystem:
@@ -692,22 +673,20 @@ def update_elements(system, triplet, element_ids):
     it. All other element blocks keep their exact bits, and the matrices
     are rebuilt from the whole block buffer through the sum assembly
     recorded, so they are entrywise identical to a full reassembly under
-    the new triplet. Returns the
-    number of matrix entries that one or more changed blocks contribute
-    to.
+    the new triplet. Returns the number of full-matrix entries whose
+    value changed, so 0 says that the matrices and the right-hand side
+    equal the old ones entry for entry; NaN, which equals nothing, never
+    gets this far, as the symmetry check refuses it.
     """
     elements = element_ids if isinstance(element_ids, ElementSet) \
         else ElementSet(system, element_ids)
     if elements.system is not system:
         raise ValueError("the element set was made for another system")
-    flat = elements.flat
-    before = system.data[flat]
+    before = system.full_matrix.data
     system._fill(triplet, elements)
     system.triplet = triplet
-    hit = np.zeros(system.full_matrix.nnz, dtype=bool)
-    hit[elements.slots[system.data[flat] != before]] = True
     system._build()
-    return int(np.count_nonzero(hit))
+    return int(np.count_nonzero(system.full_matrix.data != before))
 
 
 # ------------------------------------------------------------- element ops

@@ -160,6 +160,45 @@ def inv(M):
     return out
 
 
+def _first_if_repeated(M):
+    """M's first matrix as a (1, n, n) stack when every matrix of the
+    stack equals it exactly, else None. A stack broadcast from one matrix
+    (stride zero on every leading axis) repeats without a scan, even NaN,
+    which the caller's finiteness check then meets; scanned, NaN never
+    repeats. The last matrix is compared first, so most stacks that vary
+    are turned down without a full scan."""
+    if M.size == 0:
+        return None
+    first = M[(0,) * (M.ndim - 2)]
+    repeated = not any(M.strides[:-2]) or (
+        np.all(M[(-1,) * (M.ndim - 2)] == first) and np.all(M == first))
+    return first[None] if repeated else None
+
+
+def _once_if_repeated(fn, *stacks):
+    """fn(*stacks), the one repeat rule of the pointwise transforms and
+    of Composite's Jacobian product.
+
+    When every stack repeats one matrix exactly (_first_if_repeated), fn
+    runs once on the (1, n, n) first slices and its result is returned
+    broadcast over the stacks' leading shape, with stride zero on every
+    leading axis, which spares the next transform its scan and lets
+    assembly integrate with one point. fn's kernels (inv, det, matmul)
+    work matrix by matrix, so the bits are those of the full stacks, and
+    so are the errors: a singular or non-finite matrix that repeats is
+    the first slice. Otherwise fn runs on the full stacks.
+    """
+    firsts = []
+    for M in stacks:
+        first = _first_if_repeated(M)
+        if first is None:
+            return fn(*stacks)
+        firsts.append(first)
+    lead = np.broadcast_shapes(*(M.shape[:-2] for M in stacks))
+    out = fn(*firsts)
+    return np.broadcast_to(out[0], lead + out.shape[1:])
+
+
 # ------------------------------------------------------------------ domains
 
 
@@ -361,7 +400,9 @@ class AxisScaling(ChartMap):
         if np.any(f == 0.0):
             raise NotInvertible("axis scaling factors must be nonzero")
         self.factors = f
-        self.factors.flags.writeable = False
+        self._D = np.diag(f)
+        for arr in (self.factors, self._D):
+            arr.flags.writeable = False
         self.dim = f.size
 
     def _forward(self, p):
@@ -371,10 +412,7 @@ class AxisScaling(ChartMap):
         return q / self.factors
 
     def _jacobian(self, p):
-        out = np.zeros(p.shape[:-1] + (self.dim, self.dim))
-        idx = np.arange(self.dim)
-        out[..., idx, idx] = self.factors
-        return out
+        return np.broadcast_to(self._D, p.shape[:-1] + self._D.shape)
 
     def __repr__(self):
         return f"AxisScaling({self.factors.tolist()})"
@@ -734,7 +772,7 @@ class Composite(ChartMap):
         J = self.members[0].jacobian(p)
         x = self.members[0].forward(p)
         for m in self.members[1:]:
-            J = matmul(m.jacobian(x), J)
+            J = _once_if_repeated(matmul, m.jacobian(x), J)
             x = m.forward(x)
         return J
 

@@ -169,11 +169,9 @@ def _facet_counts(elements, facets, n_nodes):
 
 
 def _tag_array(tags, count, what):
-    """The tags as an object array of str: a 1-D numpy unicode array as
-    it is, anything else through str() per tag (2.5 keeps its text)."""
-    if not (isinstance(tags, np.ndarray) and tags.dtype.kind == "U"
-            and tags.ndim == 1):
-        tags = [str(t) for t in tags]
+    """The tags as an object array of str, through str() per tag (2.5
+    keeps its text)."""
+    tags = [str(t) for t in tags]
     if len(tags) != count:
         raise LengthMismatch(f"{what}: got {len(tags)} tags for {count} entries")
     out = np.empty(count, dtype=object)
@@ -698,130 +696,104 @@ def write_msh(m, path):
 
 def read_msh(path):
     """Parse the subset written by write_msh: MSH 2.2 ASCII with 2/3/4-node
-    simplices. Malformed content is reported with its line number."""
+    simplices. Malformed content is reported with its line number, or,
+    for a missing section, with the section's name."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read().splitlines()
     except UnicodeDecodeError as err:
         raise MalformedFile(f"{path}: not UTF-8 text: {err}") from None
 
-    def fail(ln, msg):
-        raise MalformedFile(f"{path}: line {ln}: {msg}")
+    def fail(ln, msg, error=MalformedFile):
+        raise error(f"{path}: line {ln}: {msg}")
 
-    idx = 0
+    # the non-blank lines, stripped, with their line numbers
+    rows = iter([(ln, s) for ln, s in enumerate(map(str.strip, raw), 1) if s])
 
     def next_line():
-        nonlocal idx
-        while idx < len(raw) and not raw[idx].strip():
-            idx += 1
-        if idx >= len(raw):
+        row = next(rows, None)
+        if row is None:
             fail(len(raw), "unexpected end of file")
-        idx += 1
-        return idx, raw[idx - 1].strip()
+        return row
+
+    def expect(what):
+        ln, line = next_line()
+        if line != what:
+            fail(ln, f"expected {what}")
+
+    def section(what, row_parser, end_marker):
+        """A section's rows: a count line, that many rows, each parsed by
+        row_parser(ln, row), then end_marker."""
+        ln, count = next_line()
+        try:
+            count = int(count)
+        except ValueError:
+            fail(ln, f"bad {what} count {count!r}")
+        out = [row_parser(*next_line()) for _ in range(count)]
+        expect(end_marker)
+        return out
+
+    def name_row(ln, row):
+        match = _PHYS_NAME.match(row)
+        if not match:
+            fail(ln, f"bad physical name entry {row!r}")
+        return int(match.group(2)), match.group(3)
+
+    def node_row(ln, row):
+        parts = row.split()
+        if len(parts) != 4:
+            fail(ln, f"node line needs 'id x y z', found {row!r}")
+        try:
+            return int(parts[0]), [float(v) for v in parts[1:]]
+        except ValueError:
+            fail(ln, f"unparseable node line {row!r}")
+
+    def element_row(ln, row):
+        try:
+            values = [int(v) for v in row.split()]
+        except ValueError:
+            fail(ln, f"unparseable element line {row!r}")
+        if len(values) < 3:
+            fail(ln, f"element line too short: {row!r}")
+        etype, ntags = values[1], values[2]
+        if etype not in _MSH_NODES:
+            fail(ln, f"element type {etype} is not supported (2-node lines, "
+                     "3-node triangles and 4-node tetrahedra only)",
+                 UnsupportedVersion)
+        conn = values[3 + ntags:]
+        if len(conn) != _MSH_NODES[etype]:
+            fail(ln, f"element type {etype} needs {_MSH_NODES[etype]} nodes, "
+                     f"found {len(conn)}")
+        return ln, etype, values[3] if ntags >= 1 else 0, conn
 
     ln, line = next_line()
     if line != "$MeshFormat":
         fail(ln, f"expected $MeshFormat, found {line!r}")
     ln, line = next_line()
-    parts = line.split()
-    if not parts or parts[0] != "2.2":
-        raise UnsupportedVersion(
-            f"{path}: line {ln}: MSH version {parts[0] if parts else '?'}; "
-            "only 2.2 ASCII is supported")
-    if len(parts) > 1 and parts[1] != "0":
-        raise UnsupportedVersion(f"{path}: line {ln}: binary MSH is not supported")
-    ln, line = next_line()
-    if line != "$EndMeshFormat":
-        fail(ln, "expected $EndMeshFormat")
+    version = line.split()
+    if version[0] != "2.2":
+        fail(ln, f"MSH version {version[0]}; only 2.2 ASCII is supported",
+             UnsupportedVersion)
+    if len(version) > 1 and version[1] != "0":
+        fail(ln, "binary MSH is not supported", UnsupportedVersion)
+    expect("$EndMeshFormat")
 
-    names = {}
-    nodes = []
-    node_ids = {}
-    raw_elements = []  # (type, phys, node ids)
-
-    while idx < len(raw):
-        start = idx
-        while idx < len(raw) and not raw[idx].strip():
-            idx += 1
-        if idx >= len(raw):
-            break
-        ln, header = next_line()
+    names, node_ids, nodes, raw_elements = {}, {}, [], []
+    for ln, header in rows:
         if header == "$PhysicalNames":
-            ln, count = next_line()
-            try:
-                count = int(count)
-            except ValueError:
-                fail(ln, f"bad physical-name count {count!r}")
-            for _ in range(count):
-                ln, entry = next_line()
-                match = _PHYS_NAME.match(entry)
-                if not match:
-                    fail(ln, f"bad physical name entry {entry!r}")
-                names[int(match.group(2))] = match.group(3)
-            ln, end = next_line()
-            if end != "$EndPhysicalNames":
-                fail(ln, "expected $EndPhysicalNames")
+            names.update(section("physical-name", name_row,
+                                 "$EndPhysicalNames"))
         elif header == "$Nodes":
-            ln, count = next_line()
-            try:
-                count = int(count)
-            except ValueError:
-                fail(ln, f"bad node count {count!r}")
-            for _ in range(count):
-                ln, entry = next_line()
-                parts = entry.split()
-                if len(parts) != 4:
-                    fail(ln, f"node line needs 'id x y z', found {entry!r}")
-                try:
-                    nid = int(parts[0])
-                    xyz = [float(v) for v in parts[1:]]
-                except ValueError:
-                    fail(ln, f"unparseable node line {entry!r}")
+            for nid, xyz in section("node", node_row, "$EndNodes"):
                 node_ids[nid] = len(nodes)
                 nodes.append(xyz)
-            ln, end = next_line()
-            if end != "$EndNodes":
-                fail(ln, "expected $EndNodes")
         elif header == "$Elements":
-            ln, count = next_line()
-            try:
-                count = int(count)
-            except ValueError:
-                fail(ln, f"bad element count {count!r}")
-            for _ in range(count):
-                ln, entry = next_line()
-                parts = entry.split()
-                try:
-                    values = [int(v) for v in parts]
-                except ValueError:
-                    fail(ln, f"unparseable element line {entry!r}")
-                if len(values) < 3:
-                    fail(ln, f"element line too short: {entry!r}")
-                etype, ntags = values[1], values[2]
-                if etype not in _MSH_NODES:
-                    raise UnsupportedVersion(
-                        f"{path}: line {ln}: element type {etype} is not "
-                        "supported (2-node lines, 3-node triangles and "
-                        "4-node tetrahedra only)")
-                want = _MSH_NODES[etype]
-                conn = values[3 + ntags:]
-                if len(conn) != want:
-                    fail(ln, f"element type {etype} needs {want} nodes, "
-                             f"found {len(conn)}")
-                phys = values[3] if ntags >= 1 else 0
-                raw_elements.append((etype, phys, conn))
-            ln, end = next_line()
-            if end != "$EndElements":
-                fail(ln, "expected $EndElements")
+            raw_elements += section("element", element_row, "$EndElements")
         else:
             # skip unknown sections (comments, periodic data, ...)
             closer = "$End" + header.lstrip("$")
-            while True:
-                ln, entry = next_line()
-                if entry == closer:
-                    break
-        if idx == start:
-            break
+            while next_line()[1] != closer:
+                pass
 
     if not nodes:
         raise MalformedFile(f"{path}: no $Nodes section found")
@@ -829,30 +801,20 @@ def read_msh(path):
         raise MalformedFile(f"{path}: no $Elements section found")
 
     nodes = np.asarray(nodes, dtype=float)
-    types = {etype for etype, _, _ in raw_elements}
-    dim = 3 if 4 in types else 2
-    if dim == 2:
-        nodes = nodes[:, :2]
-    cell_type = _MSH_TYPE[dim + 1]
-    facet_type = _MSH_TYPE[dim]
-
-    def tag_of(phys):
-        return names.get(phys, str(phys))
-
-    elements, regions, facets, ftags = [], [], [], []
-    for etype, phys, conn in raw_elements:
+    dim = 3 if any(etype == 4 for _, etype, _, _ in raw_elements) else 2
+    # cells and facets: connectivity and tags, by element type
+    kept = {_MSH_TYPE[dim + 1]: ([], []), _MSH_TYPE[dim]: ([], [])}
+    for ln, etype, phys, conn in raw_elements:
         try:
             conn = [node_ids[c] for c in conn]
         except KeyError as e:
-            raise MalformedFile(f"{path}: element references unknown node {e}")
-        if etype == cell_type:
-            elements.append(conn)
-            regions.append(tag_of(phys))
-        elif etype == facet_type:
-            facets.append(conn)
-            ftags.append(tag_of(phys))
+            fail(ln, f"element references unknown node {e}")
         # lower-dimensional entities (points/lines in 3D) are ignored
-    return Mesh(nodes, np.asarray(elements), regions,
+        if etype in kept:
+            kept[etype][0].append(conn)
+            kept[etype][1].append(names.get(phys, str(phys)))
+    (elements, regions), (facets, ftags) = kept.values()
+    return Mesh(nodes[:, :dim], np.asarray(elements), regions,
                 np.asarray(facets) if facets else None,
                 ftags if facets else None)
 

@@ -16,6 +16,7 @@ from the Galerkin projection onto earlier solutions (Fischer, CMAME 163,
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +55,16 @@ class SolverConfig:
 class SolveResult:
     """residuals holds every residual norm the loop compared with the
     target, in order: ||b - A x0|| first, the returned residual last
-    (a zero right-hand side returns x = 0 and [0.0])."""
+    (a zero right-hand side returns x = 0 and [0.0]). timings holds the
+    seconds of the solve's phases: preconditioner (its build inside
+    solve, 0.0 for one passed in) and cg (the iteration)."""
 
     x: np.ndarray
     iterations: int
     residual: float
     preconditioner: "Preconditioner"
     residuals: list
+    timings: dict
 
 
 class Preconditioner:
@@ -218,24 +222,31 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     max_iter = config.max_iter if config.max_iter is not None else 10 * max(n, 1)
+    t0 = time.perf_counter()
     prec = preconditioner
     if prec is None:
         prec = build_preconditioner(A, config.preconditioner)
+    t1 = time.perf_counter()
+    built = t1 - t0 if preconditioner is None else 0.0
+
+    def result(x, iterations, residual, history):
+        timings = {"preconditioner": built, "cg": time.perf_counter() - t1}
+        return SolveResult(x=x, iterations=iterations, residual=residual,
+                           preconditioner=prec, residuals=history,
+                           timings=timings)
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
 
     norm_b = math.sqrt(b @ b)
     if norm_b == 0.0:
-        return SolveResult(x=np.zeros(n), iterations=0, residual=0.0,
-                           preconditioner=prec, residuals=[0.0])
+        return result(np.zeros(n), 0, 0.0, [0.0])
     target = config.tol * norm_b
 
     r = b - A @ x
     res = math.sqrt(r @ r)
     history = [res]
     if res <= target:
-        return SolveResult(x=x, iterations=0, residual=res,
-                           preconditioner=prec, residuals=history)
+        return result(x, 0, res, history)
 
     z = prec.apply(r)
     p = z.copy()
@@ -260,8 +271,7 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
             true_res = math.sqrt(true_r @ true_r)
             history.append(true_res)
             if true_res <= target:
-                return SolveResult(x=x, iterations=it, residual=true_res,
-                                   preconditioner=prec, residuals=history)
+                return result(x, it, true_res, history)
             # recurrence drifted: continue from the true residual
             r = true_r
             res = true_res

@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry
 from .errors import (AsymmetricCoefficient, DimensionMismatch,
                      NonFiniteCoefficient, SingularJacobian)
-from .geometry import eval_entry, material_matrix
+from .geometry import _once_if_repeated, eval_entry, material_matrix
 
 # |det J| at or below this floor counts as singular.
 DET_FLOOR = 1e-300
@@ -145,44 +145,6 @@ def transform_field(E_j, S_i, S_j, J):
 def virtual_emf(E, S, dr):
     """Voltage increment E^T S dr along a coordinate increment dr."""
     return geometry.inner_product(S, E, dr)
-
-
-def _first_if_repeated(M):
-    """M's first matrix as a (1, n, n) stack when every matrix of the
-    stack equals it exactly, else None. A stack broadcast from one matrix
-    (stride zero on every leading axis) repeats without a scan, even NaN,
-    which the caller's finiteness check then meets; scanned, NaN never
-    repeats. The last matrix is compared first, so most stacks that vary
-    are turned down without a full scan."""
-    if M.size == 0:
-        return None
-    first = M[(0,) * (M.ndim - 2)]
-    repeated = not any(M.strides[:-2]) or (
-        np.all(M[(-1,) * (M.ndim - 2)] == first) and np.all(M == first))
-    return first[None] if repeated else None
-
-
-def _once_if_repeated(fn, *stacks):
-    """fn(*stacks), the one repeat rule of the pointwise transforms.
-
-    When every stack repeats one matrix exactly (_first_if_repeated), fn
-    runs once on the (1, n, n) first slices and its result is returned
-    broadcast over the stacks' leading shape, with stride zero on every
-    leading axis, which spares the next transform its scan and lets
-    assembly integrate with one point. fn's kernels (geometry.inv, det,
-    matmul) work matrix by matrix, so the bits are those of the full
-    stacks, and so are the errors: a singular or non-finite matrix that
-    repeats is the first slice. Otherwise fn runs on the full stacks.
-    """
-    firsts = []
-    for M in stacks:
-        first = _first_if_repeated(M)
-        if first is None:
-            return fn(*stacks)
-        firsts.append(first)
-    lead = np.broadcast_shapes(*(M.shape[:-2] for M in stacks))
-    out = fn(*firsts)
-    return np.broadcast_to(out[0], lead + out.shape[1:])
 
 
 def _require_finite(M, name):

@@ -1,12 +1,15 @@
 """Open-boundary shells, chart reparameterization, and motion sweeps."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.interpolate import LinearNDInterpolator
 
 from tripletfem import applications as app
+from tripletfem import cli
 from tripletfem import fem, geometry as geo, mesh, triplet as tp
 from tripletfem.errors import (RegionNotContained, SingularJacobian,
                                TopologyChange, UnknownTag)
@@ -275,6 +278,8 @@ def test_a_step_that_changes_nothing_reuses_the_last_solution():
     info = again.solution.solve_info
     assert info.iterations == 0
     assert info.residuals == [first.solution.solve_info.residual]
+    assert info.timings == {"preconditioner": 0.0, "cg": 0.0}
+    assert first.solution.solve_info.timings["cg"] > 0.0
     assert again.solution.triplet is not first.solution.triplet
     assert moved.changed_entries > 0 and moved.energy < again.energy
 
@@ -637,11 +642,32 @@ def test_sweep_csv_format(tmp_path):
         assert float(wall) == 0.0
 
 
-def test_sweep_writes_per_step_vtk(tmp_path):
-    spec = capacitor_spec(8)
-    ms = app.MotionSweep(base=spec, moving_region="gap",
+def cli_capacitor_sweep(tmp_path, vtk_pattern):
+    """A CLI motion scenario of capacitor_spec(8) swept by [Identity,
+    gap_stretch(1.5)], writing per-step VTK files to vtk_pattern."""
+    steps = [{"kind": "identity"},
+             {"kind": "axis-piecewise-linear", "axis": 1,
+              "breaks": [0.0, 0.5, 1.0], "images": [0.0, 0.5, 1.25]}]
+    scn = {"name": "cap", "dimension": 2, "mode": "motion",
+           "mesh": {"generator": {"shape": "box", "divisions": [8, 8],
+                                  "region_bands": [["gap", 1, 0.5, 1.0]]}},
+           "boundary": [{"tag": "bottom", "value": 0.0},
+                        {"tag": "top", "value": 1.0}],
+           "motion": {"moving_region": "gap", "steps": steps},
+           "outputs": {"vtk": vtk_pattern}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scn))
+    return str(path)
+
+
+def test_sweep_writes_per_step_vtk(tmp_path, capsys):
+    # the sweep names the step files; the CLI's output table writes them
+    ms = app.MotionSweep(base=capacitor_spec(8), moving_region="gap",
                          steps=[geo.Identity(2), gap_stretch(1.5)])
-    app.motion_sweep(ms, vtk_pattern=str(tmp_path / "cap_{step}.vtk"))
+    assert ms.step_paths(str(tmp_path / "cap_{step}.vtk")) == [
+        str(tmp_path / "cap_0.vtk"), str(tmp_path / "cap_1.vtk")]
+    path = cli_capacitor_sweep(tmp_path, "cap_{step}.vtk")
+    assert cli.main(["motion", path]) == 0
     assert (tmp_path / "cap_0.vtk").exists()
     assert (tmp_path / "cap_1.vtk").exists()
 
@@ -652,18 +678,25 @@ def test_sweep_writes_per_step_vtk(tmp_path):
     ("m{step}{.vtk", "ValueError"),
     ("m.vtk", "gives two steps one name"),
 ])
-def test_a_bad_vtk_pattern_fails_before_step_0(tmp_path, monkeypatch,
+def test_a_bad_vtk_pattern_fails_before_step_0(tmp_path, monkeypatch, capsys,
                                                pattern, why):
     # the first three once failed after step 0's solve, the last wrote
     # every step over one file
-    def no_assembly(spec):
-        raise AssertionError("the sweep assembled before the check")
-
-    monkeypatch.setattr(fem, "assemble", no_assembly)
     ms = app.MotionSweep(base=capacitor_spec(4), moving_region="gap",
                          steps=[geo.Identity(2), gap_stretch(1.5)])
     full = str(tmp_path / pattern)
     with pytest.raises(ValueError) as err:
-        app.motion_sweep(ms, vtk_pattern=full)
+        ms.step_paths(full)
     assert repr(full) in str(err.value) and why in str(err.value)
-    assert list(tmp_path.iterdir()) == []
+
+    def no_assembly(spec):
+        raise AssertionError("the sweep assembled before the check")
+
+    monkeypatch.setattr(fem, "assemble", no_assembly)
+    path = cli_capacitor_sweep(tmp_path, pattern)
+    assert cli.main(["motion", path]) == 2
+    error = json.loads(Path(path + ".report.json").read_text())["error"]
+    assert error["field"] == "outputs.vtk"
+    assert repr(pattern) in error["message"] and why in error["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "scenario.json", "scenario.json.report.json"]

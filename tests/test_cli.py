@@ -549,6 +549,7 @@ def test_open_boundary_scenario_solves_exterior_problem(tmp_path):
     assert rep["energy"] > 0.0
     assert rep["shell"] == {"a": 1.0, "b": 2.0, "center": [0.0, 0.0]}
     assert (tmp_path / "dipole.vtk").exists()
+    assert solve_timings_are_well_formed(rep["solve"])
 
 
 @pytest.mark.parametrize("preconditioner", ["ic0", "jacobi"])
@@ -636,6 +637,18 @@ def assembly_timings_are_well_formed(timings):
     assert all(timings[k] >= 0.0 for k in ASSEMBLY_TIMINGS
                if k != "record_reused")
     return True
+
+
+def solve_timings_are_well_formed(timings):
+    assert set(timings) == {"preconditioner", "cg"}
+    assert all(t >= 0.0 for t in timings.values())
+    return True
+
+
+def test_solve_report_copies_the_solve_timings(tmp_path):
+    path = write_scenario(tmp_path, square_solve_scenario())
+    assert cli.main(["solve", path]) == 0
+    assert solve_timings_are_well_formed(report_of(path)["solve"])
 
 
 def test_reports_copy_the_assembly_timings(tmp_path):

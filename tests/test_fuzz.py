@@ -8,12 +8,13 @@ error).
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 from tripletfem import cli, mesh
-from tripletfem.errors import TripletFemError
+from tripletfem.errors import MalformedFile, TripletFemError
 
 MSH_TOKENS = ["0", "-1", "1", "2", "3", "4", "15", "999", "0.5", "nan", "inf",
               "-inf", "1e308", "-1e308", "1e-310", "x", "", '"t"', "2.2",
@@ -60,6 +61,12 @@ def test_mutated_msh_files_raise_only_typed_errors(tmp_path, divisions):
         path.write_text("\n".join(lines) + "\n")
         try:
             mesh.read_msh(path)
+        except MalformedFile as err:
+            # every malformed-content message names its line, or the
+            # section the file lacks
+            assert re.match(rf"{re.escape(str(path))}: (line \d+: |no "
+                            r"\$(Nodes|Elements) section found$)",
+                            str(err)), (case, str(err))
         except TripletFemError:
             pass
 

@@ -227,6 +227,40 @@ def test_composite_rejects_mixed_dimensions():
         geo.Composite([geo.Rotation(0.1), geo.AxisScaling([1.0, 2.0, 3.0])])
 
 
+def per_point_jacobian(chart, p):
+    """Composite's Jacobian product formed at every point."""
+    J = np.array(chart.members[0].jacobian(p))
+    x = chart.members[0].forward(p)
+    for m in chart.members[1:]:
+        J = geo.matmul(np.array(m.jacobian(x)), J)
+        x = m.forward(x)
+    return J
+
+
+@pytest.mark.parametrize("members, repeated", [
+    ([geo.Rotation(0.3), geo.AxisScaling((2.0, 0.5))], True),
+    ([geo.Rotation(0.7, (1.0, 2.0, 2.0)), geo.AxisScaling((0.3, 2.0, 5.0)),
+      geo.Affine([[1.0, 0.2, 0.0], [0.0, 1.0, 0.3], [0.1, 0.0, 1.0]])], True),
+    ([geo.AxisScaling((2.0, 0.5)), geo.PolarStretch(1.2, 1.4),
+      geo.Rotation(0.3)], False),
+], ids=["affine-2d", "affine-3d", "curved-2d"])
+def test_composite_jacobian_forms_a_repeated_product_once(members, repeated):
+    chart = geo.Composite(members)
+    dim = members[0].dim
+    p = 0.5 + np.random.default_rng(dim).random((7, 5, dim))
+    J = chart.jacobian(p)
+    assert J.shape == (7, 5, dim, dim)
+    assert (not any(J.strides[:-2])) == repeated
+    assert np.array_equal(J, per_point_jacobian(chart, p))
+
+
+def test_axis_scaling_jacobian_is_its_diagonal_broadcast():
+    J = geo.AxisScaling((2.0, -0.5, 3.0)).jacobian(np.ones((4, 3)))
+    assert J.strides[0] == 0 and not J.flags.writeable
+    assert np.array_equal(J, np.broadcast_to(np.diag([2.0, -0.5, 3.0]),
+                                             (4, 3, 3)))
+
+
 def test_identity_detection_through_composites():
     assert geo.Identity().is_identity()
     assert geo.Composite([geo.Identity(2), geo.Identity(2)]).is_identity()

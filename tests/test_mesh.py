@@ -480,6 +480,82 @@ $EndNodes
     assert "line 7" in str(err.value)
 
 
+MSH_HEAD = "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
+MSH_NODES = "$Nodes\n3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n$EndNodes\n"
+MSH_ELEMENTS = "$Elements\n1\n1 2 2 7 7 1 2 3\n$EndElements\n"
+
+
+@pytest.mark.parametrize("content, error, message", [
+    ("$MeshFormat\n2.2 0 8\n\n", MalformedFile,
+     "line 3: unexpected end of file"),
+    ("\nhello\n", MalformedFile,
+     "line 2: expected $MeshFormat, found 'hello'"),
+    ("$MeshFormat\n4.1 0 8\n$EndMeshFormat\n", UnsupportedVersion,
+     "line 2: MSH version 4.1; only 2.2 ASCII is supported"),
+    ("$MeshFormat\n2.2 1 8\n$EndMeshFormat\n", UnsupportedVersion,
+     "line 2: binary MSH is not supported"),
+    ("$MeshFormat\n2.2 0 8\n$Nodes\n", MalformedFile,
+     "line 3: expected $EndMeshFormat"),
+    (MSH_HEAD + "$PhysicalNames\none\n", MalformedFile,
+     "line 5: bad physical-name count 'one'"),
+    (MSH_HEAD + "$PhysicalNames\n1\n2 7 t\n", MalformedFile,
+     "line 6: bad physical name entry '2 7 t'"),
+    (MSH_HEAD + '$PhysicalNames\n1\n2 7 "t"\n$Nodes\n', MalformedFile,
+     "line 7: expected $EndPhysicalNames"),
+    (MSH_HEAD + "$Nodes\n3.0\n", MalformedFile,
+     "line 5: bad node count '3.0'"),
+    (MSH_HEAD + "$Nodes\n1\n1 0 0\n", MalformedFile,
+     "line 6: node line needs 'id x y z', found '1 0 0'"),
+    (MSH_HEAD + "$Nodes\n1\n1 0 x 0\n", MalformedFile,
+     "line 6: unparseable node line '1 0 x 0'"),
+    (MSH_HEAD + "$Nodes\n1\n1 0 0 0\n\n$Elements\n", MalformedFile,
+     "line 8: expected $EndNodes"),
+    (MSH_HEAD + MSH_NODES + "$Elements\n-\n", MalformedFile,
+     "line 11: bad element count '-'"),
+    (MSH_HEAD + MSH_NODES + "$Elements\n1\n1 2 2 7 7 1 2 x\n", MalformedFile,
+     "line 12: unparseable element line '1 2 2 7 7 1 2 x'"),
+    (MSH_HEAD + MSH_NODES + "$Elements\n1\n1 2\n", MalformedFile,
+     "line 12: element line too short: '1 2'"),
+    (MSH_HEAD + MSH_NODES + "$Elements\n1\n1 3 0 1 2 3\n", UnsupportedVersion,
+     "line 12: element type 3 is not supported (2-node lines, 3-node "
+     "triangles and 4-node tetrahedra only)"),
+    (MSH_HEAD + MSH_NODES + "$Elements\n1\n1 2 2 7 7 1 2\n", MalformedFile,
+     "line 12: element type 2 needs 3 nodes, found 2"),
+    (MSH_HEAD + MSH_NODES + "$Elements\n1\n1 2 2 7 7 1 2 3\n$EndNodes\n",
+     MalformedFile, "line 13: expected $EndElements"),
+    (MSH_HEAD + "$Comments\nno end\n", MalformedFile,
+     "line 5: unexpected end of file"),
+    (MSH_HEAD + MSH_ELEMENTS, MalformedFile, "no $Nodes section found"),
+    (MSH_HEAD + "$Nodes\n0\n$EndNodes\n" + MSH_ELEMENTS, MalformedFile,
+     "no $Nodes section found"),
+    (MSH_HEAD + MSH_NODES, MalformedFile, "no $Elements section found"),
+    (MSH_HEAD + MSH_NODES + "$Elements\n2\n1 2 2 7 7 1 2 3\n\n"
+     "2 2 2 7 7 1 3 9\n$EndElements\n", MalformedFile,
+     "line 14: element references unknown node 9"),
+], ids=["end-of-file", "no-format", "version", "binary", "no-end-format",
+        "name-count", "name-entry", "no-end-names", "node-count",
+        "node-arity", "node-line", "no-end-nodes", "element-count",
+        "element-line", "element-short", "element-type", "element-nodes",
+        "no-end-elements", "unknown-section-open", "no-nodes",
+        "empty-nodes", "no-elements", "unknown-node"])
+def test_each_msh_error_site_keeps_its_type_and_message(tmp_path, content,
+                                                        error, message):
+    path = tmp_path / "bad.msh"
+    path.write_text(content)
+    with pytest.raises(error) as err:
+        msh.read_msh(path)
+    assert type(err.value) is error
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_a_file_that_is_not_utf8_is_malformed(tmp_path):
+    path = tmp_path / "bad.msh"
+    path.write_bytes(b"$MeshFormat\n\xff\n")
+    with pytest.raises(MalformedFile) as err:
+        msh.read_msh(path)
+    assert str(err.value).startswith(f"{path}: not UTF-8 text: ")
+
+
 def test_vtk_writer_blocks(tmp_path):
     m = msh.generate_structured("box", (2, 2))
     u = m.nodes[:, 0]

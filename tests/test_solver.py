@@ -183,6 +183,20 @@ def test_zero_rhs_returns_zero():
     assert np.all(res.x == 0.0)
 
 
+def test_solve_times_its_preconditioner_build_and_cg():
+    A, b = laplace_1d(50), np.ones(50)
+    own = slv.solve(A, b)
+    assert set(own.timings) == {"preconditioner", "cg"}
+    assert own.timings["preconditioner"] > 0.0 and own.timings["cg"] > 0.0
+    # a preconditioner passed in was built elsewhere
+    prec = slv.build_preconditioner(A, "jacobi")
+    given = slv.solve(A, b, preconditioner=prec)
+    assert given.timings["preconditioner"] == 0.0
+    assert given.timings["cg"] > 0.0
+    assert set(slv.solve(A, np.zeros(50), preconditioner=prec).timings) \
+        == {"preconditioner", "cg"}
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         slv.SolverConfig(tol=0.0)

@@ -136,9 +136,10 @@ def test_a_stray_lapack_call_is_found():
         "fem.py:_p1_gradients calls np.linalg.det"]
 
 
-# The pointwise transforms share one repeat rule: triplet._once_if_repeated
-# is the only function that asks whether a stack repeats one matrix, so
-# no transform keeps a first-slice branch of its own.
+# The pointwise transforms and Composite's Jacobian share one repeat rule:
+# geometry._once_if_repeated is the only function that asks whether a
+# stack repeats one matrix, so no transform keeps a first-slice branch of
+# its own.
 def first_slice_callers(trees):
     return sorted(f"{name}:{where}"
                   for name, tree in trees.items()
@@ -148,7 +149,7 @@ def first_slice_callers(trees):
 
 
 def test_one_repeat_rule_for_the_pointwise_transforms():
-    assert first_slice_callers(TREES) == ["triplet.py:_once_if_repeated"]
+    assert first_slice_callers(TREES) == ["geometry.py:_once_if_repeated"]
 
 
 def test_a_second_first_slice_branch_is_found():
@@ -159,8 +160,8 @@ def test_a_second_first_slice_branch_is_found():
         anchor, "    J_1 = _first_if_repeated(J)\n    J = J if J_1 is None "
         "else J_1\n" + anchor)
     trees = dict(TREES, **{"triplet.py": ast.parse(broken)})
-    assert first_slice_callers(trees) == ["triplet.py:_motion_metric",
-                                          "triplet.py:_once_if_repeated"]
+    assert first_slice_callers(trees) == ["geometry.py:_once_if_repeated",
+                                          "triplet.py:_motion_metric"]
 
 
 # Every number a file or the command line gets is formatted by
