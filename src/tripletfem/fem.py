@@ -16,9 +16,11 @@ depends on the element dofs and the Dirichlet dofs alone; it is
 recorded once per mesh topology (_CsrSum), kept in a slot the mesh
 shares with its map_mesh images (an Atlas keeps its own), and every
 build gathers the buffer into that order and runs scipy's own duplicate
-sum. A partial update replaces the blocks of a subset of elements and
-rebuilds through the same record, so its matrices are bit-identical to
-a full reassembly with the same inputs: both run the same code.
+sum, which adds each row apart from the others. A partial update
+replaces the blocks of a subset of elements and re-sums only the rows
+they touch, through their part of the same record; the first build is
+the re-sum of every row. So an update's matrices are bit-identical to a
+full reassembly with the same inputs: both run the same code.
 """
 
 import time
@@ -351,22 +353,33 @@ class _Group:
             mesh.elements[self.ids - self.patch.elem_offset])
 
 
+def _run(ids):
+    """ids as the slice ids[0]:ids[-1] + 1 where the sorted ids, without
+    repeats, are one run, as a region of a structured mesh and the rows
+    it touches often are; else None."""
+    if ids.size and ids[-1] - ids[0] == ids.size - 1:
+        return slice(int(ids[0]), int(ids[-1]) + 1)
+    return None
+
+
 def _element_rows(a, ids):
     """a[ids] for sorted ids without repeats, in a's memory order: a view
-    where they are one run, as a region of a structured mesh often is,
-    else gathered along the element axis of a's component-major buffer."""
-    if ids.size and ids[-1] - ids[0] == ids.size - 1:
-        return a[ids[0]:ids[-1] + 1]
+    where they are one run, else gathered along the element axis of a's
+    component-major buffer."""
+    run = _run(ids)
+    if run is not None:
+        return a[run]
     return np.moveaxis(np.take(np.moveaxis(a, 0, -1), ids, axis=-1), -1, 0)
 
 
 class ElementSet:
     """Element ids of one system, prepared for repeated block updates.
 
-    The (patch, region) split, the gathered gradients and volumes and
-    the quadrature points (formed on first use) depend on the ids only,
-    so a motion sweep takes them once and passes the set to every
-    update_elements call.
+    The (patch, region) split, the gathered gradients and volumes, the
+    quadrature points and the rows of the matrix the elements touch
+    with their part of the summation record (both formed on first use)
+    depend on the ids only, so a motion sweep takes them once and passes
+    the set to every update_elements call.
     """
 
     def __init__(self, system, element_ids):
@@ -386,6 +399,18 @@ class ElementSet:
                               _element_rows(system.vols, gids), bary)
                        for patch, tag, gids in system._groups(ids)]
 
+    @cached_property
+    def rows(self):
+        """The _RowSum of the matrix rows the elements touch: the dofs of
+        their nodes. Every other row sums no entry of their blocks. The
+        set of every element takes the record's part of every row."""
+        system = self.system
+        if self.ids.size == system.n_elements:
+            return system._csr_sum.every_row
+        touched = np.zeros(system.n_dofs, dtype=bool)
+        touched[system.element_dofs[self.ids]] = True
+        return _RowSum(system._csr_sum, np.flatnonzero(touched))
+
 
 class AssembledSystem:
     """Stiffness matrix, eliminated boundary data, and the element-block
@@ -398,7 +423,10 @@ class AssembledSystem:
     quadrature points), blocks (the element blocks), record (the lookup,
     or the build, of the summation record) and build (the matrices), and
     record_reused tells whether the record was one the domain already
-    kept. The library prints none of it.
+    kept. update_timings holds the last update_elements call's phases,
+    coefficients, blocks and rebuild (the re-sum of the rows it
+    touched), and is None before the first. The library prints none of
+    it.
     """
 
     def __init__(self, spec):
@@ -436,10 +464,13 @@ class AssembledSystem:
         t0 = time.perf_counter()
         self._csr_sum, reused = _csr_sum_of(self)
         t1 = time.perf_counter()
-        self._build()
+        # the first build is the sum of every row
+        self.full_matrix = self._skew = None
+        self._build(self._csr_sum.every_row)
         timings.update(record=t1 - t0, build=time.perf_counter() - t1,
                        record_reused=reused)
         self.timings = {"gradients": gradients, **timings}
+        self.update_timings = None
 
     # -- element blocks
 
@@ -521,10 +552,48 @@ class AssembledSystem:
 
     # -- matrices
 
-    def _build(self):
-        """Sum the block buffer into the matrices through the record."""
-        self.full_matrix, self.matrix, self.rhs = self._csr_sum.matrices(
-            self.data, self.dirichlet_values)
+    def _build(self, rows):
+        """Re-sum the rows (a _RowSum) from the block buffer into the
+        full matrix, check the matrix is symmetric, copy those
+        rows' entries into the reduced matrix and the lift, and form the
+        right-hand side; returns how many full-matrix entries changed
+        value. Every entry of another row keeps its bits, which are what
+        a re-sum would give, as its buffer entries have not changed. The
+        symmetry check reads the whole matrix's skew part: a partial
+        build keeps it and the next one patches it at its rows' slots;
+        a build of every row, and the first partial one, form it whole."""
+        new = rows.summed(self.data)
+        if self.full_matrix is None:
+            # the first build sums every row: the sum is the full matrix,
+            # changed from nothing; the others are made once the sum's
+            # temporaries are gone, which keeps its peak memory the sum's
+            self.full_matrix, vals = new, new.data
+            changed = int(np.count_nonzero(vals))
+            self.matrix, self._lift = self._csr_sum.zero_matrices()
+        else:
+            vals = self.full_matrix.data
+            changed = int(np.count_nonzero(vals[rows.slots] != new.data))
+            vals[rows.slots] = new.data
+        del new  # in vals now; one temporary fewer at the peak below
+        partial = rows.shape[0] < self.n_dofs
+        if partial and self._skew is not None:
+            # the skew part moves at the rows' entries and at their
+            # transposes', where it is their negation: b - a is -(a - b)
+            skew = self._skew
+            moved = np.take(vals, rows.transposed)
+            np.subtract(vals[rows.slots], moved, out=moved)
+            skew[rows.slots] = moved
+            skew[rows.mirrored] = -moved[rows.mirror]
+        else:
+            skew = vals - vals[self._csr_sum.transposed]
+        # kept for the next partial update alone: a system that is only
+        # ever built whole holds no skew vector between builds
+        self._skew = skew if partial else None
+        _require_symmetric(vals, skew)
+        for M, (at, slots) in zip((self.matrix, self._lift), rows.reduced):
+            M.data[at] = np.take(vals, slots)
+        self.rhs = -(self._lift @ self.dirichlet_values)
+        return changed
 
     def expand(self, x_free):
         """Free-dof vector -> full nodal vector with boundary values set."""
@@ -544,6 +613,16 @@ class AssembledSystem:
         return (f"AssembledSystem(dofs={self.n_dofs}, "
                 f"elements={self.n_elements}, "
                 f"free={self.free.size})")
+
+
+def _summed(matrix):
+    """matrix, a CSR matrix whose rows' columns are sorted, with each run
+    of equal columns added left to right by scipy's duplicate sum, in
+    place. The flag spares scipy its O(nnz) check of the order; the
+    kernel is the same."""
+    matrix.has_sorted_indices = True
+    matrix.sum_duplicates()
+    return matrix
 
 
 def _require_symmetric(data, skew):
@@ -582,9 +661,12 @@ class _CsrSum:
     those positions (pos), the sorted columns (col) and the row heads. A
     build gathers the buffer into that order and lets scipy's
     sum_duplicates add the runs: the code tocsr ends with, on the same
-    values in the same order. The summed pattern does not depend on the
-    values, so the reduced matrix, the lift block and the transpose are
-    fixed sets of its slots.
+    values in the same order. That sum adds each row's runs apart from
+    every other row's, so the rows of a subset are summed alike by the
+    same call on their part of the record alone (_RowSum). The summed
+    pattern (indices, indptr) does not depend on the values, so the
+    reduced matrix, the lift block and the transpose are fixed sets of
+    its slots.
     """
 
     def __init__(self, system):
@@ -610,44 +692,97 @@ class _CsrSum:
         # buffer positions in summation order, their columns, row heads
         self.pos, self.col, self.heads = laid.data, laid.indices, laid.indptr
         del laid
-        pattern = sp.csr_matrix((np.ones(size, dtype=bool), self.col.copy(),
-                                 self.heads.copy()), shape=self.shape)
-        pattern.sum_duplicates()  # the summed pattern; its values are unused
-        nnz = pattern.nnz
-
+        # the summed pattern; its values are unused
+        pattern = _summed(sp.csr_matrix((np.ones(size, dtype=bool),
+                                         self.col.copy(), self.heads.copy()),
+                                        shape=self.shape))
+        self.indptr, nnz = pattern.indptr, pattern.nnz
         slot_ids = sp.csr_matrix((np.arange(1.0, nnz + 1), pattern.indices,
-                                  pattern.indptr), shape=self.shape)
+                                  self.indptr), shape=self.shape)
         del pattern
         self.transposed = slot_ids.T.tocsr().data.astype(idx) - 1
         free, fixed = system.free, system.dirichlet_dofs
-        self.reduced = None
-        if free.size:
-            rows_free = slot_ids[free]
-            self.reduced = tuple((M.data.astype(idx) - 1, M.indices, M.indptr,
-                                  M.shape)
-                                 for M in (rows_free[:, free].tocsr(),
-                                           rows_free[:, fixed]))
-        for arr in (self.pos, self.col, self.heads, self.transposed,
-                    *(a for r in self.reduced or () for a in r[:3])):
+        self.is_free = np.zeros(n, dtype=bool)
+        self.is_free[free] = True
+        rows_free = slot_ids[free]
+        # (full slots, indices, indptr, shape) of the reduced matrix and
+        # of the lift block
+        self.reduced = tuple((M.data.astype(idx) - 1, M.indices, M.indptr,
+                              M.shape)
+                             for M in (rows_free[:, free].tocsr(),
+                                       rows_free[:, fixed]))
+        for arr in (self.pos, self.col, self.heads, self.indptr,
+                    self.transposed, self.is_free,
+                    *(a for r in self.reduced for a in r[:3])):
             arr.flags.writeable = False
 
-    def matrices(self, data, values):
-        """Full matrix, reduced matrix and right-hand side from the block
-        buffer data and the Dirichlet values; raises unless the full
-        matrix is symmetric."""
-        full = sp.csr_matrix((data[self.pos], self.col.copy(),
-                              self.heads.copy()), shape=self.shape)
-        full.sum_duplicates()
-        vals = full.data
-        _require_symmetric(vals, vals - vals[self.transposed])
-        if self.reduced is None:
-            return full, sp.csr_matrix((0, 0)), np.zeros(0)
-        # every matrix handed out owns its arrays: the record's are
-        # read-only and serve every system on the topology
-        matrix, lift = (sp.csr_matrix((vals[slots], indices.copy(),
-                                       indptr.copy()), shape=shape)
-                        for slots, indices, indptr, shape in self.reduced)
-        return full, matrix, -(lift @ values)
+    @cached_property
+    def every_row(self):
+        """The _RowSum of every row, which a build of every element sums;
+        kept, as the record serves every assembly on its topology."""
+        return _RowSum(self, np.arange(self.shape[0]))
+
+    def zero_matrices(self):
+        """The reduced matrix and the lift block, of their part of the
+        summed pattern with zero values. Each owns its arrays: the
+        record's are read-only and serve every system on the topology."""
+        return tuple(sp.csr_matrix((np.zeros(indices.size), indices.copy(),
+                                    indptr.copy()), shape=shape)
+                     for _, indices, indptr, shape in self.reduced)
+
+
+def _ranges(heads, rows):
+    """The positions heads[r]:heads[r + 1] of each of the sorted rows,
+    concatenated: a slice where the rows are one run, else an array."""
+    run = _run(rows)
+    if run is not None:
+        return slice(int(heads[run.start]), int(heads[run.stop]))
+    starts, counts = heads[rows], heads[rows + 1] - heads[rows]
+    first = np.cumsum(counts) - counts  # of each row in the result
+    return np.repeat(starts - first, counts) + np.arange(counts.sum())
+
+
+class _RowSum:
+    """The part of a _CsrSum record for a sorted set of rows.
+
+    It keeps the rows' buffer positions in summation order (pos), their
+    columns (col) and heads, which summed() runs through the duplicate
+    sum the whole record runs; the rows' slots in the full matrix, the
+    slots of their transposes, and those of the transposes in other
+    rows (mirrored) with where they lie among the rows' (mirror); and
+    for the reduced matrix and the lift, the data positions of the free
+    rows among them with the full slots they copy (reduced). Where the
+    rows are one run, positions and slots are slices, and pos and col
+    views of the record.
+    """
+
+    def __init__(self, record, rows):
+        at = _ranges(record.heads, rows)
+        self.pos, self.col = record.pos[at], record.col[at]
+        self.heads = np.zeros(rows.size + 1, dtype=record.heads.dtype)
+        np.cumsum(record.heads[rows + 1] - record.heads[rows],
+                  out=self.heads[1:])
+        self.shape = (rows.size, record.shape[1])
+        self.slots = _ranges(record.indptr, rows)
+        self.transposed = record.transposed[self.slots]
+        inside = np.zeros(record.transposed.size, dtype=bool)
+        inside[self.slots] = True
+        self.mirror = np.flatnonzero(~inside[self.transposed])
+        self.mirrored = self.transposed[self.mirror]
+        # the free rows among them, numbered as the reduced matrix's rows
+        is_free = record.is_free
+        reduced_rows = (np.cumsum(is_free) - 1)[rows[is_free[rows]]]
+        self.reduced = []
+        for slots, _, indptr, _ in record.reduced:
+            at = _ranges(indptr, reduced_rows)
+            self.reduced.append((at, slots[at]))
+
+    def summed(self, data):
+        """The rows of the full matrix, summed from the block buffer
+        data: a CSR matrix whose data are the rows' entries in slot
+        order."""
+        return _summed(sp.csr_matrix((data[self.pos], self.col.copy(),
+                                      self.heads.copy()), shape=self.shape))
 
 
 def assemble(spec):
@@ -670,23 +805,29 @@ def update_elements(system, triplet, element_ids):
     element_ids is an array of element ids, or an ElementSet of this
     system when the same elements are updated again and again. Their
     quadrature is decided from the new triplet's K, as assembly decides
-    it. All other element blocks keep their exact bits, and the matrices
-    are rebuilt from the whole block buffer through the sum assembly
-    recorded, so they are entrywise identical to a full reassembly under
-    the new triplet. Returns the number of full-matrix entries whose
-    value changed, so 0 says that the matrices and the right-hand side
-    equal the old ones entry for entry; NaN, which equals nothing, never
-    gets this far, as the symmetry check refuses it.
+    it. All other element blocks keep their exact bits. The rows of the
+    matrix the elements touch are re-summed from the block buffer
+    through the sum assembly recorded, and their entries patched into
+    the system's matrices in place; every other entry keeps its bits,
+    which a re-sum would give again. So the matrices and the right-hand
+    side are still entrywise identical to a full reassembly under the
+    new triplet. system.update_timings holds the call's phases. Returns
+    the number of full-matrix entries whose value changed, so 0 says
+    that the matrices and the right-hand side equal the old ones entry
+    for entry; NaN, which equals nothing, never gets this far, as the
+    symmetry check refuses it. An update that raises leaves the system
+    part way between the two triplets: assemble afresh before using it.
     """
     elements = element_ids if isinstance(element_ids, ElementSet) \
         else ElementSet(system, element_ids)
     if elements.system is not system:
         raise ValueError("the element set was made for another system")
-    before = system.full_matrix.data
-    system._fill(triplet, elements)
+    spent = system._fill(triplet, elements)
     system.triplet = triplet
-    system._build()
-    return int(np.count_nonzero(system.full_matrix.data != before))
+    t0 = time.perf_counter()
+    changed = system._build(elements.rows)
+    system.update_timings = {**spent, "rebuild": time.perf_counter() - t0}
+    return changed
 
 
 # ------------------------------------------------------------- element ops
@@ -817,9 +958,8 @@ def compare_matrices(A, B):
     if A.shape != B.shape:
         raise DimensionMismatch(
             f"matrix shapes {A.shape} and {B.shape} disagree")
-    diff = (A - B).tocoo()
-    diff.sum_duplicates()
-    diff.eliminate_zeros()
+    # scipy's difference holds no duplicate and no zero; row-major order
+    diff = (A - B).sorted_indices().tocoo()
     norm_a = np.sqrt(np.sum(A.data * A.data))
     norm_b = np.sqrt(np.sum(B.data * B.data))
     denom = max(norm_a, norm_b)
@@ -842,11 +982,9 @@ def write_matrix_market(A, path):
     Entries appear in row-major order with ascending columns, so equal
     matrices serialize to equal bytes.
     """
-    A = sp.csr_matrix(A).copy()
-    A.sum_duplicates()
-    A.sort_indices()
-    coo = A.tocoo()
+    # COO to CSR sums duplicates and sorts each row's columns
+    coo = sp.coo_matrix(A).tocsr().tocoo()
     with open(path, "w") as f:
         f.writelines(["%%MatrixMarket matrix coordinate real general\n"
-                      f"{A.shape[0]} {A.shape[1]} {A.nnz}\n",
+                      f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n",
                       text_rows(coo.row + 1, coo.col + 1, coo.data)])

@@ -705,7 +705,11 @@ class AxisPiecewiseLinear(ChartMap):
         if not 0 <= self.axis < self.dim:
             raise DimensionMismatch("axis index outside the chart dimension")
         self.slopes = np.diff(self.images) / np.diff(self.breaks)
-        for arr in (self.breaks, self.images, self.slopes):
+        # each segment's one Jacobian: the identity with its slope
+        self._J = np.zeros((self.slopes.size, self.dim, self.dim))
+        self._J[:] = np.eye(self.dim)
+        self._J[:, self.axis, self.axis] = self.slopes
+        for arr in (self.breaks, self.images, self.slopes, self._J):
             arr.flags.writeable = False
 
     @staticmethod
@@ -730,10 +734,18 @@ class AxisPiecewiseLinear(ChartMap):
         return out
 
     def _jacobian(self, p):
-        J = _eye_like(p)
-        k = self._segment(p[..., self.axis], self.breaks, self.slopes.size)
-        J[..., self.axis, self.axis] = self.slopes[k]
-        return J
+        """The segments' matrices at the points; where every point lies
+        in one segment, its one matrix broadcast (stride zero), as
+        AxisScaling's, so the repeat rule forms what follows once."""
+        t, nseg = p[..., self.axis], self.slopes.size
+        # the segment grows with t, so the extremes tell whether every
+        # point lies in one; NaN, which orders with nothing, goes per point
+        ends = np.array([t.min(), t.max()]) if t.size else np.full(2, np.nan)
+        k = self._segment(ends, self.breaks, nseg)
+        if not np.isnan(ends).any() and k[0] == k[1]:
+            J = self._J[k[0]]
+            return np.broadcast_to(J, t.shape + J.shape)
+        return self._J[self._segment(t, self.breaks, nseg)]
 
     def __repr__(self):
         return (f"AxisPiecewiseLinear(axis={self.axis}, "

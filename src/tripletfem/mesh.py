@@ -345,7 +345,7 @@ class Mesh:
                 raise UnknownTag(
                     f"no boundary facet carries tag(s) {sorted(missing)}; "
                     f"available: {self.boundary_tags()}")
-            mask = np.isin(self.facet_tags.astype(str), sorted(tags))
+            mask = np.isin(self.facet_tags, sorted(tags))
             facets = self.boundary_facets[mask]
         else:
             facets = self.boundary_facets
@@ -353,8 +353,7 @@ class Mesh:
 
     def elements_in_regions(self, tags):
         tags = {str(t) for t in tags}
-        return np.flatnonzero(np.isin(self.element_regions.astype(str),
-                                      sorted(tags)))
+        return np.flatnonzero(np.isin(self.element_regions, sorted(tags)))
 
     def __repr__(self):
         return (f"Mesh(dim={self.dim}, nodes={self.n_nodes}, "
@@ -744,7 +743,7 @@ def read_msh(path):
         if len(parts) != 4:
             fail(ln, f"node line needs 'id x y z', found {row!r}")
         try:
-            return int(parts[0]), [float(v) for v in parts[1:]]
+            return ln, int(parts[0]), [float(v) for v in parts[1:]]
         except ValueError:
             fail(ln, f"unparseable node line {row!r}")
 
@@ -778,14 +777,17 @@ def read_msh(path):
         fail(ln, "binary MSH is not supported", UnsupportedVersion)
     expect("$EndMeshFormat")
 
-    names, node_ids, nodes, raw_elements = {}, {}, [], []
+    names, node_ids, node_lines, nodes, raw_elements = {}, {}, {}, [], []
     for ln, header in rows:
         if header == "$PhysicalNames":
             names.update(section("physical-name", name_row,
                                  "$EndPhysicalNames"))
         elif header == "$Nodes":
-            for nid, xyz in section("node", node_row, "$EndNodes"):
-                node_ids[nid] = len(nodes)
+            for ln, nid, xyz in section("node", node_row, "$EndNodes"):
+                if nid in node_ids:
+                    fail(ln, f"node id {nid} repeats the node of line "
+                             f"{node_lines[nid]}")
+                node_ids[nid], node_lines[nid] = len(nodes), ln
                 nodes.append(xyz)
         elif header == "$Elements":
             raw_elements += section("element", element_row, "$EndElements")

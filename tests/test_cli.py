@@ -320,6 +320,28 @@ def test_interior_facet_in_mesh_file_is_validation(tmp_path, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+def test_repeated_node_id_in_mesh_file_is_validation(tmp_path, capsys):
+    """A mesh file whose $Nodes lists node 2 twice, the later line giving
+    it other coordinates, is refused with both lines named."""
+    bad = tmp_path / "bad.msh"
+    mesh.write_msh(mesh.generate_structured("box", (2, 2)), bad)
+    lines = bad.read_text().splitlines()
+    at = lines.index("$Nodes")
+    lines[at + 1] = str(int(lines[at + 1]) + 1)
+    lines.insert(at + 4, "2 5 5 0")  # right after node 2's own line
+    bad.write_text("\n".join(lines) + "\n")
+    message = f"line {at + 5}: node id 2 repeats the node of line {at + 4}"
+    scn = square_solve_scenario()
+    scn["mesh"] = {"file": "bad.msh"}
+    path = write_scenario(tmp_path, scn)
+    assert cli.main(["solve", path]) == 2
+    rep = report_of(path)
+    assert rep["exit_code"] == 2 and message in rep["error"]["message"]
+    assert cli.main(["mesh", "quality", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 # -------------------------------------------------------------- solve
 
 
@@ -622,9 +644,14 @@ def test_motion_report_copies_each_steps_timings(tmp_path):
     assert cli.main(["motion", path]) == 0
     for step in report_of(path)["steps"]:
         timings = step["timings"]
-        assert set(timings) == {"update", "guess", "solve"}
+        assert set(timings) == {"update", "guess", "solve", "topology",
+                                "coefficients", "blocks", "rebuild"}
         assert all(t >= 0.0 for t in timings.values())
-        assert sum(timings.values()) <= step["wall_time"] * (1 + 1e-12)
+        parts = sum(timings[k] for k in ("topology", "coefficients",
+                                         "blocks", "rebuild"))
+        assert parts <= timings["update"] * (1 + 1e-12)
+        assert timings["update"] + timings["guess"] + timings["solve"] \
+            <= step["wall_time"] * (1 + 1e-12)
 
 
 ASSEMBLY_TIMINGS = {"gradients", "coefficients", "blocks", "record",

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from tripletfem import fem, geometry as geo, mesh, triplet as tp
 from tripletfem.atlas import Atlas, AtlasRegion
@@ -586,8 +587,8 @@ def assert_scipy_sums_the_buffer(system):
                           graded_annulus_spec, all_dirichlet_spec,
                           unused_node_spec])
 def test_csr_replay_matches_coo_to_csr(make_spec):
-    """Assembly and a partial update both replay the recorded CSR sum;
-    scipy's own conversion of the buffer is the oracle."""
+    """Assembly, a build of every row and a partial update all replay the
+    recorded CSR sum; scipy's own conversion of the buffer is the oracle."""
     spec = make_spec()
     system = fem.assemble(spec)
     assert_scipy_sums_the_buffer(system)
@@ -599,6 +600,10 @@ def test_csr_replay_matches_coo_to_csr(make_spec):
         * np.exp(rng.uniform(-20.0, 20.0, (system.n_elements, 1, 1)))
     system.data[:] = (B + np.swapaxes(B, 1, 2)).ravel()
     system.dirichlet_values = rng.standard_normal(system.dirichlet_dofs.size)
+    # an update re-sums the rows it touches alone, so the blocks written
+    # behind its back go in through the build of every row first
+    system._build(system._csr_sum.every_row)
+    assert_scipy_sums_the_buffer(system)
     some = rng.choice(system.n_elements, max(1, system.n_elements // 3),
                       replace=False)
     t2 = euclidean_triplet(system.dim, eps=3.0)
@@ -631,6 +636,154 @@ def test_element_set_belongs_to_its_system():
         fem.update_elements(one, spec.triplet, fem.ElementSet(other, [0]))
     with pytest.raises(IndexError):
         fem.ElementSet(one, [one.n_elements])
+
+
+def retagged(m, labels):
+    """m with element e in region f"r{labels[e]}"."""
+    return mesh.Mesh(m.nodes, m.elements, [f"r{v}" for v in labels],
+                     m.boundary_facets, m.facet_tags)
+
+
+@st.composite
+def material_entry(draw, dim):
+    """A scalar or an SPD matrix A A^T + I."""
+    if draw(st.booleans()):
+        return draw(st.floats(0.25, 4.0))
+    a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim * dim,
+                               max_size=dim * dim))).reshape(dim, dim)
+    return a @ a.T + np.eye(dim)
+
+
+@st.composite
+def moving_problem(draw):
+    """(spec before, spec after, element ids): a problem whose elements
+    carry drawn region labels 0..2, and the same problem with the
+    materials of some labels redrawn; the ids are every element with a
+    redrawn label: one run of ids, scattered ids, or several regions."""
+    domain = draw(st.sampled_from(["box-2d", "box-3d", "atlas"]))
+    if domain == "box-2d":
+        patches = [mesh.generate_structured("box", (6, 5))]
+    elif domain == "box-3d":
+        patches = [mesh.generate_structured("box", (3, 3, 2))]
+    else:
+        patches = [mesh.generate_structured("box", (4, 3))] * 2
+    dim = patches[0].dim
+    n = sum(m.n_elements for m in patches)
+    layout = draw(st.sampled_from(["run", "scattered", "regions"]))
+    if layout == "run":
+        lo = draw(st.integers(0, n - 1))
+        hi = draw(st.integers(lo + 1, n))
+        labels, moved = np.zeros(n, dtype=int), {1}
+        labels[lo:hi] = 1
+    elif layout == "scattered":
+        labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n,
+                                        max_size=n)))
+        moved = {1}
+    else:
+        labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n,
+                                        max_size=n)))
+        moved = {0, 2}
+    before = {f"r{v}": draw(material_entry(dim)) for v in range(3)}
+    after = dict(before, **{f"r{v}": draw(material_entry(dim))
+                            for v in sorted(moved)})
+    if domain == "atlas":
+        half = patches[0].n_elements
+        a, b = retagged(patches[0], labels[:half]), \
+            retagged(patches[1], labels[half:])
+        domain = Atlas([AtlasRegion("a", geo.Identity(2), a),
+                        AtlasRegion("b", geo.translation([-1.0, 0.0]), b)],
+                       interfaces=[(("a", "b"), ("right", "left"))])
+    else:
+        domain = retagged(patches[0], labels)
+    specs = [fem.BVPSpec(domain, tp.Triplet(
+        geo.Identity(dim), geo.MetricField.euclidean(dim),
+        tp.MaterialField(dim, regions=materials)),
+        (("left", 0.0), ("right", 1.0))) for materials in (before, after)]
+    return (*specs, np.flatnonzero(np.isin(labels, sorted(moved))))
+
+
+def bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(problem=moving_problem())
+def test_an_update_of_any_element_set_equals_a_fresh_assembly(problem):
+    spec, moved, ids = problem
+    system = fem.assemble(spec)
+    assert system._skew is None  # a whole build keeps no skew part
+    old = system.full_matrix.data.copy()
+    changed = fem.update_elements(system, moved.triplet, ids)
+    fresh = fem.assemble(moved)
+    for got, want in ((system.full_matrix, fresh.full_matrix),
+                      (system.matrix, fresh.matrix)):
+        for field in ("indices", "indptr"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(bits(got.data), bits(want.data))
+    assert np.array_equal(bits(system.rhs), bits(fresh.rhs))
+    new = system.full_matrix.data
+    assert changed == np.count_nonzero(new != old)
+    # the rows no element of the set touches keep their bits
+    full = system.full_matrix
+    row = np.repeat(np.arange(system.n_dofs), np.diff(full.indptr))
+    still = ~np.isin(row, system.element_dofs[ids])
+    assert np.array_equal(bits(new[still]), bits(old[still]))
+    # the skew part a partial update keeps, and the next one patches, is
+    # the whole matrix's
+    for triplet in (spec.triplet, moved.triplet):
+        fem.update_elements(system, triplet, ids)
+        vals = system.full_matrix.data
+        if system._skew is not None:
+            assert np.array_equal(system._skew,
+                                  vals - vals[system._csr_sum.transposed])
+
+
+def test_a_partial_update_patches_the_whole_matrix_skew_part():
+    """An entry of a re-summed row whose transpose lies in a row the
+    update leaves alone moves the skew part at both slots."""
+    spec = unit_square_spec(6)
+    system = fem.assemble(spec)
+    dofs = system.element_dofs
+    moving = [e for e in range(system.n_elements) if dofs[0, 0] in dofs[e]]
+    touched = np.unique(dofs[moving])
+    # an element outside the set with a node in a touched row (a) and
+    # a node in an untouched one (b)
+    e, a, b = next((e, a, b) for e in range(system.n_elements)
+                   if e not in moving
+                   for a in range(system._k) for b in range(system._k)
+                   if dofs[e, a] in touched and dofs[e, b] not in touched)
+    fem.update_elements(system, spec.triplet, moving)
+    assert not system._skew.any()
+    blocks = system.data.reshape(system.n_elements, system._k, system._k)
+    blocks[e, a, b] += 1e-15  # below the symmetry tolerance
+    fem.update_elements(system, spec.triplet, moving)
+    vals = system.full_matrix.data
+    want = vals - vals[system._csr_sum.transposed]
+    assert np.count_nonzero(want) == 2
+    assert np.array_equal(system._skew, want)
+
+
+@pytest.mark.parametrize("corrupt", ["nan-block", "asymmetric-entry"])
+def test_a_bad_buffer_entry_raises_on_the_update_that_sums_it(corrupt):
+    """Blocks written behind the updates' back enter the matrices with
+    the first update that re-sums a row they reach, which refuses them."""
+    spec = unit_square_spec(6)
+    system = fem.assemble(spec)
+    blocks = system.data.reshape(system.n_elements, system._k, system._k)
+    if corrupt == "nan-block":
+        blocks[0] = np.nan
+    else:
+        blocks[0, 0, 1] += 1.0  # row of element 0's node 0 only
+    dofs = system.element_dofs
+    apart = [e for e in range(system.n_elements)
+             if not np.isin(dofs[e], dofs[0]).any()]
+    sharing = [e for e in range(1, system.n_elements)
+               if dofs[0, 0] in dofs[e]]
+    assert apart and sharing
+    fem.update_elements(system, spec.triplet, apart)  # reaches no such row
+    with pytest.raises(TripletFemError, match="asymmetry"):
+        fem.update_elements(system, spec.triplet, sharing[:1])
 
 
 # ------------------------------------------------------------------- atlas
@@ -741,8 +894,11 @@ def test_a_mesh_and_its_image_share_one_record(dim):
     assert (a.timings["record_reused"], b.timings["record_reused"]) == \
         (False, True)
     for arr in (a._csr_sum.pos, a._csr_sum.col, a._csr_sum.heads,
-                a._csr_sum.transposed, *a._csr_sum.reduced[0][:3]):
+                a._csr_sum.transposed, a._csr_sum.is_free,
+                *a._csr_sum.reduced[0][:3]):
         assert not arr.flags.writeable
+    # freezing the record's arrays leaves each system's own alone
+    assert a.free.flags.writeable and b.free.flags.writeable
     # the matrices handed out own their arrays
     for got, other in ((a.full_matrix, b.full_matrix), (a.matrix, b.matrix)):
         for field in ("indices", "indptr"):

@@ -261,6 +261,36 @@ def test_axis_scaling_jacobian_is_its_diagonal_broadcast():
                                              (4, 3, 3)))
 
 
+@pytest.mark.parametrize("lo, hi, one_segment", [
+    (0.35, 0.9, True),     # inside the middle segment
+    (0.3, 0.4, True),      # from a breakpoint, which starts its segment
+    (-3.0, -1.0, True),    # on the extension of the first segment
+    (0.5, 1.5, True),      # the last segment and its extension
+    (0.1, 0.8, False),     # across a breakpoint
+], ids=["middle", "at-break", "extension", "last", "straddle"])
+def test_axis_piecewise_linear_jacobian_is_one_matrix_in_one_segment(
+        lo, hi, one_segment):
+    chart = geo.AxisPiecewiseLinear(1, [0.0, 0.3, 1.0], [0.0, 0.6, 1.3],
+                                    dim=3)
+    rng = np.random.default_rng(4)
+    p = rng.random((6, 4, 3))
+    p[..., 1] = rng.uniform(lo, hi, (6, 4))
+    p[0, 0, 1], p[-1, -1, 1] = lo, hi
+    # the per-point formula: the identity with the slope of each segment
+    want = np.zeros((6, 4, 3, 3))
+    want[...] = np.eye(3)
+    k = np.clip(np.searchsorted(chart.breaks, p[..., 1], side="right") - 1,
+                0, chart.slopes.size - 1)
+    want[..., 1, 1] = chart.slopes[k]
+    J = chart.jacobian(p)
+    assert J.shape == want.shape and np.array_equal(J, want)
+    assert (not any(J.strides[:-2])) == one_segment
+    assert J.flags.writeable != one_segment
+    # NaN lies in no segment; the points go one by one, as before
+    p[2, 1, 1] = np.nan
+    assert chart.jacobian(p).strides[0] != 0
+
+
 def test_identity_detection_through_composites():
     assert geo.Identity().is_identity()
     assert geo.Composite([geo.Identity(2), geo.Identity(2)]).is_identity()

@@ -510,6 +510,8 @@ MSH_ELEMENTS = "$Elements\n1\n1 2 2 7 7 1 2 3\n$EndElements\n"
      "line 6: unparseable node line '1 0 x 0'"),
     (MSH_HEAD + "$Nodes\n1\n1 0 0 0\n\n$Elements\n", MalformedFile,
      "line 8: expected $EndNodes"),
+    (MSH_HEAD + "$Nodes\n2\n2 1 0 0\n2 5 5 0\n$EndNodes\n" + MSH_ELEMENTS,
+     MalformedFile, "line 7: node id 2 repeats the node of line 6"),
     (MSH_HEAD + MSH_NODES + "$Elements\n-\n", MalformedFile,
      "line 11: bad element count '-'"),
     (MSH_HEAD + MSH_NODES + "$Elements\n1\n1 2 2 7 7 1 2 x\n", MalformedFile,
@@ -534,7 +536,8 @@ MSH_ELEMENTS = "$Elements\n1\n1 2 2 7 7 1 2 3\n$EndElements\n"
      "line 14: element references unknown node 9"),
 ], ids=["end-of-file", "no-format", "version", "binary", "no-end-format",
         "name-count", "name-entry", "no-end-names", "node-count",
-        "node-arity", "node-line", "no-end-nodes", "element-count",
+        "node-arity", "node-line", "no-end-nodes", "repeated-node",
+        "element-count",
         "element-line", "element-short", "element-type", "element-nodes",
         "no-end-elements", "unknown-section-open", "no-nodes",
         "empty-nodes", "no-elements", "unknown-node"])

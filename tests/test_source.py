@@ -311,3 +311,30 @@ def test_a_second_edge_formula_and_adjugate_are_found():
     assert formula_sites(trees) == dict(
         FORMULA_SITES, **{"applications.py:_check_topology": "edge difference",
                           "fem.py:_p1_gradients": "difference of products"})
+
+
+# One duplicate sum: assembly's first build and every partial update add
+# the block buffer's runs through fem._summed, the one call of scipy's
+# sum_duplicates in src/, so no update keeps a summation of its own.
+def duplicate_sum_sites(trees):
+    return sorted(f"{name}:{where}"
+                  for name, tree in trees.items()
+                  for where, call in calls(tree)
+                  if isinstance(call.func, ast.Attribute)
+                  and call.func.attr == "sum_duplicates")
+
+
+def test_one_duplicate_sum():
+    assert duplicate_sum_sites(TREES) == ["fem.py:_summed"]
+
+
+def test_a_second_duplicate_sum_is_found():
+    source = (PACKAGE / "fem.py").read_text()
+    anchor = "        new = rows.summed(self.data)\n"
+    assert anchor in source
+    broken = source.replace(
+        anchor, "        whole = sp.coo_matrix(self.data)\n"
+        "        whole.sum_duplicates()\n" + anchor)
+    trees = dict(TREES, **{"fem.py": ast.parse(broken)})
+    assert duplicate_sum_sites(trees) == ["fem.py:AssembledSystem._build",
+                                          "fem.py:_summed"]
