@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InterfaceMismatch
 from .mesh import _TopologySlot
@@ -25,6 +24,9 @@ def number_components(n, pairs):
     """Glue n nodes along the given index pairs. Returns each node's
     component number and each component's lowest node; components are
     numbered in order of their lowest node."""
+    # loaded only where meshes are glued
+    from scipy.sparse.csgraph import connected_components
+
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
                        shape=(n, n))

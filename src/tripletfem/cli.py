@@ -15,7 +15,8 @@ field or line), an UnknownTag or an OSError exits 2, and any other
 library error is numerical and exits 3. Every scenario run, successful
 or not, writes a machine-readable report. Printed numbers, like the
 files' numbers, come from mesh.text_rows, so reruns of the same scenario
-are byte-comparable.
+at one BLAS thread count are byte-comparable; every report's versions
+name the BLAS and its OPENBLAS_NUM_THREADS setting.
 """
 
 import argparse
@@ -641,11 +642,18 @@ def _json_default(obj):
 
 
 def _versions():
+    """Package versions, and the BLAS numpy calls with its thread setting:
+    CG's long inner products split across BLAS threads, so the last bits
+    of a result depend on both (see the solver module)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "jsonschema": importlib.metadata.version("jsonschema"),
-            "tripletfem": __version__}
+            "tripletfem": __version__,
+            "blas": {"name": blas.get("name"),
+                     "version": blas.get("version")},
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
 def _write_report(path, payload):

@@ -103,6 +103,11 @@ class ToleranceUnreachable(NotConverged):
     the tolerance lies below what double precision reaches."""
 
 
+class NonFiniteRightHandSide(TripletFemError):
+    """A solve's right-hand side has a NaN or infinite entry, or a norm
+    whose square overflows double precision."""
+
+
 class NotPositiveDefinite(TripletFemError):
     """The matrix exposed a direction of negative curvature."""
 

@@ -1,11 +1,17 @@
 """Preconditioned conjugate gradients with warm starts, projected
 starting guesses and reusable preconditioners.
 
-The iteration is the textbook PCG loop, run strictly sequentially so a
-rerun on identical inputs reproduces every float; every residual norm it
-compares with the target is kept on the result. A solve either returns
-a result that meets the target or raises MaxIterExceeded, or
-ToleranceUnreachable when the recurrence underflows first. Preconditioners
+The iteration is the textbook PCG loop, run strictly sequentially; every
+residual norm it compares with the target is kept on the result. A rerun
+on identical inputs reproduces every float at one BLAS thread count. The
+inner products on vectors of more than about 10,000 entries go to the
+BLAS dot product, which OpenBLAS splits across its threads, so a rerun
+under another OPENBLAS_NUM_THREADS can differ in the last bits and, from
+there, in the iteration count (172 against 173 for a 256 x 96 annulus
+under IC(0)). A solve either returns a result that meets the target or
+raises MaxIterExceeded, or ToleranceUnreachable when the recurrence
+underflows first; a right-hand side whose norm is not finite raises
+NonFiniteRightHandSide before any work. Preconditioners
 are handles that outlive one solve: the motion driver builds one on its
 first step and applies it for the whole sweep while the matrix drifts.
 For a sequence of related systems, projected_guess starts each solve
@@ -21,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import (
     BreakdownIC,
     MaxIterExceeded,
+    NonFiniteRightHandSide,
     NotPositiveDefinite,
     ToleranceUnreachable,
     TripletFemError,
@@ -57,7 +63,9 @@ class SolveResult:
     target, in order: ||b - A x0|| first, the returned residual last
     (a zero right-hand side returns x = 0 and [0.0]). timings holds the
     seconds of the solve's phases: preconditioner (its build inside
-    solve, 0.0 for one passed in) and cg (the iteration)."""
+    solve, 0.0 for one passed in) and cg (the iteration). A process's
+    first IC(0) build imports SuperLU (splu), about 0.12 s on a 2-core
+    host, and that build's preconditioner time includes the import."""
 
     x: np.ndarray
     iterations: int
@@ -133,6 +141,15 @@ def ic0_factor(A):
         vals[last] = math.sqrt(d)
         slots.append(row_i)
     return sp.csr_matrix((vals, T.indices, T.indptr), shape=(n, n)).tocsc()
+
+
+def splu(A, **options):
+    """scipy's SuperLU, imported on the first call: a process that builds
+    no IC(0) preconditioner never loads scipy.sparse.linalg, nor the
+    scipy.linalg it pulls in."""
+    from scipy.sparse.linalg import splu as superlu
+
+    return superlu(A, **options)
 
 
 def build_preconditioner(A, kind="jacobi"):
@@ -217,10 +234,23 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
     residual, not just the recurrence. A zero r^T z or p^T A p above the
     target raises ToleranceUnreachable where it is underflow
     (_zero_product); a negative p^T A p, or a zero one of normal-sized
-    vectors, raises NotPositiveDefinite."""
+    vectors, raises NotPositiveDefinite. A right-hand side with a NaN or
+    infinite entry, or whose squared norm overflows, raises
+    NonFiniteRightHandSide before the preconditioner is built: its
+    target tol * ||b|| would be met at once or never."""
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        norm_b = math.sqrt(b @ b)
+    if not math.isfinite(norm_b):
+        bad = np.flatnonzero(~np.isfinite(b))
+        raise NonFiniteRightHandSide(
+            f"right-hand side entry {int(bad[0])} is {b[bad[0]]}"
+            if bad.size else
+            f"the squared norm of the right-hand side overflows (largest "
+            f"entry {np.max(np.abs(b)):.3e}); no residual can be compared "
+            "with a target")
     max_iter = config.max_iter if config.max_iter is not None else 10 * max(n, 1)
     t0 = time.perf_counter()
     prec = preconditioner
@@ -237,7 +267,6 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
 
-    norm_b = math.sqrt(b @ b)
     if norm_b == 0.0:
         return result(np.zeros(n), 0, 0.0, [0.0])
     target = config.tol * norm_b

@@ -1,6 +1,8 @@
 """Scenario execution, exit codes, and the quick mesh utilities."""
 
 import json
+import os
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -79,13 +81,47 @@ def test_module_is_runnable_as_script(run_python):
     assert "usage" in out.stdout
 
 
-def test_cli_import_leaves_scipy_spatial_out(run_python):
-    # only atlas interface matching uses scipy.spatial; a solve should not
-    # pay its import
-    code = "import sys, tripletfem.cli; print('scipy.spatial' in sys.modules)"
-    out = run_python("-c", code)
+def test_only_ic0_and_atlas_gluing_load_their_scipy_modules(run_python):
+    # SuperLU (with scipy.linalg) serves IC(0) alone, csgraph and cKDTree
+    # atlas gluing alone; an import, the CLI's included, and a Jacobi
+    # solve should not pay for them
+    code = """
+    import json, sys
+    import tripletfem, tripletfem.cli
+    from tripletfem import atlas, fem, geometry as geo, mesh, solver
+    from tripletfem import triplet as tp
+
+    def loaded():
+        return [name for name in ("scipy.linalg", "scipy.sparse.linalg",
+                                  "scipy.sparse.csgraph", "scipy.spatial")
+                if name in sys.modules]
+
+    stages = {"import": loaded()}
+    t = tp.Triplet(chart=geo.Identity(2),
+                   metric=geo.MetricField.euclidean(2),
+                   material=tp.MaterialField.uniform(1.0, 2))
+    sol = fem.solve_bvp(
+        fem.BVPSpec(mesh.generate_structured("box", (8, 8)), t,
+                    (("left", 0.0), ("right", 1.0))),
+        solver.SolverConfig(preconditioner="jacobi"))
+    stages["jacobi"] = loaded()
+    solver.build_preconditioner(sol.system.matrix, "ic0")
+    stages["ic0"] = loaded()
+    right = mesh.generate_structured("box", (2, 2), bounds=([1, 0], [2, 1]))
+    atlas.build_global_index(atlas.Atlas(
+        [("A", geo.Identity(2), mesh.generate_structured("box", (2, 2))),
+         ("B", geo.Identity(2), right)],
+        [(("A", "B"), ("right", "left"))]))
+    stages["atlas"] = loaded()
+    print(json.dumps(stages))
+    """
+    out = run_python("-c", textwrap.dedent(code))
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    stages = json.loads(out.stdout)
+    assert stages["import"] == stages["jacobi"] == []
+    assert "scipy.sparse.linalg" in stages["ic0"]
+    assert "scipy.sparse.csgraph" not in stages["ic0"]
+    assert {"scipy.sparse.csgraph", "scipy.spatial"} <= set(stages["atlas"])
 
 
 # ------------------------------------------------------- mesh utilities
@@ -243,6 +279,7 @@ def test_every_report_carries_the_versions(tmp_path, break_it):
     import scipy
 
     import tripletfem
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     path = write_scenario(tmp_path, square_solve_scenario())
     extra = ["quadrature=bogus"] if break_it else []
     assert cli.main(["solve", path] + extra) == (2 if break_it else 0)
@@ -252,6 +289,8 @@ def test_every_report_carries_the_versions(tmp_path, break_it):
         "scipy": scipy.__version__,
         "jsonschema": importlib.metadata.version("jsonschema"),
         "tripletfem": tripletfem.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
 
 
@@ -597,6 +636,27 @@ def test_unreachable_tolerance_exits_3_with_the_solver_state(
     assert "double precision" in err["message"]
     assert err["iterations"] > 0
     assert 0 < err["residual"] < 1e-150
+
+
+@pytest.mark.parametrize("inner_value", [
+    1e308, {"harmonic": 1, "amplitude": 1e308},
+], ids=["constant", "harmonic"])
+def test_a_right_hand_side_of_no_finite_norm_exits_3(tmp_path, inner_value):
+    # the squared norm of b overflowed, so the target tol * ||b|| was inf:
+    # the run exited 0 with residual inf and energy inf (constant) or NaN
+    scn = {
+        "name": "huge", "dimension": 2, "mode": "open-boundary",
+        "open_boundary": {"a": 1.0, "b": 2.0,
+                          "interior": {"kind": "disc", "radius": 1.0},
+                          "divisions": [16, 6],
+                          "inner_value": inner_value},
+    }
+    path = write_scenario(tmp_path, scn)
+    assert cli.main(["open-boundary", path]) == 3
+    rep = report_of(path)
+    assert rep["status"] == "error" and rep["exit_code"] == 3
+    assert rep["error"]["type"] == "NonFiniteRightHandSide"
+    assert "overflows" in rep["error"]["message"]
 
 
 def test_open_boundary_interior_must_fit(tmp_path):

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from tripletfem import fem, geometry as geo, mesh, triplet as tp
 from tripletfem.atlas import Atlas, AtlasRegion
 from tripletfem.errors import (AsymmetricCoefficient, DegenerateElement,
-                               DimensionMismatch, TripletFemError, UnknownTag)
+                               DimensionMismatch, NonFiniteRightHandSide,
+                               TripletFemError, UnknownTag)
 
 
 def euclidean_triplet(dim, eps=1.0, chart=None):
@@ -167,6 +168,15 @@ def test_linear_solution_reproduced_exactly():
     sol = fem.solve_bvp(unit_square_spec(8))
     m = sol.system.spec.domain
     assert np.abs(sol.u - m.nodes[:, 0]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e308], ids=["nan", "1e308"])
+def test_a_dirichlet_value_of_no_finite_norm_is_a_typed_error(value):
+    m = mesh.generate_structured("box", (8, 8))
+    spec = fem.BVPSpec(m, euclidean_triplet(2),
+                       (("left", 0.0), ("right", value)))
+    with pytest.raises(NonFiniteRightHandSide):
+        fem.solve_bvp(spec)
 
 
 def test_constant_dirichlet_gives_constant_interior():

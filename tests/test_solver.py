@@ -14,6 +14,7 @@ from tripletfem import solver as slv
 from tripletfem.errors import (
     BreakdownIC,
     MaxIterExceeded,
+    NonFiniteRightHandSide,
     NotPositiveDefinite,
     ToleranceUnreachable,
     TripletFemError,
@@ -181,6 +182,23 @@ def test_zero_rhs_returns_zero():
     res = slv.solve(A, np.zeros(5))
     assert res.iterations == 0
     assert np.all(res.x == 0.0)
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "entry 3 is nan"),
+    (np.inf, "entry 3 is inf"),
+    (1e308, "squared norm of the right-hand side overflows"),
+], ids=["nan", "inf", "1e308"])
+def test_a_right_hand_side_of_no_finite_norm_is_refused(monkeypatch, value,
+                                                        message):
+    # tol * ||b|| was inf (met at once, residual inf after 0 iterations)
+    # or NaN (the whole budget of NaN iterations, then MaxIterExceeded)
+    b = np.ones(8)
+    b[3] = value
+    monkeypatch.setattr(slv, "build_preconditioner",
+                        lambda *a: pytest.fail("built a preconditioner"))
+    with pytest.raises(NonFiniteRightHandSide, match=message):
+        slv.solve(laplace_1d(8), b)
 
 
 def test_solve_times_its_preconditioner_build_and_cg():
