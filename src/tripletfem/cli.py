@@ -15,8 +15,8 @@ field or line), an UnknownTag or an OSError exits 2, and any other
 library error is numerical and exits 3. Every scenario run, successful
 or not, writes a machine-readable report. Printed numbers, like the
 files' numbers, come from mesh.text_rows, so reruns of the same scenario
-at one BLAS thread count are byte-comparable; every report's versions
-name the BLAS and its OPENBLAS_NUM_THREADS setting.
+are byte-comparable; every report's versions name the BLAS and its
+OPENBLAS_NUM_THREADS setting.
 """
 
 import argparse
@@ -642,9 +642,8 @@ def _json_default(obj):
 
 
 def _versions():
-    """Package versions, and the BLAS numpy calls with its thread setting:
-    CG's long inner products split across BLAS threads, so the last bits
-    of a result depend on both (see the solver module)."""
+    """Package versions, and the BLAS numpy calls with its thread
+    setting."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(),
             "numpy": np.__version__,

@@ -99,8 +99,9 @@ class MaxIterExceeded(NotConverged):
 
 
 class ToleranceUnreachable(NotConverged):
-    """The CG recurrence underflowed to an exact zero above the target:
-    the tolerance lies below what double precision reaches."""
+    """The tolerance lies below what double precision reaches: the true
+    residual stalled above a target under eps * ||b||, or the CG
+    recurrence underflowed to an exact zero above the target."""
 
 
 class NonFiniteRightHandSide(TripletFemError):

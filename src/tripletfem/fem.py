@@ -607,7 +607,7 @@ class AssembledSystem:
         if u.shape != (self.n_dofs,):
             raise DimensionMismatch(
                 f"vector has {u.shape} entries, system has {self.n_dofs} dofs")
-        return float(u @ (self.full_matrix @ u))
+        return _solver.inner(u, self.full_matrix @ u)
 
     def __repr__(self):
         return (f"AssembledSystem(dofs={self.n_dofs}, "

@@ -2,15 +2,16 @@
 starting guesses and reusable preconditioners.
 
 The iteration is the textbook PCG loop, run strictly sequentially; every
-residual norm it compares with the target is kept on the result. A rerun
-on identical inputs reproduces every float at one BLAS thread count. The
-inner products on vectors of more than about 10,000 entries go to the
-BLAS dot product, which OpenBLAS splits across its threads, so a rerun
-under another OPENBLAS_NUM_THREADS can differ in the last bits and, from
-there, in the iteration count (172 against 173 for a 256 x 96 annulus
-under IC(0)). A solve either returns a result that meets the target or
-raises MaxIterExceeded, or ToleranceUnreachable when the recurrence
-underflows first; a right-hand side whose norm is not finite raises
+residual norm it compares with the target is kept on the result. Every
+inner product of the solve path is inner(), numpy's einsum loop rather
+than the BLAS dot product, which OpenBLAS splits across its threads on
+vectors of more than about 10,000 entries: a rerun on identical inputs
+reproduces every float whatever OPENBLAS_NUM_THREADS is, and no BLAS
+worker thread wakes for a reduction (in the spirit of Demmel and Nguyen,
+"Parallel reproducible summation", IEEE Trans. Comput. 64(7), 2015). A
+solve either returns a result that meets the target or raises
+MaxIterExceeded, or ToleranceUnreachable for a target below what double
+precision reaches; a right-hand side whose norm is not finite raises
 NonFiniteRightHandSide before any work. Preconditioners
 are handles that outlive one solve: the motion driver builds one on its
 first step and applies it for the whole sweep while the matrix drifts.
@@ -39,6 +40,13 @@ from .errors import (
 )
 
 
+def inner(u, v):
+    """u^T v of two 1-D float arrays, added up by numpy's einsum loop. It
+    calls no BLAS, so its bits do not depend on the BLAS thread count and
+    it wakes no BLAS worker thread."""
+    return float(np.einsum("i,i->", u, v))
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """tol is the relative residual target ||b - Ax|| <= tol * ||b||.
@@ -60,12 +68,13 @@ class SolverConfig:
 @dataclass
 class SolveResult:
     """residuals holds every residual norm the loop compared with the
-    target, in order: ||b - A x0|| first, the returned residual last
-    (a zero right-hand side returns x = 0 and [0.0]). timings holds the
-    seconds of the solve's phases: preconditioner (its build inside
-    solve, 0.0 for one passed in) and cg (the iteration). A process's
-    first IC(0) build imports SuperLU (splu), about 0.12 s on a 2-core
-    host, and that build's preconditioner time includes the import."""
+    target (with eps * ||b|| for a target below it), in order:
+    ||b - A x0|| first, the returned residual last (a zero right-hand
+    side returns x = 0 and [0.0]). timings holds the seconds of the
+    solve's phases: preconditioner (its build inside solve, 0.0 for one
+    passed in) and cg (the iteration). A process's first IC(0) build
+    imports SuperLU (splu), about 0.12 s on a 2-core host, and that
+    build's preconditioner time includes the import."""
 
     x: np.ndarray
     iterations: int
@@ -195,7 +204,11 @@ def build_preconditioner(A, kind="jacobi"):
 
 def projected_guess(A, b, basis):
     """Starting vector from earlier solutions: x0 = V y, where the columns
-    of V are the vectors of basis and y solves (V^T A V) y = V^T b.
+    of V are the vectors of basis and y solves (V^T A V) y = V^T b. A is
+    symmetric, so each entry of the upper triangle of V^T A V is one
+    inner() and the lower triangle its mirror; each entry of V^T b is one
+    inner(), and V y is added up column by column, so no BLAS product is
+    called.
 
     For SPD A this is the point of span(V) closest to the solution in the
     A-norm, so it is never worse there than any vector of the span, such
@@ -206,9 +219,17 @@ def projected_guess(A, b, basis):
     b = np.asarray(b, dtype=float)
     if not basis:
         return np.zeros(b.shape[0])
-    V = np.column_stack(basis)
-    y = np.linalg.lstsq(V.T @ (A @ V), V.T @ b, rcond=None)[0]
-    return V @ y
+    V = list(basis)
+    AV = [A @ v for v in V]
+    G = np.empty((len(V), len(V)))
+    for i, v in enumerate(V):
+        for j in range(i, len(V)):
+            G[i, j] = G[j, i] = inner(v, AV[j])
+    y = np.linalg.lstsq(G, [inner(v, b) for v in V], rcond=None)[0]
+    x = y[0] * V[0]
+    for c, v in zip(y[1:], V[1:]):
+        x += c * v
+    return x
 
 
 def _zero_product(quantity, u, v, iterations, x, res, target):
@@ -231,10 +252,14 @@ def _zero_product(quantity, u, v, iterations, x, res, target):
 def solve(A, b, config=None, x0=None, preconditioner=None):
     """PCG on an SPD system. Returns a SolveResult whose x satisfies
     ||b - A x|| <= tol * ||b||; convergence is confirmed against the true
-    residual, not just the recurrence. A zero r^T z or p^T A p above the
-    target raises ToleranceUnreachable where it is underflow
-    (_zero_product); a negative p^T A p, or a zero one of normal-sized
-    vectors, raises NotPositiveDefinite. A right-hand side with a NaN or
+    residual, not just the recurrence. A target below eps * ||b|| is
+    checked against the true residual once the recurrence residual falls
+    under eps * ||b||, and raises ToleranceUnreachable, with the iterate
+    and its true residual, once a restart from the true residual no
+    longer halves it. A zero r^T z or p^T A p above the target raises
+    ToleranceUnreachable where it is underflow (_zero_product); a
+    negative p^T A p, or a zero one of normal-sized vectors, raises
+    NotPositiveDefinite. A right-hand side with a NaN or
     infinite entry, or whose squared norm overflows, raises
     NonFiniteRightHandSide before the preconditioner is built: its
     target tol * ||b|| would be met at once or never."""
@@ -242,7 +267,7 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     with np.errstate(over="ignore"):  # an overflow is reported below
-        norm_b = math.sqrt(b @ b)
+        norm_b = math.sqrt(inner(b, b))
     if not math.isfinite(norm_b):
         bad = np.flatnonzero(~np.isfinite(b))
         raise NonFiniteRightHandSide(
@@ -270,20 +295,25 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
     if norm_b == 0.0:
         return result(np.zeros(n), 0, 0.0, [0.0])
     target = config.tol * norm_b
+    # a residual below eps * ||b|| lies under the rounding of b itself:
+    # for a target below that floor the loop checks the true residual
+    # from the floor on, and gives up once a restart no longer halves it
+    check = max(target, float(np.finfo(float).eps) * norm_b)
+    last_true = math.inf
 
     r = b - A @ x
-    res = math.sqrt(r @ r)
+    res = math.sqrt(inner(r, r))
     history = [res]
     if res <= target:
         return result(x, 0, res, history)
 
     z = prec.apply(r)
     p = z.copy()
-    rz = float(np.dot(r, z))
+    rz = inner(r, z)
     step = np.empty(n)
     for it in range(1, max_iter + 1):
         Ap = A @ p
-        pAp = float(np.dot(p, Ap))
+        pAp = inner(p, Ap)
         if pAp == 0.0:
             raise _zero_product("p^T A p", p, Ap, it - 1, x, res, target)
         if pAp < 0.0:
@@ -293,23 +323,31 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
         alpha = rz / pAp
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, Ap, out=step)
-        res = math.sqrt(r @ r)
+        res = math.sqrt(inner(r, r))
         history.append(res)
-        if res <= target:
+        if res <= check:
             true_r = b - A @ x
-            true_res = math.sqrt(true_r @ true_r)
+            true_res = math.sqrt(inner(true_r, true_r))
             history.append(true_res)
             if true_res <= target:
                 return result(x, it, true_res, history)
+            if target < check and true_res >= 0.5 * last_true:
+                raise ToleranceUnreachable(
+                    f"the true residual stalled at {true_res:.3e} after "
+                    f"{it} iterations, above the target {target:.3e}; the "
+                    "tolerance lies below what double precision reaches "
+                    f"(eps * ||b|| = {check:.3e})",
+                    best=x, residual=true_res, iterations=it)
             # recurrence drifted: continue from the true residual
+            last_true = true_res
             r = true_r
             res = true_res
             z = prec.apply(r)
             p = z.copy()
-            rz = float(np.dot(r, z))
+            rz = inner(r, z)
             continue
         z = prec.apply(r)
-        rz_new = float(np.dot(r, z))
+        rz_new = inner(r, z)
         if rz_new == 0.0:
             raise _zero_product("r^T z", r, z, it, x, res, target)
         beta = rz_new / rz

@@ -10,11 +10,12 @@ import pytest
 import tripletfem
 
 
-def _run_python(*args):
-    """A fresh interpreter that imports the tripletfem under test."""
+def _run_python(*args, env=None):
+    """A fresh interpreter that imports the tripletfem under test, with
+    the variables of env added to this process's environment."""
     src = str(Path(tripletfem.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
+    env = dict(os.environ, **(env or {}),
                PYTHONPATH=src if not path else os.pathsep.join((src, path)))
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env)
@@ -22,5 +23,6 @@ def _run_python(*args):
 
 @pytest.fixture
 def run_python():
-    """_run_python: run python with the given arguments, capturing output."""
+    """_run_python: run python with the given arguments (and env),
+    capturing output."""
     return _run_python

@@ -613,12 +613,47 @@ def test_open_boundary_scenario_solves_exterior_problem(tmp_path):
     assert solve_timings_are_well_formed(rep["solve"])
 
 
+def test_open_boundary_results_do_not_depend_on_the_blas_thread_count(
+        tmp_path, run_python):
+    # CG's inner products went to the BLAS dot product, which OpenBLAS
+    # splits across its threads on vectors of more than about 10,000
+    # entries: this 256 x 96 annulus (24,832 dofs) took 172 IC(0)
+    # iterations at two threads and 173 at one, and its files differed
+    scn = {
+        "name": "threads", "dimension": 2, "mode": "open-boundary",
+        "open_boundary": {"a": 1.0, "b": 2.0,
+                          "interior": {"kind": "disc", "radius": 1.0},
+                          "divisions": [256, 96], "grading": 2.0,
+                          "inner_value": {"harmonic": 1}},
+        "solver": {"preconditioner": "ic0", "tol": 1e-10},
+        "outputs": {"vtk": "ob.vtk", "csv": "ob.csv"},
+    }
+    runs = {}
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        path = write_scenario(tmp_path / threads, scn)
+        out = run_python("-m", "tripletfem.cli", "open-boundary", path,
+                         env={"OPENBLAS_NUM_THREADS": threads})
+        assert out.returncode == 0, out.stderr
+        rep = report_of(path)
+        assert rep["versions"]["OPENBLAS_NUM_THREADS"] == threads
+        runs[threads] = (rep, (tmp_path / threads / "ob.vtk").read_bytes(),
+                         (tmp_path / threads / "ob.csv").read_bytes())
+    (one, vtk_1, csv_1), (two, vtk_2, csv_2) = runs["1"], runs["2"]
+    assert one["iterations"] == two["iterations"]
+    assert one["residual_history"] == two["residual_history"]
+    assert one["energy"] == two["energy"]
+    assert vtk_1 == vtk_2
+    assert csv_1 == csv_2
+
+
 @pytest.mark.parametrize("preconditioner", ["ic0", "jacobi"])
 def test_unreachable_tolerance_exits_3_with_the_solver_state(
         tmp_path, preconditioner):
-    # the CG recurrence underflows before 1e-300 * ||b||: IC(0) divided by
-    # r^T z = 0 (exit 1, a traceback) and Jacobi called the SPD system
-    # indefinite
+    # 1e-300 * ||b|| lies below what double precision reaches: IC(0) once
+    # divided by r^T z = 0 (exit 1, a traceback), Jacobi called the SPD
+    # system indefinite, and, waiting for r^T z or p^T A p to underflow
+    # under einsum's sums, Jacobi ran into MaxIterExceeded
     scn = {
         "name": "tiny-tol", "dimension": 2, "mode": "open-boundary",
         "open_boundary": {"a": 1.0, "b": 2.0,
@@ -635,7 +670,7 @@ def test_unreachable_tolerance_exits_3_with_the_solver_state(
     assert err["type"] == "ToleranceUnreachable"
     assert "double precision" in err["message"]
     assert err["iterations"] > 0
-    assert 0 < err["residual"] < 1e-150
+    assert 0 < err["residual"] < 1e-13
 
 
 @pytest.mark.parametrize("inner_value", [
