@@ -352,12 +352,11 @@ def motion_sweep(ms, *, config=None, measure_cold=False):
         if changed == 0 and results:
             # the matrix and right-hand side equal the last step's, so
             # its solution is this one's; no guess and no solve
-            sol = replace(results[-1].solution, triplet=tri)
-            info = sol.solve_info
-            if info is not None:
-                sol = replace(sol, solve_info=replace(
-                    info, iterations=0, residuals=[info.residual],
-                    timings={"preconditioner": 0.0, "cg": 0.0}))
+            last = results[-1].solution
+            sol = replace(last, triplet=tri, solve_info=replace(
+                last.solve_info, iterations=0,
+                residuals=[last.solve_info.residual],
+                timings={"preconditioner": 0.0, "cg": 0.0}))
         else:
             x0 = _solver.projected_guess(system.matrix, system.rhs, window)
             t2 = time.perf_counter()
@@ -366,8 +365,7 @@ def motion_sweep(ms, *, config=None, measure_cold=False):
                                                        cfg.preconditioner)
             sol = fem.solve_bvp(spec, cfg, system=system,
                                 preconditioner=precond, x0=x0)
-            if sol.solve_info is not None:
-                window.append(sol.solve_info.x)
+            window.append(sol.solve_info.x)
         t3 = time.perf_counter()
         timings = {"update": t1 - t0, "guess": t2 - t1, "solve": t3 - t2,
                    **parts}
@@ -379,9 +377,9 @@ def motion_sweep(ms, *, config=None, measure_cold=False):
             cold = _solver.solve(system.matrix, system.rhs, cfg,
                                  preconditioner=fresh)
             cold_iters = cold.iterations
-        iters = sol.solve_info.iterations if sol.solve_info is not None else 0
         results.append(SweepStep(step=k, solution=sol, energy=sol.energy,
-                                 iterations=iters, changed_entries=changed,
+                                 iterations=sol.solve_info.iterations,
+                                 changed_entries=changed,
                                  wall_time=timings["update"]
                                  + timings["guess"] + timings["solve"],
                                  timings=timings,

@@ -5,18 +5,19 @@ values) plus one mode; the subcommand must match the mode. Each mode's
 runner hands its writers, one per output the mode can write, to one
 output table (_outputs), which refuses any other declared output before
 the run starts. Outputs and the always-written JSON run report land next
-to the scenario file unless given as absolute paths. Quick mesh
-utilities (gen, convert, quality) work without a scenario.
+to the scenario file unless given as absolute paths. The mesh utilities
+(gen, convert, quality) need no scenario file: each runs its arguments
+as a mesh-tools scenario.
 
-Exit codes: 0 success, 64 unknown subcommand, and otherwise one rule
-(_exit_code) for scenario commands and mesh utilities alike: a
+Exit codes: 0 success, 64 unknown subcommand, and otherwise one error
+path (_exit_status) for scenario commands and mesh utilities alike: a
 ScenarioError (a bad declaration or argument; the diagnostic names the
 field or line), an UnknownTag or an OSError exits 2, and any other
 library error is numerical and exits 3. Every scenario run, successful
-or not, writes a machine-readable report. Printed numbers, like the
-files' numbers, come from mesh.text_rows, so reruns of the same scenario
-are byte-comparable; every report's versions name the BLAS and its
-OPENBLAS_NUM_THREADS setting.
+or not, writes a machine-readable report (a mesh utility writes none).
+Printed numbers, like the files' numbers, come from mesh.text_rows, so
+reruns of the same scenario are byte-comparable; every report's
+versions name the BLAS and its OPENBLAS_NUM_THREADS setting.
 """
 
 import argparse
@@ -67,10 +68,6 @@ mesh utilities (no scenario file):
 
 exit codes: 0 ok, 2 validation, 3 numerical failure, 64 unknown command
 """
-
-_SCENARIO_COMMANDS = ("solve", "equivalence-check", "open-boundary",
-                      "motion", "mesh-tools")
-
 
 def _fmt(x):
     return mesh_mod.text_rows([float(x)])[:-1]
@@ -193,15 +190,12 @@ def _apply_override(scn, key, raw):
 _FLAGS = {"--tol": "solver.tol", "--quadrature": "quadrature"}
 
 
-def _parse_scenario_args(cmd, args):
-    """Split the arguments into the scenario path and its overrides. A
-    flag is shorthand for its key=value override and is applied after
-    the explicit ones, so it wins; both are validated with the scenario.
-
-    Returns (scenario_path, overrides, error). Parsing stops at the first
-    bad argument, which comes back as a ScenarioError with the path as
-    far as it was read (None when no path came before it)."""
-    scenario_path = None
+def _parse_scenario_args(cmd, args, report):
+    """The overrides among the arguments. A flag is shorthand for its
+    key=value override and is applied after the explicit ones, so it
+    wins; both are validated with the scenario. The scenario path and
+    its report's go into report once read, so a bad argument after the
+    path (a ScenarioError) is reported next to it."""
     overrides = []
     flags = []
     i = 0
@@ -209,25 +203,22 @@ def _parse_scenario_args(cmd, args):
         a = args[i]
         if a in _FLAGS:
             if i + 1 >= len(args):
-                return scenario_path, [], ScenarioError(
-                    f"flag {a} needs a value", field=a)
+                raise ScenarioError(f"flag {a} needs a value", field=a)
             flags.append(f"{_FLAGS[a]}={args[i + 1]}")
-            i += 2
-        elif a.startswith("--"):
-            return scenario_path, [], ScenarioError(
-                f"unknown flag {a!r}", field=a)
-        elif scenario_path is None:
-            scenario_path = a
             i += 1
+        elif a.startswith("--"):
+            raise ScenarioError(f"unknown flag {a!r}", field=a)
+        elif not report:
+            report.update(scenario=a, path=a + ".report.json")
         elif "=" in a:
             overrides.append(a)
-            i += 1
         else:
-            return scenario_path, [], ScenarioError(
+            raise ScenarioError(
                 f"unexpected argument {a!r}; overrides look like key=value")
-    if scenario_path is None:
-        return None, [], ScenarioError(f"{cmd} needs a scenario file")
-    return scenario_path, overrides + flags, None
+        i += 1
+    if not report:
+        raise ScenarioError(f"{cmd} needs a scenario file")
+    return overrides + flags
 
 
 # ------------------------------------------------------- builders
@@ -339,32 +330,30 @@ def build_triplet(cfg, dim):
     return tp.Triplet(chart=chart, metric=metric, material=material)
 
 
-def build_mesh(cfg, ctx):
+def build_mesh(cfg, ctx, dim=None):
     """A mesh read from cfg["file"] (any fault in the file's content is a
     mesh.file declaration error) or made by cfg["generator"], whose keys
-    are generate_structured's keyword arguments."""
+    are generate_structured's keyword arguments. It must have dim, the
+    dimension a scenario file declares; a mesh utility declares none (dim
+    None), as its --div count or its file alone fixes the dimension."""
     if "file" in cfg:
         path = ctx.path(cfg["file"])
         if not os.path.isfile(path):
             raise ScenarioError(f"mesh file not found: {path}",
                                 field="mesh.file")
         try:
-            return mesh_mod.read_msh(path)
+            m = mesh_mod.read_msh(path)
         except TripletFemError as err:
             raise ScenarioError(str(err), field="mesh.file") from err
-    gen = dict(cfg["generator"])
-    with _declared("mesh.generator"):
-        if "region_bands" in gen:
-            gen["region_bands"] = [(str(t), int(ax), float(lo), float(hi))
-                                   for t, ax, lo, hi in gen["region_bands"]]
-        return mesh_mod.generate_structured(**gen)
-
-
-def _scenario_mesh(cfg, ctx, dim):
-    """build_mesh for a scenario, whose declared dimension the mesh must
-    have."""
-    m = build_mesh(cfg, ctx)
-    if m.dim != dim:
+    else:
+        gen = dict(cfg["generator"])
+        with _declared("mesh.generator"):
+            if "region_bands" in gen:
+                gen["region_bands"] = [
+                    (str(t), int(ax), float(lo), float(hi))
+                    for t, ax, lo, hi in gen["region_bands"]]
+            m = mesh_mod.generate_structured(**gen)
+    if dim is not None and m.dim != dim:
         raise ScenarioError(f"the scenario declares dimension {dim}, but "
                             f"its mesh is {m.dim}-dimensional",
                             field="dimension")
@@ -373,7 +362,7 @@ def _scenario_mesh(cfg, ctx, dim):
 
 def build_atlas(cfg, ctx, dim):
     regions = [AtlasRegion(rc["id"], build_chart(rc["chart"], dim),
-                           _scenario_mesh(rc["mesh"], ctx, dim))
+                           build_mesh(rc["mesh"], ctx, dim))
                for rc in cfg["regions"]]
     interfaces = [((ic["regions"][0], ic["regions"][1]),
                    (ic["tags"][0], ic["tags"][1]))
@@ -400,7 +389,7 @@ def build_bvp(scn, ctx):
     if "atlas" in scn:
         domain = build_atlas(scn["atlas"], ctx, dim)
     else:
-        domain = _scenario_mesh(scn["mesh"], ctx, dim)
+        domain = build_mesh(scn["mesh"], ctx, dim)
     return _make_spec(domain, triplet, scn)
 
 
@@ -459,23 +448,20 @@ def _run_solve(scn, ctx, spec=None):
     with _outputs(scn, ctx, writers) as outputs:
         sol = fem.solve_bvp(spec, config)
         info = sol.solve_info
-        iterations = info.iterations if info is not None else 0
-        residual = float(info.residual) if info is not None else 0.0
         print(f"energy {_fmt(sol.energy)}")
-        print(f"cg iterations {iterations}, residual {_fmt(residual)}")
-    prec = info.preconditioner if info is not None else None
-    return {"energy": float(sol.energy), "iterations": int(iterations),
-            "residual": residual, "assembly": dict(sol.system.timings),
-            "solve": dict(info.timings) if info is not None
-            else {"preconditioner": 0.0, "cg": 0.0},
-            "residual_history": info.residuals if info is not None else [0.0],
+        print(f"cg iterations {info.iterations}, "
+              f"residual {_fmt(info.residual)}")
+    prec = info.preconditioner
+    return {"energy": float(sol.energy), "iterations": int(info.iterations),
+            "residual": float(info.residual),
+            "assembly": dict(sol.system.timings),
+            "solve": dict(info.timings),
+            "residual_history": info.residuals,
             "dofs": int(sol.u.size),
             "outputs": outputs,
             "preconditioner": {
-                "requested": config.preconditioner,
-                "built": prec.kind if prec is not None else None,
-                "fallback": prec is not None and prec.fallback,
-                "note": prec.note if prec is not None else ""}}
+                "requested": config.preconditioner, "built": prec.kind,
+                "fallback": prec.fallback, "note": prec.note}}
 
 
 def _run_equivalence(scn, ctx):
@@ -489,7 +475,7 @@ def _run_equivalence(scn, ctx):
             systems[0].full_matrix, path)}
     with _outputs(scn, ctx, writers) as outputs:
         # the standard parameterization
-        base = _scenario_mesh(scn["mesh"], ctx, dim)
+        base = build_mesh(scn["mesh"], ctx, dim)
         triplets = [build_triplet(c, dim) for c in scn["triplets"]]
         systems = []
         for t in triplets:
@@ -591,8 +577,7 @@ def _run_motion(scn, ctx):
     # a step's guess_residual is ||b - A x0|| of its starting vector
     return {"steps": [{"step": r.step, "energy": float(r.energy),
                        "iterations": int(r.iterations),
-                       "guess_residual": r.solution.solve_info.residuals[0]
-                       if r.solution.solve_info is not None else 0.0,
+                       "guess_residual": r.solution.solve_info.residuals[0],
                        "changed_entries": int(r.changed_entries),
                        "cold_iterations": int(r.cold_iterations),
                        "wall_time": float(r.wall_time),
@@ -611,11 +596,11 @@ def _run_mesh_tools(scn, ctx):
             path, ["element", "quality"], np.arange(len(q.ratios)),
             q.ratios)}
     with _outputs(scn, ctx, writers) as outputs:
-        m = _scenario_mesh(scn["mesh"], ctx, scn["dimension"])
+        m = build_mesh(scn["mesh"], ctx, scn.get("dimension"))
         q = mesh_mod.quality(m)
-        print(f"nodes {m.n_nodes}, elements {m.n_elements}")
+        print(f"{m.n_nodes} nodes, {m.n_elements} elements")
         print(f"quality min {_fmt(q.min)} max {_fmt(q.max)} "
-              f"mean {_fmt(q.mean)} worst element {q.worst_element}")
+              f"mean {_fmt(q.mean)} worst_element {q.worst_element}")
     return {"nodes": int(m.n_nodes), "elements": int(m.n_elements),
             "quality": {"min": float(q.min), "max": float(q.max),
                         "mean": float(q.mean),
@@ -681,34 +666,36 @@ def _error_info(err):
     return info
 
 
-def _exit_code(err):
-    """The one exit-code rule: a declaration, a tag or a file exits 2;
-    any other library error is numerical and exits 3."""
-    return 2 if isinstance(err, (ScenarioError, UnknownTag, OSError)) else 3
-
-
-def _print_error(err):
-    loc = ""
-    if isinstance(err, ScenarioError):
-        if err.line is not None:
-            loc = f" (line {err.line})"
-        elif err.field is not None:
-            loc = f" (field {err.field})"
-    print(f"error: {err}{loc}", file=sys.stderr)
+def _exit_status(run, report=None):
+    """The one error path and exit-code rule. run() returns 0 or raises:
+    a declaration, a tag or a file exits 2, and any other library error
+    is numerical and exits 3. The error is printed with its line or
+    field and, once run has read a scenario path, written to its report
+    (report holds "scenario" and the report's "path")."""
+    try:
+        return run()
+    except (TripletFemError, OSError) as err:
+        code = 2 if isinstance(err, (ScenarioError, UnknownTag, OSError)) \
+            else 3
+        info = _error_info(err)
+        where = next((f" ({key} {info[key]})" for key in ("line", "field")
+                      if key in info), "")
+        print(f"error: {err}{where}", file=sys.stderr)
+        if report:
+            _write_report(report["path"], {
+                "status": "error", "exit_code": code, "error": info,
+                "scenario": report["scenario"]})
+        return code
 
 
 def run_scenario(cmd, args):
     """One scenario run: parse, validate, execute, report."""
-    scenario_path, overrides, bad_args = _parse_scenario_args(cmd, args)
-    if scenario_path is None:
-        _print_error(bad_args)
-        return _exit_code(bad_args)
-    report_path = scenario_path + ".report.json"
+    report = {}
     started = time.time()
-    scn = None
-    try:
-        if bad_args is not None:
-            raise bad_args
+
+    def run():
+        overrides = _parse_scenario_args(cmd, args, report)
+        scenario_path = report["scenario"]
         scn = _load_scenario(scenario_path)
         for kv in overrides:
             key, _, raw = kv.partition("=")
@@ -721,20 +708,15 @@ def run_scenario(cmd, args):
         ctx = RunContext(os.path.dirname(os.path.abspath(scenario_path)))
         declared = scn.get("outputs", {}).get("report")
         if declared:
-            report_path = ctx.path(declared)
+            report["path"] = ctx.path(declared)
         payload = _RUNNERS[cmd](scn, ctx)
-    except (TripletFemError, OSError) as err:
-        code = _exit_code(err)
-        _print_error(err)
-        _write_report(report_path, {
-            "status": "error", "exit_code": code, "error": _error_info(err),
-            "scenario": scenario_path})
-        return code
-    payload.update({
-        "status": "ok", "mode": cmd, "name": scn["name"],
-        "scenario": scenario_path, "wall_time": time.time() - started})
-    _write_report(report_path, payload)
-    return 0
+        payload.update({
+            "status": "ok", "mode": cmd, "name": scn["name"],
+            "scenario": scenario_path, "wall_time": time.time() - started})
+        _write_report(report["path"], payload)
+        return 0
+
+    return _exit_status(run, report)
 
 
 # --------------------------------------------------- mesh utilities
@@ -759,64 +741,55 @@ def _mesh_gen(args):
     gen = {key: value for key, value in vars(parser.parse_args(args)).items()
            if value is not None}
     out = gen.pop("out")
-    if "bounds" in gen:
-        ndim = len(gen["divisions"])
-        if len(gen["bounds"]) != 2 * ndim:
-            raise ScenarioError(f"--bounds needs {2 * ndim} numbers "
-                                "(lo per axis, then hi per axis)",
-                                field="--bounds")
-        gen["bounds"] = [gen["bounds"][:ndim], gen["bounds"][ndim:]]
-    _write_mesh_by_extension(build_mesh({"generator": gen}, RunContext("")),
-                             out)
-
-
-def _write_mesh_by_extension(m, out):
-    if out.endswith(".msh"):
-        mesh_mod.write_msh(m, out)
-    elif out.endswith(".vtk"):
-        mesh_mod.write_vtk(m, out)
-    else:
-        raise ScenarioError(f"unsupported output extension on {out!r} "
-                            "(use .msh or .vtk)")
-    print(f"wrote {out}: {m.n_nodes} nodes, {m.n_elements} elements")
-
-
-def _mesh_convert(args):
-    parser = argparse.ArgumentParser(prog="tripletfem mesh convert")
-    parser.add_argument("input")
-    parser.add_argument("output")
-    ns = parser.parse_args(args)
-    _write_mesh_by_extension(build_mesh({"file": ns.input}, RunContext("")),
-                             ns.output)
-
-
-def _mesh_quality(args):
-    parser = argparse.ArgumentParser(prog="tripletfem mesh quality")
-    parser.add_argument("input")
-    ns = parser.parse_args(args)
-    m = build_mesh({"file": ns.input}, RunContext(""))
-    q = mesh_mod.quality(m)
-    print(f"elements {m.n_elements}")
-    print(f"min {_fmt(q.min)}")
-    print(f"max {_fmt(q.max)}")
-    print(f"mean {_fmt(q.mean)}")
-    print(f"worst_element {q.worst_element}")
+    # float() takes NaN and infinities, which a scenario's JSON refuses; a
+    # band bound that is no number at all is left to the mesh builder
+    numbers = {f"--{key}": np.ravel(gen.get(key, [])).tolist()
+               for key in ("bounds", "radii", "center", "grading")}
+    numbers["--band"] = [x for band in gen.get("region_bands", [])
+                         for x in band[2:]]
+    for flag, values in numbers.items():
+        for raw in values:
+            with contextlib.suppress(ValueError):
+                if not math.isfinite(float(raw)):
+                    raise ScenarioError(f"non-finite number {raw}; numbers "
+                                        "must be finite", field=flag)
+    if "bounds" in gen:  # lo per axis, then hi per axis
+        half = len(gen["bounds"]) // 2
+        gen["bounds"] = [gen["bounds"][:half], gen["bounds"][half:]]
+    return {"generator": gen}, out
 
 
 def _mesh_command(args):
-    tools = {"gen": _mesh_gen, "convert": _mesh_convert,
-             "quality": _mesh_quality}
-    if not args or args[0] not in tools:
+    """A mesh utility: its arguments become a mesh-tools scenario, with
+    the output file's extension as its outputs key, run by the scenario
+    runner through the one error path, without a report."""
+    if not args or args[0] not in ("gen", "convert", "quality"):
         print(USAGE, file=sys.stderr)
         return 64
+
+    def run():
+        if args[0] == "gen":
+            mesh, out = _mesh_gen(args[1:])
+        else:
+            parser = argparse.ArgumentParser(prog=f"tripletfem mesh {args[0]}")
+            parser.add_argument("input")
+            if args[0] == "convert":
+                parser.add_argument("output")
+            ns = parser.parse_args(args[1:])
+            mesh, out = {"file": ns.input}, getattr(ns, "output", None)
+        key = os.path.splitext(out)[1][1:] if out else None
+        if key not in (None, "msh", "vtk"):
+            raise ScenarioError(f"unsupported output extension on {out!r} "
+                                "(use .msh or .vtk)")
+        _run_mesh_tools({"mode": "mesh-tools", "mesh": mesh,
+                         "outputs": {key: out} if out else {}},
+                        RunContext(""))
+        return 0
+
     try:
-        tools[args[0]](args[1:])
+        return _exit_status(run)
     except SystemExit as err:  # argparse's own exits: 0 for -h, 2 for bad args
         return int(err.code or 0)
-    except (TripletFemError, OSError) as err:
-        _print_error(err)
-        return _exit_code(err)
-    return 0
 
 
 # ------------------------------------------------------------- main
@@ -831,7 +804,7 @@ def main(argv=None):
         print(USAGE, file=sys.stderr)
         return 64
     cmd, rest = args[0], args[1:]
-    if cmd in _SCENARIO_COMMANDS:
+    if cmd in _RUNNERS:
         return run_scenario(cmd, rest)
     if cmd == "mesh":
         return _mesh_command(rest)

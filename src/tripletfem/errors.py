@@ -105,8 +105,8 @@ class ToleranceUnreachable(NotConverged):
 
 
 class NonFiniteRightHandSide(TripletFemError):
-    """A solve's right-hand side has a NaN or infinite entry, or a norm
-    whose square overflows double precision."""
+    """A solve's right-hand side has a NaN or infinite entry, or is so
+    large that the solution or its energy overflows double precision."""
 
 
 class NotPositiveDefinite(TripletFemError):

@@ -32,8 +32,8 @@ import scipy.sparse as sp
 
 from . import solver as _solver
 from .atlas import Atlas, build_global_index
-from .errors import (DegenerateElement, DimensionMismatch, TripletFemError,
-                     UnknownTag)
+from .errors import (DegenerateElement, DimensionMismatch,
+                     NonFiniteRightHandSide, TripletFemError, UnknownTag)
 from .geometry import MetricField, adjugate
 from .mesh import (_VOLUME_FACTOR, Mesh, _edge_matrices, _first_degenerate,
                    text_rows)
@@ -878,7 +878,8 @@ def local_stiffness(nodes, K, quadrature="one_point"):
 
 @dataclass(frozen=True)
 class Solution:
-    """Nodal potential, the stored energy, and per-element fields.
+    """Nodal potential, the stored energy, per-element fields, and the
+    solve's SolveResult (solve_info; 0 iterations with no free dof).
 
     triplet is the one the system held when it was solved; a motion
     sweep goes on changing system.triplet afterwards, so the fields,
@@ -890,7 +891,7 @@ class Solution:
     energy: float
     system: AssembledSystem
     triplet: Triplet
-    solve_info: object = None
+    solve_info: _solver.SolveResult
 
     @cached_property
     def fields(self):
@@ -915,19 +916,18 @@ def solve_bvp(spec, config=None, *, system=None, preconditioner=None,
               x0=None):
     """Assemble (unless a system is supplied) and solve.
 
-    Returns a Solution; solve_info carries the conjugate-gradient
-    iteration count and final residual.
+    Returns a Solution whose solve_info is solver.solve's SolveResult; a
+    system with every dof fixed is the 0 x 0 system, solved in 0
+    iterations. An energy that overflows raises NonFiniteRightHandSide.
     """
     sys_ = system if system is not None else assemble(spec)
-    cfg = config if config is not None else _solver.SolverConfig()
-    if sys_.free.size:
-        result = _solver.solve(sys_.matrix, sys_.rhs, cfg, x0=x0,
-                               preconditioner=preconditioner)
-        u = sys_.expand(result.x)
-    else:
-        result = None
-        u = sys_.expand(np.zeros(0))
-    return Solution(u=u, energy=sys_.energy_of(u), system=sys_,
+    result = _solver.solve(sys_.matrix, sys_.rhs, config, x0=x0,
+                           preconditioner=preconditioner)
+    u = sys_.expand(result.x)
+    energy = sys_.energy_of(u)
+    if not np.isfinite(energy):
+        raise NonFiniteRightHandSide(f"the energy overflows ({energy})")
+    return Solution(u=u, energy=energy, system=sys_,
                     triplet=sys_.triplet, solve_info=result)
 
 

@@ -539,8 +539,10 @@ def generate_structured(shape="box", divisions=(1, 1), *, bounds=None,
             raise ValueError("grading applies to annulus meshes only")
         if bounds is None:
             bounds = (np.zeros(dim), np.ones(dim))
-        lo = np.asarray(bounds[0], dtype=float)
-        hi = np.asarray(bounds[1], dtype=float)
+        lo, hi = (np.asarray(b, dtype=float) for b in bounds)
+        if lo.shape != (dim,) or hi.shape != (dim,):
+            raise DimensionMismatch(f"box bounds need {dim} numbers for lo "
+                                    f"and {dim} for hi")
         if np.any(hi <= lo):
             raise DegenerateShape("box has zero or negative extent")
         if dim == 2:

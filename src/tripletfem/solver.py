@@ -11,13 +11,14 @@ worker thread wakes for a reduction (in the spirit of Demmel and Nguyen,
 "Parallel reproducible summation", IEEE Trans. Comput. 64(7), 2015). A
 solve either returns a result that meets the target or raises
 MaxIterExceeded, or ToleranceUnreachable for a target below what double
-precision reaches; a right-hand side whose norm is not finite raises
-NonFiniteRightHandSide before any work. Preconditioners
-are handles that outlive one solve: the motion driver builds one on its
-first step and applies it for the whole sweep while the matrix drifts.
-For a sequence of related systems, projected_guess starts each solve
-from the Galerkin projection onto earlier solutions (Fischer, CMAME 163,
-1998).
+precision reaches; a right-hand side with a NaN or infinite entry raises
+NonFiniteRightHandSide before any work. The loop runs on b scaled by a
+power of two, exactly, so no inner product over- or underflows for want
+of exponent range. Preconditioners are handles that outlive one solve:
+the motion driver builds one on its first step and applies it for the
+whole sweep while the matrix drifts. For a sequence of related systems,
+projected_guess starts each solve from the Galerkin projection onto
+earlier solutions (Fischer, CMAME 163, 1998).
 """
 
 from __future__ import annotations
@@ -70,11 +71,12 @@ class SolveResult:
     """residuals holds every residual norm the loop compared with the
     target (with eps * ||b|| for a target below it), in order:
     ||b - A x0|| first, the returned residual last (a zero right-hand
-    side returns x = 0 and [0.0]). timings holds the seconds of the
-    solve's phases: preconditioner (its build inside solve, 0.0 for one
-    passed in) and cg (the iteration). A process's first IC(0) build
-    imports SuperLU (splu), about 0.12 s on a 2-core host, and that
-    build's preconditioner time includes the import."""
+    side, or a system of no unknowns, returns x = 0 and [0.0] after 0
+    iterations). timings holds the seconds of the solve's phases:
+    preconditioner (its build inside solve, 0.0 for one passed in) and
+    cg (the iteration). A process's first IC(0) build imports SuperLU
+    (splu), about 0.12 s on a 2-core host, and that build's
+    preconditioner time includes the import."""
 
     x: np.ndarray
     iterations: int
@@ -88,7 +90,8 @@ class Preconditioner:
     """Reusable application handle M^-1 r.
 
     kind records what was actually built; fallback marks an IC(0) request
-    that broke down and was silently downgraded to jacobi.
+    that broke down and was downgraded to jacobi, and note says why (the
+    CLI's report names both).
     """
 
     def __init__(self, kind, apply_fn, fallback=False, note=""):
@@ -259,23 +262,30 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
     longer halves it. A zero r^T z or p^T A p above the target raises
     ToleranceUnreachable where it is underflow (_zero_product); a
     negative p^T A p, or a zero one of normal-sized vectors, raises
-    NotPositiveDefinite. A right-hand side with a NaN or
-    infinite entry, or whose squared norm overflows, raises
-    NonFiniteRightHandSide before the preconditioner is built: its
-    target tol * ||b|| would be met at once or never."""
+    NotPositiveDefinite. A right-hand side with a NaN or infinite
+    entry raises NonFiniteRightHandSide before the preconditioner is
+    built: its target tol * ||b|| would be met at once or never; so does
+    a solution that overflows. b and x0 enter scaled by 2^-e, e the
+    binary exponent of max|b|, and x, the residuals and an error's best
+    and residual leave scaled back: every iterate scales exactly, so the
+    loop takes its unscaled steps, and r^T r cannot over- or underflow
+    for want of exponent range."""
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        norm_b = math.sqrt(inner(b, b))
-    if not math.isfinite(norm_b):
-        bad = np.flatnonzero(~np.isfinite(b))
-        raise NonFiniteRightHandSide(
-            f"right-hand side entry {int(bad[0])} is {b[bad[0]]}"
-            if bad.size else
-            f"the squared norm of the right-hand side overflows (largest "
-            f"entry {np.max(np.abs(b)):.3e}); no residual can be compared "
-            "with a target")
+    peak = float(np.max(np.abs(b), initial=0.0))
+    if not math.isfinite(peak):
+        bad = int(np.flatnonzero(~np.isfinite(b))[0])
+        raise NonFiniteRightHandSide(f"right-hand side entry {bad} is "
+                                     f"{b[bad]}")
+    e = math.frexp(peak)[1]
+    b = np.ldexp(b, -e)
+
+    def unscaled(v, out=None):  # inf where the value overflows
+        with np.errstate(over="ignore"):
+            return np.ldexp(v, e, out=out)
+
+    norm_b = math.sqrt(inner(b, b))
     max_iter = config.max_iter if config.max_iter is not None else 10 * max(n, 1)
     t0 = time.perf_counter()
     prec = preconditioner
@@ -286,11 +296,18 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
 
     def result(x, iterations, residual, history):
         timings = {"preconditioner": built, "cg": time.perf_counter() - t1}
-        return SolveResult(x=x, iterations=iterations, residual=residual,
-                           preconditioner=prec, residuals=history,
+        x = unscaled(x, out=x)  # x is the loop's own array
+        if not np.isfinite(x).all():
+            raise NonFiniteRightHandSide(f"the solution overflows (largest "
+                                         f"right-hand side entry {peak:.3e})")
+        return SolveResult(x=x, iterations=iterations,
+                           residual=float(unscaled(residual)),
+                           preconditioner=prec,
+                           residuals=unscaled(history).tolist(),
                            timings=timings)
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n) if x0 is None else np.ldexp(np.asarray(x0, dtype=float),
+                                                 -e)
 
     if norm_b == 0.0:
         return result(np.zeros(n), 0, 0.0, [0.0])
@@ -315,11 +332,12 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
         Ap = A @ p
         pAp = inner(p, Ap)
         if pAp == 0.0:
-            raise _zero_product("p^T A p", p, Ap, it - 1, x, res, target)
+            raise _zero_product("p^T A p", p, Ap, it - 1,
+                                *map(unscaled, (x, res, target)))
         if pAp < 0.0:
             raise NotPositiveDefinite(
-                f"p^T A p = {pAp:.3e} at iteration {it}; the reduced system "
-                "is not positive definite")
+                f"p^T A p = {unscaled(unscaled(pAp)):.3e} at iteration "
+                f"{it}; the reduced system is not positive definite")
         alpha = rz / pAp
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, Ap, out=step)
@@ -333,11 +351,12 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
                 return result(x, it, true_res, history)
             if target < check and true_res >= 0.5 * last_true:
                 raise ToleranceUnreachable(
-                    f"the true residual stalled at {true_res:.3e} after "
-                    f"{it} iterations, above the target {target:.3e}; the "
-                    "tolerance lies below what double precision reaches "
-                    f"(eps * ||b|| = {check:.3e})",
-                    best=x, residual=true_res, iterations=it)
+                    f"the true residual stalled at {unscaled(true_res):.3e} "
+                    f"after {it} iterations, above the target "
+                    f"{unscaled(target):.3e}; the tolerance lies below what "
+                    "double precision reaches (eps * ||b|| = "
+                    f"{unscaled(check):.3e})", best=unscaled(x),
+                    residual=float(unscaled(true_res)), iterations=it)
             # recurrence drifted: continue from the true residual
             last_true = true_res
             r = true_r
@@ -349,12 +368,13 @@ def solve(A, b, config=None, x0=None, preconditioner=None):
         z = prec.apply(r)
         rz_new = inner(r, z)
         if rz_new == 0.0:
-            raise _zero_product("r^T z", r, z, it, x, res, target)
+            raise _zero_product("r^T z", r, z, it,
+                                *map(unscaled, (x, res, target)))
         beta = rz_new / rz
         p *= beta
         p += z
         rz = rz_new
     raise MaxIterExceeded(
-        f"no convergence within {max_iter} iterations "
-        f"(residual {res:.3e}, target {target:.3e})",
-        best=x, residual=res, iterations=max_iter)
+        f"no convergence within {max_iter} iterations (residual "
+        f"{unscaled(res):.3e}, target {unscaled(target):.3e})",
+        best=unscaled(x), residual=float(unscaled(res)), iterations=max_iter)

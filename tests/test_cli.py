@@ -165,6 +165,45 @@ def test_mesh_convert_to_vtk(tmp_path):
     assert dst.read_text().startswith("# vtk DataFile")
 
 
+def test_mesh_convert_rejects_unknown_extension(tmp_path, capsys):
+    src = tmp_path / "box.msh"
+    mesh.write_msh(mesh.generate_structured("box", (2, 2)), src)
+    assert cli.main(["mesh", "convert", str(src),
+                     str(tmp_path / "box.xyz")]) == 2
+    assert "extension" in capsys.readouterr().err
+    assert not (tmp_path / "box.xyz").exists()
+
+
+def test_mesh_convert_to_vtk_writes_the_cell_quality(tmp_path):
+    """convert runs as a mesh-tools scenario, whose vtk output carries
+    the per-element quality (the old convert wrote the bare mesh)."""
+    src, dst, ref = (tmp_path / name for name in ("a.msh", "a.vtk", "r.vtk"))
+    m = mesh.generate_structured("annulus", (12, 4), radii=(1.0, 2.0))
+    mesh.write_msh(m, src)
+    assert cli.main(["mesh", "convert", str(src), str(dst)]) == 0
+    read = mesh.read_msh(str(src))
+    mesh.write_vtk(read, ref, cell_data={"quality": mesh.quality(read).ratios})
+    assert dst.read_bytes() == ref.read_bytes()
+    assert "quality" in dst.read_text()
+
+
+def test_mesh_quality_prints_what_a_mesh_tools_scenario_prints(tmp_path,
+                                                               capsys):
+    """One printout: the utility and the scenario on one file print the
+    same bytes (the utility once printed its own five lines)."""
+    mesh.write_msh(mesh.generate_structured("annulus", (12, 4),
+                                            radii=(1.0, 2.0)),
+                   tmp_path / "f.msh")
+    assert cli.main(["mesh", "quality", str(tmp_path / "f.msh")]) == 0
+    utility = capsys.readouterr().out
+    path = write_scenario(tmp_path, {"name": "q", "dimension": 2,
+                                     "mode": "mesh-tools",
+                                     "mesh": {"file": "f.msh"}})
+    assert cli.main(["mesh-tools", path]) == 0
+    assert capsys.readouterr().out == utility
+    assert "worst_element" in utility
+
+
 def test_mesh_unknown_tool_exits_64(capsys):
     assert cli.main(["mesh", "frobnicate"]) == 64
     assert "usage" in capsys.readouterr().err
@@ -407,6 +446,24 @@ def test_solve_writes_vtk_with_nodal_potential(tmp_path):
     rep = report_of(path)
     assert rep["status"] == "ok"
     assert rep["energy"] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_a_solve_with_every_dof_fixed_reports_its_solve(tmp_path):
+    """A 1x1 box with all four sides Dirichlet has no free dof; its
+    report names the preconditioner built for the 0 x 0 system (once
+    null, as the solution carried no solve result)."""
+    scn = {"name": "fixed", "dimension": 2, "mode": "solve",
+           "mesh": {"generator": {"shape": "box", "divisions": [1, 1]}},
+           "boundary": [{"tag": tag, "value": float(i)} for i, tag in
+                        enumerate(("left", "right", "bottom", "top"))]}
+    path = write_scenario(tmp_path, scn)
+    assert cli.main(["solve", path]) == 0
+    rep = report_of(path)
+    assert rep["dofs"] == 4 and rep["iterations"] == 0
+    assert rep["preconditioner"] == {"requested": "jacobi",
+                                     "built": "jacobi", "fallback": False,
+                                     "note": ""}
+    assert rep["residual_history"] == [0.0] and rep["residual"] == 0.0
 
 
 def test_solver_overrides_reach_the_run(tmp_path):
@@ -992,6 +1049,8 @@ def write_exit_code_inputs(d):
     scenario("dim2_box3.json", mesh={"generator": {
         "shape": "box", "divisions": [2, 2, 2]}})
     scenario("dim3_box2.json", dimension=3)
+    scenario("short_bounds.json", dimension=3, mesh={"generator": dict(
+        box, divisions=[2, 2, 2], bounds=[[0, 0], [1, 1]])})
     scenario("unknown_tag.json", boundary=[{"tag": "north", "value": 1.0}])
     scenario("material_miss.json",
              triplet={"material": {"regions": {"nowhere": 2.0}}})
@@ -1052,6 +1111,21 @@ EXIT_CODE_TABLE = {
     "non-utf8-msh-convert": (["mesh", "convert", "{d}/latin1.msh",
                               "{d}/b.vtk"], 2, "mesh.file"),
     "non-utf8-scenario": (["solve", "{d}/latin1.json"], 2, None),
+    # float() took them: the NaN band tagged every element and exited 0,
+    # and the infinite bound warned from numpy before its error
+    "nan-band-gen": (["mesh", "gen", "--shape", "box", "--div", "2", "2",
+                      "--band", "a", "1", "nan", "1", "--out", "{d}/x.msh"],
+                     2, "--band"),
+    "inf-bounds-gen": (["mesh", "gen", "--shape", "box", "--div", "2", "2",
+                        "--bounds", "0", "0", "inf", "1",
+                        "--out", "{d}/x.msh"], 2, "--bounds"),
+    # bounds of fewer entries than axes ended in an IndexError traceback
+    # from the scenario; the utility kept a count check of its own
+    "short-bounds-solve": (["solve", "{d}/short_bounds.json"], 2,
+                           "mesh.generator"),
+    "long-bounds-gen": (["mesh", "gen", "--shape", "box", "--div", "2", "2",
+                         "--bounds", "0", "0", "0", "1", "1", "1",
+                         "--out", "{d}/x.msh"], 2, "mesh.generator"),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from tripletfem import fem, geometry as geo, mesh, triplet as tp
+from tripletfem import fem, geometry as geo, mesh, solver as slv, triplet as tp
 from tripletfem.atlas import Atlas, AtlasRegion
 from tripletfem.errors import (AsymmetricCoefficient, DegenerateElement,
                                DimensionMismatch, NonFiniteRightHandSide,
@@ -1192,3 +1192,17 @@ def test_matrix_market_bytes_are_reproducible(tmp_path):
     fem.write_matrix_market(fem.assemble(spec).full_matrix, a)
     fem.write_matrix_market(fem.assemble(spec).full_matrix, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["none", "jacobi", "ic0"])
+def test_a_system_with_no_free_dof_carries_a_solve_result(kind):
+    """Once the one solution without a SolveResult (solve_info None): the
+    0 x 0 system is solved like any other, with the energy unchanged."""
+    spec = all_dirichlet_spec()
+    sol = fem.solve_bvp(spec, slv.SolverConfig(preconditioner=kind))
+    info = sol.solve_info
+    assert isinstance(info, slv.SolveResult)
+    assert info.iterations == 0 and info.residuals == [0.0]
+    assert info.x.shape == (0,) and info.preconditioner.kind == kind
+    system = fem.assemble(spec)
+    assert sol.energy == system.energy_of(system.expand(np.zeros(0)))

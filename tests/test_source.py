@@ -338,3 +338,31 @@ def test_a_second_duplicate_sum_is_found():
     trees = dict(TREES, **{"fem.py": ast.parse(broken)})
     assert duplicate_sum_sites(trees) == ["fem.py:AssembledSystem._build",
                                           "fem.py:_summed"]
+
+
+# One error path in the CLI: a library error ends in an exit code in one
+# except clause, cli._exit_status, which the scenario commands and the
+# mesh utilities share. The other handlers in cli.py that name
+# TripletFemError (_declared, build_mesh) re-raise it as a ScenarioError
+# naming the declaration; a handler that raises nothing ends the error.
+def exit_code_handlers(tree):
+    return [where for where, node in nodes(tree)
+            if isinstance(node, ast.ExceptHandler)
+            and any(isinstance(n, ast.Name) and n.id == "TripletFemError"
+                    for n in ast.walk(node.type))
+            and not any(isinstance(n, ast.Raise) for n in ast.walk(node))]
+
+
+def test_one_except_clause_maps_errors_to_exit_codes():
+    assert exit_code_handlers(TREES["cli.py"]) == ["_exit_status"]
+
+
+def test_a_second_exit_code_handler_is_found():
+    source = (PACKAGE / "cli.py").read_text()
+    anchor = "    try:\n        return _exit_status(run)\n"
+    assert anchor in source
+    broken = source.replace(
+        anchor, "    try:\n        return _exit_status(run)\n"
+        "    except (TripletFemError, OSError):\n        return 2\n")
+    assert exit_code_handlers(ast.parse(broken)) == ["_exit_status",
+                                                     "_mesh_command"]

@@ -246,9 +246,9 @@ def test_cli_tables_and_printed_numbers_keep_their_bytes(tmp_path, capsys):
     assert (tmp_path / "q.csv").read_text() == "element,quality\n" + "".join(
         f"{e},{r:.17g}\n" for e, r in enumerate(ratios.tolist()))
     q = rep["quality"]
-    assert lines == [f"nodes {rep['nodes']}, elements {rep['elements']}",
+    assert lines == [f"{rep['nodes']} nodes, {rep['elements']} elements",
                      f"quality min {f(q['min'])} max {f(q['max'])} "
-                     f"mean {f(q['mean'])} worst element {q['worst_element']}"]
+                     f"mean {f(q['mean'])} worst_element {q['worst_element']}"]
 
     rep, lines = run(tmp_path, capsys, {
         "name": "s", "dimension": 2, "mode": "solve", "mesh": box,
