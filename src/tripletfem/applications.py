@@ -135,10 +135,9 @@ def open_boundary_bvp(ob, base, boundary_value, divisions=(64, 40),
     tri = open_boundary_triplet(base, ob)
     m = generate_structured("annulus", divisions, radii=(ob.a, ob.b),
                             center=tuple(center), region="exterior",
-                            grading=grading, _outer_tag="infinity")
+                            grading=grading)
     return fem.BVPSpec(domain=m, triplet=tri,
-                       dirichlet=(("inner", boundary_value),
-                                  ("infinity", 0.0)))
+                       dirichlet=(("inner", boundary_value), ("outer", 0.0)))
 
 
 # -------------------------------------------------------- reparameterize

@@ -722,8 +722,17 @@ def run_scenario(cmd, args):
 # --------------------------------------------------- mesh utilities
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """The mesh utilities' argument parser: a bad or missing argument
+    raises a ScenarioError, which leaves through _exit_status like any
+    other bad declaration; -h still prints the help and exits 0."""
+
+    def error(self, message):
+        raise ScenarioError(f"{self.prog}: {message}")
+
+
 def _mesh_gen(args):
-    parser = argparse.ArgumentParser(prog="tripletfem mesh gen")
+    parser = _ArgumentParser(prog="tripletfem mesh gen")
     parser.add_argument("--shape", required=True,
                         choices=("box", "annulus"))
     parser.add_argument("--div", dest="divisions", metavar="N",
@@ -771,7 +780,7 @@ def _mesh_command(args):
         if args[0] == "gen":
             mesh, out = _mesh_gen(args[1:])
         else:
-            parser = argparse.ArgumentParser(prog=f"tripletfem mesh {args[0]}")
+            parser = _ArgumentParser(prog=f"tripletfem mesh {args[0]}")
             parser.add_argument("input")
             if args[0] == "convert":
                 parser.add_argument("output")
@@ -788,8 +797,8 @@ def _mesh_command(args):
 
     try:
         return _exit_status(run)
-    except SystemExit as err:  # argparse's own exits: 0 for -h, 2 for bad args
-        return int(err.code or 0)
+    except SystemExit:  # -h: argparse printed the help
+        return 0
 
 
 # ------------------------------------------------------------- main

@@ -1,6 +1,9 @@
 """Simplicial meshes: validation, structured generation, mapping through
 charts, quality metrics, and MSH / VTK / CSV interchange.
 
+Every structured mesh is a grid that _kuhn splits, cells and boundary
+facets alike; nodes and cells run x fastest, facets go side by side.
+
 Meshes are immutable. All tags (region and boundary) are strings; the
 constructor coerces whatever it is given. Elements are stored with
 positive signed volume; the constructor flips inverted node orderings.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -128,11 +132,8 @@ def signed_volumes(nodes, elements):
 
 def _sorted_faces(elements):
     """All element faces with vertices sorted, shape (E*(k), dim)."""
-    k = elements.shape[1]
-    blocks = []
-    for omit in range(k):
-        idx = [c for c in range(k) if c != omit]
-        blocks.append(elements[:, idx])
+    blocks = [np.delete(elements, omit, axis=1)
+              for omit in range(elements.shape[1])]
     return np.sort(np.concatenate(blocks, axis=0), axis=1)
 
 
@@ -363,92 +364,65 @@ class Mesh:
 # ------------------------------------------------------------- generation
 
 
-def _box_2d(divisions, lo, hi, region, region_bands):
-    nx, ny = divisions
-    xs = np.linspace(lo[0], hi[0], nx + 1)
-    ys = np.linspace(lo[1], hi[1], ny + 1)
-    nodes = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
+def _kuhn(ids):
+    """Kuhn's triangulation of a grid: the simplices of every cell, shape
+    (cells * d!, d + 1), from ids, a d-dimensional integer array of the
+    node ids at the cell corners (last axis fastest).
 
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
-    ii, jj = ii.ravel(), jj.ravel()
-    a = jj * (nx + 1) + ii
-    b = a + 1
-    c = b + (nx + 1)
-    d = a + (nx + 1)
-    tris = np.empty((2 * len(a), 3), dtype=np.int64)
-    tris[0::2] = np.column_stack([a, b, c])
-    tris[1::2] = np.column_stack([a, c, d])
+    A cell's simplices are the walks from its low corner that step one
+    axis at a time, one for each order of the d axes, taken last axis
+    first. Cells come in the grid's row-major order, each cell's d!
+    simplices adjacent. Neighbouring cells split their shared side alike,
+    so the simplices conform, and an end slice of ids along one axis, one
+    side of the grid, gives that side's facets: segments in 2-D, in 3-D
+    each side quad split along its rising diagonal."""
+    d = ids.ndim
 
-    centers = np.column_stack([xs[ii] + 0.5 * (hi[0] - lo[0]) / nx,
-                               ys[jj] + 0.5 * (hi[1] - lo[1]) / ny])
-    cell_tags = _assign_bands(centers, (xs, ys), region, region_bands)
-    regions = np.repeat(cell_tags, 2)
+    def corner(raised):
+        # every cell's corner one step above its low corner along each
+        # axis in raised
+        step = [int(axis in raised) for axis in range(d)]
+        return ids[tuple(slice(s, n - 1 + s)
+                         for s, n in zip(step, ids.shape))].ravel()
+
+    # after k steps a walk stands at the corner raised along the first k
+    # axes of its order
+    walks = [np.column_stack([corner(order[:k]) for k in range(d + 1)])
+             for order in itertools.permutations(reversed(range(d)))]
+    return np.stack(walks, axis=1).reshape(-1, d + 1)
+
+
+_SIDE_TAGS = (("left", "right"), ("bottom", "top"), ("back", "front"))
+
+
+def _box(divisions, lo, hi, region, region_bands):
+    dim = len(divisions)
+    axes = [np.linspace(lo[k], hi[k], n + 1) for k, n in enumerate(divisions)]
+    # grids are indexed ([z,] y, x), so nodes and cells run x fastest
+    grid = np.meshgrid(*axes[::-1], indexing="ij")
+    nodes = np.column_stack([g.ravel() for g in grid[::-1]])
+    ids = np.arange(len(nodes)).reshape(grid[0].shape)
+    cell_tags = _assign_bands(axes, region, region_bands)
+    regions = np.repeat(cell_tags, math.factorial(dim))
 
     facets, tags = [], []
-    for j in range(ny):
-        facets.append([j * (nx + 1), (j + 1) * (nx + 1)])
-        tags.append("left")
-        facets.append([j * (nx + 1) + nx, (j + 1) * (nx + 1) + nx])
-        tags.append("right")
-    for i in range(nx):
-        facets.append([i, i + 1])
-        tags.append("bottom")
-        facets.append([ny * (nx + 1) + i, ny * (nx + 1) + i + 1])
-        tags.append("top")
-    return Mesh(nodes, tris, regions, np.array(facets), tags)
+    for axis, side_tags in enumerate(_SIDE_TAGS[:dim]):
+        for end, tag in zip((0, -1), side_tags):
+            side = _kuhn(ids.take(end, axis=dim - 1 - axis))
+            facets.append(side)
+            tags += [tag] * len(side)
+    return Mesh(nodes, _kuhn(ids), regions, np.concatenate(facets), tags)
 
 
-_KUHN_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-_SIDE_TAGS = {0: ("left", "right"), 1: ("bottom", "top"), 2: ("back", "front")}
-
-
-def _box_3d(divisions, lo, hi, region, region_bands):
-    nx, ny, nz = divisions
-    axes = [np.linspace(lo[k], hi[k], divisions[k] + 1) for k in range(3)]
-    # node id = i + j*stride[1] + k*stride[2]: x runs fastest
-    Z, Y, X = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
-    nodes = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
-    stride = np.array([1, nx + 1, (nx + 1) * (ny + 1)])
-
-    ii, jj, kk = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
-                             indexing="ij")
-    ii, jj, kk = ii.ravel(), jj.ravel(), kk.ravel()
-    low = ii * stride[0] + jj * stride[1] + kk * stride[2]
-    # a Kuhn tet walks from the cell's low corner one axis at a time
-    tets = [low[:, None] + np.cumsum([0, *stride[list(perm)]])
-            for perm in _KUHN_PERMS]
-    # interleave so the 6 tets of a cell stay adjacent
-    tets = np.stack(tets, axis=1).reshape(-1, 4)
-
-    h = [(hi[k] - lo[k]) / divisions[k] for k in range(3)]
-    centers = np.column_stack([axes[0][ii] + 0.5 * h[0],
-                               axes[1][jj] + 0.5 * h[1],
-                               axes[2][kk] + 0.5 * h[2]])
-    cell_tags = _assign_bands(centers, axes, region, region_bands)
-    regions = np.repeat(cell_tags, 6)
-
-    # each side quad a < b < c < d splits along its rising diagonal a-d,
-    # as the Kuhn tets split it; listing quads with the lower axis fastest
-    # and abd before acd puts each side's triangles in lexicographic order
-    facets, tags = [], []
-    for axis, side_tags in _SIDE_TAGS.items():
-        p, q = [k for k in range(3) if k != axis]
-        low = (np.arange(divisions[q])[:, None] * stride[q]
-               + np.arange(divisions[p]) * stride[p]).ravel()
-        for end, tag in zip((0, divisions[axis]), side_tags):
-            a = low + end * stride[axis]
-            b, c, d = a + stride[p], a + stride[q], a + stride[p] + stride[q]
-            facets.append(np.column_stack([a, b, d, a, c, d]).reshape(-1, 3))
-            tags += [tag] * (2 * len(a))
-    return Mesh(nodes, tets, regions, np.concatenate(facets), tags)
-
-
-def _assign_bands(centers, gridlines, region, region_bands):
-    """Per-cell region tags. Band edges snap to the nearest grid line of
-    their axis; a band whose edges snap to the same line has collapsed,
-    which is reported rather than silently dropped."""
-    tags = np.empty(len(centers), dtype=object)
-    tags[:] = str(region)
+def _assign_bands(gridlines, region, region_bands):
+    """Region tags of the box's cells, x fastest, from its grid lines per
+    axis. A band holds the cells between its edges, each snapped to the
+    nearest grid line of its axis; a band whose edges snap to the same
+    line has collapsed, which is reported rather than silently dropped."""
+    # cells indexed ([z,] y, x), as _kuhn takes them; fill() stores the
+    # one str object in every cell, where np.full would copy it per cell
+    tags = np.empty([len(g) - 1 for g in gridlines[::-1]], dtype=object)
+    tags.fill(str(region))
     for band in (region_bands or []):
         tag, axis, lo_band, hi_band = band
         if not 0 <= axis < len(gridlines):
@@ -467,12 +441,12 @@ def _assign_bands(centers, gridlines, region, region_bands):
                 f"both edges snap to the grid line at {snapped_lo:g} "
                 f"(grid spacing {spacing:g}); the band is thinner than the "
                 "mesh can represent")
-        inside = (centers[:, axis] > snapped_lo) & (centers[:, axis] < snapped_hi)
-        tags[inside] = str(tag)
-    return tags
+        inside = (grid[:-1] >= snapped_lo) & (grid[1:] <= snapped_hi)
+        np.moveaxis(tags, len(gridlines) - 1 - axis, -1)[..., inside] = str(tag)
+    return tags.ravel()
 
 
-def _annulus_2d(divisions, radii, center, region, grading, outer_tag):
+def _annulus_2d(divisions, radii, center, region, grading):
     n_theta, n_r = divisions
     a, b = radii
     if a <= 0.0 or b <= a:
@@ -491,42 +465,29 @@ def _annulus_2d(divisions, radii, center, region, grading, outer_tag):
     nodes = np.column_stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()])
     nodes += np.asarray(center, dtype=float)
 
-    def nid(k, t):
-        return k * n_theta + (t % n_theta)
-
-    kk, tvals = np.meshgrid(np.arange(n_r), np.arange(n_theta), indexing="ij")
-    kk, tvals = kk.ravel(), tvals.ravel()
-    p = nid(kk, tvals)
-    q = nid(kk, tvals + 1)
-    r = nid(kk + 1, tvals + 1)
-    s = nid(kk + 1, tvals)
-    tris = np.empty((2 * len(p), 3), dtype=np.int64)
-    # counterclockwise, so Mesh has no orientation to normalize
-    tris[0::2] = np.column_stack([p, r, q])
-    tris[1::2] = np.column_stack([p, s, r])
-    regions = [str(region)] * len(tris)
-
-    facets, tags = [], []
-    for t in range(n_theta):
-        facets.append([nid(0, t), nid(0, t + 1)])
-        tags.append("inner")
-        facets.append([nid(n_r, t), nid(n_r, t + 1)])
-        tags.append(outer_tag)
-    return Mesh(nodes, tris, regions, np.array(facets), tags)
+    # a (ring, angle) grid whose last angle column repeats the first, so
+    # the cells close the circle
+    ids = np.arange(len(nodes)).reshape(R.shape)
+    ids = np.column_stack([ids, ids[:, 0]])
+    facets = np.concatenate([_kuhn(ids[0]), _kuhn(ids[-1])])
+    tags = ["inner"] * n_theta + ["outer"] * n_theta
+    return Mesh(nodes, _kuhn(ids), [str(region)] * (2 * n_theta * n_r),
+                facets, tags)
 
 
 def generate_structured(shape="box", divisions=(1, 1), *, bounds=None,
                         radii=None, center=(0.0, 0.0), region="domain",
-                        region_bands=None, grading=1.0, _outer_tag="outer"):
+                        region_bands=None, grading=1.0):
     """Structured simplicial mesh of a box (2D/3D) or a 2D annulus.
 
-    Boxes split each cell into 2 triangles / 6 tetrahedra; sides are tagged
-    left/right, bottom/top (and back/front in 3D). Annuli use n_theta x n_r
-    polar cells with inner/outer boundary tags; grading > 1 packs the rings
-    toward the outer radius. region_bands paints cells between two grid
-    lines of one axis with their own tag; see _assign_bands for the
-    snapping rule. _outer_tag renames the annulus' outer circle, for the
-    open-boundary driver, where that circle is infinity's image.
+    _kuhn splits each grid cell into 2 triangles / 6 tetrahedra. Box
+    nodes and cells run x fastest; sides are tagged left/right,
+    bottom/top (and back/front in 3D), their facets listed side by side
+    in that order. Annuli use n_theta x n_r polar cells, angle fastest,
+    with the inner circle's facets before the outer's; grading > 1 packs
+    the rings toward the outer radius. region_bands paints cells between
+    two grid lines of one axis with their own tag; see _assign_bands for
+    the snapping rule.
     """
     divisions = tuple(int(d) for d in divisions)
     if any(d < 1 for d in divisions):
@@ -545,9 +506,7 @@ def generate_structured(shape="box", divisions=(1, 1), *, bounds=None,
                                     f"and {dim} for hi")
         if np.any(hi <= lo):
             raise DegenerateShape("box has zero or negative extent")
-        if dim == 2:
-            return _box_2d(divisions, lo, hi, region, region_bands)
-        return _box_3d(divisions, lo, hi, region, region_bands)
+        return _box(divisions, lo, hi, region, region_bands)
     if shape == "annulus":
         if len(divisions) != 2:
             raise DimensionMismatch("annulus divisions are (n_theta, n_r)")
@@ -555,8 +514,7 @@ def generate_structured(shape="box", divisions=(1, 1), *, bounds=None,
             raise ValueError("annulus needs radii=(inner, outer)")
         if region_bands:
             raise ValueError("region bands apply to box meshes only")
-        return _annulus_2d(divisions, radii, center, region, grading,
-                           _outer_tag)
+        return _annulus_2d(divisions, radii, center, region, grading)
     raise ValueError(f"unknown shape {shape!r}; use 'box' or 'annulus'")
 
 
@@ -619,8 +577,7 @@ def quality(m):
         circum = np.linalg.norm(centers - v0, axis=1)
         face_area = np.zeros(len(coords))
         for omit in range(4):
-            idx = [c for c in range(4) if c != omit]
-            f = coords[:, idx]
+            f = np.delete(coords, omit, axis=1)
             cr = np.cross(f[:, 1] - f[:, 0], f[:, 2] - f[:, 0])
             face_area += 0.5 * np.linalg.norm(cr, axis=1)
         inr = 3.0 * vols / face_area
@@ -828,12 +785,12 @@ def read_msh(path):
 _VTK_CELL = {2: 5, 3: 10}  # dim -> triangle / tetra
 
 
-def write_vtk(m, path, point_data=None, cell_data=None, title="tripletfem"):
+def write_vtk(m, path, point_data=None, cell_data=None):
     """Legacy ASCII unstructured-grid file, its numbers written by
     text_rows. point_data/cell_data map names to (N,) scalars or (N, dim)
     vectors; lengths are checked before the file is opened."""
     k = m.dim + 1
-    out = [f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+    out = ["# vtk DataFile Version 3.0\ntripletfem\nASCII\n"
            f"DATASET UNSTRUCTURED_GRID\nPOINTS {m.n_nodes} double\n",
            text_rows(_xyz(m.nodes)),
            f"CELLS {m.n_elements} {m.n_elements * (k + 1)}\n",

@@ -100,10 +100,15 @@ def test_non_euclidean_exterior_metric_rejected():
         app.open_boundary_triplet(base, ob)
 
 
-def test_outer_circle_is_tagged_infinity():
+def test_the_grounded_circle_is_the_outer_one():
+    """The circle held at 0, infinity's image, is the annulus' outer
+    circle under the generator's own tag."""
     spec = dipole_bvp((12, 4))
-    tags = set(spec.domain.facet_tags)
-    assert "infinity" in tags and "inner" in tags and "outer" not in tags
+    m = spec.domain
+    assert set(m.facet_tags) == {"inner", "outer"}
+    assert dict(spec.dirichlet)["outer"] == 0.0
+    radius = np.linalg.norm(m.nodes[m.boundary_nodes("outer")], axis=1)
+    assert np.allclose(radius, 2.0)
 
 
 def test_open_boundary_mesh_is_built_once(monkeypatch):

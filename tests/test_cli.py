@@ -1126,6 +1126,10 @@ EXIT_CODE_TABLE = {
     "long-bounds-gen": (["mesh", "gen", "--shape", "box", "--div", "2", "2",
                          "--bounds", "0", "0", "0", "1", "1", "1",
                          "--out", "{d}/x.msh"], 2, "mesh.generator"),
+    # argparse's own exit: code 2, but its "usage: ... error: ..." text
+    "quality-no-input": (["mesh", "quality"], 2, None),
+    "gen-div-not-a-number": (["mesh", "gen", "--shape", "box", "--div", "x",
+                              "2", "--out", "{d}/x.msh"], 2, None),
 }
 
 
@@ -1143,4 +1147,12 @@ def test_exit_code_table(tmp_path, capsys, case):
         assert rep["status"] == "error"
         assert rep["exit_code"] == code
         assert rep["error"].get("field") == field
+
+
+@pytest.mark.parametrize("tool", ["gen", "convert", "quality"])
+def test_a_mesh_utility_prints_its_help_and_exits_0(capsys, tool):
+    assert cli.main(["mesh", tool, "-h"]) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith(f"usage: tripletfem mesh {tool}")
+    assert not out.err
 

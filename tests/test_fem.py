@@ -955,11 +955,10 @@ def kuhn_box():
     # the generator hands Mesh the six Kuhn tets of a cell in both
     # orientations (here those of the first cell); Mesh flipped the
     # inverted ones, rows and edge matrices alike
-    stride = np.array([1, 4, 12])
-    raw = np.array([np.cumsum([0, *stride[list(p)]])
-                    for p in mesh._KUHN_PERMS])
+    raw = mesh._kuhn(np.arange(36).reshape(3, 3, 4)[:2, :2, :2])
     assert (mesh.signed_volumes(m.nodes, raw) < 0).sum() == 3
     assert not np.array_equal(m.elements[:6], raw)
+    assert np.array_equal(np.sort(m.elements[:6]), np.sort(raw))
     return m
 
 

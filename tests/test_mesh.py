@@ -82,8 +82,10 @@ def test_annulus_generation():
 
 
 def test_annulus_is_generated_counterclockwise():
-    """No element is flipped on construction, so the stored volumes are
-    those of the stored orientation and a rebuilt mesh has the same."""
+    """The stored orientation is counterclockwise: Mesh flips the
+    clockwise half of the Kuhn triangles by swapping two nodes, exactly,
+    so the stored volumes are those of the stored orientation and a
+    rebuilt mesh has the same."""
     m = msh.generate_structured("annulus", (64, 24), radii=(1.0, 2.0),
                                 grading=2.0)
     assert np.array_equal(m.volumes(),
@@ -91,6 +93,38 @@ def test_annulus_is_generated_counterclockwise():
     again = msh.Mesh(m.nodes, m.elements, m.element_regions,
                      m.boundary_facets, m.facet_tags)
     assert np.array_equal(again.volumes(), m.volumes())
+
+
+@pytest.mark.parametrize("divisions", [(3, 2), (3, 2, 2)], ids=["2d", "3d"])
+def test_cells_run_x_fastest_like_the_nodes(divisions):
+    """Cell c holds elements c * d! to (c + 1) * d! - 1, and cells are
+    numbered x fastest: elements 6-11 of a (3, 2, 2) box lie in the cell
+    whose x range is [1/3, 2/3]."""
+    m = msh.generate_structured("box", divisions)
+    cell = np.arange(m.n_elements) // (m.n_elements // np.prod(divisions))
+    index = np.transpose(np.unravel_index(cell, divisions[::-1]))[:, ::-1]
+    corners = m.nodes[m.elements]
+    assert np.allclose(corners.min(axis=1) * divisions, index)
+    assert np.allclose(corners.max(axis=1) * divisions, index + 1)
+    if len(divisions) == 3:
+        x = corners[6:12, :, 0]
+        assert np.allclose([x.min(), x.max()], [1 / 3, 2 / 3])
+
+
+def test_box_facets_go_side_by_side():
+    m = msh.generate_structured("box", (4, 3))
+    assert m.facet_tags.tolist() == (["left"] * 3 + ["right"] * 3
+                                     + ["bottom"] * 4 + ["top"] * 4)
+
+
+def test_annulus_facets_go_inner_circle_then_outer():
+    m = msh.generate_structured("annulus", (9, 2), radii=(1.0, 2.0))
+    assert m.facet_tags.tolist() == ["inner"] * 9 + ["outer"] * 9
+    # each circle's segments follow the angle round
+    r = np.linalg.norm(m.nodes[m.boundary_facets], axis=2)
+    assert np.allclose(r, np.repeat([1.0, 2.0], 9)[:, None])
+    assert np.array_equal(m.boundary_facets[:9, 1],
+                          np.roll(m.boundary_facets[:9, 0], -1))
 
 
 def test_degenerate_extents_rejected():

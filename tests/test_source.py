@@ -366,3 +366,29 @@ def test_a_second_exit_code_handler_is_found():
         "    except (TripletFemError, OSError):\n        return 2\n")
     assert exit_code_handlers(ast.parse(broken)) == ["_exit_status",
                                                      "_mesh_command"]
+
+
+# One triangulation: every structured mesh takes its cells and boundary
+# facets from mesh._kuhn, the one call of itertools.permutations in src/,
+# so no generator keeps a simplex split of its own.
+def permutation_sites(trees):
+    return sorted(f"{name}:{where}"
+                  for name, tree in trees.items()
+                  for where, call in calls(tree)
+                  if "permutations" in (getattr(call.func, "attr", None),
+                                        getattr(call.func, "id", None)))
+
+
+def test_one_kuhn_triangulation():
+    assert permutation_sites(TREES) == ["mesh.py:_kuhn"]
+
+
+def test_a_second_kuhn_split_is_found():
+    source = (PACKAGE / "mesh.py").read_text()
+    anchor = '    tags = ["inner"] * n_theta + ["outer"] * n_theta\n'
+    assert anchor in source
+    broken = source.replace(
+        anchor, anchor + "    orders = list(itertools.permutations((1, 0)))\n")
+    trees = dict(TREES, **{"mesh.py": ast.parse(broken)})
+    assert permutation_sites(trees) == ["mesh.py:_annulus_2d",
+                                        "mesh.py:_kuhn"]

@@ -53,9 +53,9 @@ def ref_msh(m):
     return "\n".join(lines) + "\n"
 
 
-def ref_vtk(m, point_data=None, cell_data=None, title="tripletfem"):
+def ref_vtk(m, point_data=None, cell_data=None):
     k = m.dim + 1
-    out = ["# vtk DataFile Version 3.0", title, "ASCII",
+    out = ["# vtk DataFile Version 3.0", "tripletfem", "ASCII",
            "DATASET UNSTRUCTURED_GRID", f"POINTS {m.n_nodes} double"]
     out += [xyz(p) for p in m.nodes.tolist()]
     out.append(f"CELLS {m.n_elements} {m.n_elements * (k + 1)}")
@@ -167,8 +167,8 @@ def cases():
             lambda p, m=m: mesh.write_vtk(m, p, {}, {}),
             lambda m=m: ref_vtk(m, {}, {}))
         out[f"vtk-{name}-data"] = (
-            lambda p, m=m, a=points, b=cells: mesh.write_vtk(m, p, a, b, "t"),
-            lambda m=m, a=points, b=cells: ref_vtk(m, a, b, "t"))
+            lambda p, m=m, a=points, b=cells: mesh.write_vtk(m, p, a, b),
+            lambda m=m, a=points, b=cells: ref_vtk(m, a, b))
         out[f"probe-{name}"] = (
             lambda p, m=m, v=values: mesh.write_probe_csv(p, m.nodes, v,
                                                           "phi"),
