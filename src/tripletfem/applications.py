@@ -18,8 +18,7 @@ from . import fem
 from . import solver as _solver
 from .errors import (RegionNotContained, SingularJacobian, TopologyChange,
                      UnknownTag)
-from .geometry import (Annulus, Box, Composite, KelvinShell, MetricField,
-                       PiecewiseRadial, det)
+from .geometry import Annulus, Box, Composite, KelvinShell, MetricField, det
 from .mesh import (Mesh, _edge_matrices, generate_structured, map_mesh,
                    write_csv)
 from .triplet import (Triplet, eval_entry, inverse_jacobian,
@@ -96,18 +95,17 @@ def _require_euclidean_exterior(metric, center, a, dim):
 def open_boundary_triplet(base, ob):
     """Triplet that brings infinity to a finite radius.
 
-    The chart composes the base chart with a shell map that leaves the
-    disc of radius a untouched and compresses the exterior into
-    a <= R < b. The material is pulled back through that fold, so it is
-    unchanged inside a and the solve on the shell is the exterior problem.
-    Points at R = b itself (infinity's image) are not evaluable; interior
-    quadrature never lands there.
+    The chart composes the base chart with the fold KelvinShell(a, b),
+    which leaves the disc of radius a untouched and compresses the
+    exterior into a <= R < b. The material is pulled back through that
+    fold, so it is unchanged inside a and the solve on the shell is the
+    exterior problem. Points at R = b itself (infinity's image) are not
+    evaluable; interior quadrature never lands there.
     """
     center = ob.center
     dim = center.size
     _require_euclidean_exterior(base.metric, center, ob.a, dim)
-    shell = KelvinShell(ob.a, ob.b, center=center, dim=dim)
-    folded = PiecewiseRadial(ob.a, shell, center=center)
+    folded = KelvinShell(ob.a, ob.b, center=center, dim=dim)
     chart = folded if base.chart.is_identity() \
         else Composite([base.chart, folded])
 

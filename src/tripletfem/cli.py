@@ -270,10 +270,6 @@ def build_chart(cfg, dim):
         if kind == "kelvin-shell":
             return geo.KelvinShell(cfg["a"], cfg["b"],
                                    center=cfg.get("center"), dim=dim)
-        if kind == "piecewise-radial":
-            return geo.PiecewiseRadial(cfg["split_radius"],
-                                       build_chart(cfg["outer"], dim),
-                                       center=cfg.get("center"))
         if kind == "axis-piecewise-linear":
             return geo.AxisPiecewiseLinear(cfg["axis"], cfg["breaks"],
                                            cfg["images"], dim=dim)

@@ -263,10 +263,7 @@ class Annulus(Domain):
 
     def contains(self, points):
         p = _as_points(points, self.dim)
-        return self.contains_radius(np.linalg.norm(p - self.center, axis=-1))
-
-    def contains_radius(self, r):
-        """Membership of points at distances r from the center."""
+        r = np.linalg.norm(p - self.center, axis=-1)
         t = self.tol
         ok = r >= self.rmin - t
         if np.isfinite(self.rmax):
@@ -464,15 +461,23 @@ class _RadialMap(ChartMap):
 
     x -> center + (rho(r)/r) (x - center) with r = |x - center|. The Jacobian
     is (rho/r) I + (rho' - rho/r) e e^T with e the unit radial direction.
-    Subclasses provide the profile rho, its derivative, and its inverse.
+    Subclasses provide the profile rho, its derivative, and its inverse;
+    KelvinShell evaluates this map only on or past its radius a. The
+    center has dim coordinates (the origin by default). The center itself
+    is refused, and so is an image point whose preimage radius is not
+    finite and positive.
     """
 
     def __init__(self, center, dim):
+        self.dim = int(dim)
         if center is None:
-            center = np.zeros(2 if dim is None else dim)
+            center = np.zeros(self.dim)
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
+        if self.center.shape != (self.dim,):
+            raise DimensionMismatch(
+                f"a {self.dim}-d {type(self).__name__} needs a center with "
+                f"{self.dim} coordinates, got {self.center.size}")
         self.center.flags.writeable = False
-        self.dim = self.center.size
 
     def _rho(self, r):
         raise NotImplementedError
@@ -483,13 +488,11 @@ class _RadialMap(ChartMap):
     def _rho_inverse(self, R):
         raise NotImplementedError
 
-    def _offsets(self, p):
+    def _offsets(self, p, exc=PointOutsideDomain):
         d = p - self.center
         r = np.linalg.norm(d, axis=-1)
         if np.any(r == 0.0):
-            raise PointOutsideDomain(
-                f"{type(self).__name__} is undefined at its center"
-            )
+            raise exc(f"{type(self).__name__} is undefined at its center")
         return d, r
 
     def _forward(self, p):
@@ -497,9 +500,11 @@ class _RadialMap(ChartMap):
         return self.center + (self._rho(r) / r)[..., None] * d
 
     def _inverse(self, q):
-        d, R = self._offsets(q)
+        d, R = self._offsets(q, PointOutsideImage)
         r = self._rho_inverse(R)
-        if not np.all(np.isfinite(r)):
+        # a radius inside the image's tolerance band past its rim can give
+        # a finite preimage on the far side of the center: refuse it too
+        if not np.all(np.isfinite(r) & (r > 0.0)):
             raise PointOutsideImage(
                 f"{type(self).__name__} inverse evaluated at or beyond its image boundary"
             )
@@ -542,11 +547,16 @@ class PolarStretch(_RadialMap):
 
 
 class KelvinShell(_RadialMap):
-    """Compresses the unbounded exterior of a sphere into a finite shell.
+    """Folds the unbounded exterior of a sphere into a finite shell and
+    leaves the inside alone.
 
-    Radii map by R(r) = b - a (b - a) / r, so R(a) = a and R -> b as
-    r -> infinity: everything outside radius a lands in the shell a <= R < b,
-    with the outer boundary standing in for infinity.
+    Inside radius a the map is the identity. From radius a on, radii map
+    by R(r) = b - a (b - a) / r, so R(a) = a and R -> b as r -> infinity:
+    everything outside radius a lands in the shell a <= R < b, with the
+    outer boundary standing in for infinity. The two branches agree on
+    the sphere r = a, where the shell branch supplies the Jacobian. The
+    map is defined everywhere; its image is the ball R < b, whose rim has
+    no finite preimage.
     """
 
     def __init__(self, a, b, center=None, dim=2):
@@ -555,8 +565,7 @@ class KelvinShell(_RadialMap):
         self.b = float(b)
         if not 0.0 < self.a < self.b:
             raise ValueError("shell radii must satisfy 0 < a < b")
-        self.domain = Annulus(self.center, self.a, np.inf)
-        self.image = Annulus(self.center, self.a, self.b)
+        self.image = Annulus(self.center, 0.0, self.b)
 
     def _rho(self, r):
         return self.b - self.a * (self.b - self.a) / r
@@ -568,118 +577,29 @@ class KelvinShell(_RadialMap):
         with np.errstate(divide="ignore"):
             return self.a * (self.b - self.a) / (self.b - R)
 
-    def __repr__(self):
-        return f"KelvinShell({self.a}, {self.b}, center={self.center.tolist()})"
-
-
-class PiecewiseRadial(ChartMap):
-    """Identity inside a sphere, a radial map outside, continuous at the split.
-
-    The outer map must fix the split sphere pointwise (checked on a sample of
-    directions at construction). On the split sphere itself the outer branch
-    is used for Jacobians; the two branches agree in value there.
-    """
-
-    def __init__(self, split_radius, outer, center=None):
-        self.split_radius = float(split_radius)
-        if self.split_radius <= 0.0:
-            raise ValueError("split radius must be positive")
-        self.outer = outer
-        self.dim = outer.dim
-        if self.dim is None:
-            raise DimensionMismatch("the outer map must have a fixed dimension")
-        if center is None:
-            center = np.zeros(self.dim)
-        self.center = np.atleast_1d(np.asarray(center, dtype=float))
-        self.center.flags.writeable = False
-        self._check_continuity()
-        outer_image = outer.image
-        if isinstance(outer_image, Annulus) and np.isfinite(outer_image.rmax):
-            self.image = Annulus(self.center, 0.0, outer_image.rmax)
-
-    def _check_continuity(self):
-        a = self.split_radius
-        if self.dim == 2:
-            ang = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-            ring = self.center + a * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        else:
-            rng = np.random.default_rng(0)
-            dirs = rng.standard_normal((32, self.dim))
-            dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-            ring = self.center + a * dirs
-        gap = np.linalg.norm(self.outer.forward(ring) - ring, axis=-1).max()
-        if gap > 1e-9 * a:
-            raise ValueError(
-                "outer map does not fix the split sphere: largest gap "
-                f"{gap:.3e} at radius {a}"
-            )
-
-    # The public methods take the radius about the center once: it gives
-    # this map's own domain or image check, the split, and the outer map's
-    # check when that map's set is an annulus about the same center. The
-    # outer map is then called through its private evaluators.
-
-    def forward(self, points):
-        return self._checked(points, "domain", np.copy, "_forward")
-
-    def inverse(self, points):
-        return self._checked(points, "image", np.copy, "_inverse")
-
-    def jacobian(self, points):
-        return self._checked(points, "domain", _eye_like, "_jacobian")
-
-    def _forward(self, p):
-        return self._branches(p, self._radius(p), "domain", np.copy,
-                              "_forward")
-
-    def _inverse(self, q):
-        return self._branches(q, self._radius(q), "image", np.copy,
-                              "_inverse")
-
-    def _jacobian(self, p):
-        return self._branches(p, self._radius(p), "domain", _eye_like,
-                              "_jacobian")
-
-    def _radius(self, p):
-        return np.linalg.norm(p - self.center, axis=-1)
-
-    def _checked(self, points, where, inner, evaluator):
-        p = _as_points(points, self.dim)
-        r = self._radius(p)
-        self._check(self, where, p, r)
-        return self._branches(p, r, where, inner, evaluator)
-
-    def _check(self, chart, where, p, r):
-        """chart's domain or image check (where) on points p at radii r."""
-        region = getattr(chart, where)
-        if isinstance(region, Annulus) \
-                and np.array_equal(region.center, self.center):
-            ok = region.contains_radius(r)
-        else:
-            ok = region.contains(p)
-        exc = PointOutsideImage if where == "image" else PointOutsideDomain
-        self._require(ok, p, exc, f"outside the {where} of {chart!r}")
-
-    def _branches(self, p, r, where, inner, evaluator):
-        """inner(p) with the outer map's values at the points on or past
-        the split, checked first; when every point lies on one side, only
-        that side is evaluated."""
-        mask = r >= self.split_radius
+    def _folded(self, p, inner, shell):
+        """inner(p) with shell's values at the points on or past radius a;
+        when every point lies on one side, only that side is evaluated."""
+        mask = np.linalg.norm(p - self.center, axis=-1) >= self.a
         if not mask.any():
             return inner(p)
-        outer = getattr(self.outer, evaluator)
         if mask.all():
-            self._check(self.outer, where, p, r)
-            return outer(p)
+            return shell(p)
         out = inner(p)
-        p_out = p[mask]
-        self._check(self.outer, where, p_out, r[mask])
-        out[mask] = outer(p_out)
+        out[mask] = shell(p[mask])
         return out
 
+    def _forward(self, p):
+        return self._folded(p, np.copy, super()._forward)
+
+    def _inverse(self, q):
+        return self._folded(q, np.copy, super()._inverse)
+
+    def _jacobian(self, p):
+        return self._folded(p, _eye_like, super()._jacobian)
+
     def __repr__(self):
-        return (f"PiecewiseRadial({self.split_radius}, {self.outer!r}, "
-                f"center={self.center.tolist()})")
+        return f"KelvinShell({self.a}, {self.b}, center={self.center.tolist()})"
 
 
 class AxisPiecewiseLinear(ChartMap):

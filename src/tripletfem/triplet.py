@@ -68,19 +68,14 @@ def _transformed_material(eps_i, S_i, S_j, J):
 
 
 def transform_material_euclidean(eps_f, J):
-    """Special case of transform_material when both metrics are Euclidean:
-    eps_g = J eps_f J^T / |det J|, formed once where eps_f and J each
-    repeat one matrix."""
+    """transform_material with both metrics Euclidean:
+    eps_g = J eps_f J^T / |det J|. The identity metrics repeat one matrix,
+    so the result is formed once where eps_f and J each do too; a product
+    with the identity changes no finite entry, so the bits are those of
+    J eps_f J^T / |det J| formed directly."""
     J = _as_square(J, "J")
-    eps_f = material_matrix(eps_f, J.shape[-1])
-    return _once_if_repeated(_transformed_euclidean, eps_f, J)
-
-
-def _transformed_euclidean(eps_f, J):
-    det = _abs_det(J)
-    Jt = np.swapaxes(J, -1, -2)
-    out = geometry.matmul(geometry.matmul(J, eps_f), Jt)
-    return out / det[..., None, None]
+    eye = np.eye(J.shape[-1])
+    return transform_material(eps_f, eye, eye, J)
 
 
 def metric_for_motion(J):

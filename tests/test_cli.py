@@ -1061,6 +1061,18 @@ def write_exit_code_inputs(d):
         "open_boundary": {"a": 1.0, "b": 2.0, "divisions": [16, 8, 2],
                           "interior": {"kind": "disc", "radius": 1.0},
                           "inner_value": 1.0}}, "ob_divisions.json")
+    equivalence = {
+        "name": "eq", "dimension": 2, "mode": "equivalence-check",
+        "mesh": {"generator": box},
+        "boundary": [{"tag": "left", "value": 0.0},
+                     {"tag": "right", "value": 1.0}]}
+    write_scenario(d, {**equivalence, "triplets": [{}, {"chart": {
+        "kind": "kelvin-shell", "a": 2.0, "b": 3.0,
+        "center": [0.0, 0.0, 0.0]}}]}, "shell_center_3d.json")
+    write_scenario(d, {**equivalence, "triplets": [{}, {"chart": {
+        "kind": "piecewise-radial", "split_radius": 2.0,
+        "outer": {"kind": "kelvin-shell", "a": 2.0, "b": 3.0}}}]},
+        "piecewise_radial.json")
     text = (d / "square.json").read_text().replace('"square"', '"caf\xe9"')
     (d / "latin1.json").write_bytes(text.encode("latin-1"))
 
@@ -1126,6 +1138,14 @@ EXIT_CODE_TABLE = {
     "long-bounds-gen": (["mesh", "gen", "--shape", "box", "--div", "2", "2",
                          "--bounds", "0", "0", "0", "1", "1", "1",
                          "--out", "{d}/x.msh"], 2, "mesh.generator"),
+    # a 3-d center in a 2-d chart exited 3: "expected points with 3
+    # coordinates, got 2"
+    "shell-center-length": (["equivalence-check", "{d}/shell_center_3d.json"],
+                            2, "chart"),
+    # the kind is gone: KelvinShell is the identity inside its radius a
+    "piecewise-radial-kind": (["equivalence-check",
+                               "{d}/piecewise_radial.json"], 2,
+                              "triplets.1.chart"),
     # argparse's own exit: code 2, but its "usage: ... error: ..." text
     "quality-no-input": (["mesh", "quality"], 2, None),
     "gen-div-not-a-number": (["mesh", "gen", "--shape", "box", "--div", "x",

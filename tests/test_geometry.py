@@ -69,7 +69,7 @@ def chart_cases():
         (geo.KelvinShell(1.0, 2.0), ring_points(rng, 1.05, 6.0)),
         (geo.KelvinShell(0.5, 3.0, center=[2.0, 1.0], dim=2),
          ring_points(rng, 0.55, 8.0, center=[2.0, 1.0])),
-        (geo.PiecewiseRadial(1.0, geo.KelvinShell(1.0, 2.0)),
+        (geo.KelvinShell(1.0, 2.0),
          np.concatenate([ring_points(rng, 0.1, 0.9, count=50),
                          ring_points(rng, 1.1, 5.0, count=50)])),
         (geo.AxisPiecewiseLinear(0, [0.0, 0.3, 1.0], [0.0, 0.6, 1.0]),
@@ -144,8 +144,8 @@ def test_shell_map_compresses_infinity_to_outer_radius():
 
 def test_shell_map_polices_domain_and_image():
     shell = geo.KelvinShell(1.0, 2.0)
-    with pytest.raises(PointOutsideDomain):
-        shell.forward([0.5, 0.0])
+    # inside radius a the shell is the identity; its domain is everywhere
+    assert np.array_equal(shell.forward([0.5, 0.0]), [0.5, 0.0])
     with pytest.raises(PointOutsideImage):
         shell.inverse([2.5, 0.0])
     # the outer radius is infinity's image; no finite preimage exists
@@ -189,7 +189,8 @@ def test_rotation_2d_quarter_turn():
 
 
 def test_piecewise_radial_is_continuous_at_split():
-    chart = geo.PiecewiseRadial(1.0, geo.KelvinShell(1.0, 2.0))
+    # the shell is piecewise radial: the identity inside a, the fold past it
+    chart = geo.KelvinShell(1.0, 2.0)
     ang = np.linspace(0.0, 2 * np.pi, 7)
     just_in = 0.999999 * np.column_stack([np.cos(ang), np.sin(ang)])
     just_out = 1.000001 * np.column_stack([np.cos(ang), np.sin(ang)])
@@ -197,12 +198,6 @@ def test_piecewise_radial_is_continuous_at_split():
     assert gap < 1e-5
     assert np.allclose(chart.forward(0.3 * np.array([1.0, 1.0])),
                        0.3 * np.array([1.0, 1.0]))
-
-
-def test_piecewise_radial_rejects_mismatched_outer_map():
-    # PolarStretch with scale 2 moves the unit circle to radius 2
-    with pytest.raises(ValueError):
-        geo.PiecewiseRadial(1.0, geo.PolarStretch(scale=2.0))
 
 
 def test_axis_piecewise_linear_segments_and_extension():
@@ -298,16 +293,44 @@ def test_identity_detection_through_composites():
 
 
 def test_domain_error_names_the_offending_point():
-    shell = geo.KelvinShell(1.0, 2.0)
-    pts = np.array([[3.0, 0.0], [0.25, 0.0]])
+    stretch = geo.PolarStretch(scale=2.0)
+    pts = np.array([[3.0, 0.0], [np.nan, 0.25]])
     with pytest.raises(PointOutsideDomain) as err:
-        shell.forward(pts)
+        stretch.forward(pts)
     assert "0.25" in str(err.value)
+    shell = geo.KelvinShell(1.0, 2.0)
+    with pytest.raises(PointOutsideImage) as err:
+        shell.inverse([[1.5, 0.0], [0.0, 2.25]])
+    assert "2.25" in str(err.value)
 
 
 def test_radial_maps_reject_their_center():
     with pytest.raises(PointOutsideDomain):
         geo.PolarStretch(scale=2.0).forward([0.0, 0.0])
+
+
+def test_radial_inverse_refuses_the_center_as_an_image_point():
+    with pytest.raises(PointOutsideImage, match="undefined at its center"):
+        geo.PolarStretch(2.0, 1.5).inverse([0.0, 0.0])
+
+
+@pytest.mark.parametrize("past", [1e-13, 1e-12])
+def test_shell_refuses_a_preimage_on_the_far_side(past):
+    # inside the image's tolerance band past the rim, the shell's inverse
+    # radius a (b - a) / (b - R) is finite and negative
+    shell = geo.KelvinShell(1.0, 2.0)
+    with pytest.raises(PointOutsideImage, match="image boundary"):
+        shell.inverse([2.0 + past, 0.0])
+
+
+@pytest.mark.parametrize("chart", [geo.PolarStretch, geo.KelvinShell])
+def test_radial_center_must_have_the_chart_dimension(chart):
+    args = (2.0,) if chart is geo.PolarStretch else (1.0, 2.0)
+    with pytest.raises(DimensionMismatch, match="3 coordinates, got 2"):
+        chart(*args, center=[0.0, 0.0], dim=3)
+    with pytest.raises(DimensionMismatch, match="2 coordinates, got 3"):
+        chart(*args, center=[0.0, 0.0, 0.0])
+    assert chart(*args, dim=3).center.tolist() == [0.0, 0.0, 0.0]
 
 
 # --------------------------------------------------------------- operations
@@ -614,20 +637,22 @@ def test_inv_is_c_ordered_and_layout_blind(n):
             assert np.array_equal(entry / dets, out[..., i, j]), name
 
 
-# ------------------------------------------------ piecewise radial branches
+# ------------------------------------------------- the shell's two branches
 
 
 def masked_reference(chart, p, method):
-    """The split evaluated with a mask whatever the sides: inner values are
-    the points themselves (identity Jacobians), outer values the outer map's."""
-    mask = np.linalg.norm(p - chart.center, axis=-1) >= chart.split_radius
+    """The fold evaluated with a mask whatever the sides: inner values are
+    the points themselves (identity Jacobians), outer values the radial
+    shell map's own evaluators."""
+    mask = np.linalg.norm(p - chart.center, axis=-1) >= chart.a
     n = p.shape[-1]
     if method == "jacobian":
         out = np.broadcast_to(np.eye(n), p.shape + (n,)).copy()
     else:
         out = p.copy()
     if np.any(mask):
-        out[mask] = getattr(chart.outer, method)(p[mask])
+        shell = getattr(geo._RadialMap, "_" + method)
+        out[mask] = shell(chart, p[mask])
     return out
 
 
@@ -639,7 +664,7 @@ def test_piecewise_radial_one_side_fast_path_keeps_the_bits(split, sides):
                                  grading=2.0)
     bary, _ = fem.quadrature_rule("interior", 2)
     points = np.einsum("qa,ead->eqd", bary, m.nodes[m.elements])
-    chart = geo.PiecewiseRadial(split, geo.KelvinShell(split, 2.0 * split))
+    chart = geo.KelvinShell(split, 2.0 * split)
     outside = np.linalg.norm(points, axis=-1) >= split
     assert {"outer": outside.all(), "inner": not outside.any(),
             "both": 0 < outside.sum() < outside.size}[sides]
@@ -654,13 +679,14 @@ def test_piecewise_radial_one_side_fast_path_keeps_the_bits(split, sides):
                                     [[0.5, 0.0], [2.5, 0.0]]],
                          ids=["outside", "outside-both", "mixed"])
 def test_piecewise_radial_keeps_its_image_check(points):
-    chart = geo.PiecewiseRadial(1.0, geo.KelvinShell(1.0, 2.0))
-    with pytest.raises(PointOutsideImage, match="PiecewiseRadial"):
+    chart = geo.KelvinShell(1.0, 2.0)
+    with pytest.raises(PointOutsideImage, match="outside the image of "
+                                                "KelvinShell"):
         chart.inverse(points)
 
 
 def test_piecewise_radial_outer_evaluator_refuses_infinity():
-    chart = geo.PiecewiseRadial(1.0, geo.KelvinShell(1.0, 2.0))
-    # the outer radius passes both image checks; no finite preimage exists
-    with pytest.raises(PointOutsideImage, match="KelvinShell"):
+    chart = geo.KelvinShell(1.0, 2.0)
+    # the outer radius passes the image check; no finite preimage exists
+    with pytest.raises(PointOutsideImage, match="KelvinShell inverse"):
         chart.inverse([[0.5, 0.0], [2.0, 0.0]])

@@ -117,11 +117,10 @@ def test_fold_matches_shellify_on_the_open_boundary_annulus(entry):
     spec = app.open_boundary_bvp(ob, tp.Triplet(
         geo.Identity(2), euclidean(2), tp.MaterialField.uniform(entry, 2)),
         0.0, divisions=(256, 96), grading=2.0)
-    shell = geo.KelvinShell(1.0, 2.0, center=ob.center, dim=2)
-    folded = geo.PiecewiseRadial(1.0, shell, center=ob.center)
+    folded = geo.KelvinShell(1.0, 2.0, center=ob.center, dim=2)
     points = interior_points(spec.domain)
     assert points.shape == (49152, 3, 2)
-    ref = shellify_reference(entry, shell, ob.center, 1.0, 2)(points)
+    ref = shellify_reference(entry, folded, ob.center, 1.0, 2)(points)
     new = tp.pull_back(entry, folded, euclidean(2), euclidean(2))(points)
     assert np.array_equal(ref, new)
     assert np.array_equal(spec.triplet.material.eval(points, "exterior"), ref)

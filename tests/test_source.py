@@ -392,3 +392,36 @@ def test_a_second_kuhn_split_is_found():
     trees = dict(TREES, **{"mesh.py": ast.parse(broken)})
     assert permutation_sites(trees) == ["mesh.py:_annulus_2d",
                                         "mesh.py:_kuhn"]
+
+
+# One domain and image check: ChartMap.forward, inverse and jacobian
+# check the points and call the chart's private evaluators, so a chart
+# class that defined a public evaluator of its own would check them (or
+# not) on a second path.
+CHART_METHODS = {"forward", "inverse", "jacobian"}
+
+
+def public_evaluator_sites(tree):
+    return sorted(f"{cls.name}.{node.name}"
+                  for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for node in cls.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name in CHART_METHODS)
+
+
+def test_one_domain_and_image_check_for_every_chart():
+    assert public_evaluator_sites(TREES["geometry.py"]) == [
+        "ChartMap.forward", "ChartMap.inverse", "ChartMap.jacobian"]
+
+
+def test_a_second_domain_check_path_is_found():
+    source = (PACKAGE / "geometry.py").read_text()
+    anchor = "    def _inverse(self, q):\n        return self._folded("
+    assert source.count(anchor) == 1
+    broken = source.replace(
+        anchor, "    def inverse(self, points):\n"
+        "        return self._inverse(_as_points(points, self.dim))\n\n"
+        + anchor)
+    assert public_evaluator_sites(ast.parse(broken)) == [
+        "ChartMap.forward", "ChartMap.inverse", "ChartMap.jacobian",
+        "KelvinShell.inverse"]
