@@ -16,8 +16,8 @@ import numpy as np
 
 from . import fem
 from . import solver as _solver
-from .errors import (RegionNotContained, SingularJacobian, TopologyChange,
-                     UnknownTag)
+from .errors import (DimensionMismatch, RegionNotContained, SingularJacobian,
+                     TopologyChange, UnknownTag)
 from .geometry import Annulus, Box, Composite, KelvinShell, MetricField, det
 from .mesh import (Mesh, _edge_matrices, generate_structured, map_mesh,
                    write_csv)
@@ -32,8 +32,9 @@ from .triplet import (Triplet, eval_entry, inverse_jacobian,
 @dataclass(frozen=True)
 class OpenBoundarySpec:
     """Geometry of an exterior problem: sources and conductors live in
-    `interior`, everything outside radius a is squeezed into the shell
-    a <= R < b, whose outer circle is the image of infinity."""
+    `interior` (a Box or an Annulus), everything outside radius a is
+    squeezed into the shell a <= R < b, whose outer circle is the image
+    of infinity. The center has the interior's dimension."""
 
     interior: object
     a: float
@@ -46,9 +47,15 @@ class OpenBoundarySpec:
         if not 0.0 < self.a < self.b:
             raise ValueError(f"shell radii must satisfy 0 < a < b, "
                              f"got a={self.a}, b={self.b}")
-        dim = getattr(self.interior, "dim", 2)
+        if not isinstance(self.interior, (Box, Annulus)):
+            raise TypeError("interior must be a Box or an Annulus")
+        dim = self.interior.dim
         center = np.zeros(dim) if self.center is None \
             else np.atleast_1d(np.asarray(self.center, dtype=float))
+        if center.shape != (dim,):
+            raise DimensionMismatch(
+                f"the shell's center has {center.size} coordinates, but the "
+                f"{dim}-d interior needs {dim}")
         center.flags.writeable = False
         object.__setattr__(self, "center", center)
         if not _contained_in_disc(self.interior, center, self.a):
@@ -62,12 +69,10 @@ def _contained_in_disc(region, center, radius):
         corners = np.array(list(itertools.product(*zip(region.lo, region.hi))))
         return bool(np.all(np.linalg.norm(corners - center, axis=-1)
                            <= radius * (1.0 + 1e-12)))
-    if isinstance(region, Annulus):
-        if not np.isfinite(region.rmax):
-            return False
-        offset = float(np.linalg.norm(region.center - center))
-        return offset + region.rmax <= radius * (1.0 + 1e-12)
-    return False  # full space is unbounded
+    if not np.isfinite(region.rmax):
+        return False
+    offset = float(np.linalg.norm(region.center - center))
+    return offset + region.rmax <= radius * (1.0 + 1e-12)
 
 
 def _require_euclidean_exterior(metric, center, a, dim):

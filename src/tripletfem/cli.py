@@ -513,11 +513,16 @@ def _run_open_boundary(scn, ctx):
     cfg = scn["open_boundary"]
     base = build_triplet(scn.get("triplet"), dim)
 
+    with _declared("open_boundary"):
+        ob = app.OpenBoundarySpec(interior=_build_interior(cfg["interior"]),
+                                  a=cfg["a"], b=cfg["b"],
+                                  center=cfg.get("center"))
+
     inner = cfg["inner_value"]
     if isinstance(inner, dict):
         n = int(inner["harmonic"])
         amp = float(inner.get("amplitude", 1.0))
-        cx, cy = np.asarray(cfg.get("center", (0.0, 0.0)), dtype=float)
+        cx, cy = ob.center
 
         def value(x):
             return amp * np.cos(n * np.arctan2(x[..., 1] - cy,
@@ -526,9 +531,6 @@ def _run_open_boundary(scn, ctx):
         value = float(inner)
 
     with _declared("open_boundary"):
-        ob = app.OpenBoundarySpec(interior=_build_interior(cfg["interior"]),
-                                  a=cfg["a"], b=cfg["b"],
-                                  center=cfg.get("center"))
         spec = app.open_boundary_bvp(
             ob, base, value,
             divisions=tuple(cfg.get("divisions", (64, 40))),

@@ -17,11 +17,15 @@ class DimensionMismatch(TripletFemError):
 
 
 class PointOutsideDomain(TripletFemError):
-    """A chart was evaluated at a point outside its domain descriptor."""
+    """A chart was evaluated at a point where it is not defined: a point
+    with a coordinate that is not finite, or a radial map's center."""
 
 
 class PointOutsideImage(TripletFemError):
-    """A chart inverse was evaluated at a point outside the chart's image."""
+    """A chart inverse was evaluated at a point outside the chart's image:
+    a point with a coordinate that is not finite, a radial map's center,
+    or a point with no finite preimage, such as one at or past the rim of
+    a Kelvin shell."""
 
 
 class NotInvertible(TripletFemError):

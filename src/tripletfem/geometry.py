@@ -1,10 +1,11 @@
-"""Coordinate charts, their Jacobians, domain descriptors, and tensor fields.
+"""Coordinate charts, their Jacobians, interior shapes, and tensor fields.
 
-Charts are invertible differentiable maps from a region of R^n onto their
-image. Every family carries an analytic Jacobian; nothing here is ever
-differenced numerically. All evaluators are vectorized over leading axes:
-points have shape (..., n), Jacobians (..., n, n). Charts are immutable
-after construction.
+Charts are invertible differentiable maps of R^n onto their image. Every
+family carries an analytic Jacobian; nothing here is ever differenced
+numerically. All evaluators are vectorized over leading axes: points
+have shape (..., n), Jacobians (..., n, n). Charts are immutable after
+construction. Box and Annulus are the shapes an open-boundary problem's
+interior may take.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ from .errors import (
     PointOutsideImage,
     UnknownTag,
 )
-
-# Membership tests use a tolerance band relative to the descriptor's scale,
-# so points sitting exactly on a boundary count as inside.
-MEMBERSHIP_RTOL = 1e-12
 
 
 def _as_points(x, dim=None):
@@ -199,34 +196,10 @@ def _once_if_repeated(fn, *stacks):
     return np.broadcast_to(out[0], lead + out.shape[1:])
 
 
-# ------------------------------------------------------------------ domains
+# ----------------------------------------------------------- interior shapes
 
 
-class Domain:
-    """Region of chart validity. Membership uses a relative tolerance band."""
-
-    scale = 1.0
-
-    def contains(self, points):
-        raise NotImplementedError
-
-    @property
-    def tol(self):
-        return MEMBERSHIP_RTOL * max(self.scale, 1.0)
-
-
-class FullSpace(Domain):
-    """All of R^n."""
-
-    def contains(self, points):
-        points = np.asarray(points, dtype=float)
-        return np.ones(points.shape[:-1], dtype=bool)
-
-    def __repr__(self):
-        return "FullSpace()"
-
-
-class Box(Domain):
+class Box:
     """Axis-aligned box {lo <= x <= hi}."""
 
     def __init__(self, lo, hi):
@@ -234,41 +207,33 @@ class Box(Domain):
         self.hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if self.lo.shape != self.hi.shape:
             raise DimensionMismatch("box corners disagree in dimension")
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise ValueError(f"box corners must be finite, got "
+                             f"{self.lo.tolist()} and {self.hi.tolist()}")
         if np.any(self.hi <= self.lo):
             raise ValueError("box needs positive extent along every axis")
         self.dim = self.lo.size
-        self.scale = float(np.max(np.abs(np.concatenate([self.lo, self.hi]))))
-
-    def contains(self, points):
-        p = _as_points(points, self.dim)
-        t = self.tol
-        return np.all((p >= self.lo - t) & (p <= self.hi + t), axis=-1)
 
     def __repr__(self):
         return f"Box({self.lo.tolist()}, {self.hi.tolist()})"
 
 
-class Annulus(Domain):
+class Annulus:
     """Spherical shell {rmin <= |x - center| <= rmax}; rmax may be inf."""
 
     def __init__(self, center, rmin, rmax=np.inf):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.rmin = float(rmin)
         self.rmax = float(rmax)
+        if not (np.isfinite(self.center).all() and np.isfinite(self.rmin)) \
+                or np.isnan(self.rmax):
+            raise ValueError(
+                f"annulus needs a finite center and rmin and an rmax that "
+                f"is not NaN, got {self.center.tolist()}, {self.rmin}, "
+                f"{self.rmax}")
         if self.rmin < 0 or self.rmax <= self.rmin:
             raise ValueError("annulus radii must satisfy 0 <= rmin < rmax")
         self.dim = self.center.size
-        finite = self.rmax if np.isfinite(self.rmax) else self.rmin
-        self.scale = float(max(np.max(np.abs(self.center), initial=0.0), finite))
-
-    def contains(self, points):
-        p = _as_points(points, self.dim)
-        r = np.linalg.norm(p - self.center, axis=-1)
-        t = self.tol
-        ok = r >= self.rmin - t
-        if np.isfinite(self.rmax):
-            ok = ok & (r <= self.rmax + t)
-        return ok
 
     def __repr__(self):
         return f"Annulus({self.center.tolist()}, {self.rmin}, {self.rmax})"
@@ -281,43 +246,37 @@ class ChartMap:
     """Invertible map with an analytic Jacobian.
 
     Subclasses implement the raw math in _forward/_inverse/_jacobian; the
-    public methods validate dimensions and domain membership first.
+    public methods check the points' dimension and that every coordinate
+    is finite first. No chart has a bounded domain, so finiteness is the
+    one check they share; the few finite points a chart refuses (a radial
+    map's center, points at or past the shell's rim) it refuses in its
+    own evaluators.
     """
 
-    dim = None            # None means any dimension
-    domain = FullSpace()  # where forward/jacobian may be evaluated
-    image = FullSpace()   # where inverse may be evaluated
+    dim = None  # None means any dimension
 
     def forward(self, points):
-        p = _as_points(points, self.dim)
-        self._require(self.domain.contains(p), p, PointOutsideDomain,
-                      f"outside the domain of {self!r}")
-        return self._forward(p)
+        return self._forward(self._finite(points, PointOutsideDomain))
 
     def inverse(self, points):
-        q = _as_points(points, self.dim)
-        self._require(self.image.contains(q), q, PointOutsideImage,
-                      f"outside the image of {self!r}")
-        return self._inverse(q)
+        return self._inverse(self._finite(points, PointOutsideImage))
 
     def jacobian(self, points):
-        p = _as_points(points, self.dim)
-        self._require(self.domain.contains(p), p, PointOutsideDomain,
-                      f"outside the domain of {self!r}")
-        return self._jacobian(p)
+        return self._jacobian(self._finite(points, PointOutsideDomain))
 
     def is_identity(self):
         return False
 
-    @staticmethod
-    def _require(ok, pts, exc, what):
-        ok = np.asarray(ok)
-        if not ok.all():
-            if ok.shape:
-                bad = np.asarray(pts)[~ok].reshape(-1, np.asarray(pts).shape[-1])[0]
-            else:
-                bad = np.asarray(pts)
-            raise exc(f"point {bad.tolist()} is {what}")
+    def _finite(self, points, exc):
+        p = _as_points(points, self.dim)
+        # one flat test; the offending point is looked for only on failure
+        if not np.isfinite(p).all():
+            flat = p.reshape(-1, p.shape[-1])
+            bad = flat[~np.isfinite(flat).all(axis=-1)][0]
+            where = "image" if exc is PointOutsideImage else "domain"
+            raise exc(
+                f"point {bad.tolist()} is outside the {where} of {self!r}")
+        return p
 
     def _forward(self, p):
         raise NotImplementedError
@@ -465,7 +424,8 @@ class _RadialMap(ChartMap):
     KelvinShell evaluates this map only on or past its radius a. The
     center has dim coordinates (the origin by default). The center itself
     is refused, and so is an image point whose preimage radius is not
-    finite and positive.
+    finite and positive: that refusal is the shell's one check of its
+    rim, and it names the first such point.
     """
 
     def __init__(self, center, dim):
@@ -502,12 +462,14 @@ class _RadialMap(ChartMap):
     def _inverse(self, q):
         d, R = self._offsets(q, PointOutsideImage)
         r = self._rho_inverse(R)
-        # a radius inside the image's tolerance band past its rim can give
-        # a finite preimage on the far side of the center: refuse it too
-        if not np.all(np.isfinite(r) & (r > 0.0)):
+        # the one rim check: past the rim the preimage radius is finite
+        # and negative, on the far side of the center; at it, infinite
+        ok = np.isfinite(r) & (r > 0.0)
+        if not ok.all():
             raise PointOutsideImage(
-                f"{type(self).__name__} inverse evaluated at or beyond its image boundary"
-            )
+                f"point {q[~ok][0].tolist()} is outside the image of {self!r}: "
+                f"{type(self).__name__} inverse evaluated at or beyond its "
+                f"image boundary")
         return self.center + (r / R)[..., None] * d
 
     def _jacobian(self, p):
@@ -529,8 +491,6 @@ class PolarStretch(_RadialMap):
         self.exponent = float(exponent)
         if self.scale <= 0.0 or self.exponent <= 0.0:
             raise NotInvertible("polar stretch needs positive scale and exponent")
-        self.domain = Annulus(self.center, 0.0, np.inf)
-        self.image = Annulus(self.center, 0.0, np.inf)
 
     def _rho(self, r):
         return self.scale * r ** self.exponent
@@ -555,8 +515,9 @@ class KelvinShell(_RadialMap):
     everything outside radius a lands in the shell a <= R < b, with the
     outer boundary standing in for infinity. The two branches agree on
     the sphere r = a, where the shell branch supplies the Jacobian. The
-    map is defined everywhere; its image is the ball R < b, whose rim has
-    no finite preimage.
+    map is defined on all of R^n; its image is the open ball R < b, and
+    inverse refuses every point at or past the rim R = b, which has no
+    finite preimage.
     """
 
     def __init__(self, a, b, center=None, dim=2):
@@ -565,7 +526,6 @@ class KelvinShell(_RadialMap):
         self.b = float(b)
         if not 0.0 < self.a < self.b:
             raise ValueError("shell radii must satisfy 0 < a < b")
-        self.image = Annulus(self.center, 0.0, self.b)
 
     def _rho(self, r):
         return self.b - self.a * (self.b - self.a) / r
@@ -659,12 +619,12 @@ class AxisPiecewiseLinear(ChartMap):
         AxisScaling's, so the repeat rule forms what follows once."""
         t, nseg = p[..., self.axis], self.slopes.size
         # the segment grows with t, so the extremes tell whether every
-        # point lies in one; NaN, which orders with nothing, goes per point
-        ends = np.array([t.min(), t.max()]) if t.size else np.full(2, np.nan)
-        k = self._segment(ends, self.breaks, nseg)
-        if not np.isnan(ends).any() and k[0] == k[1]:
-            J = self._J[k[0]]
-            return np.broadcast_to(J, t.shape + J.shape)
+        # point lies in one
+        if t.size:
+            k = self._segment(np.array([t.min(), t.max()]), self.breaks, nseg)
+            if k[0] == k[1]:
+                J = self._J[k[0]]
+                return np.broadcast_to(J, t.shape + J.shape)
         return self._J[self._segment(t, self.breaks, nseg)]
 
     def __repr__(self):
@@ -684,8 +644,6 @@ class Composite(ChartMap):
             raise DimensionMismatch(f"member dimensions disagree: {sorted(dims)}")
         self.members = members
         self.dim = dims.pop() if dims else None
-        self.domain = members[0].domain
-        self.image = members[-1].image
 
     def is_identity(self):
         return all(m.is_identity() for m in self.members)

@@ -11,8 +11,8 @@ from scipy.interpolate import LinearNDInterpolator
 from tripletfem import applications as app
 from tripletfem import cli
 from tripletfem import fem, geometry as geo, mesh, triplet as tp
-from tripletfem.errors import (RegionNotContained, SingularJacobian,
-                               TopologyChange, UnknownTag)
+from tripletfem.errors import (DimensionMismatch, RegionNotContained,
+                               SingularJacobian, TopologyChange, UnknownTag)
 from tripletfem.solver import SolverConfig, build_preconditioner, solve
 
 
@@ -66,6 +66,22 @@ def test_interior_region_must_fit_inside_radius_a():
     with pytest.raises(RegionNotContained):
         app.OpenBoundarySpec(interior=geo.Annulus((0.0, 0.0), 0.5),
                              a=1.0, b=2.0)  # unbounded annulus
+
+
+def test_shell_center_must_have_the_interior_dimension():
+    with pytest.raises(DimensionMismatch, match="has 3 coordinates, but "
+                                                "the 2-d interior needs 2"):
+        app.OpenBoundarySpec(interior=geo.Annulus((0.0, 0.0), 0.0, 1.0),
+                             a=1.0, b=2.0, center=(0.0, 0.0, 0.0))
+    with pytest.raises(DimensionMismatch, match="has 2 coordinates, but "
+                                                "the 3-d interior needs 3"):
+        app.OpenBoundarySpec(interior=geo.Box((0, 0, 0), (0.5, 0.5, 0.5)),
+                             a=1.0, b=2.0, center=(0.0, 0.0))
+
+
+def test_shell_interior_is_a_box_or_an_annulus():
+    with pytest.raises(TypeError, match="Box or an Annulus"):
+        app.OpenBoundarySpec(interior=geo.Identity(2), a=1.0, b=2.0)
 
 
 def test_shell_chart_sends_r4_to_1p75():

@@ -1061,6 +1061,17 @@ def write_exit_code_inputs(d):
         "open_boundary": {"a": 1.0, "b": 2.0, "divisions": [16, 8, 2],
                           "interior": {"kind": "disc", "radius": 1.0},
                           "inner_value": 1.0}}, "ob_divisions.json")
+    write_scenario(d, {
+        "name": "ob", "dimension": 2, "mode": "open-boundary",
+        "open_boundary": {"a": 1.0, "b": 2.0, "center": [0.0, 0.0, 0.0],
+                          "interior": {"kind": "disc", "radius": 1.0},
+                          "inner_value": 1.0}}, "ob_center_3d.json")
+    write_scenario(d, {
+        "name": "ob", "dimension": 2, "mode": "open-boundary",
+        "open_boundary": {"a": 1.0, "b": 2.0, "center": [0.0, 0.0, 0.0],
+                          "interior": {"kind": "disc", "radius": 1.0},
+                          "inner_value": {"harmonic": 1}}},
+        "ob_harmonic_center_3d.json")
     equivalence = {
         "name": "eq", "dimension": 2, "mode": "equivalence-check",
         "mesh": {"generator": box},
@@ -1104,6 +1115,14 @@ EXIT_CODE_TABLE = {
     # exited 3 while the open-boundary builder caught only ValueError
     "open-boundary-divisions": (["open-boundary", "{d}/ob_divisions.json"],
                                 2, "open_boundary"),
+    # exited 2 with numpy's "operands could not be broadcast together"
+    "open-boundary-center-length": (["open-boundary", "{d}/ob_center_3d.json"],
+                                    2, "open_boundary"),
+    # the harmonic inner value unpacked the center before the spec checked
+    # it: a ValueError traceback, exit code 1
+    "open-boundary-harmonic-center-length": (
+        ["open-boundary", "{d}/ob_harmonic_center_3d.json"], 2,
+        "open_boundary"),
     # each of these once ended in a traceback with exit code 1
     "gen-out-missing-dir": (["mesh", "gen", "--shape", "box", "--div", "2",
                              "2", "--out", "{d}/missing/x.msh"], 2, None),

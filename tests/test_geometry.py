@@ -281,9 +281,10 @@ def test_axis_piecewise_linear_jacobian_is_one_matrix_in_one_segment(
     assert J.shape == want.shape and np.array_equal(J, want)
     assert (not any(J.strides[:-2])) == one_segment
     assert J.flags.writeable != one_segment
-    # NaN lies in no segment; the points go one by one, as before
+    # NaN lies in no segment; the chart refuses it
     p[2, 1, 1] = np.nan
-    assert chart.jacobian(p).strides[0] != 0
+    with pytest.raises(PointOutsideDomain):
+        chart.jacobian(p)
 
 
 def test_identity_detection_through_composites():
@@ -304,6 +305,27 @@ def test_domain_error_names_the_offending_point():
     assert "2.25" in str(err.value)
 
 
+NON_FINITE_CASES = CASES + [
+    (geo.Composite([geo.PolarStretch(2.0, 1.5), geo.AxisScaling([2.0, 3.0])]),
+     ring_points(np.random.default_rng(5), 0.5, 2.0, count=4))]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("chart,pts", NON_FINITE_CASES,
+                         ids=CASE_IDS + [f"{len(CASES):02d}-Composite"])
+def test_every_chart_refuses_a_non_finite_point(chart, pts, bad):
+    for method, exc, points in [
+            ("forward", PointOutsideDomain, pts),
+            ("jacobian", PointOutsideDomain, pts),
+            ("inverse", PointOutsideImage, chart.forward(pts))]:
+        points = np.array(points[:3])
+        points[1, -1] = bad
+        where = "image" if method == "inverse" else "domain"
+        with pytest.raises(exc, match=f"outside the {where} of ") as err:
+            getattr(chart, method)(points)
+        assert str(points[1].tolist()) in str(err.value)
+
+
 def test_radial_maps_reject_their_center():
     with pytest.raises(PointOutsideDomain):
         geo.PolarStretch(scale=2.0).forward([0.0, 0.0])
@@ -316,8 +338,8 @@ def test_radial_inverse_refuses_the_center_as_an_image_point():
 
 @pytest.mark.parametrize("past", [1e-13, 1e-12])
 def test_shell_refuses_a_preimage_on_the_far_side(past):
-    # inside the image's tolerance band past the rim, the shell's inverse
-    # radius a (b - a) / (b - R) is finite and negative
+    # just past the rim, the shell's inverse radius a (b - a) / (b - R)
+    # is finite and negative
     shell = geo.KelvinShell(1.0, 2.0)
     with pytest.raises(PointOutsideImage, match="image boundary"):
         shell.inverse([2.0 + past, 0.0])
@@ -354,23 +376,20 @@ def test_inner_product_rejects_asymmetric_metric():
         geo.inner_product([[1.0, 0.5], [0.0, 1.0]], [1.0, 0.0], [0.0, 1.0])
 
 
-# ------------------------------------------------------------------ domains
+# ---------------------------------------------------------- interior shapes
 
 
-def test_box_membership_has_boundary_band():
-    box = geo.Box([0.0, 0.0], [1.0, 1.0])
-    assert box.contains([1.0, 1.0])
-    assert box.contains([1.0 + 1e-14, 0.5])
-    assert not box.contains([1.01, 0.5])
-
-
-def test_annulus_membership():
-    ann = geo.Annulus([0.0, 0.0], 1.0, 2.0)
-    assert ann.contains([1.0, 0.0])
-    assert ann.contains([0.0, 2.0])
-    assert not ann.contains([0.5, 0.0])
-    unbounded = geo.Annulus([0.0, 0.0], 1.0)
-    assert unbounded.contains([1e12, 0.0])
+@pytest.mark.parametrize("build", [
+    lambda: geo.Box([np.nan, 0.0], [1.0, 1.0]),
+    lambda: geo.Box([0.0, 0.0], [1.0, np.inf]),
+    lambda: geo.Annulus([0.0, np.inf], 0.0, 1.0),
+    lambda: geo.Annulus([0.0, 0.0], np.nan, 1.0),
+    lambda: geo.Annulus([0.0, 0.0], 0.0, np.nan),
+], ids=["box-nan-corner", "box-inf-corner", "annulus-inf-center",
+        "annulus-nan-rmin", "annulus-nan-rmax"])
+def test_interior_shapes_refuse_non_finite_parameters(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 # ------------------------------------------------------------ metric fields

@@ -394,10 +394,10 @@ def test_a_second_kuhn_split_is_found():
                                         "mesh.py:_kuhn"]
 
 
-# One domain and image check: ChartMap.forward, inverse and jacobian
-# check the points and call the chart's private evaluators, so a chart
-# class that defined a public evaluator of its own would check them (or
-# not) on a second path.
+# One point check: ChartMap.forward, inverse and jacobian check the
+# points and call the chart's private evaluators, so a chart class that
+# defined a public evaluator of its own would check them (or not) on a
+# second path.
 CHART_METHODS = {"forward", "inverse", "jacobian"}
 
 
@@ -409,7 +409,7 @@ def public_evaluator_sites(tree):
                   and node.name in CHART_METHODS)
 
 
-def test_one_domain_and_image_check_for_every_chart():
+def test_one_point_check_for_every_chart():
     assert public_evaluator_sites(TREES["geometry.py"]) == [
         "ChartMap.forward", "ChartMap.inverse", "ChartMap.jacobian"]
 
