@@ -56,6 +56,9 @@ class OpenBoundarySpec:
             raise DimensionMismatch(
                 f"the shell's center has {center.size} coordinates, but the "
                 f"{dim}-d interior needs {dim}")
+        if not np.isfinite(center).all():
+            raise ValueError(
+                f"the shell's center must be finite, got {center.tolist()}")
         center.flags.writeable = False
         object.__setattr__(self, "center", center)
         if not _contained_in_disc(self.interior, center, self.a):
@@ -177,8 +180,7 @@ def reparameterize_fixed_metric(spec, g):
         else:
             dirichlet.append((tag, value))
     return fem.BVPSpec(domain=mapped, triplet=triplet,
-                       dirichlet=tuple(dirichlet),
-                       quadrature=spec.quadrature)
+                       dirichlet=tuple(dirichlet))
 
 
 # ------------------------------------------------------------ motion sweep
@@ -304,7 +306,7 @@ def motion_sweep(ms, *, config=None, measure_cold=False):
     the matrix rows they touch are re-summed (fem.update_elements); where
     the step's Jacobian is one matrix there, its inverse, the metric (or
     material) and K are each formed once (geometry._once_if_repeated), and
-    "auto" quadrature integrates K with one point, as a fresh assembly
+    K, one matrix there, is integrated with one point, as a fresh assembly
     under the step's triplet does. From step 1 on, the solver
     starts from the Galerkin projection of the new system onto the
     solutions of the last GUESS_WINDOW steps (solver.projected_guess):

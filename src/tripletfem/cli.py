@@ -7,7 +7,7 @@ output table (_outputs), which refuses any other declared output before
 the run starts. Outputs and the always-written JSON run report land next
 to the scenario file unless given as absolute paths. The mesh utilities
 (gen, convert, quality) need no scenario file: each runs its arguments
-as a mesh-tools scenario.
+as a mesh-tools scenario. Scenario overrides are key=value, never flags.
 
 Exit codes: 0 success, 64 unknown subcommand, and otherwise one error
 path (_exit_status) for scenario commands and mesh utilities alike: a
@@ -50,16 +50,14 @@ USAGE = """\
 usage: tripletfem <command> ...
 
 scenario commands (the scenario's "mode" must match the command):
-  solve              scenario.json [key=value ...] [flags]
-  equivalence-check  scenario.json [key=value ...] [flags]
-  open-boundary      scenario.json [key=value ...] [flags]
-  motion             scenario.json [key=value ...] [flags]
-  mesh-tools         scenario.json [key=value ...] [flags]
+  solve              scenario.json [key=value ...]
+  equivalence-check  scenario.json [key=value ...]
+  open-boundary      scenario.json [key=value ...]
+  motion             scenario.json [key=value ...]
+  mesh-tools         scenario.json [key=value ...]
 
-flags: --tol X  --quadrature {auto,one_point,interior}
 key=value overrides use dotted paths into the scenario, values parsed
-as JSON when possible: solver.tol=1e-8  quadrature=interior; the flags
-are shorthands for these two and win over them
+as JSON when possible: solver.tol=1e-8  solver.preconditioner=jacobi
 
 mesh utilities (no scenario file):
   mesh gen --shape {box,annulus} --div N N --out FILE [options]
@@ -186,27 +184,14 @@ def _apply_override(scn, key, raw):
     node[parts[-1]] = value
 
 
-# flag -> the scenario path it overrides
-_FLAGS = {"--tol": "solver.tol", "--quadrature": "quadrature"}
-
-
 def _parse_scenario_args(cmd, args, report):
-    """The overrides among the arguments. A flag is shorthand for its
-    key=value override and is applied after the explicit ones, so it
-    wins; both are validated with the scenario. The scenario path and
-    its report's go into report once read, so a bad argument after the
-    path (a ScenarioError) is reported next to it."""
+    """The key=value overrides among the arguments, in order; they are
+    validated with the scenario. The scenario path and its report's go
+    into report once read, so a bad argument after the path (a
+    ScenarioError) is reported next to it."""
     overrides = []
-    flags = []
-    i = 0
-    while i < len(args):
-        a = args[i]
-        if a in _FLAGS:
-            if i + 1 >= len(args):
-                raise ScenarioError(f"flag {a} needs a value", field=a)
-            flags.append(f"{_FLAGS[a]}={args[i + 1]}")
-            i += 1
-        elif a.startswith("--"):
+    for a in args:
+        if a.startswith("--"):
             raise ScenarioError(f"unknown flag {a!r}", field=a)
         elif not report:
             report.update(scenario=a, path=a + ".report.json")
@@ -215,10 +200,9 @@ def _parse_scenario_args(cmd, args, report):
         else:
             raise ScenarioError(
                 f"unexpected argument {a!r}; overrides look like key=value")
-        i += 1
     if not report:
         raise ScenarioError(f"{cmd} needs a scenario file")
-    return overrides + flags
+    return overrides
 
 
 # ------------------------------------------------------- builders
@@ -375,8 +359,7 @@ def _dirichlet(scn):
 def _make_spec(domain, triplet, scn):
     with _declared("boundary"):
         return fem.BVPSpec(domain=domain, triplet=triplet,
-                           dirichlet=_dirichlet(scn),
-                           quadrature=scn.get("quadrature", "auto"))
+                           dirichlet=_dirichlet(scn))
 
 
 def build_bvp(scn, ctx):

@@ -69,9 +69,6 @@ _RULES = {
                       _frozen([0.25, 0.25, 0.25, 0.25])),
 }
 
-QUADRATURE_NAMES = ("auto", "one_point", "interior")
-
-
 def quadrature_rule(name, dim):
     """Barycentric points and weights for a named rule.
 
@@ -112,15 +109,13 @@ class BVPSpec:
     (boundary tag, value) pairs; value is a number or a pointwise
     callable of the coordinates the boundary lives in (universal
     coordinates for an atlas). At least one tag is required, otherwise
-    the potential is ungrounded and the matrix singular. quadrature "auto"
-    samples K at the interior points and integrates with one point where
-    K is one matrix there; "one_point" and "interior" fix the rule.
+    the potential is ungrounded and the matrix singular. The quadrature
+    is not part of the problem: assembly picks it from the K it measures.
     """
 
     domain: object
     triplet: Triplet
     dirichlet: tuple
-    quadrature: str = "auto"
 
     def __post_init__(self):
         if not isinstance(self.domain, (Mesh, Atlas)):
@@ -129,9 +124,6 @@ class BVPSpec:
         object.__setattr__(self, "dirichlet", pairs)
         if not pairs:
             raise ValueError("at least one Dirichlet tag is required")
-        if self.quadrature not in QUADRATURE_NAMES:
-            raise ValueError(f"quadrature must be one of {QUADRATURE_NAMES}, "
-                             f"got {self.quadrature!r}")
         available = _domain_boundary_tags(self.domain)
         for tag, _ in pairs:
             if tag not in available:
@@ -393,7 +385,7 @@ class ElementSet:
                 f"element ids must lie in [0, {system.n_elements})")
         self.system = system
         self.ids = ids
-        bary, _ = quadrature_rule(system.rule, system.dim)
+        bary, _ = quadrature_rule("interior", system.dim)
         self.groups = [_Group(patch, tag, gids,
                               _element_rows(system.grads, gids),
                               _element_rows(system.vols, gids), bary)
@@ -453,8 +445,6 @@ class AssembledSystem:
         self._k = k
         self.data = np.zeros(self.n_elements * k * k)
 
-        self.rule = "interior" if spec.quadrature == "auto" \
-            else spec.quadrature
         self._group_keys = [(i, tag) for i, p in enumerate(patches)
                             for tag in p.mesh.regions()]
 
@@ -487,18 +477,18 @@ class AssembledSystem:
 
     def _fill(self, triplet, elements):
         """Blocks of the set's elements under triplet; returns the seconds
-        spent on coefficients and on blocks. Under "auto" K is measured on
-        every call; where it is one matrix at all interior points
-        (broadcast, stride zero on its leading axes), the one-point rule
-        gives the interior rule's integral exactly."""
+        spent on coefficients and on blocks. K is measured at the interior
+        points on every call and integrated by their rule; where it is one
+        matrix at all of them (broadcast, stride zero on its leading axes),
+        the one-point rule gives that integral exactly."""
         blocks = self.data.reshape(self.n_elements, self._k, self._k)
-        _, weights = quadrature_rule(self.rule, self.dim)
+        _, weights = quadrature_rule("interior", self.dim)
         _, centroid = quadrature_rule("one_point", self.dim)
         spent = {"coefficients": 0.0, "blocks": 0.0}
         for group in elements.groups:
             t0 = time.perf_counter()
             K, w = _coefficients(triplet, group), weights
-            if self.spec.quadrature == "auto" and not any(K.strides[:-2]):
+            if not any(K.strides[:-2]):
                 K, w = K[:, :1], centroid
             t1 = time.perf_counter()
             for c, b in _element_blocks(w, group.grads, K, group.vols):
@@ -804,7 +794,7 @@ def update_elements(system, triplet, element_ids):
 
     element_ids is an array of element ids, or an ElementSet of this
     system when the same elements are updated again and again. Their
-    quadrature is decided from the new triplet's K, as assembly decides
+    rule is picked from the new triplet's K, as a fresh assembly picks
     it. All other element blocks keep their exact bits. The rows of the
     matrix the elements touch are re-summed from the block buffer
     through the sum assembly recorded, and their entries patched into
@@ -838,7 +828,7 @@ def local_stiffness(nodes, K, quadrature="one_point"):
     grad(phi_b) dx with P1 barycentric basis.
 
     K is a matrix, a scalar (isotropic), or a callable point -> matrix.
-    The one_point rule is exact when K is constant.
+    quadrature is "one_point" (exact when K is constant) or "interior".
 
     Its determinant and inverse stay on LAPACK (np.linalg) on purpose:
     tests/test_acceptance.py uses this function as an oracle that shares
@@ -860,12 +850,7 @@ def local_stiffness(nodes, K, quadrature="one_point"):
     grads = np.empty((dim + 1, dim))
     grads[1:] = inv
     grads[0] = -inv.sum(axis=0)
-    if isinstance(quadrature, str):
-        bary, weights = quadrature_rule(quadrature, dim)
-    else:
-        bary, weights = quadrature
-        bary = np.asarray(bary, dtype=float)
-        weights = np.asarray(weights, dtype=float)
+    bary, weights = quadrature_rule(quadrature, dim)
     xq = bary @ nodes
     if callable(K):
         Kq = np.stack([material_matrix(np.asarray(K(x), dtype=float), dim)

@@ -249,8 +249,8 @@ class ChartMap:
     public methods check the points' dimension and that every coordinate
     is finite first. No chart has a bounded domain, so finiteness is the
     one check they share; the few finite points a chart refuses (a radial
-    map's center, points at or past the shell's rim) it refuses in its
-    own evaluators.
+    map's center, points at or past the shell's rim, a point whose image
+    overflows) it refuses in its own evaluators, the last through _finite.
     """
 
     dim = None  # None means any dimension
@@ -267,15 +267,16 @@ class ChartMap:
     def is_identity(self):
         return False
 
-    def _finite(self, points, exc):
+    def _finite(self, points, exc, values=None):
+        """The points, unless one, or its given values, is not finite."""
         p = _as_points(points, self.dim)
+        v = p if values is None else values
         # one flat test; the offending point is looked for only on failure
-        if not np.isfinite(p).all():
-            flat = p.reshape(-1, p.shape[-1])
-            bad = flat[~np.isfinite(flat).all(axis=-1)][0]
-            where = "image" if exc is PointOutsideImage else "domain"
+        if not np.isfinite(v).all():
+            bad = ~np.isfinite(v).reshape(p.shape[:-1] + (-1,)).all(axis=-1)
+            where = "the image" if exc is PointOutsideImage else "the domain"
             raise exc(
-                f"point {bad.tolist()} is outside the {where} of {self!r}")
+                f"point {p[bad][0].tolist()} is outside {where} of {self!r}")
         return p
 
     def _forward(self, p):
@@ -415,6 +416,20 @@ class Rotation(ChartMap):
         return f"Rotation({self.angle}, axis={self.axis.tolist()})"
 
 
+def _offset(p, center):
+    """d = p - center and |d|: np.linalg.norm's bits where finite and
+    nonzero, else m |d / m| for d's largest |component| m (or m itself)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = p - center
+        r = np.asarray(np.linalg.norm(d, axis=-1))
+        redo = ~np.isfinite(r) | (r == 0.0)
+        if redo.any():
+            m = np.abs(d[redo]).max(axis=-1)
+            scaled = m * np.linalg.norm(d[redo] / m[..., None], axis=-1)
+            r[redo] = np.where(np.isnan(scaled), m, scaled)
+    return d, r
+
+
 class _RadialMap(ChartMap):
     """Radius-only reparameterization about a center.
 
@@ -425,7 +440,7 @@ class _RadialMap(ChartMap):
     center has dim coordinates (the origin by default). The center itself
     is refused, and so is an image point whose preimage radius is not
     finite and positive: that refusal is the shell's one check of its
-    rim, and it names the first such point.
+    rim, and it names the first such point; so is one whose image overflows.
     """
 
     def __init__(self, center, dim):
@@ -449,19 +464,22 @@ class _RadialMap(ChartMap):
         raise NotImplementedError
 
     def _offsets(self, p, exc=PointOutsideDomain):
-        d = p - self.center
-        r = np.linalg.norm(d, axis=-1)
+        d, r = _offset(p, self.center)
         if np.any(r == 0.0):
             raise exc(f"{type(self).__name__} is undefined at its center")
         return d, r
 
     def _forward(self, p):
         d, r = self._offsets(p)
-        return self.center + (self._rho(r) / r)[..., None] * d
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.center + (self._rho(r) / r)[..., None] * d
+        self._finite(p, PointOutsideDomain, out)
+        return out
 
     def _inverse(self, q):
         d, R = self._offsets(q, PointOutsideImage)
-        r = self._rho_inverse(R)
+        with np.errstate(over="ignore"):
+            r = self._rho_inverse(R)
         # the one rim check: past the rim the preimage radius is finite
         # and negative, on the far side of the center; at it, infinite
         ok = np.isfinite(r) & (r > 0.0)
@@ -474,11 +492,13 @@ class _RadialMap(ChartMap):
 
     def _jacobian(self, p):
         d, r = self._offsets(p)
-        e = d / r[..., None]
-        f = self._rho(r) / r
-        g = self._drho(r) - f
-        J = f[..., None, None] * np.eye(self.dim)
-        J = J + g[..., None, None] * (e[..., :, None] * e[..., None, :])
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = d / r[..., None]
+            f = self._rho(r) / r
+            g = self._drho(r) - f
+            J = f[..., None, None] * np.eye(self.dim)
+            J = J + g[..., None, None] * (e[..., :, None] * e[..., None, :])
+        self._finite(p, PointOutsideDomain, J)
         return J
 
 
@@ -540,7 +560,7 @@ class KelvinShell(_RadialMap):
     def _folded(self, p, inner, shell):
         """inner(p) with shell's values at the points on or past radius a;
         when every point lies on one side, only that side is evaluated."""
-        mask = np.linalg.norm(p - self.center, axis=-1) >= self.a
+        mask = _offset(p, self.center)[1] >= self.a
         if not mask.any():
             return inner(p)
         if mask.all():

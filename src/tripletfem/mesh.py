@@ -125,11 +125,6 @@ def _volumes_of(edges):
         return _VOLUME_FACTOR[edges.shape[-1]] * det(edges)
 
 
-def signed_volumes(nodes, elements):
-    """Signed simplex volumes; positive for the normalized orientation."""
-    return _volumes_of(_edge_matrices(nodes, elements))
-
-
 def _sorted_faces(elements):
     """All element faces with vertices sorted, shape (E*(k), dim)."""
     blocks = [np.delete(elements, omit, axis=1)

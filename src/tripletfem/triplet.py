@@ -69,13 +69,18 @@ def _transformed_material(eps_i, S_i, S_j, J):
 
 def transform_material_euclidean(eps_f, J):
     """transform_material with both metrics Euclidean:
-    eps_g = J eps_f J^T / |det J|. The identity metrics repeat one matrix,
-    so the result is formed once where eps_f and J each do too; a product
-    with the identity changes no finite entry, so the bits are those of
-    J eps_f J^T / |det J| formed directly."""
+    eps_g = J eps_f J^T / |det J|, with no identity product to turn an
+    overflowed entry's inf into NaN. Where eps_f and J each repeat one
+    matrix, it is formed once and returned broadcast."""
     J = _as_square(J, "J")
-    eye = np.eye(J.shape[-1])
-    return transform_material(eps_f, eye, eye, J)
+    eps_f = material_matrix(eps_f, J.shape[-1])
+    return _once_if_repeated(_euclidean_material, eps_f, J)
+
+
+def _euclidean_material(eps_f, J):
+    det = _abs_det(J)
+    out = geometry.matmul(geometry.matmul(J, eps_f), np.swapaxes(J, -1, -2))
+    return out / det[..., None, None]
 
 
 def metric_for_motion(J):

@@ -79,6 +79,16 @@ def test_shell_center_must_have_the_interior_dimension():
                              a=1.0, b=2.0, center=(0.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_shell_center_must_be_finite(bad):
+    # it was taken, and the containment check failed "about [nan, 0.0]"
+    with pytest.raises(ValueError, match=r"center must be finite, got \[") \
+            as err:
+        app.OpenBoundarySpec(interior=geo.Box((-0.5, -0.5), (0.5, 0.5)),
+                             a=1.0, b=2.0, center=(bad, 0.0))
+    assert not isinstance(err.value, RegionNotContained)
+
+
 def test_shell_interior_is_a_box_or_an_annulus():
     with pytest.raises(TypeError, match="Box or an Annulus"):
         app.OpenBoundarySpec(interior=geo.Identity(2), a=1.0, b=2.0)
@@ -418,10 +428,9 @@ def test_partial_reassembly_equals_full_reassembly():
 ], ids=["affine", "axis-piecewise-linear", "polar-stretch"])
 def test_auto_assembly_under_a_step_triplet_is_the_sweep(step, mode):
     # the system is assembled under the base triplet, then updated to the
-    # step's; "auto" decides each group's rule from the K it measures, so
-    # a fresh assembly under the step's triplet decides the same
+    # step's; assembly decides each group's rule from the K it measures,
+    # so a fresh assembly under the step's triplet decides the same
     spec = capacitor_spec(8)
-    assert spec.quadrature == "auto"
     result = app.motion_sweep(app.MotionSweep(
         base=spec, moving_region="gap", steps=[step], mode=mode))[-1]
     swept = result.solution.system.full_matrix

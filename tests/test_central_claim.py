@@ -92,15 +92,14 @@ def triplet_entries(draw, euclidean_gap, dim=2):
 BOXES = {2: (6, 6), 3: (4, 4, 4)}
 
 
-def banded_spec(metric_field, material_field, quadrature="auto"):
+def banded_spec(metric_field, material_field):
     dim = metric_field.dim
     m = mesh.generate_structured("box", BOXES[dim],
                                  region_bands=[("gap", 1, 0.5, 1.0)])
     return fem.BVPSpec(domain=m, triplet=tp.Triplet(geo.Identity(dim),
                                                     metric_field,
                                                     material_field),
-                       dirichlet=(("bottom", 0.0), ("top", 1.0)),
-                       quadrature=quadrature)
+                       dirichlet=(("bottom", 0.0), ("top", 1.0)))
 
 
 @st.composite
@@ -120,12 +119,11 @@ def step_map(draw):
 @given(entries=triplet_entries(euclidean_gap=True),
        defaults=st.tuples(st.booleans(), st.booleans()),
        mode=st.sampled_from(["metric-change", "material-change"]),
-       quadrature=st.sampled_from(["auto", "interior", "one_point"]),
        steps=st.lists(step_map(), min_size=2, max_size=2),
        gap_eps=st.one_of(floats(0.5, 4.0), floats(0.5, 4.0).map(
            lambda c: lambda p: c * (1.0 + p[..., 0] ** 2))))
 def test_a_sweep_step_is_a_fresh_assembly_under_its_triplet(
-        entries, defaults, mode, quadrature, steps, gap_eps):
+        entries, defaults, mode, steps, gap_eps):
     metric, coeff = entries
     material = {tag: times(coeff[tag], metric[tag]) for tag in REGIONS}
     if mode == "metric-change":
@@ -133,8 +131,7 @@ def test_a_sweep_step_is_a_fresh_assembly_under_its_triplet(
         # metric, so only an isotropic gap material keeps K symmetric
         material["gap"] = gap_eps
     spec = banded_spec(region_field(geo.MetricField, metric, defaults[0]),
-                       region_field(tp.MaterialField, material, defaults[1]),
-                       quadrature)
+                       region_field(tp.MaterialField, material, defaults[1]))
     for k in range(len(steps)):
         results = app.motion_sweep(app.MotionSweep(
             base=spec, moving_region="gap", steps=steps[:k + 1], mode=mode))

@@ -503,22 +503,26 @@ def test_constant_material_given_as_value_or_callable_gives_the_same_bits(
     m = mesh.generate_structured("box", (5,) * dim if dim == 2 else (3,) * 3)
     bc = (("left", 0.0), ("right", 1.0))
 
-    def assembled(material, quadrature="auto"):
+    def assembled(material):
         triplet = tp.Triplet(geo.Identity(dim), geo.MetricField.euclidean(dim),
                              tp.MaterialField.uniform(material, dim))
-        return fem.assemble(fem.BVPSpec(m, triplet, bc,
-                                        quadrature=quadrature)).full_matrix
+        return fem.assemble(fem.BVPSpec(m, triplet, bc))
 
-    want = assembled(K, "one_point")
+    want = assembled(K).full_matrix
     stack = lambda p: np.broadcast_to(K, p.shape[:-1] + K.shape).copy()
-    for material in (K, lambda p: K, stack):
-        got = assembled(material)
+    for material in (lambda p: K, stack):
+        got = assembled(material).full_matrix
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
-    # a coefficient that varies keeps the interior rule under "auto"
+    # a coefficient that varies is integrated by the interior rule
     varying = lambda p: (1.0 + p[..., 0] ** 2)[..., None, None] * K
-    assert np.array_equal(assembled(varying).data,
-                          assembled(varying, "interior").data)
+    blocks = assembled(varying).data.reshape(m.n_elements, dim + 1, dim + 1)
+    for e, block in enumerate(blocks):
+        nodes = m.nodes[m.elements[e]]
+        interior = fem.local_stiffness(nodes, varying, "interior")
+        assert np.allclose(block, interior, rtol=1e-12, atol=1e-12)
+        centroid = fem.local_stiffness(nodes, varying, "one_point")
+        assert not np.allclose(block, centroid, rtol=1e-6, atol=0)
 
 
 def box_2d_spec():
@@ -956,7 +960,8 @@ def kuhn_box():
     # orientations (here those of the first cell); Mesh flipped the
     # inverted ones, rows and edge matrices alike
     raw = mesh._kuhn(np.arange(36).reshape(3, 3, 4)[:2, :2, :2])
-    assert (mesh.signed_volumes(m.nodes, raw) < 0).sum() == 3
+    volumes = mesh._volumes_of(mesh._edge_matrices(m.nodes, raw))
+    assert (volumes < 0).sum() == 3
     assert not np.array_equal(m.elements[:6], raw)
     assert np.array_equal(np.sort(m.elements[:6]), np.sort(raw))
     return m
@@ -1080,8 +1085,7 @@ def test_quadrature_points_only_for_pointwise_entries(monkeypatch):
     values = tp.Triplet(geo.Identity(2), geo.MetricField.euclidean(2),
                         tp.MaterialField(2, regions={"band": 2.0},
                                          default=np.diag([1.0, 3.0])))
-    for quadrature in fem.QUADRATURE_NAMES:
-        fem.assemble(fem.BVPSpec(m, values, bc, quadrature))
+    fem.assemble(fem.BVPSpec(m, values, bc))
     assert formed == []
     # a pointwise entry on the band: that group alone forms its points
     pointwise = replace(values, material=values.material.with_entry(

@@ -336,6 +336,29 @@ def test_radial_inverse_refuses_the_center_as_an_image_point():
         geo.PolarStretch(2.0, 1.5).inverse([0.0, 0.0])
 
 
+@pytest.mark.filterwarnings("error")
+def test_radial_maps_take_radii_past_the_range_of_their_squares():
+    # |x - c|^2 overflows past about 1.3e154 and vanishes below about
+    # 1e-162, where |x - c| is still a double: the map is evaluated there
+    shell = geo.KelvinShell(1.0, 2.0)
+    assert np.allclose(shell.forward([1e200, 0.0]), [2.0, 0.0], rtol=1e-15)
+    assert np.allclose(shell.jacobian([1e200, 0.0]),
+                       np.diag([0.0, 2e-200]), rtol=1e-15, atol=0.0)
+    stretch = geo.PolarStretch(2.0, 1.5)
+    assert np.allclose(stretch.forward([1e200, 0.0]), [2e300, 0.0],
+                       rtol=1e-14, atol=0.0)
+    assert np.array_equal(geo.PolarStretch(1.0, 1.0).forward([1e-200, 0.0]),
+                          [1e-200, 0.0])
+    # a point whose image is past the largest double is refused by name
+    for method in ("forward", "jacobian"):
+        with pytest.raises(PointOutsideDomain, match=r"\[1e\+250, 0.0\]"):
+            getattr(stretch, method)([1e250, 0.0])
+    # where the squares stay in range, the norm keeps its bits
+    pts = ring_points(np.random.default_rng(9), 0.2, 3.0)
+    r = np.linalg.norm(pts, axis=-1)
+    assert np.array_equal(stretch.forward(np.vstack([pts, [1e200, 0.0]]))[:-1],
+                          (2.0 * r ** 1.5 / r)[:, None] * pts)
+
 @pytest.mark.parametrize("past", [1e-13, 1e-12])
 def test_shell_refuses_a_preimage_on_the_far_side(past):
     # just past the rim, the shell's inverse radius a (b - a) / (b - R)

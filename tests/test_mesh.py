@@ -89,7 +89,8 @@ def test_annulus_is_generated_counterclockwise():
     m = msh.generate_structured("annulus", (64, 24), radii=(1.0, 2.0),
                                 grading=2.0)
     assert np.array_equal(m.volumes(),
-                          msh.signed_volumes(m.nodes, m.elements))
+                          msh._volumes_of(msh._edge_matrices(m.nodes,
+                                                             m.elements)))
     again = msh.Mesh(m.nodes, m.elements, m.element_regions,
                      m.boundary_facets, m.facet_tags)
     assert np.array_equal(again.volumes(), m.volumes())

@@ -107,6 +107,24 @@ def test_euclidean_shortcut_agrees_with_general_rule():
         assert np.allclose(full, short, atol=1e-13)
 
 
+def test_euclidean_transform_forms_no_identity_product():
+    # a product with the identity metric turned the overflowed entry's
+    # inf into NaN in its neighbour: inf * 0
+    with np.errstate(over="ignore"):
+        out = tp.transform_material_euclidean(1.0, [[1e200, 1], [0, 1e-200]])
+    assert np.array_equal(out, [[np.inf, 1e-200], [1e-200, 0.0]])
+    # on finite inputs the identity products change no bit
+    rng = np.random.default_rng(31)
+    for n in (2, 3):
+        for lead in [(), (4,), (3, 2)]:
+            J = rng.standard_normal(lead + (n, n)) \
+                * 10.0 ** rng.uniform(-3, 3, lead + (n, n))
+            eps = random_spd(rng, n, spread=1e3)
+            eye = np.eye(n)
+            assert np.array_equal(tp.transform_material_euclidean(eps, J),
+                                  tp.transform_material(eps, eye, eye, J))
+
+
 def test_transform_material_transitivity():
     """i->j then j->k equals i->k with the composed Jacobian."""
     rng = np.random.default_rng(23)
