@@ -47,6 +47,9 @@ class OpenBoundarySpec:
         if not 0.0 < self.a < self.b:
             raise ValueError(f"shell radii must satisfy 0 < a < b, "
                              f"got a={self.a}, b={self.b}")
+        if self.b == np.inf:
+            raise ValueError("the shell's outer radius b must be finite, "
+                             f"got b={self.b}")
         if not isinstance(self.interior, (Box, Annulus)):
             raise TypeError("interior must be a Box or an Annulus")
         dim = self.interior.dim

@@ -209,14 +209,28 @@ def _parse_scenario_args(cmd, args, report):
 
 
 class RunContext:
-    """Resolves relative paths against base_dir ("" leaves them as given)."""
+    """Resolves relative paths against base_dir ("" leaves them as given),
+    and keeps the seconds of the run's phases that no library result
+    times: mesh (building or reading the domain, with its checks) and
+    export (writing the outputs), which a scenario report carries beside
+    assembly and solve."""
 
     def __init__(self, base_dir):
         self.base_dir = base_dir
+        self.phases = {"mesh": 0.0, "export": 0.0}
 
     def path(self, rel):
         return rel if os.path.isabs(rel) else os.path.join(self.base_dir,
                                                            rel)
+
+    @contextlib.contextmanager
+    def timed(self, phase):
+        """Add the seconds the body takes to the phase."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.phases[phase] += time.perf_counter() - t0
 
 
 @contextlib.contextmanager
@@ -365,10 +379,9 @@ def _make_spec(domain, triplet, scn):
 def build_bvp(scn, ctx):
     dim = scn["dimension"]
     triplet = build_triplet(scn.get("triplet"), dim)
-    if "atlas" in scn:
-        domain = build_atlas(scn["atlas"], ctx, dim)
-    else:
-        domain = build_mesh(scn["mesh"], ctx, dim)
+    with ctx.timed("mesh"):
+        domain = build_atlas(scn["atlas"], ctx, dim) if "atlas" in scn \
+            else build_mesh(scn["mesh"], ctx, dim)
     return _make_spec(domain, triplet, scn)
 
 
@@ -404,12 +417,13 @@ def _outputs(scn, ctx, writers):
                 f"this {scn['mode']} run writes no {key} output; it writes "
                 f"{', '.join(writers)}", field=f"outputs.{key}")
     yield outputs
-    for key, write in writers.items():
-        if key in outputs:
-            files = write(outputs[key])
-            outputs[key] = files or outputs[key]
-            for path in files or [outputs[key]]:
-                print(f"wrote {path}")
+    with ctx.timed("export"):
+        for key, write in writers.items():
+            if key in outputs:
+                files = write(outputs[key])
+                outputs[key] = files or outputs[key]
+                for path in files or [outputs[key]]:
+                    print(f"wrote {path}")
 
 
 def _run_solve(scn, ctx, spec=None):
@@ -454,11 +468,13 @@ def _run_equivalence(scn, ctx):
             systems[0].full_matrix, path)}
     with _outputs(scn, ctx, writers) as outputs:
         # the standard parameterization
-        base = build_mesh(scn["mesh"], ctx, dim)
+        with ctx.timed("mesh"):
+            base = build_mesh(scn["mesh"], ctx, dim)
         triplets = [build_triplet(c, dim) for c in scn["triplets"]]
         systems = []
         for t in triplets:
-            m = mesh_mod.map_mesh(base, t.chart)
+            with ctx.timed("mesh"):
+                m = mesh_mod.map_mesh(base, t.chart)
             systems.append(fem.assemble(_make_spec(m, t, scn)))
         comp = fem.compare_matrices(systems[0].full_matrix,
                                     systems[1].full_matrix)
@@ -513,7 +529,7 @@ def _run_open_boundary(scn, ctx):
     else:
         value = float(inner)
 
-    with _declared("open_boundary"):
+    with _declared("open_boundary"), ctx.timed("mesh"):
         spec = app.open_boundary_bvp(
             ob, base, value,
             divisions=tuple(cfg.get("divisions", (64, 40))),
@@ -577,7 +593,8 @@ def _run_mesh_tools(scn, ctx):
             path, ["element", "quality"], np.arange(len(q.ratios)),
             q.ratios)}
     with _outputs(scn, ctx, writers) as outputs:
-        m = build_mesh(scn["mesh"], ctx, scn.get("dimension"))
+        with ctx.timed("mesh"):
+            m = build_mesh(scn["mesh"], ctx, scn.get("dimension"))
         q = mesh_mod.quality(m)
         print(f"{m.n_nodes} nodes, {m.n_elements} elements")
         print(f"quality min {_fmt(q.min)} max {_fmt(q.max)} "
@@ -691,6 +708,7 @@ def run_scenario(cmd, args):
         if declared:
             report["path"] = ctx.path(declared)
         payload = _RUNNERS[cmd](scn, ctx)
+        payload.update(ctx.phases)
         payload.update({
             "status": "ok", "mode": cmd, "name": scn["name"],
             "scenario": scenario_path, "wall_time": time.time() - started})

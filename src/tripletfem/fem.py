@@ -480,7 +480,9 @@ class AssembledSystem:
         spent on coefficients and on blocks. K is measured at the interior
         points on every call and integrated by their rule; where it is one
         matrix at all of them (broadcast, stride zero on its leading axes),
-        the one-point rule gives that integral exactly."""
+        the one-point rule gives that integral exactly. A group whose ids
+        are one run, as a region of a structured mesh is, takes its blocks
+        as slices of the buffer; any other is scattered by its ids."""
         blocks = self.data.reshape(self.n_elements, self._k, self._k)
         _, weights = quadrature_rule("interior", self.dim)
         _, centroid = quadrature_rule("one_point", self.dim)
@@ -491,8 +493,11 @@ class AssembledSystem:
             if not any(K.strides[:-2]):
                 K, w = K[:, :1], centroid
             t1 = time.perf_counter()
+            run = _run(group.ids)
             for c, b in _element_blocks(w, group.grads, K, group.vols):
-                blocks[group.ids[c]] = b
+                at = group.ids[c] if run is None else \
+                    slice(run.start + c.start, run.start + c.stop)
+                blocks[at] = b
             spent["coefficients"] += t1 - t0
             spent["blocks"] += time.perf_counter() - t1
         return spent
@@ -657,6 +662,11 @@ class _CsrSum:
     pattern (indices, indptr) does not depend on the values, so the
     reduced matrix, the lift block and the transpose are fixed sets of
     its slots.
+
+    The layout before the sort is written a column at a time: block row
+    r of element e holds positions r * k + j, one preallocated column j
+    per pass, and the columns of e's dofs, gathered by one np.take of
+    the element dof rows.
     """
 
     def __init__(self, system):
@@ -673,10 +683,16 @@ class _CsrSum:
                                 np.arange(dofs.size + 1, dtype=idx)),
                                shape=(dofs.size, n)).tocsc()
         by_row = by_dof.indices
-        order = (by_row[:, None] * idx(k) + np.arange(k, dtype=idx)).ravel()
-        laid = sp.csr_matrix((order, dofs.astype(idx)[by_row // k].ravel(),
+        # block row r holds buffer positions r * k + j, written a column j
+        # at a time, and the columns of its element's dofs
+        order = np.empty((by_row.size, k), dtype=idx)
+        first = by_row * idx(k)
+        for j in range(k):
+            np.add(first, idx(j), out=order[:, j])
+        cols = np.take(dofs.astype(idx), by_row // idx(k), axis=0)
+        laid = sp.csr_matrix((order.ravel(), cols.ravel(),
                               by_dof.indptr * idx(k)), shape=(n, n))
-        del by_dof, by_row, order
+        del by_dof, by_row, order, first, cols
         laid.sort_indices()
         self.shape = (n, n)
         # buffer positions in summation order, their columns, row heads

@@ -537,7 +537,7 @@ class KelvinShell(_RadialMap):
     the sphere r = a, where the shell branch supplies the Jacobian. The
     map is defined on all of R^n; its image is the open ball R < b, and
     inverse refuses every point at or past the rim R = b, which has no
-    finite preimage.
+    finite preimage. The radii satisfy 0 < a < b with b finite.
     """
 
     def __init__(self, a, b, center=None, dim=2):
@@ -546,6 +546,10 @@ class KelvinShell(_RadialMap):
         self.b = float(b)
         if not 0.0 < self.a < self.b:
             raise ValueError("shell radii must satisfy 0 < a < b")
+        if self.b == np.inf:
+            # R(r) = b - a (b - a) / r is inf - inf past radius a
+            raise ValueError("the shell's outer radius b must be finite, "
+                             f"got b={self.b}")
 
     def _rho(self, r):
         return self.b - self.a * (self.b - self.a) / r

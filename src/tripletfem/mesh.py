@@ -136,12 +136,22 @@ def _face_groups(*face_arrays):
     """Integer group ids for faces: rows holding the same node ids, in any
     order and across all the given arrays, share an id. Ids follow the
     lexicographic order of the sorted rows. Returns (ids per array, number
-    of groups)."""
-    rows = np.concatenate([np.sort(f, axis=1) for f in face_arrays], axis=0)
+    of groups).
+
+    An array whose rows are already sorted, as _sorted_faces gives them,
+    is not sorted again; a column compare tells. The rows are ranked by
+    one exact lexsort, with no key that could overflow, and a group
+    starts where any column of a ranked row differs from the row
+    before."""
+    rows = np.concatenate([
+        f if all((a <= b).all() for a, b in zip(f.T[:-1], f.T[1:]))
+        else np.sort(f, axis=1) for f in face_arrays], axis=0)
     order = np.lexsort(rows.T[::-1])
     ranked = rows[order]
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    starts = np.zeros(len(rows), dtype=bool)
+    starts[:1] = True
+    for column in ranked.T:
+        starts[1:] |= column[1:] != column[:-1]
     ids = np.empty(len(rows), dtype=np.int64)
     ids[order] = np.cumsum(starts) - 1
     splits = np.cumsum([len(f) for f in face_arrays])[:-1]
@@ -153,10 +163,16 @@ def _facet_counts(elements, facets, n_nodes):
     face, and the index of the first row equal to it. Only the faces of
     elements with at least dim nodes on facets are grouped: a face equal
     to a facet has all dim of its nodes on facets, so no other element
-    has one, and the counts are those of grouping every face."""
-    on_facet = np.zeros(n_nodes, dtype=bool)
-    on_facet[facets] = True
-    near = on_facet[elements].sum(axis=1) >= facets.shape[1]
+    has one, and the counts are those of grouping every face. An
+    element's nodes on facets are counted by adding its columns of one
+    gather of 0/1 bytes."""
+    on_facet = np.zeros(n_nodes, dtype=np.uint8)
+    on_facet[facets] = 1
+    hits = on_facet.take(elements)
+    count = hits[:, 0] + hits[:, 1]
+    for column in hits.T[2:]:
+        count += column
+    near = count >= facets.shape[1]
     (faces, declared), n = _face_groups(_sorted_faces(elements[near]), facets)
     counts = np.bincount(faces, minlength=n)[declared]
     _, first, inverse = np.unique(declared, return_index=True,
@@ -206,7 +222,11 @@ class Mesh:
     facet must be a facet of exactly one element, and declared once. The
     mesh keeps the edge matrices it took its volumes from, read-only, in
     the stored orientation (edge_matrices()); assembly forms the basis
-    gradients from them.
+    gradients from them. An element given with negative signed volume is
+    stored with its last two nodes swapped, and its edge matrix with its
+    last two rows swapped, which negates that volume exactly; the swap
+    is a masked copy along whole columns, the bits of swapping the
+    inverted elements' rows one by one.
     """
 
     def __init__(self, nodes, elements, element_regions,
@@ -226,10 +246,16 @@ class Mesh:
 
         def flip_inverted(vols, edges):
             # swapping the last two nodes swaps the last two edge rows,
-            # exactly: node 0, which every edge starts from, stays
+            # exactly: node 0, which every edge starts from, stays. Each
+            # swap is two masked copies along the element axis: of the
+            # last two element columns, and of the last two edge rows of
+            # the edges' (d, d, E) buffer, whose entry arrays are
+            # contiguous
             flip = vols < 0.0
-            elements[flip, -2:] = elements[flip, -1:-3:-1]
-            edges[flip, -2:] = edges[flip, -1:-3:-1]
+            for rows in (elements.T, edges.transpose(1, 2, 0)):
+                last = rows[-1].copy()
+                np.copyto(rows[-1], rows[-2], where=flip)
+                np.copyto(rows[-2], last, where=flip)
             return np.abs(vols)
 
         self._set_geometry(nodes, flip_inverted)

@@ -57,6 +57,9 @@ def test_shell_spec_validates_radii():
         app.OpenBoundarySpec(interior=box, a=2.0, b=1.0)
     with pytest.raises(ValueError):
         app.OpenBoundarySpec(interior=box, a=0.0, b=1.0)
+    with pytest.raises(ValueError, match="outer radius b must be finite, "
+                       "got b=inf"):
+        app.OpenBoundarySpec(interior=box, a=1.0, b=float("inf"))
 
 
 def test_interior_region_must_fit_inside_radius_a():

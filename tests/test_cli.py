@@ -950,6 +950,40 @@ def atlas_solve_scenario(outputs=None):
     return scn
 
 
+def open_boundary_scenario(outputs=None):
+    return {"name": "dipole", "dimension": 2, "mode": "open-boundary",
+            "open_boundary": {"a": 1.0, "b": 2.0,
+                              "interior": {"kind": "disc", "radius": 1.0},
+                              "divisions": [20, 8],
+                              "inner_value": {"harmonic": 1}},
+            "outputs": outputs or {}}
+
+
+@pytest.mark.parametrize("scenario, outputs", [
+    (square_solve_scenario, {"vtk": "u.vtk", "csv": "u.csv"}),
+    (atlas_solve_scenario, {"matrix_market": "a.mtx"}),
+    (equivalence_scenario, {"csv": "eq.csv"}),
+    (open_boundary_scenario, {"vtk": "ob.vtk"}),
+    (motion_scenario, {"csv": "sweep.csv"}),
+    (mesh_tools_scenario, {"msh": "grid.msh"}),
+], ids=["solve", "atlas", "equivalence-check", "open-boundary", "motion",
+        "mesh-tools"])
+def test_reports_carry_the_mesh_and_export_seconds(tmp_path, scenario,
+                                                   outputs):
+    scn = scenario(outputs)
+    path = write_scenario(tmp_path, scn)
+    assert cli.main([scn["mode"], path]) == 0
+    rep = report_of(path)
+    # every run builds its domain and writes a declared output, so both
+    # clocks ran
+    assert rep["mesh"] > 0.0 and rep["export"] > 0.0
+    assembly = rep.get("assembly", [])
+    timed = [rep["mesh"], rep["export"], *rep.get("solve", {}).values()]
+    for timings in assembly if isinstance(assembly, list) else [assembly]:
+        timed += [t for k, t in timings.items() if k != "record_reused"]
+    assert sum(timed) <= rep["wall_time"] * (1 + 1e-12)
+
+
 # case -> (scenario, the declared output its mode has no writer for, the
 # outputs the mode writes); each but the motion and atlas cases once exited
 # 0 and wrote nothing, and the atlas refusal came after the solve

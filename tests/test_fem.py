@@ -596,6 +596,70 @@ def assert_scipy_sums_the_buffer(system):
     assert np.array_equal(system.rhs, rhs)
 
 
+def reference_record(system):
+    """The summation record's arrays by the formulas the record was once
+    built with: buffer positions by a width-k broadcast and columns by a
+    fancy row gather of the element dofs, laid out by row and sorted;
+    then the summed pattern, the transpose's slots and the reduced and
+    lift slots."""
+    n, k = system.n_dofs, system._k
+    dofs = system.element_dofs
+    size = dofs.size * k
+    idx = np.int32 if max(size, n) < 2 ** 31 else np.int64
+    by_dof = sp.csr_matrix((np.ones(dofs.size, dtype=bool),
+                            dofs.ravel().astype(idx),
+                            np.arange(dofs.size + 1, dtype=idx)),
+                           shape=(dofs.size, n)).tocsc()
+    by_row = by_dof.indices
+    order = (by_row[:, None] * idx(k) + np.arange(k, dtype=idx)).ravel()
+    laid = sp.csr_matrix((order, dofs.astype(idx)[by_row // k].ravel(),
+                          by_dof.indptr * idx(k)), shape=(n, n))
+    laid.sort_indices()
+    pattern = fem._summed(sp.csr_matrix(
+        (np.ones(size, dtype=bool), laid.indices.copy(),
+         laid.indptr.copy()), shape=(n, n)))
+    slot_ids = sp.csr_matrix((np.arange(1.0, pattern.nnz + 1),
+                              pattern.indices, pattern.indptr),
+                             shape=(n, n))
+    free, fixed = system.free, system.dirichlet_dofs
+    rows_free = slot_ids[free]
+    return {"pos": laid.data, "col": laid.indices, "heads": laid.indptr,
+            "indptr": pattern.indptr,
+            "transposed": slot_ids.T.tocsr().data.astype(idx) - 1,
+            "reduced": [(M.data.astype(idx) - 1, M.indices, M.indptr)
+                        for M in (rows_free[:, free].tocsr(),
+                                  rows_free[:, fixed])]}
+
+
+def banded_box_3d_spec():
+    m = mesh.generate_structured("box", (6, 5, 4),
+                                 region_bands=[("band", 2, 0.25, 0.75)])
+    return fem.BVPSpec(m, euclidean_triplet(3), (("left", 0.0),
+                                                 ("top", 1.0)))
+
+
+def benchmark_annulus_spec():
+    m = mesh.generate_structured("annulus", (256, 96), radii=(1.0, 2.0),
+                                 grading=2.0)
+    return fem.BVPSpec(m, euclidean_triplet(2),
+                       (("inner", 1.0), ("outer", 0.0)))
+
+
+@pytest.mark.parametrize("make_spec", [banded_box_3d_spec,
+                                       benchmark_annulus_spec,
+                                       two_patch_atlas_spec])
+def test_the_record_keeps_the_bits_of_its_reference_formulas(make_spec):
+    system = fem.assemble(make_spec())
+    record, want = system._csr_sum, reference_record(system)
+    for key in ("pos", "col", "heads", "indptr", "transposed"):
+        got = getattr(record, key)
+        assert got.dtype == want[key].dtype
+        assert np.array_equal(got, want[key]), key
+    for mine, ref in zip(record.reduced, want["reduced"], strict=True):
+        for a, b in zip(mine[:3], ref, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("make_spec",
                          [box_2d_spec, box_3d_spec, two_patch_atlas_spec,
                           graded_annulus_spec, all_dirichlet_spec,

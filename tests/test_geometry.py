@@ -158,6 +158,14 @@ def test_shell_rejects_bad_radii():
         geo.KelvinShell(2.0, 1.0)
     with pytest.raises(ValueError):
         geo.KelvinShell(0.0, 1.0)
+    # 0 < a < b holds for b = inf, and R(r) = b - a (b - a) / r is then
+    # inf - inf: an ordinary point past radius a had no image
+    with pytest.raises(ValueError, match="outer radius b must be finite, "
+                       "got b=inf"):
+        geo.KelvinShell(1.0, float("inf"))
+    # a finite b, however large, keeps the fold finite
+    assert np.allclose(geo.KelvinShell(1.0, 1e300).forward([3.0, 0.0]),
+                       [2e300 / 3.0, 0.0], rtol=1e-15, atol=0.0)
 
 
 # ------------------------------------------------------------ other charts

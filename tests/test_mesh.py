@@ -182,6 +182,43 @@ def test_constructor_normalizes_orientation():
     assert m.volumes()[0] > 0
 
 
+def fancy_index_flip(nodes, elements):
+    """The orientation flip by boolean fancy indexing on the elements and
+    on the strided edge view, as the constructor once did it: the
+    elements, edge matrices and volumes a Mesh should store."""
+    elements = np.array(elements)
+    edges = msh._edge_matrices(nodes, elements)
+    vols = msh._volumes_of(edges)
+    flip = vols < 0.0
+    elements[flip, -2:] = elements[flip, -1:-3:-1]
+    edges[flip, -2:] = edges[flip, -1:-3:-1]
+    return elements, edges, np.abs(vols)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"shape": "box", "divisions": (9, 7), "bounds": ([0.1, -0.3], [1.7, 0.4])},
+    {"shape": "annulus", "divisions": (16, 5), "radii": (1.0, 2.0),
+     "grading": 2.0},
+    {"shape": "box", "divisions": (4, 3, 5),
+     "bounds": ([0.0, 0.2, -1.0], [0.3, 1.9, 0.5])},
+], ids=["box-2d", "annulus", "box-3d"])
+def test_the_masked_flip_stores_what_the_fancy_index_flip_gives(kwargs):
+    m = msh.generate_structured(**kwargs)
+    # each element's nodes in a random order, so about half come inverted
+    rng = np.random.default_rng(m.n_elements)
+    elements = rng.permuted(m.elements, axis=1)
+    flipped = msh.Mesh(m.nodes, elements, m.element_regions)
+    want = fancy_index_flip(m.nodes, elements)
+    assert 0 < np.count_nonzero(want[0] != elements) < elements.size
+    for got, ref in zip((flipped.elements, flipped.edge_matrices(),
+                         flipped.volumes()), want):
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.ascontiguousarray(got).tobytes() == \
+            np.ascontiguousarray(ref).tobytes()
+    # the stored edges stay the component-major view of a (d, d, E) buffer
+    assert flipped.edge_matrices().transpose(1, 2, 0).flags.c_contiguous
+
+
 def test_constructor_rejects_zero_volume():
     nodes = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
     with pytest.raises(DegenerateElement):
