@@ -27,6 +27,7 @@ import json
 import math
 import os
 import platform
+import resource
 import sys
 import time
 from importlib import resources
@@ -711,7 +712,10 @@ def run_scenario(cmd, args):
         payload.update(ctx.phases)
         payload.update({
             "status": "ok", "mode": cmd, "name": scn["name"],
-            "scenario": scenario_path, "wall_time": time.time() - started})
+            "scenario": scenario_path, "wall_time": time.time() - started,
+            # the process's peak resident set so far (Linux counts KiB)
+            "peak_rss_mb":
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0})
         _write_report(report["path"], payload)
         return 0
 

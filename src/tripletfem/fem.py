@@ -16,7 +16,10 @@ depends on the element dofs and the Dirichlet dofs alone; it is
 recorded once per mesh topology (_CsrSum), kept in a slot the mesh
 shares with its map_mesh images (an Atlas keeps its own), and every
 build gathers the buffer into that order and runs scipy's own duplicate
-sum, which adds each row apart from the others. A partial update
+sum, which adds each row apart from the others, on bounded blocks of
+whole rows, so no build holds a gathered copy of the whole buffer. The
+system keeps no basis gradients: each element set forms its own. A
+partial update
 replaces the blocks of a subset of elements and re-sums only the rows
 they touch, through their part of the same record; the first build is
 the re-sum of every row. So an update's matrices are bit-identical to a
@@ -155,13 +158,9 @@ class _Patch:
 
 
 def _joined(parts):
-    """The patches' arrays as one, joined along the element axis in the
-    memory order of the first (component-major geometry stays so): the
+    """The patches' arrays as one, joined along the element axis: the
     only one itself, without a copy, for a plain mesh."""
-    if len(parts) == 1:
-        return parts[0]
-    shape = (sum(len(p) for p in parts),) + parts[0].shape[1:]
-    return np.concatenate(parts, out=np.empty_like(parts[0], shape=shape))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _build_patches(spec):
@@ -184,6 +183,12 @@ def _build_patches(spec):
 # ---------------------------------------------------------------- assembly
 
 
+# Elements per pass of the elementwise kernels (the basis gradients, the
+# element blocks, the quadrature points): their work arrays stay in
+# cache, and their memory does not grow with the mesh.
+_BLOCK_CHUNK = 4096
+
+
 def _p1_gradients(edges):
     """Constant basis gradients per element, shape (E, d+1, d), from the
     edge matrices (E, d, d) a Mesh keeps (edges from node 0 as rows):
@@ -198,16 +203,18 @@ def _p1_gradients(edges):
     Like the edge matrices, the gradients are component-major: the
     (E, d+1, d) view of a contiguous (d+1, d, E) buffer, each entry array
     [:, a, k] one contiguous row, which the division writes and the
-    block kernel reads at streaming speed. Row 0 adds rows 1..d left to
-    right and negates the sum, the bits of -np.sum(rows, axis=1)."""
+    block kernel reads at streaming speed. The adjugate is formed over
+    chunks of the elements, so its temporaries do not grow with the
+    mesh; each entry is elementwise, so chunks keep the bits. Row 0 adds
+    rows 1..d left to right and negates the sum, the bits of
+    -np.sum(rows, axis=1)."""
     d = edges.shape[1]
-    # the buffer before the adjugate's temporaries: in the other order
-    # glibc kept about 2 MB more resident at the peak of two 24^3
-    # assemblies (tracemalloc's peak is the same either way)
     out = np.empty((d + 1, d, len(edges)))
-    dets, adj = adjugate(edges)
-    for (i, j), entry in adj.items():
-        np.divide(entry, dets, out=out[1 + j, i])
+    for lo in range(0, len(edges), _BLOCK_CHUNK):
+        c = slice(lo, lo + _BLOCK_CHUNK)
+        dets, adj = adjugate(edges[c])
+        for (i, j), entry in adj.items():
+            np.divide(entry, dets, out=out[1 + j, i, c])
     np.add(out[1], out[2], out=out[0])
     for row in out[3:]:
         out[0] += row
@@ -244,8 +251,8 @@ def _points_for(triplet, group):
         pointwise = False  # the evaluation raises it at the first element
     if pointwise:
         return group.xq
-    n, d = group.grads.shape[0], group.grads.shape[2]
-    return np.broadcast_to(0.0, (n, group.bary.shape[0], d))
+    return np.broadcast_to(0.0, (group.ids.size, group.bary.shape[0],
+                                 patch.mesh.dim))
 
 
 def _coefficients(triplet, group):
@@ -266,11 +273,6 @@ def _coefficients(triplet, group):
             raise type(err)(f"element {where}: {err}") from None
     # batch failed but every element passed alone; re-run to surface it
     return _coefficient_at(triplet, patch, group.tag, xq)
-
-
-# Elements per pass of the block kernel: its (d+1, d+1, chunk) work
-# arrays stay in cache, and its memory does not grow with the mesh.
-_BLOCK_CHUNK = 4096
 
 
 def _element_blocks(weights, grads, K, vols):
@@ -367,11 +369,15 @@ def _element_rows(a, ids):
 class ElementSet:
     """Element ids of one system, prepared for repeated block updates.
 
-    The (patch, region) split, the gathered gradients and volumes, the
-    quadrature points and the rows of the matrix the elements touch
-    with their part of the summation record (both formed on first use)
-    depend on the ids only, so a motion sweep takes them once and passes
-    the set to every update_elements call.
+    The (patch, region) split, each group's basis gradients (formed by
+    _p1_gradients from the group's rows of its patch mesh's edge
+    matrices: a view where the ids are one run, else gathered in the
+    same component-major order) and volumes, the quadrature points and
+    the rows of the matrix the elements touch with their part of the
+    summation record (both formed on first use) depend on the ids only,
+    so a motion sweep takes them once and passes the set to every
+    update_elements call. The system keeps no gradients: the set holds
+    its own, and they go with it.
     """
 
     def __init__(self, system, element_ids):
@@ -386,10 +392,12 @@ class ElementSet:
         self.system = system
         self.ids = ids
         bary, _ = quadrature_rule("interior", system.dim)
-        self.groups = [_Group(patch, tag, gids,
-                              _element_rows(system.grads, gids),
-                              _element_rows(system.vols, gids), bary)
-                       for patch, tag, gids in system._groups(ids)]
+        self.groups = [
+            _Group(patch, tag, gids,
+                   _p1_gradients(_element_rows(patch.mesh.edge_matrices(),
+                                               gids - patch.elem_offset)),
+                   _element_rows(system.vols, gids), bary)
+            for patch, tag, gids in system._groups(ids)]
 
     @cached_property
     def rows(self):
@@ -409,9 +417,17 @@ class AssembledSystem:
     buffer that makes partial reassembly exact.
 
     matrix and rhs are the reduced (free-dof) system; full_matrix keeps
-    every dof and is the one the energy quadratic form uses. timings
-    holds the assembly's phases in seconds: gradients (the basis
-    gradients from the mesh's edge matrices), coefficients (K at the
+    every dof and is the one the energy quadratic form uses. Besides
+    them and the buffer, a system keeps only what a later build or
+    update reads: the element volumes and dofs (on a plain mesh the
+    mesh's own arrays, as a node's dof is its id), the element patch
+    and region tags, and the Dirichlet split. It keeps no basis
+    gradients: an ElementSet forms those of its groups, so the set of
+    every element that assembly fills frees them when the fill ends, and
+    Solution.fields forms them again on first read. timings
+    holds the assembly's phases in seconds: gradients (the set of every
+    element: its groups and their basis gradients from the mesh's edge
+    matrices), coefficients (K at the
     quadrature points), blocks (the element blocks), record (the lookup,
     or the build, of the summation record) and build (the matrices), and
     record_reused tells whether the record was one the domain already
@@ -430,11 +446,9 @@ class AssembledSystem:
         self.dim = patches[0].mesh.nodes.shape[1]
 
         self.vols = _frozen(_joined([p.mesh.volumes() for p in patches]))
-        t0 = time.perf_counter()
-        self.grads = _frozen(_joined([_p1_gradients(p.mesh.edge_matrices())
-                                      for p in patches]))
-        gradients = time.perf_counter() - t0
-        self.element_dofs = _joined([p.dofs[p.mesh.elements]
+        # a plain mesh's node is its own dof: its elements are the dofs
+        self.element_dofs = _joined([p.mesh.elements if p.chart is None
+                                     else p.dofs[p.mesh.elements]
                                      for p in patches])
         self.patch_of = _joined([np.full(p.mesh.n_elements, i)
                                  for i, p in enumerate(patches)])
@@ -448,8 +462,11 @@ class AssembledSystem:
         self._group_keys = [(i, tag) for i, p in enumerate(patches)
                             for tag in p.mesh.regions()]
 
-        timings = self._fill(spec.triplet,
-                             ElementSet(self, np.arange(self.n_elements)))
+        t0 = time.perf_counter()
+        every = ElementSet(self, np.arange(self.n_elements))
+        gradients = time.perf_counter() - t0
+        timings = self._fill(spec.triplet, every)
+        del every  # its gradients go before the record and the build
         self._collect_dirichlet()
         t0 = time.perf_counter()
         self._csr_sum, reused = _csr_sum_of(self)
@@ -658,7 +675,8 @@ class _CsrSum:
     sum_duplicates add the runs: the code tocsr ends with, on the same
     values in the same order. That sum adds each row's runs apart from
     every other row's, so the rows of a subset are summed alike by the
-    same call on their part of the record alone (_RowSum). The summed
+    same call on their part of the record alone (_RowSum), and so is
+    every block of whole rows a build sums at a time. The summed
     pattern (indices, indptr) does not depend on the values, so the
     reduced matrix, the lift block and the transpose are fixed sets of
     its slots.
@@ -748,12 +766,20 @@ def _ranges(heads, rows):
     return np.repeat(starts - first, counts) + np.arange(counts.sum())
 
 
+# Buffer entries per call of scipy's duplicate sum: a build gathers and
+# sums whole rows a block at a time, each block at most this many
+# entries (a longer row alone), so its temporaries stay of this size
+# while the mesh grows.
+_SUM_CHUNK = 1 << 16
+
+
 class _RowSum:
     """The part of a _CsrSum record for a sorted set of rows.
 
     It keeps the rows' buffer positions in summation order (pos), their
     columns (col) and heads, which summed() runs through the duplicate
-    sum the whole record runs; the rows' slots in the full matrix, the
+    sum the whole record runs, and the heads of the rows' summed entries
+    (indptr); the rows' slots in the full matrix, the
     slots of their transposes, and those of the transposes in other
     rows (mirrored) with where they lie among the rows' (mirror); and
     for the reduced matrix and the lift, the data positions of the free
@@ -769,6 +795,9 @@ class _RowSum:
         np.cumsum(record.heads[rows + 1] - record.heads[rows],
                   out=self.heads[1:])
         self.shape = (rows.size, record.shape[1])
+        self.indptr = np.zeros(rows.size + 1, dtype=record.indptr.dtype)
+        np.cumsum(record.indptr[rows + 1] - record.indptr[rows],
+                  out=self.indptr[1:])
         self.slots = _ranges(record.indptr, rows)
         self.transposed = record.transposed[self.slots]
         inside = np.zeros(record.transposed.size, dtype=bool)
@@ -786,9 +815,27 @@ class _RowSum:
     def summed(self, data):
         """The rows of the full matrix, summed from the block buffer
         data: a CSR matrix whose data are the rows' entries in slot
-        order."""
-        return _summed(sp.csr_matrix((data[self.pos], self.col.copy(),
-                                      self.heads.copy()), shape=self.shape))
+        order. Whole rows are gathered and summed a block at a time, by
+        one duplicate sum per block of at most _SUM_CHUNK buffer entries;
+        that sum adds each row apart from the others, so every row gets
+        the bits one call over all the rows would give."""
+        heads, indptr = self.heads, self.indptr
+        vals = np.empty(int(indptr[-1]))
+        cols = np.empty(vals.size, dtype=self.col.dtype)
+        lo = 0
+        while lo < self.shape[0]:
+            # the most rows from lo whose entries fit the block, one at least
+            hi = max(lo + 1, int(np.searchsorted(
+                heads, heads[lo] + _SUM_CHUNK, side="right")) - 1)
+            at = slice(int(heads[lo]), int(heads[hi]))
+            block = _summed(sp.csr_matrix(
+                (data[self.pos[at]], self.col[at].copy(),
+                 heads[lo:hi + 1] - heads[lo]),
+                shape=(hi - lo, self.shape[1])))
+            out = slice(int(indptr[lo]), int(indptr[hi]))
+            vals[out], cols[out] = block.data, block.indices
+            lo = hi
+        return sp.csr_matrix((vals, cols, indptr.copy()), shape=self.shape)
 
 
 def assemble(spec):
@@ -900,16 +947,17 @@ class Solution:
 
 
 def _all_element_fields(u, system, triplet):
-    """Constant field per element, E = -S^-1 grad(u), S at the centroid."""
-    grad = np.einsum("ea,ead->ed", u[system.element_dofs], system.grads)
+    """Constant field per element, E = -S^-1 grad(u), S at the centroid,
+    group by group of the set of every element, with its gradients."""
     centroids = np.concatenate([p.mesh.centroids() for p in system.patches])
-    out = np.empty_like(grad)
-    all_ids = np.arange(system.n_elements)
-    for patch, tag, ids in system._groups(all_ids):
-        metric = patch.metric if patch.metric is not None \
+    out = np.empty((system.n_elements, system.dim))
+    for group in ElementSet(system, np.arange(system.n_elements)).groups:
+        grad = np.einsum("ea,ead->ed", u[system.element_dofs[group.ids]],
+                         group.grads)
+        metric = group.patch.metric if group.patch.metric is not None \
             else triplet.metric
-        S = metric.eval(centroids[ids], tag)
-        out[ids] = -np.linalg.solve(S, grad[ids][..., None])[..., 0]
+        S = metric.eval(centroids[group.ids], group.tag)
+        out[group.ids] = -np.linalg.solve(S, grad[..., None])[..., 0]
     return out
 
 

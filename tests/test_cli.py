@@ -984,6 +984,17 @@ def test_reports_carry_the_mesh_and_export_seconds(tmp_path, scenario,
     assert sum(timed) <= rep["wall_time"] * (1 + 1e-12)
 
 
+def test_reports_carry_the_peak_resident_memory(tmp_path):
+    import resource
+    path = write_scenario(tmp_path, square_solve_scenario())
+    assert cli.main(["solve", path]) == 0
+    peak = report_of(path)["peak_rss_mb"]
+    # numpy and scipy alone keep more than 10 MB resident; the report's
+    # peak is the process's, taken before this one
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert isinstance(peak, float) and 10.0 < peak <= after
+
+
 # case -> (scenario, the declared output its mode has no writer for, the
 # outputs the mode writes); each but the motion and atlas cases once exited
 # 0 and wrote nothing, and the atlas refusal came after the solve

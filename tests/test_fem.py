@@ -1,5 +1,6 @@
 """Assembly, boundary elimination, energy, and matrix comparison."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -689,6 +690,99 @@ def test_csr_replay_matches_coo_to_csr(make_spec):
     assert_scipy_sums_the_buffer(system)
 
 
+def matrix_bytes(system):
+    """The bytes of the system's full and reduced matrices, its lift and
+    its right-hand side, for equality checks bit for bit."""
+    return [getattr(M, field).tobytes()
+            for M in (system.full_matrix, system.matrix, system._lift)
+            for field in ("data", "indices", "indptr")] \
+        + [system.rhs.tobytes()]
+
+
+@pytest.mark.parametrize("chunk", [5, 400])
+def test_a_build_summed_in_row_blocks_keeps_the_one_block_bits(monkeypatch,
+                                                              chunk):
+    """Builds summed a few rows at a time (one row alone where it holds
+    more entries than a block) equal the sum of every row in one block:
+    the first build and a partial update alike."""
+    m = mesh.generate_structured("box", (4, 3, 3), region="air",
+                                 region_bands=[("slab", 2, 0.3, 0.7)])
+    bc = (("left", 0.0), ("right", 1.0))
+    t = tp.Triplet(geo.Identity(3), geo.MetricField.euclidean(3),
+                   tp.MaterialField(3, regions={"air": 1.0, "slab": 2.0}))
+    moved = replace(t, material=tp.MaterialField(
+        3, regions={"air": 1.0, "slab": np.diag([5.0, 1.0, 3.0])}))
+    slab = m.elements_in_regions(["slab"])
+    one = fem.assemble(fem.BVPSpec(m, t, bc))
+    assert m.n_elements * 16 < fem._SUM_CHUNK  # one block above
+    fem.update_elements(one, moved, slab)
+    blocks = []
+    summed = fem._summed
+
+    def counted(matrix):
+        blocks.append(matrix.shape[0])
+        return summed(matrix)
+
+    monkeypatch.setattr(fem, "_summed", counted)
+    monkeypatch.setattr(fem, "_SUM_CHUNK", chunk)
+    system = fem.assemble(fem.BVPSpec(m, t, bc))
+    assert system.timings["record_reused"] and len(blocks) >= 3
+    assert sum(blocks) == system.n_dofs
+    fresh = fem.assemble(fem.BVPSpec(m, moved, bc))
+    blocks.clear()
+    changed = fem.update_elements(system, moved, slab)
+    assert len(blocks) >= 3 and sum(blocks) < system.n_dofs
+    assert changed > 0
+    for got in (system, fresh):
+        assert matrix_bytes(got) == matrix_bytes(one)
+
+
+def held_bytes(system):
+    """What an assembled system holds for its builds: the block buffer,
+    the full and reduced matrices, the lift and the right-hand side."""
+    return system.data.nbytes + system.rhs.nbytes + sum(
+        M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+        for M in (system.full_matrix, system.matrix, system._lift))
+
+
+@pytest.mark.parametrize("n", [10, 20])
+def test_a_3d_assembly_on_a_kept_record_peaks_near_what_it_holds(
+        monkeypatch, n):
+    """A second 3-D assembly's traced peak, less what the system holds,
+    stays under one fixed bound at every mesh size once the two arrays
+    the design forms whole are allowed for: the basis gradients of the
+    set of every element while the fill runs, and the symmetry check's
+    skew part with its temporaries (three vectors of the matrix's
+    entries) while the build runs. So no build gathers the whole buffer
+    and no system keeps gradients."""
+    m = mesh.generate_structured("box", (n, n, n))
+    spec = fem.BVPSpec(m, euclidean_triplet(3), (("left", 0.0),
+                                                 ("right", 1.0)))
+    fem.assemble(spec)  # the record, kept on the mesh
+    fill_peak = []
+    collect = fem.AssembledSystem._collect_dirichlet
+
+    def after_the_fill(system):
+        fill_peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        collect(system)
+
+    monkeypatch.setattr(fem.AssembledSystem, "_collect_dirichlet",
+                        after_the_fill)
+    tracemalloc.start()
+    try:
+        system = fem.assemble(spec)
+        build_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.timings["record_reused"]
+    held = held_bytes(system)
+    gradients = system.n_elements * 4 * 3 * 8
+    skew = 3 * system.full_matrix.data.nbytes
+    assert fill_peak[0] - held - gradients <= 2.5 * 2 ** 20
+    assert build_peak - held - skew <= 2.5 * 2 ** 20
+
+
 def test_changed_entries_match_the_pattern_count():
     m = mesh.generate_structured("box", (8, 8), region="air",
                                  region_bands=[("slab", 1, 0.25, 0.75)])
@@ -1074,6 +1168,10 @@ GEOMETRY_CASES = {
     "box3d-mapped": lambda: mesh.map_mesh(banded_box(3), geo.Composite(
         [geo.Rotation(0.7, [0.3, -0.5, 0.8]),
          geo.AxisScaling([0.01, 3.0, 200.0])])),
+    # more elements than one pass of the elementwise kernels takes
+    "box3d-chunks": lambda: mesh.map_mesh(
+        mesh.generate_structured("box", (16, 12, 8)),
+        geo.Rotation(0.7, [0.3, -0.5, 0.8])),
 }
 
 
@@ -1112,26 +1210,75 @@ def test_element_geometry_is_component_major_with_the_same_bits(case):
     assert same_bits(grads, c_ordered_gradients(copy))
     assert entry_arrays_contiguous(edges)
     assert entry_arrays_contiguous(grads)
-    # assembly keeps the layout, and so do an element set's gathers of
-    # ids that are not one run
+    # an element set's groups form theirs from their rows of the edges in
+    # the same layout: of every element, and of ids that are not one run;
+    # the system keeps none, and shares the mesh's elements as its dofs
     tag = m.boundary_tags()[0]
     system = fem.assemble(fem.BVPSpec(m, euclidean_triplet(m.dim),
                                       ((tag, 0.0),)))
-    assert same_bits(system.grads, grads)
-    assert entry_arrays_contiguous(system.grads)
-    ids = np.arange(0, m.n_elements, 3)
-    for group in fem.ElementSet(system, ids).groups:
-        assert same_bits(group.grads, grads[group.ids])
-        assert entry_arrays_contiguous(group.grads)
+    assert not hasattr(system, "grads")
+    assert system.element_dofs is m.elements
+    for ids in (np.arange(m.n_elements), np.arange(0, m.n_elements, 3)):
+        for group in fem.ElementSet(system, ids).groups:
+            assert same_bits(group.grads, grads[group.ids])
+            assert entry_arrays_contiguous(group.grads)
 
 
-def test_an_atlas_joins_its_patches_gradients_component_major():
+def test_an_atlas_forms_its_groups_gradients_from_each_patch():
     system = fem.assemble(two_patch_atlas_spec())
-    parts = [fem._p1_gradients(p.mesh.edge_matrices())
-             for p in system.patches]
-    assert same_bits(system.grads, np.concatenate(parts))
-    assert entry_arrays_contiguous(system.grads)
+    assert not hasattr(system, "grads")
+    for ids in (np.arange(system.n_elements),
+                np.arange(1, system.n_elements, 3)):
+        groups = fem.ElementSet(system, ids).groups
+        assert {id(g.patch) for g in groups} == {id(p)
+                                                 for p in system.patches}
+        for group in groups:
+            patch = group.patch
+            own = fem._p1_gradients(patch.mesh.edge_matrices())
+            assert same_bits(group.grads, own[group.ids - patch.elem_offset])
+            assert entry_arrays_contiguous(group.grads)
     assert system.element_dofs.flags.c_contiguous
+
+
+def banded_metric_box_spec():
+    """A banded 3-D box, turned so that its gradients are dense, whose
+    band carries an anisotropic metric, under boundary values that make
+    no nodal value a short binary fraction."""
+    m = mesh.map_mesh(mesh.generate_structured(
+        "box", (6, 5, 4), region_bands=[("band", 0, 0.3, 0.7)]),
+        geo.Rotation(0.7, [0.3, -0.5, 0.8]))
+    t = tp.Triplet(geo.Identity(3),
+                   geo.MetricField(3, regions={"band": np.diag([1.0, 2.0,
+                                                                3.0])},
+                                   default=np.eye(3)),
+                   tp.MaterialField.uniform(1.0, 3))
+    return fem.BVPSpec(m, t, (("left", 0.1), ("right",
+                                             lambda x: np.sin(3.0 * x[1])
+                                             + x[2] / 3.0)))
+
+
+@pytest.mark.parametrize("make_spec", [banded_metric_box_spec,
+                                       two_patch_atlas_spec])
+def test_fields_are_minus_the_metric_solve_of_the_set_gradients(make_spec):
+    """Solution.fields is -S^-1 grad(u) per element, S the metric at the
+    centroid and grad(u) the nodal values times the basis gradients an
+    element set forms, added in node order, bit for bit."""
+    spec = make_spec()
+    sol = fem.solve_bvp(spec)
+    system = sol.system
+    want = np.full((system.n_elements, system.dim), np.nan)
+    for group in fem.ElementSet(system, np.arange(system.n_elements)).groups:
+        dofs = system.element_dofs[group.ids]
+        grad = sol.u[dofs[:, 0], None] * group.grads[:, 0]
+        for a in range(1, system._k):
+            grad = grad + sol.u[dofs[:, a], None] * group.grads[:, a]
+        patch = group.patch
+        metric = patch.metric if patch.metric is not None \
+            else spec.triplet.metric
+        centroids = patch.mesh.centroids()[group.ids - patch.elem_offset]
+        S = metric.eval(centroids, group.tag)
+        want[group.ids] = -np.linalg.solve(S, grad[..., None])[..., 0]
+    assert same_bits(sol.fields, want)
 
 
 def test_quadrature_points_only_for_pointwise_entries(monkeypatch):

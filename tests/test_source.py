@@ -127,10 +127,10 @@ def test_small_matrices_go_through_geometry_inv_and_det():
 
 def test_a_stray_lapack_call_is_found():
     source = (PACKAGE / "fem.py").read_text()
-    anchor = "    dets, adj = adjugate(edges)\n"
+    anchor = "        dets, adj = adjugate(edges[c])\n"
     assert anchor in source
-    broken = source.replace(anchor, "    dets, adj = np.linalg.det(edges), "
-                            "adjugate(edges)[1]\n")
+    broken = source.replace(anchor, "        dets, adj = np.linalg.det("
+                            "edges[c]), adjugate(edges[c])[1]\n")
     trees = dict(TREES, **{"fem.py": ast.parse(broken)})
     assert stray_lapack_calls(trees) == [
         "fem.py:_p1_gradients calls np.linalg.det"]
@@ -298,14 +298,15 @@ def test_a_second_edge_formula_and_adjugate_are_found():
     apps = (PACKAGE / "applications.py").read_text()
     edges = "    dets = det(_edge_matrices(step_map.forward(nodes), elements))\n"
     fem = (PACKAGE / "fem.py").read_text()
-    adj = "    dets, adj = adjugate(edges)\n"
+    adj = "        dets, adj = adjugate(edges[c])\n"
     assert edges in apps and adj in fem
     broken_apps = apps.replace(
         edges, "    mapped = step_map.forward(nodes)[elements]\n"
         "    dets = det(mapped[:, 1:, :] - mapped[:, :1, :])\n")
     broken_fem = fem.replace(
-        adj, "    a, b, c, e = (edges[:, i, j] for i in (0, 1) for j in (0, 1))\n"
-        "    dets, adj = a * e - b * c, adjugate(edges)[1]\n")
+        adj, "        a, b, f, e = (edges[c, i, j] for i in (0, 1)"
+        " for j in (0, 1))\n"
+        "        dets, adj = a * e - b * f, adjugate(edges[c])[1]\n")
     trees = dict(TREES, **{"applications.py": ast.parse(broken_apps),
                            "fem.py": ast.parse(broken_fem)})
     assert formula_sites(trees) == dict(
